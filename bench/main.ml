@@ -1570,6 +1570,10 @@ let sprim_bench () =
   let mna = Circuit.Mna.assemble nl in
   let order = 40 in
   let ctx = Sympvl.Pencil.create mna in
+  (* counters on for the reduction and its certification: the dense
+     fallback gate reads [factor.fallback_dense] *)
+  Obs.reset ();
+  Obs.enable ();
   let t0 = Obs.now () in
   let sp = Sympvl.Sprim.reduce ~ctx ~order mna in
   let reduce_s = Obs.now () -. t0 in
@@ -1579,6 +1583,9 @@ let sprim_bench () =
     sym sp.Sympvl.Sprim.cn && sym sp.Sympvl.Sprim.gn && sym sp.Sympvl.Sprim.lmat
   in
   let rep = Sympvl.Certify.run ~ctx (Sympvl.Rom.Sprim_model sp) mna in
+  let fallback_dense = int_of_float (Obs.counter_value "factor.fallback_dense") in
+  Obs.disable ();
+  Obs.reset ();
   let clean =
     List.for_all
       (fun d -> d.Circuit.Diagnostic.severity = Circuit.Diagnostic.Info)
@@ -1603,8 +1610,8 @@ let sprim_bench () =
     sp.Sympvl.Sprim.n1 sp.Sympvl.Sprim.n2 reduce_s;
   Printf.printf
     "structure error %.1e; M/D/K symmetric %b; MOD002/MOD003 clean %b (full \
-     report clean %b)\n"
-    serr blocks_sym mod23_clean clean;
+     report clean %b); dense fallbacks %d\n"
+    serr blocks_sym mod23_clean clean fallback_dense;
   List.iter
     (fun d ->
       if d.Circuit.Diagnostic.severity <> Circuit.Diagnostic.Info then
@@ -1615,10 +1622,10 @@ let sprim_bench () =
       "{\"workload\":\"peec_partial\",\"conductors\":%d,\"segments\":%d,\
        \"elements\":%d,\"n\":%d,\"order\":%d,\"n1\":%d,\"n2\":%d,\
        \"reduce_s\":%.3f,\"structure_error\":%.3e,\"blocks_symmetric\":%b,\
-       \"passivity_clean\":%b,\"certify_clean\":%b}"
+       \"passivity_clean\":%b,\"certify_clean\":%b,\"fallback_dense\":%d}"
       conductors segments elements mna.Circuit.Mna.n sp.Sympvl.Sprim.order
       sp.Sympvl.Sprim.n1 sp.Sympvl.Sprim.n2 reduce_s serr blocks_sym mod23_clean
-      clean
+      clean fallback_dense
     :: !rows;
   (* part 2 — the shipped k-coupled example at equal order: SPRIM must
      be at least as accurate as SyMPVL up to the documented golden
@@ -1662,6 +1669,12 @@ let sprim_bench () =
   end;
   if serr <> 0.0 || not blocks_sym then begin
     Printf.printf "FAIL: reduced blocks lost symmetry (structure error %.3e)\n" serr;
+    exit 1
+  end;
+  if fallback_dense <> 0 then begin
+    Printf.printf
+      "FAIL: peec_partial fell back to the dense factorisation %d time(s)\n"
+      fallback_dense;
     exit 1
   end;
   if not mod23_clean then begin

@@ -51,8 +51,10 @@ let factor_arg =
     "Force the sparse factorisation backend: $(b,skyline) (RCM ordering + \
      envelope), $(b,supernodal) (AMD ordering + blocked panels), or $(b,auto) \
      (per-pattern plan; the default). Equivalent to $(b,SYMOR_FACTOR); the \
-     flag wins. Both backends produce the same solutions to rounding; \
-     $(b,symor analyze) reports what auto would pick and why."
+     flag wins. General-form RLC pencils at shift 0 always factor on the \
+     supernodal backend, whatever this says. Both backends produce the \
+     same solutions to rounding; $(b,symor analyze) reports what auto \
+     would pick and why."
   in
   let backend =
     Arg.enum [ ("auto", `Auto); ("skyline", `Skyline); ("supernodal", `Supernodal) ]

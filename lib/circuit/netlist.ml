@@ -30,6 +30,8 @@ type origin = { line : int }
 type t = {
   names : (string, node) Hashtbl.t;
   mutable rev_names : string list; (* non-ground node names, newest first *)
+  mutable name_array : string array option;
+      (* [rev_names] in node order, built on demand; reset by [node] *)
   mutable next : node;
   mutable rev_elements : (element * origin option) list;
   mutable rev_ports : (port * origin option) list;
@@ -41,7 +43,15 @@ let create () =
   Hashtbl.add names "0" 0;
   Hashtbl.add names "gnd" 0;
   Hashtbl.add names "GND" 0;
-  { names; rev_names = []; next = 1; rev_elements = []; rev_ports = []; counter = 0 }
+  {
+    names;
+    rev_names = [];
+    name_array = None;
+    next = 1;
+    rev_elements = [];
+    rev_ports = [];
+    counter = 0;
+  }
 
 let node t name =
   match Hashtbl.find_opt t.names name with
@@ -51,6 +61,7 @@ let node t name =
     t.next <- n + 1;
     Hashtbl.add t.names name n;
     t.rev_names <- name :: t.rev_names;
+    t.name_array <- None;
     n
 
 let fresh_node t prefix =
@@ -66,7 +77,14 @@ let num_nodes t = t.next - 1
 let node_name t n =
   if n = 0 then "0"
   else begin
-    let names = Array.of_list (List.rev t.rev_names) in
+    let names =
+      match t.name_array with
+      | Some a -> a
+      | None ->
+        let a = Array.of_list (List.rev t.rev_names) in
+        t.name_array <- Some a;
+        a
+    in
     if n - 1 < Array.length names then names.(n - 1) else Printf.sprintf "<node %d>" n
   end
 

@@ -118,6 +118,16 @@ let of_supernodal n perm fac =
   let solve b = unpermute (Sparse.Supernodal.Real.solve fac (permute b)) in
   { n; j; definite; apply_m_inv; apply_mt_inv; solve; kind = `Supernodal }
 
+(* K' = TᵀKT = M' J M'ᵀ  =>  K = M J Mᵀ with M = T⁻ᵀ M', so
+   M⁻¹ = M'⁻¹ Tᵀ, M⁻ᵀ = T M'⁻ᵀ and K⁻¹ = T K'⁻¹ Tᵀ *)
+let congruent ~t ~tt f =
+  {
+    f with
+    apply_m_inv = (fun x -> f.apply_m_inv (tt x));
+    apply_mt_inv = (fun y -> t (f.apply_mt_inv y));
+    solve = (fun b -> t (f.solve (tt b)));
+  }
+
 let of_csr ?(ordering = true) ?pivot_tol a =
   assert (a.Sparse.Csr.rows = a.Sparse.Csr.cols);
   let n = a.Sparse.Csr.rows in
@@ -198,7 +208,7 @@ let auto ?ordering a =
   match of_csr ?ordering a with
   | f -> f
   | exception Singular i ->
-    Log.info (fun m ->
+    Log.warn (fun m ->
         m "sparse pivot breakdown at %d; falling back to dense Bunch-Kaufman" i);
     if Obs.tracing () then begin
       Obs.instant ~args:[ ("pivot", Obs.Int i) ] "factor.fallback_dense";

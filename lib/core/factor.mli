@@ -65,6 +65,12 @@ val of_skyline : int -> int array -> Sparse.Skyline.Real.t -> t
 val of_supernodal : int -> int array -> Sparse.Supernodal.Real.t -> t
 (** Same wrapping for a supernodal factorisation of [P A Pᵀ]. *)
 
+val congruent : t:(Linalg.Vec.t -> Linalg.Vec.t) -> tt:(Linalg.Vec.t -> Linalg.Vec.t) -> t -> t
+(** [congruent ~t ~tt f] turns a factorisation [f] of the congruent
+    matrix [K' = TᵀKT] into one of [K], given [t x = T x] and
+    [tt x = Tᵀ x]: [M = T⁻ᵀM'] with the same [J] and [kind], so
+    [M⁻¹ = M'⁻¹Tᵀ], [M⁻ᵀ = T M'⁻ᵀ] and [K⁻¹ = T K'⁻¹ Tᵀ]. *)
+
 val of_csr : ?ordering:bool -> ?pivot_tol:float -> Sparse.Csr.t -> t
 (** Sparse path: {!plan} picks the ordering and backend
     ([ordering:false] forces identity-ordered skyline). Raises

@@ -23,6 +23,7 @@ type sky_fallback = {
 type t = {
   g : Sparse.Csr.t;
   c : Sparse.Csr.t;
+  mna : Circuit.Mna.t option; (* set by [create]: labels and the general form *)
   variable : Circuit.Mna.variable;
   n : int;
   p : int;
@@ -98,7 +99,7 @@ let band_shift_var variable (f_lo, f_hi) =
 
 let band_shift (m : Circuit.Mna.t) band = band_shift_var m.Circuit.Mna.variable band
 
-let of_matrices ?(ordering = true) ?(variable = Circuit.Mna.S) ?b g c =
+let make ?(ordering = true) ?(variable = Circuit.Mna.S) ?b ?mna g c =
   if Obs.tracing () then
     Obs.span_begin ~args:[ ("n", Obs.Int g.Sparse.Csr.rows) ] "factor.symbolic";
   let n = g.Sparse.Csr.rows in
@@ -137,6 +138,7 @@ let of_matrices ?(ordering = true) ?(variable = Circuit.Mna.S) ?b g c =
   {
     g;
     c;
+    mna;
     variable;
     n;
     p;
@@ -149,9 +151,11 @@ let of_matrices ?(ordering = true) ?(variable = Circuit.Mna.S) ?b g c =
     cache = Hashtbl.create 4;
   }
 
+let of_matrices ?ordering ?variable ?b g c = make ?ordering ?variable ?b g c
+
 let create ?ordering (m : Circuit.Mna.t) =
   check_structure m;
-  of_matrices ?ordering ~variable:m.Circuit.Mna.variable ~b:m.Circuit.Mna.b
+  make ?ordering ~variable:m.Circuit.Mna.variable ~b:m.Circuit.Mna.b ~mna:m
     m.Circuit.Mna.g m.Circuit.Mna.c
 
 (* ------------------------------------------------------------------ *)
@@ -206,19 +210,131 @@ let retry_skyline t i =
   end;
   sky_fallback t
 
+(* the unknown behind an original-coordinate row, for messages *)
+let unknown_label t row =
+  match t.mna with
+  | Some m -> Circuit.Mna.unknown_label m row
+  | None -> Printf.sprintf "unknown %d" (row + 1)
+
+(* ------------------------------------------------------------------ *)
+(* s₀ = 0 on the general RLC form: augmented-KKT congruence            *)
+
+(* At s₀ = 0 the general-form pencil is K₀ = G = [[Gn, Aᵀ], [A, 0]].
+   Gn alone may be singular — a node pair joined only by a resistor,
+   with DC paths to ground only through inductors — so eliminating
+   nodes first can hit an exactly cancelling pivot. The congruence
+   T = [[I, 0], [W·A, I]] with a positive diagonal W gives
+
+     K' = TᵀK₀T = [[Gn + 2AᵀWA, Aᵀ], [A, 0]],
+
+   whose node block is positive definite whenever K₀ is nonsingular
+   (no inductor loop, a DC path from every node); the only new entries
+   join the two ends of an inductor. Under any order that eliminates
+   each current after its incident nodes, every leading block is then
+   nonsingular — positive definite node part, full-row-rank coupling —
+   so the no-pivot LDLᵀ exists, and pivot k is positive for a node and
+   negative for a current. That sign pattern is checked after
+   factoring; a mismatch means K₀ is singular or too ill-conditioned
+   for the unpivoted factor, and the caller falls back to dense. *)
+
+(* Which contexts take the path: built by [create] from the general
+   RLC form (unknowns past [n_nodes] are inductor currents). *)
+let kkt_nodes t =
+  match t.mna with
+  | Some m
+    when m.Circuit.Mna.variable = Circuit.Mna.S
+         && m.Circuit.Mna.gain = Circuit.Mna.Unit
+         && m.Circuit.Mna.n_nodes < m.Circuit.Mna.n ->
+    Some m.Circuit.Mna.n_nodes
+  | _ -> None
+
+(* Raises [Factor.Singular row] (original coordinates) on breakdown or
+   on a pivot of the wrong sign. *)
+let kkt_factor t nn =
+  let g = t.g and n = t.n in
+  let ni = n - nn in
+  (* W: per inductor, the larger Gn diagonal of its two nodes — the
+     node block's own scale — or, for an inductor between nodes with
+     no conductance, the largest Gn diagonal (1 if there is none) *)
+  let diag = Array.init nn (fun i -> Sparse.Csr.get g i i) in
+  let fallback =
+    let d = Array.fold_left Float.max 0.0 diag in
+    if d > 0.0 then d else 1.0
+  in
+  let w =
+    Array.init ni (fun k ->
+        let best = ref 0.0 in
+        Sparse.Csr.iter_row g (nn + k) (fun j _ ->
+            if j < nn then best := Float.max !best diag.(j));
+        if !best > 0.0 then !best else fallback)
+  in
+  let awa = Sparse.Triplet.create n n in
+  for k = 0 to ni - 1 do
+    Sparse.Csr.iter_row g (nn + k) (fun i ai ->
+        if i < nn then
+          Sparse.Csr.iter_row g (nn + k) (fun j aj ->
+              if j < nn then Sparse.Triplet.add awa i j (2.0 *. w.(k) *. ai *. aj)))
+  done;
+  let kp = Sparse.Csr.add g (Sparse.Csr.of_triplet awa) in
+  if Obs.tracing () then
+    Obs.span_begin ~args:[ ("n", Obs.Int n) ] "factor.symbolic";
+  let perm = Sparse.Supernodal.order ~late:nn kp in
+  let sym = Sparse.Supernodal.symbolic (Sparse.Csr.permute_sym kp perm) in
+  if Obs.tracing () then Obs.span_end ();
+  let fac =
+    try Sparse.Supernodal.Real.factor sym 0.0
+    with Sparse.Supernodal.Singular k -> raise (Factor.Singular perm.(k))
+  in
+  let d = Sparse.Supernodal.Real.d fac in
+  Array.iteri
+    (fun k dk ->
+      if Bool.equal (perm.(k) < nn) (dk < 0.0) then raise (Factor.Singular perm.(k)))
+    d;
+  if Obs.tracing () then begin
+    Obs.count "factor.count" 1;
+    Obs.count "factor.nnz" (Sparse.Supernodal.Real.fill fac)
+  end;
+  (* the O(nnz A) maps: Tᵀb = [bₙ + AᵀW bᵢ; bᵢ] and T y = [yₙ; W A yₙ + yᵢ] *)
+  let tt b =
+    let x = Array.copy b in
+    for k = 0 to ni - 1 do
+      let wb = w.(k) *. b.(nn + k) in
+      Sparse.Csr.iter_row g (nn + k) (fun j a -> if j < nn then x.(j) <- x.(j) +. (a *. wb))
+    done;
+    x
+  in
+  let tm y =
+    let x = Array.copy y in
+    for k = 0 to ni - 1 do
+      let s = ref 0.0 in
+      Sparse.Csr.iter_row g (nn + k) (fun j a -> if j < nn then s := !s +. (a *. y.(j)));
+      x.(nn + k) <- x.(nn + k) +. (w.(k) *. !s)
+    done;
+    x
+  in
+  Factor.congruent ~t:tm ~tt (Factor.of_supernodal n perm fac)
+
+(* the planned sparse backend, RCM-skyline retry after a supernodal
+   breakdown; the error is the failing row in original coordinates *)
+let backend_factor t s0 =
+  match sparse_numeric t s0 with
+  | fac -> Ok fac
+  | exception Sparse.Supernodal.Singular i -> (
+    (* a different elimination order may well succeed; only then
+       surrender to the dense factorisation *)
+    let fb = retry_skyline t i in
+    match Sparse.Skyline.factor_pencil_real fb.sf_env s0 with
+    | sky -> Ok (Factor.of_skyline t.n fb.sf_perm sky)
+    | exception Sparse.Skyline.Singular j -> Error fb.sf_perm.(j))
+  | exception Sparse.Skyline.Singular i -> Error t.perm.(i)
+
 let factor_uncached t s0 =
   if Obs.tracing () then Obs.span_begin "factor.numeric";
   let sparse_fac =
-    match sparse_numeric t s0 with
-    | fac -> Ok fac
-    | exception Sparse.Supernodal.Singular i -> (
-      (* a different elimination order may well succeed; only then
-         surrender to the dense factorisation *)
-      let fb = retry_skyline t i in
-      match Sparse.Skyline.factor_pencil_real fb.sf_env s0 with
-      | sky -> Ok (Factor.of_skyline t.n fb.sf_perm sky)
-      | exception Sparse.Skyline.Singular j -> Error j)
-    | exception Sparse.Skyline.Singular i -> Error i
+    match kkt_nodes t with
+    | Some nn when s0 = 0.0 -> (
+      match kkt_factor t nn with fac -> Ok fac | exception Factor.Singular i -> Error i)
+    | _ -> backend_factor t s0
   in
   match sparse_fac with
   | Ok fac ->
@@ -229,8 +345,9 @@ let factor_uncached t s0 =
       Obs.instant ~args:[ ("pivot", Obs.Int i) ] "factor.breakdown";
       Obs.span_end ()
     end;
-    Log.info (fun f ->
-        f "sparse pivot breakdown at %d; falling back to dense Bunch-Kaufman" i);
+    Log.warn (fun f ->
+        f "sparse pivot breakdown at %s (s0 = %g); falling back to dense Bunch-Kaufman"
+          (unknown_label t i) s0);
     if Obs.tracing () then begin
       Obs.instant ~args:[ ("pivot", Obs.Int i) ] "factor.fallback_dense";
       Obs.count "factor.fallback_dense" 1

@@ -102,10 +102,22 @@ val with_auto_shift :
 val factor : t -> shift:float -> Factor.t
 (** Factor [G + s₀C = M J Mᵀ] (the context's sparse backend against
     the shared symbolic phase; dense Bunch–Kaufman fallback on pivot
-    breakdown, recorded as the [factor.fallback_dense] counter).
+    breakdown, logged as a warning naming the failing unknown and
+    recorded as the [factor.fallback_dense] counter).
+
+    At [shift = 0.0] on a context built by {!create} from the general
+    RLC form (variable [S], unit gain, inductor currents after the
+    nodes) the factor is instead the supernodal LDLᵀ of the congruent
+    [TᵀGT = [[Gn + 2AᵀWA, Aᵀ], [A, 0]]], [T = [[I, 0], [W·A, I]]],
+    under an order that eliminates every current after its incident
+    nodes — sparse, with exactly one negative pivot per current
+    (checked; a mismatch falls back to dense). Its ordering and
+    symbolic phase are built on that first call, not by {!create}.
+
     Results — including singular outcomes — are memoized by shift:
     a repeat call is a cache hit returning the identical factor.
-    Raises {!Factor.Singular} when both backends fail. *)
+    Raises {!Factor.Singular} when both the sparse and the dense
+    factorisation fail. *)
 
 val factor_with :
   t -> shift:float -> extra:(int * int * float) array -> Factor.t

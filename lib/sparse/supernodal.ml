@@ -51,9 +51,42 @@ let structural_union (g : Csr.t) c extra =
 let merged_pattern ?extra g c =
   match (c, extra) with None, None -> g | _ -> structural_union g c extra
 
-let order ?c g =
+(* Stable deferral of [p1] (new -> old): indices below [late] keep their
+   relative order; each index [v >= late] moves, if it must, to just
+   after the last index [u < late] whose row of [pat] holds [v]. *)
+let defer_late (pat : Csr.t) late p1 =
+  let n = Array.length p1 in
+  let pending = Array.make n 0 in
+  for u = 0 to late - 1 do
+    Csr.iter_row pat u (fun v _ -> if v >= late then pending.(v) <- pending.(v) + 1)
+  done;
+  let reached = Array.make n false in
+  let out = Array.make n 0 and k = ref 0 in
+  let emit v =
+    out.(!k) <- v;
+    incr k
+  in
+  Array.iter
+    (fun v ->
+      if v < late then begin
+        emit v;
+        Csr.iter_row pat v (fun u _ ->
+            if u >= late then begin
+              pending.(u) <- pending.(u) - 1;
+              if pending.(u) = 0 && reached.(u) then emit u
+            end)
+      end
+      else begin
+        reached.(v) <- true;
+        if pending.(v) = 0 then emit v
+      end)
+    p1;
+  out
+
+let order ?c ?late g =
   let pat = merged_pattern g c in
   let p1 = Amd.order pat in
+  let p1 = match late with None -> p1 | Some late -> defer_late pat late p1 in
   let post = Etree.postorder (Etree.of_pattern (Csr.permute_sym pat p1)) in
   Array.map (fun k -> p1.(k)) post
 

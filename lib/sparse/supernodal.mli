@@ -33,13 +33,22 @@ type symbolic
     free of pattern analysis. Immutable and shareable across shifts
     and threads. *)
 
-val order : ?c:Csr.t -> Csr.t -> int array
-(** [order ?c g] — the ordering this backend wants: {!Amd.order} of
-    the merged [G]/[C] pattern composed with the elimination-tree
+val order : ?c:Csr.t -> ?late:int -> Csr.t -> int array
+(** [order ?c ?late g] — the ordering this backend wants: {!Amd.order}
+    of the merged [G]/[C] pattern composed with the elimination-tree
     postorder of the AMD-permuted pattern. Returns [perm] in the
     {!Csr.permute_sym} convention ([perm.(new_index) = old_index]);
     the postorder composition leaves the factor nonzero count of the
-    AMD ordering unchanged. *)
+    AMD ordering unchanged.
+
+    With [late], every index [v >= late] is eliminated after all of
+    its pattern neighbours below [late]: the AMD order is first
+    deferred (each such [v] moves to just after its last earlier
+    neighbour, everything else keeps its relative order), and the
+    postorder keeps the constraint because a later-eliminated
+    neighbour is an elimination-tree ancestor. This is the
+    current-after-node order the general RLC pencil needs at
+    [s₀ = 0]. *)
 
 val symbolic : ?relax:int -> ?extra_pattern:(int * int) array -> ?c:Csr.t -> Csr.t -> symbolic
 (** [symbolic ?relax ?extra_pattern ?c g] — supernode detection and

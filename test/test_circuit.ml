@@ -26,7 +26,16 @@ let test_netlist_nodes () =
   Alcotest.(check int) "ground" 0 (Circuit.Netlist.node nl "0");
   Alcotest.(check int) "gnd alias" 0 (Circuit.Netlist.node nl "gnd");
   Alcotest.(check int) "num_nodes" 2 (Circuit.Netlist.num_nodes nl);
-  Alcotest.(check string) "name roundtrip" "a" (Circuit.Netlist.node_name nl a)
+  Alcotest.(check string) "name roundtrip" "a" (Circuit.Netlist.node_name nl a);
+  (* the name table is cached after a lookup; a node added later must
+     still resolve, and earlier ones keep their names *)
+  let c = Circuit.Netlist.node nl "c" in
+  Alcotest.(check string) "name after growth" "c" (Circuit.Netlist.node_name nl c);
+  Alcotest.(check string) "earlier name kept" "b" (Circuit.Netlist.node_name nl b);
+  let d = Circuit.Netlist.fresh_node nl "x" in
+  Alcotest.(check bool) "fresh node named" true
+    (String.length (Circuit.Netlist.node_name nl d) > 0
+    && Circuit.Netlist.node_name nl d <> Printf.sprintf "<node %d>" d)
 
 let test_netlist_validation () =
   let nl = Circuit.Netlist.create () in

@@ -1,0 +1,270 @@
+(* Sparse LDLᵀ of general-form RLC pencils at s₀ = 0.
+
+   At s₀ = 0 the general RLC pencil K₀ = [[Gn, Aᵀ], [A, 0]] is
+   factored through the augmented-KKT congruence TᵀK₀T with a
+   current-after-node ordering (see Pencil). These tests pin:
+
+   1. qcheck: on random lint-clean RLCk netlists — R–L chains whose
+      resistors join node pairs with no DC path of their own (Gn is
+      singular), terminations, and K cards — the s₀ = 0 factor is
+      sparse, has exactly one negative pivot per inductor current, and
+      solves like the dense Bunch–Kaufman factor to 1e-9.
+   2. The shipped general-form examples reduce with no dense fallback
+      ([factor.fallback_dense] = 0).
+   3. SyMPVL and SPRIM share one general-form context, and its factor
+      satisfies M J Mᵀ = K through apply_m_inv / apply_mt_inv.
+   4. Supernodal.order ~late eliminates every late index after its
+      neighbours.
+   5. A pencil that is singular at s₀ = 0 (an inductor loop) still
+      falls back to dense, loudly: a warning naming the unknown, the
+      counter, then the shift retry. *)
+
+module N = Circuit.Netlist
+module M = Circuit.Mna
+module F = Sympvl.Factor
+
+let find_path cands =
+  match List.find_opt Sys.file_exists cands with Some p -> p | None -> List.hd cands
+
+let mna_of base =
+  M.auto
+    (Circuit.Parser.parse_file
+       (find_path
+          [ "../examples/netlists/" ^ base ^ ".cir"; "examples/netlists/" ^ base ^ ".cir" ]))
+
+let max_abs v = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 v
+
+let rel_diff x y =
+  let d = Array.mapi (fun i xi -> xi -. y.(i)) x in
+  max_abs d /. Float.max (max_abs y) 1e-300
+
+let random_vec rng n = Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0)
+
+let negatives (f : F.t) = Array.fold_left (fun k j -> if j < 0.0 then k + 1 else k) 0 f.F.j
+
+(* ------------------------------------------------------------------ *)
+(* 1. random RLCk chains                                               *)
+
+(* [conductors] chains p₀ -R- q₀ -L- p₁ -R- q₁ -L- … -R_term- 0: each
+   resistor's node pair reaches ground only through inductors, so Gn
+   is singular and node-first elimination breaks down. Capacitors sit
+   on some nodes, a chain may start with a grounding inductor, and K
+   cards couple random inductor pairs with every inductor in at most
+   two cards of |k| ≤ 0.3, so ℒ stays diagonally dominant. *)
+let random_rlck seed =
+  let rng = Random.State.make [| seed |] in
+  let f lo hi = lo *. ((hi /. lo) ** Random.State.float rng 1.0) in
+  let nl = N.create () in
+  let conductors = 1 + Random.State.int rng 3 in
+  let inductors = ref [] in
+  for c = 0 to conductors - 1 do
+    let segments = 2 + Random.State.int rng 5 in
+    let node k = N.node nl (Printf.sprintf "w%d_%d" c k) in
+    if Random.State.bool rng then begin
+      let name = Printf.sprintf "Lg%d" c in
+      N.add_inductor nl ~name (node 0) 0 (f 1e-10 1e-8);
+      inductors := name :: !inductors
+    end;
+    for s = 0 to segments - 1 do
+      N.add_resistor nl (node (2 * s)) (node ((2 * s) + 1)) (f 1e-2 1e2);
+      let name = Printf.sprintf "L%d_%d" c s in
+      N.add_inductor nl ~name (node ((2 * s) + 1)) (node ((2 * s) + 2)) (f 1e-10 1e-8);
+      inductors := name :: !inductors;
+      N.add_capacitor nl (node ((2 * s) + 2)) 0 (f 1e-14 1e-12);
+      if Random.State.bool rng then N.add_capacitor nl (node ((2 * s) + 1)) 0 (f 1e-14 1e-12)
+    done;
+    N.add_resistor nl (node (2 * segments)) 0 (f 1.0 1e2);
+    N.add_port nl (Printf.sprintf "p%d" c) (node 0)
+  done;
+  let ls = Array.of_list !inductors in
+  let cards = Array.make (Array.length ls) 0 in
+  for _ = 1 to Random.State.int rng (2 * Array.length ls) do
+    let i = Random.State.int rng (Array.length ls) and j = Random.State.int rng (Array.length ls) in
+    if i <> j && cards.(i) < 2 && cards.(j) < 2 then begin
+      cards.(i) <- cards.(i) + 1;
+      cards.(j) <- cards.(j) + 1;
+      let k = (if Random.State.bool rng then 1.0 else -1.0) *. f 0.01 0.3 in
+      N.add_mutual nl ls.(i) ls.(j) k
+    end
+  done;
+  nl
+
+let prop_sparse_kkt =
+  QCheck.Test.make ~count:60
+    ~name:"general RLCk at s0 = 0: sparse factor, one negative pivot per current, dense-exact solve"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let nl = random_rlck seed in
+      QCheck.assume
+        (List.for_all
+           (fun d -> d.Circuit.Diagnostic.severity <> Circuit.Diagnostic.Error)
+           (Analysis.Lint.run nl));
+      let mna = M.assemble nl in
+      let ctx = Sympvl.Pencil.create mna in
+      let fac = Sympvl.Pencil.factor ctx ~shift:0.0 in
+      let dense = F.of_dense (Sparse.Csr.to_dense mna.M.g) in
+      let b = random_vec (Random.State.make [| seed; 1 |]) mna.M.n in
+      let err = rel_diff (fac.F.solve b) (dense.F.solve b) in
+      if fac.F.kind = `Dense then QCheck.Test.fail_report "fell back to dense";
+      if negatives fac <> mna.M.n - mna.M.n_nodes then
+        QCheck.Test.fail_reportf "%d negative pivots for %d currents" (negatives fac)
+          (mna.M.n - mna.M.n_nodes);
+      if err > 1e-9 then QCheck.Test.fail_reportf "solve differs from dense by %.3e" err;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* 2. shipped general-form examples: no dense fallback                 *)
+
+let with_obs f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) f
+
+let test_no_fallback base () =
+  let mna = mna_of base in
+  Alcotest.(check bool) (base ^ " is general form") true (mna.M.n_nodes < mna.M.n);
+  with_obs (fun () ->
+      List.iter
+        (fun eng ->
+          let ctx = Sympvl.Pencil.create mna in
+          ignore (Sympvl.Rom.reduce ~ctx ~order:6 eng mna))
+        [ `Sprim; `Sympvl ];
+      Alcotest.(check bool) "factored" true (Obs.counter_value "factor.count" >= 1.0);
+      Alcotest.(check (float 0.0)) "factor.fallback_dense" 0.0
+        (Obs.counter_value "factor.fallback_dense"))
+
+(* ------------------------------------------------------------------ *)
+(* 3. one context, two engines, M J Mᵀ = K                             *)
+
+let test_shared_context () =
+  let mna = mna_of "peec_coupled" in
+  let ctx = Sympvl.Pencil.create mna in
+  let sympvl = Sympvl.Rom.reduce ~ctx ~order:6 `Sympvl mna in
+  let sprim = Sympvl.Rom.reduce ~ctx ~order:6 `Sprim mna in
+  Alcotest.(check (float 0.0)) "sympvl at s0 = 0" 0.0 (Sympvl.Rom.shift sympvl);
+  Alcotest.(check (float 0.0)) "sprim at s0 = 0" 0.0 (Sympvl.Rom.shift sprim);
+  let fac = Sympvl.Pencil.factor ctx ~shift:0.0 in
+  Alcotest.(check bool) "sparse factor" true (fac.F.kind = `Supernodal);
+  Alcotest.(check int) "one negative pivot per current" (mna.M.n - mna.M.n_nodes)
+    (negatives fac);
+  (* M⁻¹ K M⁻ᵀ = J on random vectors *)
+  let rng = Random.State.make [| 17 |] in
+  for _ = 1 to 8 do
+    let v = random_vec rng mna.M.n in
+    let z = fac.F.apply_m_inv (Sparse.Csr.mul_vec mna.M.g (fac.F.apply_mt_inv v)) in
+    let jv = Array.mapi (fun i x -> fac.F.j.(i) *. x) v in
+    let err = rel_diff z jv in
+    if err > 1e-10 then Alcotest.failf "M⁻¹ K M⁻ᵀ differs from J by %.3e" err
+  done;
+  (* both models reproduce the exact Z(0) — moment 0 at the shared point *)
+  let p = mna.M.b.Linalg.Mat.cols in
+  let z0 = Sympvl.Moments.exact ~ctx ~shift:0.0 mna 1 in
+  List.iter
+    (fun (name, model) ->
+      let z = Sympvl.Rom.eval model Complex.zero in
+      for i = 0 to p - 1 do
+        for j = 0 to p - 1 do
+          let exact = Linalg.Mat.get z0.(0) i j in
+          let d = Float.abs ((Linalg.Cmat.get z i j).Complex.re -. exact) in
+          if d > 1e-8 *. Float.max 1.0 (Float.abs exact) then
+            Alcotest.failf "%s: Z(0)[%d,%d] off by %.3e" name i j d
+        done
+      done)
+    [ ("sympvl", sympvl); ("sprim", sprim) ]
+
+(* ------------------------------------------------------------------ *)
+(* 4. the constrained order                                            *)
+
+let test_late_order () =
+  let check name (g : Sparse.Csr.t) late =
+    let perm = Sparse.Supernodal.order ~late g in
+    let pos = Array.make (Array.length perm) 0 in
+    Array.iteri (fun k v -> pos.(v) <- k) perm;
+    for v = late to g.Sparse.Csr.rows - 1 do
+      Sparse.Csr.iter_row g v (fun u _ ->
+          if u < late && pos.(u) > pos.(v) then
+            Alcotest.failf "%s: late %d placed before its neighbour %d" name v u)
+    done
+  in
+  List.iter
+    (fun base ->
+      let mna = mna_of base in
+      check base mna.M.g mna.M.n_nodes)
+    [ "peec_coupled"; "coupled_lines" ];
+  let mna = M.assemble (Circuit.Generators.peec_partial ~conductors:4 ~segments:12 ()) in
+  check "peec_partial 4x12" mna.M.g mna.M.n_nodes
+
+(* ------------------------------------------------------------------ *)
+(* 5. a singular pencil still degrades loudly                          *)
+
+let test_singular_falls_back () =
+  (* two inductors in parallel close a loop: A loses row rank, so K₀
+     is singular and only a shift can regularise it *)
+  let nl = N.create () in
+  let a = N.node nl "a" and b = N.node nl "b" in
+  N.add_resistor nl a b 10.0;
+  N.add_inductor nl ~name:"L1" b 0 1e-9;
+  N.add_inductor nl ~name:"L2" b 0 2e-9;
+  N.add_capacitor nl b 0 1e-12;
+  N.add_port nl "p" a;
+  let mna = M.assemble nl in
+  let warnings = ref [] in
+  let reporter =
+    {
+      Logs.report =
+        (fun _src level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ fmt ->
+              Format.kasprintf
+                (fun s ->
+                  if level = Logs.Warning then warnings := s :: !warnings;
+                  over ();
+                  k ())
+                fmt));
+    }
+  in
+  let saved_reporter = Logs.reporter () and saved_level = Logs.level () in
+  Logs.set_reporter reporter;
+  Logs.set_level (Some Logs.Warning);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter saved_reporter;
+      Logs.set_level saved_level)
+    (fun () ->
+      with_obs (fun () ->
+          let ctx = Sympvl.Pencil.create mna in
+          let s0 = Sympvl.Pencil.with_auto_shift ctx (fun s0 _ -> s0) in
+          Alcotest.(check bool) "shift retry" true (s0 > 0.0);
+          Alcotest.(check bool) "dense fallback counted" true
+            (Obs.counter_value "factor.fallback_dense" >= 1.0)));
+  let named =
+    List.exists
+      (fun w ->
+        let has sub =
+          let n = String.length sub in
+          let rec go i = i + n <= String.length w && (String.sub w i n = sub || go (i + 1)) in
+          go 0
+        in
+        has "dense" && (has "node-voltage unknown" || has "inductor-current unknown"))
+      !warnings
+  in
+  Alcotest.(check bool) "warning names the failing unknown" true named
+
+let () =
+  Alcotest.run "rlc_factor"
+    [
+      ("properties", [ Qtest.to_alcotest prop_sparse_kkt ]);
+      ( "examples",
+        [
+          Alcotest.test_case "peec_coupled no dense fallback" `Quick
+            (test_no_fallback "peec_coupled");
+          Alcotest.test_case "coupled_lines no dense fallback" `Quick
+            (test_no_fallback "coupled_lines");
+          Alcotest.test_case "sympvl + sprim share M J Mt = K" `Quick test_shared_context;
+        ] );
+      ( "ordering",
+        [
+          Alcotest.test_case "currents after their nodes" `Quick test_late_order;
+          Alcotest.test_case "singular pencil degrades loudly" `Quick
+            test_singular_falls_back;
+        ] );
+    ]
