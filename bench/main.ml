@@ -1040,10 +1040,13 @@ let kernels () =
   let _, pkg = package_mna () in
   let band = (1e8, 1e10) in
   let ws_point = Linalg.Cx.im (2.0 *. Float.pi *. 1e9) in
+  let rom = Sympvl.Rom.Sympvl_model (reduce_banded pkg ~order:48 ~band) in
   let tests =
     [
       ( "package: SyMPVL order 48",
         fun () -> ignore (reduce_banded pkg ~order:48 ~band) );
+      ( "package: Rom.eval (order 48)",
+        fun () -> ignore (Sympvl.Rom.eval rom ws_point) );
       ("package: exact AC point", fun () -> ignore (Simulate.Ac.z_at pkg ws_point));
       ( "package: factor G+s0C (skyline+RCM)",
         fun () ->

@@ -379,48 +379,52 @@ let certify_cmd =
    safely ~netlist:path @@ fun () ->
     apply_jobs jobs;
     apply_factor factor;
-    with_obs trace stats @@ fun () ->
-    let engines =
-      if engine = "all" then Sympvl.Rom.all
-      else
-        match Sympvl.Rom.of_name engine with
-        | Some e -> [ e ]
-        | None ->
-          Printf.eprintf "symor: unknown engine %S (try --engine help)\n" engine;
-          exit 1
+    (* exit only after with_obs has written the trace and stats *)
+    let code =
+      with_obs trace stats @@ fun () ->
+      let engines =
+        if engine = "all" then Sympvl.Rom.all
+        else
+          match Sympvl.Rom.of_name engine with
+          | Some e -> [ e ]
+          | None ->
+            Printf.eprintf "symor: unknown engine %S (try --engine help)\n" engine;
+            exit 1
+      in
+      let nl = load path in
+      let mna = Circuit.Mna.auto nl in
+      let findings = ref [] in
+      List.iter
+        (fun eng ->
+          match Sympvl.Rom.supports eng mna with
+          | Error why ->
+            if not json then
+              Format.printf "%s: skipping %s (unsupported: %s)@." (Sympvl.Rom.name eng)
+                path why
+          | Ok () ->
+            let rep = certify_one ~order ~shift ~band eng mna in
+            findings := !findings @ rep.Sympvl.Certify.findings;
+            if not json then begin
+              Format.printf "%s:@." (Sympvl.Rom.name eng);
+              print_diagnostics ~quiet rep.Sympvl.Certify.findings;
+              match rep.Sympvl.Certify.safe_order with
+              | Some k -> Format.printf "  suggested safe order: %d@." k
+              | None -> ()
+            end)
+        engines;
+      let ds = !findings in
+      if json then print_string (Circuit.Diagnostic.list_to_json ds ^ "\n")
+      else begin
+        let e = Circuit.Diagnostic.count Circuit.Diagnostic.Error ds in
+        let w = Circuit.Diagnostic.count Circuit.Diagnostic.Warning ds in
+        if e = 0 && w = 0 then
+          Format.printf "certified clean (%d info)@."
+            (Circuit.Diagnostic.count Circuit.Diagnostic.Info ds)
+        else Format.printf "%d error(s), %d warning(s)@." e w
+      end;
+      Circuit.Diagnostic.exit_code ~strict ds
     in
-    let nl = load path in
-    let mna = Circuit.Mna.auto nl in
-    let findings = ref [] in
-    List.iter
-      (fun eng ->
-        match Sympvl.Rom.supports eng mna with
-        | Error why ->
-          if not json then
-            Format.printf "%s: skipping %s (unsupported: %s)@." (Sympvl.Rom.name eng)
-              path why
-        | Ok () ->
-          let rep = certify_one ~order ~shift ~band eng mna in
-          findings := !findings @ rep.Sympvl.Certify.findings;
-          if not json then begin
-            Format.printf "%s:@." (Sympvl.Rom.name eng);
-            print_diagnostics ~quiet rep.Sympvl.Certify.findings;
-            match rep.Sympvl.Certify.safe_order with
-            | Some k -> Format.printf "  suggested safe order: %d@." k
-            | None -> ()
-          end)
-      engines;
-    let ds = !findings in
-    if json then print_string (Circuit.Diagnostic.list_to_json ds ^ "\n")
-    else begin
-      let e = Circuit.Diagnostic.count Circuit.Diagnostic.Error ds in
-      let w = Circuit.Diagnostic.count Circuit.Diagnostic.Warning ds in
-      if e = 0 && w = 0 then
-        Format.printf "certified clean (%d info)@."
-          (Circuit.Diagnostic.count Circuit.Diagnostic.Info ds)
-      else Format.printf "%d error(s), %d warning(s)@." e w
-    end;
-    exit (Circuit.Diagnostic.exit_code ~strict ds)
+    exit code
   in
   let doc =
     "Certify a reduced model (MOD001-MOD009): pole stability, the structural \

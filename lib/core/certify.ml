@@ -592,105 +592,107 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
             engine k))
   | None -> ());
   (* -------- MOD004: reciprocity -------- *)
-  if r.np > 1 then begin
-    let wsc = core_freq_scale r in
-    let worst = ref 0.0 in
-    List.iter
-      (fun mult ->
-        match H.herm_min_eig phys (mult *. wsc) with
-        | None -> ()
-        | Some _ ->
-          let z = H.eval phys (Cx.im (mult *. wsc)) in
-          let res =
-            Cmat.dist_max z (Cmat.transpose z) /. Float.max (Cmat.max_abs z) 1e-300
-          in
-          worst := Float.max !worst res)
-      [ 0.01; 0.1; 1.0; 10.0; 100.0 ];
-    if !worst > 1e-6 then
-      emit
-        (D.warning "MOD004"
-           (Printf.sprintf
-              "%s: reciprocity residual max |Z - Z^T|/|Z| = %.2e — a reciprocal \
-               network must have a symmetric impedance matrix"
-              engine !worst))
-    else
-      emit
-        (D.info "MOD004"
-           (Printf.sprintf "%s: reciprocal (max |Z - Z^T|/|Z| = %.2e)" engine !worst))
-  end
-  else
-    emit (D.info "MOD004" (Printf.sprintf "%s: single-port model — reciprocity is trivial" engine));
-  (* -------- MOD005: moment matching -------- *)
-  let mom_rtol = match r.engine with `Awe -> 1e-3 | _ -> 1e-6 in
-  let expected = Rom.expected_moments model in
-  let q = min expected 6 in
-  if q = 0 then
-    emit
-      (D.info "MOD005"
-         (Printf.sprintf
-            "%s: matches no prescribed moments by construction — check skipped"
-            engine))
-  else begin
-    match
-      let exact = Moments.exact ?ctx ~shift:r.shift mna q in
-      let got = realisation_moments r q in
-      (exact, got)
+  (Obs.with_span "certify.reciprocity" @@ fun () ->
+   if r.np > 1 then begin
+     let wsc = core_freq_scale r in
+     let worst = ref 0.0 in
+     List.iter
+       (fun mult ->
+         match H.herm_min_eig phys (mult *. wsc) with
+         | None -> ()
+         | Some _ ->
+           let z = H.eval phys (Cx.im (mult *. wsc)) in
+           let res =
+             Cmat.dist_max z (Cmat.transpose z) /. Float.max (Cmat.max_abs z) 1e-300
+           in
+           worst := Float.max !worst res)
+       [ 0.01; 0.1; 1.0; 10.0; 100.0 ];
+     if !worst > 1e-6 then
+       emit
+         (D.warning "MOD004"
+            (Printf.sprintf
+               "%s: reciprocity residual max |Z - Z^T|/|Z| = %.2e — a reciprocal \
+                network must have a symmetric impedance matrix"
+               engine !worst))
+     else
+       emit
+         (D.info "MOD004"
+            (Printf.sprintf "%s: reciprocal (max |Z - Z^T|/|Z| = %.2e)" engine !worst))
+   end
+   else
+     emit (D.info "MOD004" (Printf.sprintf "%s: single-port model — reciprocity is trivial" engine)));
+  (Obs.with_span "certify.moments" @@ fun () ->
+   (* -------- MOD005: moment matching -------- *)
+   let mom_rtol = match r.engine with `Awe -> 1e-3 | _ -> 1e-6 in
+   let expected = Rom.expected_moments model in
+   let q = min expected 6 in
+   if q = 0 then
+     emit
+       (D.info "MOD005"
+          (Printf.sprintf
+             "%s: matches no prescribed moments by construction — check skipped"
+             engine))
+   else begin
+     match
+       let exact = Moments.exact ?ctx ~shift:r.shift mna q in
+       let got = realisation_moments r q in
+       (exact, got)
+     with
+     | exact, got ->
+       let j = ref 0 in
+       (try
+          for k = 0 to q - 1 do
+            if rel_dist_mat ~scalar got.(k) exact.(k) <= mom_rtol then incr j
+            else raise Exit
+          done
+        with Exit -> ());
+       if !j >= q then
+         emit
+           (D.info "MOD005"
+              (Printf.sprintf
+                 "%s: matches the first %d moment(s) at s0 = %.3g to rtol %.0e \
+                  (%d promised)"
+                 engine !j r.shift mom_rtol expected))
+       else
+         emit
+           (D.warning "MOD005"
+              (Printf.sprintf
+                 "%s: only %d of the first %d moment(s) match at s0 = %.3g \
+                  (rtol %.0e) — the Pade property is not holding numerically"
+                 engine !j q r.shift mom_rtol))
+     | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
+       emit
+         (D.info "MOD005"
+            (Printf.sprintf
+               "%s: pencil singular at the expansion point — moment check skipped"
+               engine))
+   end;
+   (* -------- MOD006: DC exactness (gain-free cores on both sides) ---- *)
+   (match
+      let exact0 = (Moments.exact ?ctx ~shift:0.0 mna 1).(0) in
+      let z0 = Linalg.Lu.solve_mat (Linalg.Lu.factor r.g0) r.bin in
+      (exact0, Mat.mul r.cout z0)
     with
-    | exact, got ->
-      let j = ref 0 in
-      (try
-         for k = 0 to q - 1 do
-           if rel_dist_mat ~scalar got.(k) exact.(k) <= mom_rtol then incr j
-           else raise Exit
-         done
-       with Exit -> ());
-      if !j >= q then
-        emit
-          (D.info "MOD005"
-             (Printf.sprintf
-                "%s: matches the first %d moment(s) at s0 = %.3g to rtol %.0e \
-                 (%d promised)"
-                engine !j r.shift mom_rtol expected))
-      else
-        emit
-          (D.warning "MOD005"
-             (Printf.sprintf
-                "%s: only %d of the first %d moment(s) match at s0 = %.3g \
-                 (rtol %.0e) — the Pade property is not holding numerically"
-                engine !j q r.shift mom_rtol))
-    | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
-      emit
-        (D.info "MOD005"
-           (Printf.sprintf
-              "%s: pencil singular at the expansion point — moment check skipped"
-              engine))
-  end;
-  (* -------- MOD006: DC exactness (gain-free cores on both sides) ---- *)
-  (match
-     let exact0 = (Moments.exact ?ctx ~shift:0.0 mna 1).(0) in
-     let z0 = Linalg.Lu.solve_mat (Linalg.Lu.factor r.g0) r.bin in
-     (exact0, Mat.mul r.cout z0)
-   with
-  | exact0, got0 ->
-    let rel = rel_dist_mat ~scalar got0 exact0 in
-    let dc_rtol = match r.engine with `Awe -> 1e-3 | _ -> 1e-6 in
-    if rel <= dc_rtol then
-      emit
-        (D.info "MOD006"
-           (Printf.sprintf "%s: DC point exact to %.2e relative" engine rel))
-    else
-      emit
-        (D.warning "MOD006"
-           (Printf.sprintf
-              "%s: DC mismatch %.2e relative vs the exact zeroth moment at s = 0"
-              engine rel))
-  | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
-    emit
-      (D.info "MOD006"
-         (Printf.sprintf
-            "%s: G (or the reduced g0) is singular at DC — netlist has no DC \
-             path; check skipped"
-            engine)));
+   | exact0, got0 ->
+     let rel = rel_dist_mat ~scalar got0 exact0 in
+     let dc_rtol = match r.engine with `Awe -> 1e-3 | _ -> 1e-6 in
+     if rel <= dc_rtol then
+       emit
+         (D.info "MOD006"
+            (Printf.sprintf "%s: DC point exact to %.2e relative" engine rel))
+     else
+       emit
+         (D.warning "MOD006"
+            (Printf.sprintf
+               "%s: DC mismatch %.2e relative vs the exact zeroth moment at s = 0"
+               engine rel))
+   | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
+     emit
+       (D.info "MOD006"
+          (Printf.sprintf
+             "%s: G (or the reduced g0) is singular at DC — netlist has no DC \
+              path; check skipped"
+             engine))));
   (* -------- MOD008: shift vs certified regime -------- *)
   if r.shift <> 0.0 then begin
     let mk = if shift_requested && mna.Circuit.Mna.spd then D.warning else D.info in
@@ -709,6 +711,7 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
   (match ctx with
   | None -> ()
   | Some ctx ->
+    Obs.with_span "certify.drift" @@ fun () ->
     let k = max drift_points 2 in
     let w_of i =
       let t = float_of_int i /. float_of_int (k - 1) in

@@ -54,10 +54,22 @@ type lu
 exception Singular of int
 
 val lu_factor : t -> lu
+(** [P·A = L·U]. The pivot of column [k] is the first entry of largest
+    modulus ([Float.hypot]) on or below the diagonal; [Singular k] when
+    it is zero. Runs on the split arrays without boxing an entry, with
+    the [Complex.div]/[Complex.mul] formulas, so the factors are bitwise
+    those of the same elimination written with [Cx] operators. *)
+
+val lu_packed : lu -> t * int array
+(** The packed factors (unit-lower [L] strictly below the diagonal,
+    [U] on and above it) and the row permutation: row [i] of [L·U] is
+    row [piv.(i)] of [A]. *)
 
 val lu_solve_vec : lu -> Cx.t array -> Cx.t array
 
 val lu_solve_mat : lu -> t -> t
+(** Column [j] of the result is bitwise [lu_solve_vec] of column [j]
+    of the right-hand side. *)
 
 val solve : t -> t -> t
 (** One-shot factor and solve of [A X = B]. *)

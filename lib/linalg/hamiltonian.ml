@@ -143,12 +143,7 @@ let crossings ?(rtol = 1e-4) ~level pen =
     (* M z = s·diag(−a1, a1ᵀ) z  ⇔  M + s·diag(a1, −a1ᵀ) singular *)
     blk nn 0 0 a1s 1.0;
     blk_t nn n n a1s (-1.0);
-    let eigs = gen_eigenvalues m nn in
-    let wmax =
-      Array.fold_left (fun acc s -> Float.max acc (Cx.abs s)) 1.0 eigs
-    in
-    ignore wmax;
-    eigs
+    gen_eigenvalues m nn
     |> Array.to_list
     |> List.filter_map (fun s ->
            let re = Float.abs s.Complex.re and im = Float.abs s.Complex.im in

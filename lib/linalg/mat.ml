@@ -5,7 +5,12 @@ let create rows cols = { rows; cols; a = Array.make (rows * cols) 0.0 }
 let init rows cols f =
   { rows; cols; a = Array.init (rows * cols) (fun k -> f (k / cols) (k mod cols)) }
 
-let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
+let identity n =
+  let m = create n n in
+  for i = 0 to n - 1 do
+    m.a.((i * n) + i) <- 1.0
+  done;
+  m
 
 let diag d =
   let n = Vec.dim d in

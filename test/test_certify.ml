@@ -15,7 +15,9 @@
       shift 0 certifies structurally passive (MOD002) with no MOD001 /
       MOD003 complaint, for every supported engine.
    5. Registry: the codes Certify emits are exactly the documented
-      Analysis.Mod_rules table. *)
+      Analysis.Mod_rules table.
+   6. Spans: a traced run puts MOD003, MOD004, MOD005/MOD006 and
+      MOD009 each in its own Obs span. *)
 
 module Rom = Sympvl.Rom
 module Certify = Sympvl.Certify
@@ -293,6 +295,27 @@ let test_registry () =
         (Option.is_some (Analysis.Mod_rules.find c)))
     !emitted
 
+(* ------------------------------------------------------------------ *)
+(* 6. per-rule spans                                                   *)
+
+let test_rule_spans () =
+  let mna = mna_of "coupled_lines" in
+  let ctx = Sympvl.Pencil.create mna in
+  let model = Rom.reduce ~ctx ~order:8 `Sympvl mna in
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      ignore (Certify.run ~ctx model mna);
+      let names = List.map (fun st -> st.Obs.span_name) (Obs.span_stats ()) in
+      List.iter
+        (fun name -> Alcotest.(check bool) (name ^ " recorded") true (List.mem name names))
+        [ "certify.run"; "certify.hamiltonian"; "certify.reciprocity"; "certify.moments";
+          "certify.drift" ])
+
 let () =
   Alcotest.run "certify"
     [
@@ -304,4 +327,5 @@ let () =
         [ Alcotest.test_case "Stability.model_pencil = certify" `Quick test_pencil_pin ] );
       ("properties", [ Qtest.to_alcotest prop_clean_rc_certifies ]);
       ("registry", [ Alcotest.test_case "codes documented" `Quick test_registry ]);
+      ("spans", [ Alcotest.test_case "one span per rule group" `Quick test_rule_spans ]);
     ]

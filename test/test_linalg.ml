@@ -349,6 +349,29 @@ let test_cmat_lincomb () =
   checkf "re" ~tol:1e-15 0.0 z.Complex.re;
   checkf "im" ~tol:1e-15 2.0 z.Complex.im
 
+(* The O(n³) factor and O(n²·k) solve loops run on the split re/im
+   arrays: reboxing an entry per inner iteration would allocate
+   ~n³ minor words. Only the per-pivot and per-row bookkeeping may
+   reach the minor heap (the n² result arrays go straight to the
+   major heap). *)
+let test_cmat_lu_no_boxing () =
+  let n = 64 and k = 8 in
+  let rng = Linalg.Rng.create 15 in
+  let a =
+    Linalg.Cmat.init n n (fun _ _ ->
+        Linalg.Cx.make (Linalg.Rng.uniform rng (-1.0) 1.0) (Linalg.Rng.uniform rng (-1.0) 1.0))
+  in
+  let b = Linalg.Cmat.init n k (fun i j -> Linalg.Cx.make (float_of_int i) (float_of_int j)) in
+  let run () = ignore (Linalg.Cmat.lu_solve_mat (Linalg.Cmat.lu_factor a) b) in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  let bound = 4.0 *. float_of_int (n * n) in
+  if words > bound then
+    Alcotest.failf "lu_factor + lu_solve_mat (n = %d, %d rhs) allocated %.0f minor words > %.0f"
+      n k words bound
+
 let test_cmat_min_eig_hermitian () =
   (* [[2, i]; [-i, 2]] has eigenvalues 1 and 3 *)
   let m = Linalg.Cmat.create 2 2 in
@@ -583,6 +606,7 @@ let () =
         [
           Alcotest.test_case "lu solve" `Quick test_cmat_lu_solve;
           Alcotest.test_case "lincomb" `Quick test_cmat_lincomb;
+          Alcotest.test_case "lu allocates no boxed entries" `Quick test_cmat_lu_no_boxing;
           Alcotest.test_case "hermitian min eig" `Quick test_cmat_min_eig_hermitian;
         ] );
       ( "poly",
