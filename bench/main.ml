@@ -414,20 +414,26 @@ let tab_c () =
         (fun order ->
           let model = Sympvl.Reduce.mna ~order mna in
           let tmin = Linalg.Eig_sym.min_eigenvalue model.Sympvl.Model.t_mat in
+          let r = Sympvl.Certify.state_space (Sympvl.Rom.Sympvl_model model) in
+          (* the certify MOD002 verdict, then the exact Hamiltonian band
+             test (MOD003), which proves the whole axis, not just a
+             sampling grid *)
           let passive =
-            match Sympvl.Stability.passivity_certificate model with
-            | Sympvl.Stability.Certified -> "certified"
-            | Sympvl.Stability.Indefinite_t _ -> "VIOLATED"
-            | Sympvl.Stability.Not_applicable ->
-              (* exact Hamiltonian band test: proves the whole axis,
-                 not just a sampling grid *)
-              if Sympvl.Stability.passivity_bands model = [] then "bands-ok"
+            match Sympvl.Certify.structural_certificate r with
+            | Sympvl.Certify.Certified _ -> "certified"
+            | Sympvl.Certify.Violated _ -> "VIOLATED"
+            | Sympvl.Certify.No_certificate _ ->
+              if Linalg.Hamiltonian.violation_bands (Sympvl.Certify.phys_pencil r) = []
+              then "bands-ok"
               else "VIOLATED"
           in
+          let max_re =
+            Array.fold_left
+              (fun acc p -> Float.max acc p.Complex.re)
+              neg_infinity (Sympvl.Model.poles model)
+          in
           Printf.printf "%-20s %6d %10b %14.3e %12.3e %10s\n" name order
-            model.Sympvl.Model.definite
-            (Sympvl.Stability.max_pole_re model)
-            tmin passive)
+            model.Sympvl.Model.definite max_re tmin passive)
         [ 2; 5; 9; 14; 20 ])
     cases
 
@@ -823,13 +829,40 @@ let ac_bench () =
       jobs_list;
     (* hard gate: asking for more workers must never cost throughput.
        jobs=2 may not beat jobs=1 on a small box (the pool caps spawned
-       domains at the core count), but it must stay within noise of it *)
-    (match (List.assoc_opt 1 !per_jobs, List.assoc_opt 2 !per_jobs) with
-    | Some ns1, Some ns2 ->
-      let ok = ns2 <= 1.05 *. ns1 in
-      Printf.printf "jobs=2 within 5%% of jobs=1: %b (%.2fx)\n" ok (ns2 /. ns1);
-      if not ok then exit 1
-    | _ -> ())
+       domains at the core count), but it must stay within noise of it.
+       One jobs=1 and one jobs=2 timing per pair, the order alternating
+       between pairs so drift hits both sides; each timing repeats the
+       sweep for >= 50 ms so the clock's resolution does not matter;
+       the gate is on the median pair ratio *)
+    (match List.assoc_opt 1 !per_jobs with
+    | None -> ()
+    | Some ns1 ->
+      let reps = max 1 (int_of_float (Float.ceil (50e6 /. ns1))) in
+      let time jobs =
+        let t0 = Obs.now () in
+        for _ = 1 to reps do
+          ignore (Simulate.Ac.sweep ~jobs mna freqs)
+        done;
+        Obs.now () -. t0
+      in
+      let pairs = 11 in
+      let ratios =
+        Array.init pairs (fun i ->
+            if i land 1 = 0 then
+              let t1 = time 1 in
+              time 2 /. t1
+            else
+              let t2 = time 2 in
+              t2 /. time 1)
+      in
+      Array.sort Float.compare ratios;
+      let median = ratios.(pairs / 2) in
+      let ok = median <= 1.05 in
+      Printf.printf
+        "jobs=2 within 5%% of jobs=1: %b (median %.2fx over %d alternating pairs, \
+         range %.2f-%.2fx)\n"
+        ok median pairs ratios.(0) ratios.(pairs - 1);
+      if not ok then exit 1)
   in
   run_workload "package_model" (snd (package_mna ())) 1e8 1e10;
   run_workload "coupled_rc_bus"

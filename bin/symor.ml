@@ -236,33 +236,42 @@ let print_diagnostics ?(quiet = false) ds =
         Format.printf "%a@." Circuit.Diagnostic.pp d)
     ds
 
+(* the flags shared by the finding reports (lint, analyze, certify) *)
+let json_arg =
+  let doc = "Emit the findings as a JSON array (machine-readable)." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let strict_arg =
+  let doc = "Treat warnings as errors for the exit code." in
+  Arg.(value & flag & info [ "strict" ] ~doc)
+
+let quiet_arg =
+  let doc = "Suppress info-level findings in the text output." in
+  Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
+
+(* the closing line of a text report: [clean] with the info count, or
+   the error/warning tally *)
+let print_summary ~clean ds =
+  let count sev = Circuit.Diagnostic.count sev ds in
+  let e = count Circuit.Diagnostic.Error and w = count Circuit.Diagnostic.Warning in
+  if e = 0 && w = 0 then Format.printf "%s (%d info)@." clean (count Circuit.Diagnostic.Info)
+  else Format.printf "%d error(s), %d warning(s)@." e w
+
+(* a netlist-level report (lint, analyze): JSON, or the findings under
+   the file name plus the summary line; exits with the 0/1/2 contract *)
+let report_file ~json ~strict ~quiet ~clean path ds =
+  if json then print_string (Circuit.Diagnostic.list_to_json ds ^ "\n")
+  else begin
+    Format.printf "%s:@." path;
+    print_diagnostics ~quiet ds;
+    print_summary ~clean ds
+  end;
+  exit (Circuit.Diagnostic.exit_code ~strict ds)
+
 let lint_cmd =
-  let json_arg =
-    let doc = "Emit the findings as a JSON array (machine-readable)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let strict_arg =
-    let doc = "Treat warnings as errors for the exit code." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let quiet_arg =
-    let doc = "Suppress info-level findings in the text output." in
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
-  in
   let run path json strict quiet =
    safely @@ fun () ->
-    let ds = Analysis.Lint.lint_file path in
-    if json then print_string (Circuit.Diagnostic.list_to_json ds ^ "\n")
-    else begin
-      Format.printf "%s:@." path;
-      print_diagnostics ~quiet ds;
-      let e = Circuit.Diagnostic.count Circuit.Diagnostic.Error ds in
-      let w = Circuit.Diagnostic.count Circuit.Diagnostic.Warning ds in
-      if e = 0 && w = 0 then Format.printf "clean (%d info)@."
-          (Circuit.Diagnostic.count Circuit.Diagnostic.Info ds)
-      else Format.printf "%d error(s), %d warning(s)@." e w
-    end;
-    exit (Circuit.Diagnostic.exit_code ~strict ds)
+    report_file ~json ~strict ~quiet ~clean:"clean" path (Analysis.Lint.lint_file path)
   in
   let doc =
     "Statically analyse a netlist: floating nodes, bad ports, duplicate names, \
@@ -274,18 +283,6 @@ let lint_cmd =
     Term.(const run $ netlist_arg $ json_arg $ strict_arg $ quiet_arg)
 
 let analyze_cmd =
-  let json_arg =
-    let doc = "Emit the findings as a JSON array (machine-readable)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let strict_arg =
-    let doc = "Treat warnings as errors for the exit code." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let quiet_arg =
-    let doc = "Suppress info-level findings in the text output." in
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
-  in
   let fill_arg =
     let doc =
       "Fill blow-up threshold for STR005: warn when the best ordering's \
@@ -296,18 +293,8 @@ let analyze_cmd =
   in
   let run path json strict quiet fill_threshold =
    safely @@ fun () ->
-    let ds = Analysis.Struct_rules.analyze_file ~fill_threshold path in
-    if json then print_string (Circuit.Diagnostic.list_to_json ds ^ "\n")
-    else begin
-      Format.printf "%s:@." path;
-      print_diagnostics ~quiet ds;
-      let e = Circuit.Diagnostic.count Circuit.Diagnostic.Error ds in
-      let w = Circuit.Diagnostic.count Circuit.Diagnostic.Warning ds in
-      if e = 0 && w = 0 then Format.printf "structurally sound (%d info)@."
-          (Circuit.Diagnostic.count Circuit.Diagnostic.Info ds)
-      else Format.printf "%d error(s), %d warning(s)@." e w
-    end;
-    exit (Circuit.Diagnostic.exit_code ~strict ds)
+    report_file ~json ~strict ~quiet ~clean:"structurally sound" path
+      (Analysis.Struct_rules.analyze_file ~fill_threshold path)
   in
   let doc =
     "Symbolically analyse the assembled MNA pencil G + sC: structural rank via \
@@ -322,37 +309,13 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc)
     Term.(const run $ netlist_arg $ json_arg $ strict_arg $ quiet_arg $ fill_arg)
 
-(* shared by `symor certify` and `symor reduce --certify`: run the
-   engine-uniform certification pass and return its findings. [order]
-   0 means auto: the full pencil size for the Krylov/BT engines (the
-   model is then the exact transfer function and every check is a
-   theorem test), AWE's documented low-order validity otherwise. *)
-let certify_one ~order ~shift ~band eng (mna : Circuit.Mna.t) =
-  let order =
-    if order > 0 then order
-    else match eng with `Awe -> 3 | _ -> mna.Circuit.Mna.n
-  in
-  let ctx = Sympvl.Pencil.create mna in
-  let opts = { (Sympvl.Rom.default ~order) with Sympvl.Rom.shift; band } in
-  let model = Sympvl.Rom.reduce ~ctx ~opts ~order eng mna in
-  let drift_band = match band with Some b -> Some b | None -> (
-    match eng with `Awe -> Some (1e6, 1e10) | _ -> None)
-  in
-  Sympvl.Certify.run ~ctx ?drift_band ~shift_requested:(shift <> None) model mna
+(* one certification report: its findings, then the suggested safe
+   order when the band search found one *)
+let print_report ?quiet (rep : Sympvl.Certify.report) =
+  print_diagnostics ?quiet rep.Sympvl.Certify.findings;
+  Option.iter (Format.printf "  suggested safe order: %d@.") rep.Sympvl.Certify.safe_order
 
 let certify_cmd =
-  let json_arg =
-    let doc = "Emit the findings as a JSON array (machine-readable)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let strict_arg =
-    let doc = "Treat warnings as errors for the exit code." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let quiet_arg =
-    let doc = "Suppress info-level findings in the text output." in
-    Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
-  in
   let engine_arg =
     let doc =
       "Engine to certify: $(b,sympvl) (default), $(b,mpvl), $(b,prima), \
@@ -402,26 +365,20 @@ let certify_cmd =
               Format.printf "%s: skipping %s (unsupported: %s)@." (Sympvl.Rom.name eng)
                 path why
           | Ok () ->
-            let rep = certify_one ~order ~shift ~band eng mna in
+            let order = Sympvl.Certify.request_order eng mna order in
+            let ctx = Sympvl.Pencil.create mna in
+            let opts = { (Sympvl.Rom.default ~order) with Sympvl.Rom.shift; band } in
+            let model = Sympvl.Rom.reduce ~ctx ~opts ~order eng mna in
+            let rep = Sympvl.Certify.request ~ctx ?shift ?band model mna in
             findings := !findings @ rep.Sympvl.Certify.findings;
             if not json then begin
               Format.printf "%s:@." (Sympvl.Rom.name eng);
-              print_diagnostics ~quiet rep.Sympvl.Certify.findings;
-              match rep.Sympvl.Certify.safe_order with
-              | Some k -> Format.printf "  suggested safe order: %d@." k
-              | None -> ()
+              print_report ~quiet rep
             end)
         engines;
       let ds = !findings in
       if json then print_string (Circuit.Diagnostic.list_to_json ds ^ "\n")
-      else begin
-        let e = Circuit.Diagnostic.count Circuit.Diagnostic.Error ds in
-        let w = Circuit.Diagnostic.count Circuit.Diagnostic.Warning ds in
-        if e = 0 && w = 0 then
-          Format.printf "certified clean (%d info)@."
-            (Circuit.Diagnostic.count Circuit.Diagnostic.Info ds)
-        else Format.printf "%d error(s), %d warning(s)@." e w
-      end;
+      else print_summary ~clean:"certified clean" ds;
       Circuit.Diagnostic.exit_code ~strict ds
     in
     exit code
@@ -453,9 +410,10 @@ let reduce_cmd =
     let doc =
       "Reduction engine: $(b,sympvl) (default), $(b,mpvl), $(b,prima), $(b,sprim), \
        $(b,awe) or $(b,bt). Pass $(b,help) to list the engines with their \
-       guarantees. Engines other than sympvl report size/shift and the \
-       $(b,--check) accuracy figure; --adaptive and --poles stay SyMPVL-only, \
-       --synth works for sympvl (RC) and sprim (RLCk)."
+       guarantees. Every engine reports size/shift, the MOD002/MOD001 \
+       stability and passivity findings and the $(b,--check) accuracy figure; \
+       --adaptive and --poles stay SyMPVL-only, --synth works for sympvl (RC) \
+       and sprim (RLCk)."
     in
     Arg.(value & opt string "sympvl" & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
@@ -470,79 +428,87 @@ let reduce_cmd =
   let check_arg =
     let doc =
       "Audit the run: numerical contracts (G/C symmetry, Lanczos \
-       J-orthogonality, tolerance sanity, stability/passivity certificates; \
-       also enabled by $(b,SYMOR_CHECK=1)) plus accuracy against exact AC \
-       analysis on the band. Contract errors exit 2."
+       J-orthogonality, tolerance sanity, factor-solve residual; also enabled \
+       by $(b,SYMOR_CHECK=1)), joined by the MOD002/MOD001 stability and \
+       passivity findings, plus accuracy against exact AC analysis on the \
+       band. Errors among them exit 2."
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in
-  (* non-SyMPVL engines share one report shape: size line, shift, and
-     under --check the deviation from exact AC analysis on the band.
-     Unsupported engine/netlist pairs are skipped with exit 0 so a
-     matrix loop over examples × engines stays a one-liner. *)
-  let run_engine eng mna path ~order ~shift ~band ~check ~certify ~strict ~synth_out =
-    match Sympvl.Rom.supports eng mna with
-    | Error why ->
-      Format.printf "%s: skipping %s (unsupported: %s)@." (Sympvl.Rom.name eng) path why
-    | Ok () ->
-      let opts = { (Sympvl.Rom.default ~order) with Sympvl.Rom.shift; band } in
-      let model = Sympvl.Rom.reduce ~opts ~order eng mna in
-      Format.printf "%s: N = %d -> n = %d (p = %d); shift s0 = %g@."
-        (Sympvl.Rom.name eng) mna.Circuit.Mna.n (Sympvl.Rom.order model)
-        (Sympvl.Rom.ports model) (Sympvl.Rom.shift model);
-      if check then begin
-        let f_lo, f_hi = match band with Some b -> b | None -> (1e6, 1e10) in
-        let freqs = Simulate.Ac.log_freqs ~points:40 f_lo f_hi in
-        let sw = Simulate.Ac.sweep mna freqs in
-        let zm = Simulate.Ac.model_sweep (Sympvl.Rom.eval model) freqs in
-        (* scalar engines (AWE) model only Z at port 0 of the exact p×p *)
-        let sw =
-          if Sympvl.Rom.ports model = Array.length sw.Simulate.Ac.port_names then sw
-          else
-            {
-              sw with
-              Simulate.Ac.z =
-                Array.map
-                  (fun z ->
-                    let w = Linalg.Cmat.create 1 1 in
-                    Linalg.Cmat.set w 0 0 (Linalg.Cmat.get z 0 0);
-                    w)
-                  sw.Simulate.Ac.z;
-              port_names = [| sw.Simulate.Ac.port_names.(0) |];
-            }
-        in
-        Format.printf "max relative error on [%g, %g] Hz: %.3e@." f_lo f_hi
-          (Simulate.Ac.max_rel_error sw zm)
-      end;
-      let cert_exit =
-        if not certify then 0
-        else begin
-          let rep = certify_one ~order ~shift ~band eng mna in
-          Format.printf "certification:@.";
-          print_diagnostics rep.Sympvl.Certify.findings;
-          Circuit.Diagnostic.exit_code ~strict rep.Sympvl.Certify.findings
-        end
+  (* the SyMPVL arm: the only one with contract findings (NUM001-NUM004,
+     NUM007) and the adaptive order search *)
+  let reduce_sympvl ~ctx ~opts ~order ~adaptive ~contracts mna =
+    match adaptive with
+    | None ->
+      if contracts then Sympvl.Reduce.checked ~ctx ~opts ~order mna
+      else (Sympvl.Reduce.mna ~ctx ~opts ~order mna, [])
+    | Some tol ->
+      let band =
+        match opts.Sympvl.Reduce.band with Some b -> b | None -> (1e6, 1e10)
       in
-      (match synth_out with
-      | None -> ()
-      | Some out ->
-        (match model with
-        | Sympvl.Rom.Sprim_model sp ->
-          let syn, st =
-            Synth.Rlck.synthesize ~port_names:mna.Circuit.Mna.port_names sp
-          in
-          let oc = open_out out in
-          output_string oc (Circuit.Parser.to_string ~precision:17 syn);
-          close_out oc;
-          Format.printf
-            "synthesized: %d nodes, %d R, %d C, %d L (%d negative) -> %s@."
-            st.Synth.Rlck.nodes st.Synth.Rlck.resistors st.Synth.Rlck.capacitors
-            st.Synth.Rlck.inductors st.Synth.Rlck.negative_elements out
-        | _ ->
-          Printf.eprintf "symor: --synth needs --engine sympvl or sprim\n";
-          exit 1))
-      ;
-      if cert_exit > 0 then exit cert_exit
+      let model, dev =
+        Sympvl.Reduce.to_accuracy ~ctx ~opts ~max_order:order ~tol ~band mna
+      in
+      Format.printf "adaptive: converged at order %d (estimate %.2e)@."
+        model.Sympvl.Model.order dev;
+      if contracts then
+        (* replay the converged configuration through the contract
+           checker: same order, shift pinned to the one the adaptive
+           loop settled on. *)
+        let opts = { opts with Sympvl.Reduce.shift = Some model.Sympvl.Model.shift } in
+        Sympvl.Reduce.checked ~ctx ~opts ~order:model.Sympvl.Model.order mna
+      else (model, [])
+  in
+  let print_accuracy ~ctx ~band mna model =
+    let f_lo, f_hi = match band with Some b -> b | None -> (1e6, 1e10) in
+    let freqs = Simulate.Ac.log_freqs ~points:40 f_lo f_hi in
+    let sw = Simulate.Ac.sweep_ws mna ctx freqs in
+    let zm = Simulate.Ac.model_sweep (Sympvl.Rom.eval model) freqs in
+    (* scalar engines (AWE) model only Z at port 0 of the exact p×p *)
+    let sw =
+      if Sympvl.Rom.ports model = Array.length sw.Simulate.Ac.port_names then sw
+      else
+        {
+          sw with
+          Simulate.Ac.z =
+            Array.map
+              (fun z ->
+                let w = Linalg.Cmat.create 1 1 in
+                Linalg.Cmat.set w 0 0 (Linalg.Cmat.get z 0 0);
+                w)
+              sw.Simulate.Ac.z;
+          port_names = [| sw.Simulate.Ac.port_names.(0) |];
+        }
+    in
+    Format.printf "max relative error on [%g, %g] Hz: %.3e@." f_lo f_hi
+      (Simulate.Ac.max_rel_error sw zm)
+  in
+  let synthesize ~port_names out model =
+    let syn, summary =
+      match model with
+      | Sympvl.Rom.Sympvl_model m when m.Sympvl.Model.p = 1 ->
+        let n, s = Synth.Foster.synthesize m in
+        ( n,
+          Printf.sprintf "%d R, %d C (%d negative)" s.Synth.Foster.resistors
+            s.Synth.Foster.capacitors s.Synth.Foster.negative_elements )
+      | Sympvl.Rom.Sympvl_model m ->
+        let n, s = Synth.Multiport.synthesize ~port_names m in
+        ( n,
+          Printf.sprintf "%d nodes, %d R, %d C (%d negative)" s.Synth.Multiport.nodes
+            s.Synth.Multiport.resistors s.Synth.Multiport.capacitors
+            s.Synth.Multiport.negative_elements )
+      | Sympvl.Rom.Sprim_model sp ->
+        let n, st = Synth.Rlck.synthesize ~port_names sp in
+        ( n,
+          Printf.sprintf "%d nodes, %d R, %d C, %d L (%d negative)" st.Synth.Rlck.nodes
+            st.Synth.Rlck.resistors st.Synth.Rlck.capacitors st.Synth.Rlck.inductors
+            st.Synth.Rlck.negative_elements )
+      | _ -> invalid_arg "synthesize: other engines are rejected before the reduction"
+    in
+    let oc = open_out out in
+    output_string oc (Circuit.Parser.to_string ~precision:17 syn);
+    close_out oc;
+    Format.printf "synthesized: %s -> %s@." summary out
   in
   let run verbose path order band shift engine synth_out poles check certify strict
       adaptive jobs factor trace stats =
@@ -568,112 +534,81 @@ let reduce_cmd =
         Printf.eprintf "symor: unknown engine %S (try --engine help)\n" engine;
         exit 1
     in
+    if
+      eng <> `Sympvl
+      && (adaptive <> None || poles || (synth_out <> None && eng <> `Sprim))
+    then begin
+      Printf.eprintf
+        "symor: --adaptive/--poles are SyMPVL-only; --synth needs --engine \
+         sympvl (RC) or sprim (RLCk)\n";
+      exit 1
+    end;
     let nl = load path in
     let mna = Circuit.Mna.auto nl in
-    if eng <> `Sympvl then begin
-      if adaptive <> None || poles || (synth_out <> None && eng <> `Sprim) then begin
-        Printf.eprintf
-          "symor: --adaptive/--poles are SyMPVL-only; --synth needs --engine \
-           sympvl (RC) or sprim (RLCk)\n";
-        exit 1
-      end;
-      run_engine eng mna path ~order ~shift ~band ~check ~certify ~strict ~synth_out
-    end
-    else
-    let opts = { (Sympvl.Reduce.default ~order) with Sympvl.Reduce.band; shift } in
-    let contracts = check || Sympvl.Contract.enabled () in
-    let model, contract_diags =
-      match adaptive with
-      | None ->
-        if contracts then Sympvl.Reduce.checked ~opts ~order mna
-        else (Sympvl.Reduce.mna ~opts ~order mna, [])
-      | Some tol ->
-        let band = match band with Some b -> b | None -> (1e6, 1e10) in
-        let model, dev = Sympvl.Reduce.to_accuracy ~opts ~max_order:order ~tol ~band mna in
-        Format.printf "adaptive: converged at order %d (estimate %.2e)@."
-          model.Sympvl.Model.order dev;
-        if contracts then
-          (* replay the converged configuration through the contract
-             checker: same order, shift pinned to the one the adaptive
-             loop settled on. *)
-          let opts = { opts with Sympvl.Reduce.shift = Some model.Sympvl.Model.shift } in
-          Sympvl.Reduce.checked ~opts ~order:model.Sympvl.Model.order mna
-        else (model, [])
-    in
-    Format.printf "SyMPVL: N = %d -> n = %d (p = %d)@." mna.Circuit.Mna.n
-      model.Sympvl.Model.order model.Sympvl.Model.p;
-    Format.printf "definite (J = I): %b; shift s0 = %g; deflations = %d@."
-      model.Sympvl.Model.definite model.Sympvl.Model.shift
-      model.Sympvl.Model.deflations;
-    Format.printf "stable: %b@." (Sympvl.Stability.is_stable model);
-    (match Sympvl.Stability.passivity_certificate model with
-    | Sympvl.Stability.Certified -> Format.printf "passivity: certified@."
-    | Sympvl.Stability.Indefinite_t x -> Format.printf "passivity: T indefinite (%g)@." x
-    | Sympvl.Stability.Not_applicable ->
-      Format.printf "passivity: no structural certificate@.");
-    if poles then begin
-      Format.printf "poles:@.";
-      Array.iter
-        (fun p -> Format.printf "  %+.6e %+.6ei@." p.Complex.re p.Complex.im)
-        (Sympvl.Model.poles model)
-    end;
-    if contracts then begin
-      Format.printf "contracts:@.";
-      print_diagnostics contract_diags
-    end;
-    (if check then
-       let f_lo, f_hi = match band with Some b -> b | None -> (1e6, 1e10) in
-       let freqs = Simulate.Ac.log_freqs ~points:40 f_lo f_hi in
-       let sw = Simulate.Ac.sweep mna freqs in
-       let zm = Simulate.Ac.model_sweep (Sympvl.Model.eval model) freqs in
-       Format.printf "max relative error on [%g, %g] Hz: %.3e@." f_lo f_hi
-         (Simulate.Ac.max_rel_error sw zm));
-    (if Circuit.Diagnostic.count Circuit.Diagnostic.Error contract_diags > 0 then begin
-       Format.printf "contract violation(s) detected@.";
-       exit 2
-     end);
-    let cert_exit =
-      if not certify then 0
-      else begin
-        let rep =
-          Sympvl.Certify.run
-            ~ctx:(Sympvl.Pencil.create mna)
-            ?drift_band:band
-            ~shift_requested:(shift <> None)
-            (Sympvl.Rom.Sympvl_model model) mna
-        in
-        Format.printf "certification:@.";
-        print_diagnostics rep.Sympvl.Certify.findings;
-        (match rep.Sympvl.Certify.safe_order with
-        | Some k -> Format.printf "  suggested safe order: %d@." k
-        | None -> ());
-        Circuit.Diagnostic.exit_code ~strict rep.Sympvl.Certify.findings
-      end
-    in
-    (match synth_out with
-    | None -> ()
-    | Some out ->
-      let port_names = mna.Circuit.Mna.port_names in
-      let syn, st =
-        if model.Sympvl.Model.p = 1 then begin
-          let n, s = Synth.Foster.synthesize model in
-          ( n,
-            Printf.sprintf "%d R, %d C (%d negative)" s.Synth.Foster.resistors
-              s.Synth.Foster.capacitors s.Synth.Foster.negative_elements )
+    match Sympvl.Rom.supports eng mna with
+    | Error why ->
+      (* skipped with exit 0, so a matrix loop over examples × engines
+         stays a one-liner *)
+      Format.printf "%s: skipping %s (unsupported: %s)@." (Sympvl.Rom.name eng) path why
+    | Ok () ->
+      (* one context per run: the reduction, the --check sweep and the
+         --certify pass share its symbolic phase and factor cache *)
+      let ctx = Sympvl.Pencil.create mna in
+      let contracts = check || Sympvl.Contract.enabled () in
+      let model, contract_diags =
+        if eng = `Sympvl then begin
+          let opts = { (Sympvl.Reduce.default ~order) with Sympvl.Reduce.band; shift } in
+          let m, ds = reduce_sympvl ~ctx ~opts ~order ~adaptive ~contracts mna in
+          Format.printf "SyMPVL: N = %d -> n = %d (p = %d)@." mna.Circuit.Mna.n
+            m.Sympvl.Model.order m.Sympvl.Model.p;
+          Format.printf "definite (J = I): %b; shift s0 = %g; deflations = %d@."
+            m.Sympvl.Model.definite m.Sympvl.Model.shift m.Sympvl.Model.deflations;
+          (Sympvl.Rom.Sympvl_model m, ds)
         end
         else begin
-          let n, s = Synth.Multiport.synthesize ~port_names model in
-          ( n,
-            Printf.sprintf "%d nodes, %d R, %d C (%d negative)" s.Synth.Multiport.nodes
-              s.Synth.Multiport.resistors s.Synth.Multiport.capacitors
-              s.Synth.Multiport.negative_elements )
+          let opts = { (Sympvl.Rom.default ~order) with Sympvl.Rom.shift; band } in
+          let model = Sympvl.Rom.reduce ~ctx ~opts ~order eng mna in
+          Format.printf "%s: N = %d -> n = %d (p = %d); shift s0 = %g@."
+            (Sympvl.Rom.name eng) mna.Circuit.Mna.n (Sympvl.Rom.order model)
+            (Sympvl.Rom.ports model) (Sympvl.Rom.shift model);
+          (model, [])
         end
       in
-      let oc = open_out out in
-      output_string oc (Circuit.Parser.to_string ~precision:17 syn);
-      close_out oc;
-      Format.printf "synthesized: %s -> %s@." st out);
-    if cert_exit > 0 then exit cert_exit
+      let structural = Sympvl.Certify.(structural (state_space model)) mna in
+      print_diagnostics structural;
+      (match model with
+      | Sympvl.Rom.Sympvl_model m when poles ->
+        Format.printf "poles:@.";
+        Array.iter
+          (fun p -> Format.printf "  %+.6e %+.6ei@." p.Complex.re p.Complex.im)
+          (Sympvl.Model.poles m)
+      | _ -> ());
+      if contracts && eng = `Sympvl then begin
+        Format.printf "contracts:@.";
+        print_diagnostics contract_diags
+      end;
+      if check then print_accuracy ~ctx ~band mna model;
+      (if
+         contracts
+         && Circuit.Diagnostic.count Circuit.Diagnostic.Error (contract_diags @ structural)
+            > 0
+       then begin
+         Format.printf "contract violation(s) detected@.";
+         exit 2
+       end);
+      let cert_exit =
+        if not certify then 0
+        else begin
+          let rep = Sympvl.Certify.request ~ctx ?shift ?band model mna in
+          Format.printf "certification:@.";
+          print_report rep;
+          Circuit.Diagnostic.exit_code ~strict rep.Sympvl.Certify.findings
+        end
+      in
+      Option.iter
+        (fun out -> synthesize ~port_names:mna.Circuit.Mna.port_names out model)
+        synth_out;
+      if cert_exit > 0 then exit cert_exit
   in
   let certify_arg =
     let doc =
@@ -701,89 +636,75 @@ let reduce_cmd =
       $ engine_arg $ synth_arg $ poles_arg $ check_arg $ certify_arg $ strict_arg
       $ adaptive_arg $ jobs_arg $ factor_arg $ trace_arg $ stats_arg)
 
-let ac_cmd =
+(* `ac` and `sparams`: one exact sweep behind both; [print extra sw]
+   writes the CSV, [extra] being the value of the command's own flag *)
+let sweep_cmd name ~doc extra_arg print =
   let points_arg =
     Arg.(value & opt int 100 & info [ "points" ] ~doc:"Number of frequency points.")
   in
   let flo_arg = Arg.(value & opt float 1e6 & info [ "flo" ] ~doc:"Start frequency, Hz.") in
   let fhi_arg = Arg.(value & opt float 1e10 & info [ "fhi" ] ~doc:"Stop frequency, Hz.") in
-  let run path flo fhi points jobs factor trace stats =
+  let run path flo fhi points extra jobs factor trace stats =
    safely ~netlist:path @@ fun () ->
     apply_jobs jobs;
     apply_factor factor;
     with_obs trace stats @@ fun () ->
-    let nl = load path in
-    let mna = Circuit.Mna.auto nl in
-    let freqs = Simulate.Ac.log_freqs ~points flo fhi in
-    let sw = Simulate.Ac.sweep mna freqs in
-    let p = Array.length sw.Simulate.Ac.port_names in
-    print_string "freq";
-    for i = 0 to p - 1 do
-      for j = 0 to p - 1 do
-        Printf.printf ",|Z_%s_%s|" sw.Simulate.Ac.port_names.(i)
-          sw.Simulate.Ac.port_names.(j)
-      done
-    done;
-    print_newline ();
-    Array.iteri
-      (fun k f ->
-        Printf.printf "%.6e" f;
-        for i = 0 to p - 1 do
-          for j = 0 to p - 1 do
-            Printf.printf ",%.6e" (Linalg.Cx.abs (Linalg.Cmat.get sw.Simulate.Ac.z.(k) i j))
-          done
-        done;
-        print_newline ())
-      freqs
+    let mna = Circuit.Mna.auto (load path) in
+    print extra (Simulate.Ac.sweep mna (Simulate.Ac.log_freqs ~points flo fhi))
   in
-  let doc = "Exact AC sweep (CSV on stdout)." in
-  Cmd.v (Cmd.info "ac" ~doc)
+  Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ jobs_arg $ factor_arg
-      $ trace_arg $ stats_arg)
+      const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ extra_arg $ jobs_arg
+      $ factor_arg $ trace_arg $ stats_arg)
+
+let ac_cmd =
+  sweep_cmd "ac" ~doc:"Exact AC sweep (CSV on stdout)." (Term.const ())
+    (fun () sw ->
+      let p = Array.length sw.Simulate.Ac.port_names in
+      print_string "freq";
+      for i = 0 to p - 1 do
+        for j = 0 to p - 1 do
+          Printf.printf ",|Z_%s_%s|" sw.Simulate.Ac.port_names.(i)
+            sw.Simulate.Ac.port_names.(j)
+        done
+      done;
+      print_newline ();
+      Array.iteri
+        (fun k f ->
+          Printf.printf "%.6e" f;
+          for i = 0 to p - 1 do
+            for j = 0 to p - 1 do
+              Printf.printf ",%.6e"
+                (Linalg.Cx.abs (Linalg.Cmat.get sw.Simulate.Ac.z.(k) i j))
+            done
+          done;
+          print_newline ())
+        sw.Simulate.Ac.freqs)
 
 let sparams_cmd =
-  let points_arg =
-    Arg.(value & opt int 100 & info [ "points" ] ~doc:"Number of frequency points.")
-  in
-  let flo_arg = Arg.(value & opt float 1e6 & info [ "flo" ] ~doc:"Start frequency, Hz.") in
-  let fhi_arg = Arg.(value & opt float 1e10 & info [ "fhi" ] ~doc:"Stop frequency, Hz.") in
   let z0_arg = Arg.(value & opt float 50.0 & info [ "z0" ] ~doc:"Reference impedance, ohms.") in
-  let run path flo fhi points z0 jobs factor trace stats =
-   safely ~netlist:path @@ fun () ->
-    apply_jobs jobs;
-    apply_factor factor;
-    with_obs trace stats @@ fun () ->
-    let nl = load path in
-    let mna = Circuit.Mna.auto nl in
-    let freqs = Simulate.Ac.log_freqs ~points flo fhi in
-    let sw = Simulate.Ac.sweep mna freqs in
-    let p = Array.length sw.Simulate.Ac.port_names in
-    print_string "freq";
-    for i = 0 to p - 1 do
-      for j = 0 to p - 1 do
-        Printf.printf ",|S%d%d|,arg(S%d%d)" (i + 1) (j + 1) (i + 1) (j + 1)
-      done
-    done;
-    print_newline ();
-    Array.iteri
-      (fun k f ->
-        let s = Simulate.Netparams.z_to_s ~z0 sw.Simulate.Ac.z.(k) in
-        Printf.printf "%.6e" f;
-        for i = 0 to p - 1 do
-          for j = 0 to p - 1 do
-            let v = Linalg.Cmat.get s i j in
-            Printf.printf ",%.6e,%.6e" (Linalg.Cx.abs v) (Complex.arg v)
-          done
-        done;
-        print_newline ())
-      freqs
-  in
-  let doc = "Exact S-parameter sweep (CSV on stdout)." in
-  Cmd.v (Cmd.info "sparams" ~doc)
-    Term.(
-      const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ z0_arg $ jobs_arg
-      $ factor_arg $ trace_arg $ stats_arg)
+  sweep_cmd "sparams" ~doc:"Exact S-parameter sweep (CSV on stdout)." z0_arg
+    (fun z0 sw ->
+      let p = Array.length sw.Simulate.Ac.port_names in
+      print_string "freq";
+      for i = 0 to p - 1 do
+        for j = 0 to p - 1 do
+          Printf.printf ",|S%d%d|,arg(S%d%d)" (i + 1) (j + 1) (i + 1) (j + 1)
+        done
+      done;
+      print_newline ();
+      Array.iteri
+        (fun k f ->
+          let s = Simulate.Netparams.z_to_s ~z0 sw.Simulate.Ac.z.(k) in
+          Printf.printf "%.6e" f;
+          for i = 0 to p - 1 do
+            for j = 0 to p - 1 do
+              let v = Linalg.Cmat.get s i j in
+              Printf.printf ",%.6e,%.6e" (Linalg.Cx.abs v) (Complex.arg v)
+            done
+          done;
+          print_newline ())
+        sw.Simulate.Ac.freqs)
 
 let tran_cmd =
   let dt_arg = Arg.(value & opt float 1e-11 & info [ "dt" ] ~doc:"Time step, s.") in
@@ -796,7 +717,7 @@ let tran_cmd =
    safely ~netlist:path @@ fun () ->
     apply_factor factor;
     let nl = load path in
-    let nodes = List.map (Circuit.Netlist.node nl) observe in
+    let nodes = List.map (Circuit.Netlist.find_node nl) observe in
     let opts = Simulate.Transient.default ~dt ~t_stop:tstop in
     let res = Simulate.Transient.run ~opts ~observe:nodes nl in
     Printf.printf "time,%s\n" (String.concat "," observe);

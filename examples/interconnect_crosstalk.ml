@@ -23,7 +23,11 @@ let () =
   let model = Sympvl.Reduce.mna ~order mna in
   Printf.printf "SyMPVL: order %d for %d ports (definite=%b, certified passive=%b)\n"
     model.Sympvl.Model.order wires model.Sympvl.Model.definite
-    (Sympvl.Stability.passivity_certificate model = Sympvl.Stability.Certified);
+    (match
+       Sympvl.Certify.(structural_certificate (state_space (Sympvl.Rom.Sympvl_model model)))
+     with
+    | Sympvl.Certify.Certified _ -> true
+    | _ -> false);
 
   (* synthesize an equivalent small RC circuit *)
   let names = Array.init wires (fun w -> Printf.sprintf "port%d" w) in

@@ -28,13 +28,18 @@ let () =
         (order, Sympvl.Reduce.mna ~opts ~order mna))
       orders
   in
+  (* MOD001 is an info finding exactly when every pole is in the
+     closed left half-plane *)
+  let stable model =
+    Sympvl.Certify.(structural (state_space (Sympvl.Rom.Sympvl_model model)) mna)
+    |> List.for_all (fun d -> Circuit.Diagnostic.(d.code <> "MOD001" || d.severity = Info))
+  in
   List.iter
     (fun (order, model) ->
       Printf.printf
         "order %d: definite=%b deflations=%d look-ahead=%d stable=%b\n" order
         model.Sympvl.Model.definite model.Sympvl.Model.deflations
-        model.Sympvl.Model.look_ahead_steps
-        (Sympvl.Stability.is_stable model))
+        model.Sympvl.Model.look_ahead_steps (stable model))
     models;
 
   (* pin-1 external is port 0, pin-1 internal port 1, pin-2 internal

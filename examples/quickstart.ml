@@ -26,12 +26,11 @@ let () =
   let matched = Sympvl.Moments.matched_count ~rtol:1e-6 model mna in
   Printf.printf "matched moments: %d (guaranteed: %d)\n" matched (2 * (order / 2));
 
-  (* stability / passivity certificates *)
-  Printf.printf "stable: %b\n" (Sympvl.Stability.is_stable model);
-  (match Sympvl.Stability.passivity_certificate model with
-  | Sympvl.Stability.Certified -> print_endline "passivity: certified (T >= 0, J = I)"
-  | Sympvl.Stability.Indefinite_t x -> Printf.printf "passivity: T indefinite (%g)\n" x
-  | Sympvl.Stability.Not_applicable -> print_endline "passivity: no certificate");
+  (* passivity certificate (MOD002) and pole stability (MOD001) — the
+     two findings `symor reduce` prints for every engine *)
+  List.iter
+    (fun d -> print_endline (Format.asprintf "%a" Circuit.Diagnostic.pp d))
+    Sympvl.Certify.(structural (state_space (Sympvl.Rom.Sympvl_model model)) mna);
 
   (* compare against exact AC analysis across five decades *)
   print_endline "\n      f [Hz]      |Z11| exact    |Z11| reduced   rel.err";

@@ -64,6 +64,11 @@ let node t name =
     t.name_array <- None;
     n
 
+let find_node t name =
+  match Hashtbl.find_opt t.names name with
+  | Some n -> n
+  | None -> Diagnostic.user_errorf "unknown node %S (not in the netlist)" name
+
 let fresh_node t prefix =
   let rec try_ k =
     let name = Printf.sprintf "%s#%d" prefix k in

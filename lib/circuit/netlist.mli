@@ -55,6 +55,12 @@ val create : unit -> t
 val node : t -> string -> node
 (** Intern a node by name; ["0"], ["gnd"] and ["GND"] are ground. *)
 
+val find_node : t -> string -> node
+(** Look up an existing node by name without interning it — for
+    names that come from a user rather than from the netlist text
+    ([tran --observe]); ground names resolve to 0.
+    @raise Diagnostic.User_error when no element references [name]. *)
+
 val fresh_node : t -> string -> node
 (** Intern a fresh node with a unique name derived from the prefix. *)
 

@@ -273,8 +273,6 @@ let phys_pencil r =
     ~times_s:(r.gain = Circuit.Mna.Times_s)
     { H.a0 = r.g0; a1 = r.g1; b = r.bin; c = r.cout }
 
-let eval r s = H.eval (phys_pencil r) s
-
 (* ------------------------------------------------------------------ *)
 (* MOD002: structural certificate                                      *)
 
@@ -391,10 +389,16 @@ let core_freq_scale r =
    the O(1) seeds are meaningful). A singular a1 pushes part of the
    spectrum to infinity; eigenvalues that come back merely ~huge
    (|s| > 1e8 in scaled units) are that infinity seen through
-   roundoff, not model poles — drop them. *)
+   roundoff, not model poles — drop them. The seeds skip s = 0: a
+   model with a pole at DC (singular G, hence a shifted expansion)
+   would make the seed-0 inverse blow up, and the solver's cutoff
+   relative to the largest inverted eigenvalue would then discard
+   every ordinary pole, unstable ones included. *)
+let pole_seeds = [| 1.0; -1.0; 0.7320508; -2.2360679; 3.7 |]
+
 let poles_of (pen : H.pencil) =
   let ws = pencil_freq_scale pen in
-  H.gen_eigenvalues pen.H.a0 (Mat.scale ws pen.H.a1)
+  H.gen_eigenvalues ~seeds:pole_seeds pen.H.a0 (Mat.scale ws pen.H.a1)
   |> Array.to_list
   |> List.filter (fun s -> Cx.abs s <= 1e8)
   |> List.map (fun s -> Cx.smul ws s)
@@ -456,19 +460,11 @@ let realisation_moments r q =
       if k > 0 then x := Linalg.Lu.solve_mat fac (Mat.mul r.g1 !x);
       Mat.scale (if k land 1 = 1 then -1.0 else 1.0) (Mat.mul r.cout !x))
 
-let fmt_hz w = Printf.sprintf "%.4g Hz" (w /. (2.0 *. Float.pi))
-
-let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
-    ?(shift_requested = false) ?(check_bands = true) model (mna : Circuit.Mna.t) =
-  Obs.with_span "certify.run" @@ fun () ->
-  let r = state_space model in
+(* MOD002 first: MOD001's severity depends on whether the structural
+   certificate promised stability *)
+let structural r (mna : Circuit.Mna.t) =
+  let tol = 1e-9 in
   let engine = Rom.name r.engine in
-  let phys = phys_pencil r in
-  let scalar = r.np = 1 && mna.Circuit.Mna.b.Mat.cols > 1 in
-  let findings = ref [] in
-  let emit d = findings := d :: !findings in
-  (* -------- MOD002: structural certificate (first: MOD001 severity
-     depends on whether stability was promised) -------- *)
   let definite =
     (* the congruence projection of an SPD source pencil promises
        semidefiniteness — only the source (mna) knows *)
@@ -476,27 +472,22 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
   in
   let cert = structural_certificate ~tol ~definite r in
   let promised = match cert with Certified _ -> true | _ -> false in
-  (match cert with
-  | Certified why ->
-    emit (D.info "MOD002" (Printf.sprintf "%s: passivity certified — %s" engine why))
-  | No_certificate why ->
-    emit
-      (D.info "MOD002"
-         (Printf.sprintf "%s: no structural passivity certificate — %s" engine why))
-  | Violated (why, e) ->
-    let mk =
+  let mod002 =
+    match cert with
+    | Certified why ->
+      D.info "MOD002" (Printf.sprintf "%s: passivity certified — %s" engine why)
+    | No_certificate why ->
+      D.info "MOD002"
+        (Printf.sprintf "%s: no structural passivity certificate — %s" engine why)
+    | Violated (why, e) ->
       (* a violated certificate on the definite unshifted SyMPVL path
          contradicts the paper's Theorem 5.1 — that is an error; on the
          other certified engines it degrades to a warning *)
-      match model with
-      | Rom.Sympvl_model m when m.Model.definite && m.Model.shift = 0.0 -> D.error
-      | _ -> D.warning
-    in
-    emit
-      (mk "MOD002"
-         (Printf.sprintf "%s: passivity certificate violated (%.2e): %s" engine e why)));
-  (* -------- MOD001: pole stability -------- *)
-  let poles = poles_of phys in
+      let mk = if r.engine = `Sympvl && r.definite then D.error else D.warning in
+      mk "MOD002"
+        (Printf.sprintf "%s: passivity certificate violated (%.2e): %s" engine e why)
+  in
+  let poles = poles_of (phys_pencil r) in
   (* a pole within tol of the axis *relative to the pencil's frequency
      scale* is numerically on the axis: a shifted expansion computes
      s = σ + s₀ as a difference of large numbers, so its roundoff is
@@ -510,60 +501,70 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
   let unstable =
     Array.to_list poles |> List.filter (fun p -> p.Complex.re > tol *. pscale)
   in
-  (match unstable with
-  | [] ->
-    emit
-      (D.info "MOD001"
-         (Printf.sprintf "%s: all %d finite poles in the closed left half-plane"
-            engine (Array.length poles)))
-  | worst :: _ as us ->
-    let worst =
-      List.fold_left (fun a p -> if p.Complex.re > a.Complex.re then p else a) worst us
-    in
-    let mk = if promised then D.error else D.warning in
-    emit
-      (mk "MOD001"
-         (Printf.sprintf
-            "%s: %d unstable pole(s), worst Re = %.3e%s — the reduced model \
-             diverges in time domain"
-            engine (List.length us) worst.Complex.re
-            (if promised then " (structural theorem promised stability)" else ""))));
+  let mod001 =
+    match unstable with
+    | [] ->
+      D.info "MOD001"
+        (Printf.sprintf "%s: all %d finite poles in the closed left half-plane"
+           engine (Array.length poles))
+    | worst :: _ as us ->
+      let worst =
+        List.fold_left (fun a p -> if p.Complex.re > a.Complex.re then p else a) worst us
+      in
+      let mk = if promised then D.error else D.warning in
+      mk "MOD001"
+        (Printf.sprintf
+           "%s: %d unstable pole(s), worst Re = %.3e%s — the reduced model \
+            diverges in time domain"
+           engine (List.length us) worst.Complex.re
+           (if promised then " (structural theorem promised stability)" else ""))
+  in
+  [ mod002; mod001 ]
+
+let fmt_hz w = Printf.sprintf "%.4g Hz" (w /. (2.0 *. Float.pi))
+
+let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) =
+  Obs.with_span "certify.run" @@ fun () ->
+  let tol = 1e-9 in
+  let r = state_space model in
+  let engine = Rom.name r.engine in
+  let phys = phys_pencil r in
+  let scalar = r.np = 1 && mna.Circuit.Mna.b.Mat.cols > 1 in
+  let findings = ref [] in
+  let emit d = findings := d :: !findings in
+  (* -------- MOD002 then MOD001: the structural findings -------- *)
+  List.iter emit (structural r mna);
   (* -------- MOD003/MOD007: Hamiltonian violation bands -------- *)
   let bands =
-    if not check_bands then []
-    else
-      Obs.with_span "certify.hamiltonian" @@ fun () ->
-      H.violation_bands ~tol phys
+    Obs.with_span "certify.hamiltonian" @@ fun () -> H.violation_bands ~tol phys
   in
-  if check_bands then begin
-    match bands with
-    | [] ->
-      emit
-        (D.info "MOD003"
-           (Printf.sprintf
-              "%s: Hamiltonian test found no passivity violation on the whole \
-               imaginary axis (tol %.1e)"
-              engine tol))
-    | bs ->
-      Obs.count "certify.violation_band" (List.length bs);
-      emit
-        (D.warning "MOD003"
-           (Printf.sprintf
-              "%s: Hamiltonian test located %d passivity violation band(s) — \
-               grid sampling can miss these entirely"
-              engine (List.length bs)));
-      List.iter
-        (fun (b : H.band) ->
-          let lo = if b.H.w_lo > 0.0 then fmt_hz b.H.w_lo else "DC" in
-          let hi = if Float.is_finite b.H.w_hi then fmt_hz b.H.w_hi else "infinity" in
-          emit
-            (D.warning "MOD007"
-               (Printf.sprintf
-                  "%s: violation band [%s, %s], worst at %s: min eig Re Z = \
-                   %.3e (relative to |Z| = %.3e)"
-                  engine lo hi (fmt_hz b.H.w_worst) b.H.lambda_min b.H.scale)))
-        bs
-  end;
+  (match bands with
+  | [] ->
+    emit
+      (D.info "MOD003"
+         (Printf.sprintf
+            "%s: Hamiltonian test found no passivity violation on the whole \
+             imaginary axis (tol %.1e)"
+            engine tol))
+  | bs ->
+    Obs.count "certify.violation_band" (List.length bs);
+    emit
+      (D.warning "MOD003"
+         (Printf.sprintf
+            "%s: Hamiltonian test located %d passivity violation band(s) — \
+             grid sampling can miss these entirely"
+            engine (List.length bs)));
+    List.iter
+      (fun (b : H.band) ->
+        let lo = if b.H.w_lo > 0.0 then fmt_hz b.H.w_lo else "DC" in
+        let hi = if Float.is_finite b.H.w_hi then fmt_hz b.H.w_hi else "infinity" in
+        emit
+          (D.warning "MOD007"
+             (Printf.sprintf
+                "%s: violation band [%s, %s], worst at %s: min eig Re Z = \
+                 %.3e (relative to |Z| = %.3e)"
+                engine lo hi (fmt_hz b.H.w_worst) b.H.lambda_min b.H.scale)))
+      bs);
   (* suggested safe order: walk the SyMPVL truncation down until the
      band test comes back clean (every order is a cluster boundary on
      the J = I path) *)
@@ -712,7 +713,7 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
   | None -> ()
   | Some ctx ->
     Obs.with_span "certify.drift" @@ fun () ->
-    let k = max drift_points 2 in
+    let k = 4 in
     let w_of i =
       let t = float_of_int i /. float_of_int (k - 1) in
       match drift_band with
@@ -779,3 +780,21 @@ let run ?ctx ?(tol = 1e-9) ?(drift_points = 4) ?drift_band
                documented %.0e — the model has left its validated regime"
               engine !worst rtol)));
   { findings = D.sort (List.rev !findings); bands; safe_order }
+
+(* ------------------------------------------------------------------ *)
+(* the certify request: the defaults every front end shares            *)
+
+let request_order engine (mna : Circuit.Mna.t) order =
+  if order < 0 then
+    Circuit.Diagnostic.user_errorf "certify order must be >= 0 (got %d)" order
+  else if order > 0 then order
+  else match engine with `Awe -> 3 | _ -> mna.Circuit.Mna.n
+
+let request ~ctx ?shift ?band model mna =
+  let drift_band =
+    match (band, Rom.engine_of_model model) with
+    | Some b, _ -> Some b
+    | None, `Awe -> Some (1e6, 1e10)
+    | None, _ -> None
+  in
+  run ~ctx ?drift_band ~shift_requested:(shift <> None) model mna

@@ -21,9 +21,9 @@
       [Error] when the structural theorem (MOD002) promised stability,
       a [Warning] otherwise.
     - {b MOD002} structural passivity certificate: symmetric-form
-      recovery + positive semidefiniteness (generalises
-      {!Stability.passivity_certificate} beyond [Model.t]; AWE gets a
-      Foster positive-real check on its pole/residue form instead).
+      recovery + positive semidefiniteness (for SyMPVL on the [J = I]
+      unshifted path this is the paper's [Tₙ ⪰ 0] certificate; AWE gets
+      a Foster positive-real check on its pole/residue form instead).
     - {b MOD003} Hamiltonian imaginary-axis eigenvalue test
       ({!Linalg.Hamiltonian.violation_bands}): locates passivity
       violation {e bands} exactly instead of grid sampling.
@@ -43,9 +43,11 @@
       from the exact MNA transfer function against the engine's
       documented {!Rom.golden_rtol}.
 
-    Emitted through [symor certify] / [symor reduce --certify] with
-    the same [--json] / [--strict] / exit-code contract as
-    [symor lint] and [symor analyze]. *)
+    Emitted through [symor certify] / [symor reduce --certify] / the
+    serve [certify] op (all through {!request}) with the same
+    [--json] / [--strict] / exit-code contract as [symor lint] and
+    [symor analyze]; [symor reduce] prints the MOD002/MOD001 pair
+    ({!structural}) for every model it builds. *)
 
 type realisation = {
   engine : Rom.engine;
@@ -77,16 +79,13 @@ type realisation = {
 val state_space : Rom.model -> realisation
 (** The one adapter every engine goes through. The realisation
     reproduces [Rom.eval] exactly (up to roundoff of the explicit
-    solve) — asserted by the cross-engine test. *)
+    solve) — asserted by the cross-engine test through
+    [Linalg.Hamiltonian.eval] on {!phys_pencil}. *)
 
 val phys_pencil : realisation -> Linalg.Hamiltonian.pencil
 (** The physical-frequency descriptor pencil:
     {!Linalg.Hamiltonian.augment} applied to the core realisation so
     that [Z(s)] needs no variable substitution or gain post-scaling. *)
-
-val eval : realisation -> Complex.t -> Linalg.Cmat.t
-(** Evaluate the realisation at physical [s] (np×np), through
-    {!phys_pencil} — used by the cross-engine adapter test. *)
 
 type certificate =
   | Certified of string  (** Proof sketch (which matrices are PSD / Foster). *)
@@ -96,12 +95,20 @@ type certificate =
   | No_certificate of string  (** Why no structural argument applies. *)
 
 val structural_certificate : ?tol:float -> ?definite:bool -> realisation -> certificate
-(** MOD002: the engine-uniform generalisation of
-    {!Stability.passivity_certificate} (default [tol = 1e-9],
-    relative to each matrix's magnitude). [definite] overrides the
+(** MOD002's verdict (default [tol = 1e-9], relative to each
+    matrix's magnitude). [definite] overrides the
     realisation's own promise flag — {!run} passes [mna.spd] for
     PRIMA, whose congruence inherits semidefiniteness from the source
     pencil. *)
+
+val structural : realisation -> Circuit.Mna.t -> Circuit.Diagnostic.t list
+(** The stability/passivity findings, MOD002 then MOD001: the
+    structural certificate, then every finite pole of {!phys_pencil}
+    checked against the closed left half-plane. An unstable pole is an
+    [Error] when the certificate promised stability, and a violated
+    certificate on SyMPVL's definite unshifted path is an [Error] (the
+    paper's Theorem 5.1); [mna] supplies PRIMA's promise (an SPD
+    source pencil). {!run} opens with exactly these two findings. *)
 
 type report = {
   findings : Circuit.Diagnostic.t list;  (** Sorted, codes MOD001–MOD009. *)
@@ -113,22 +120,36 @@ type report = {
 
 val run :
   ?ctx:Pencil.t ->
-  ?tol:float ->
-  ?drift_points:int ->
   ?drift_band:float * float ->
   ?shift_requested:bool ->
-  ?check_bands:bool ->
   Rom.model ->
   Circuit.Mna.t ->
   report
 (** Full certification of one reduced model against its source pencil.
     [ctx] shares the factor cache with the reduction that produced the
     model (moment and drift checks then cost only triangular solves;
-    MOD009 is skipped without it). [tol] (default [1e-9]) scales the
-    stability/passivity thresholds; [drift_points] (default 4) the
-    MOD009 sample count and [drift_band] its frequency range in Hz
+    MOD009 is skipped without it). The stability/passivity thresholds
+    are relative [1e-9]; MOD009 samples 4 points of [drift_band] in Hz
     (default: two decades around the realisation's own scale);
     [shift_requested] marks an explicitly user-chosen shift (MOD008
-    severity); [check_bands:false] skips the Hamiltonian band search
-    (MOD003/MOD007). Obs: [certify.run]/[certify.hamiltonian] spans,
+    severity). Obs: [certify.run]/[certify.hamiltonian] spans,
     [certify.violation_band] counter. *)
+
+val request_order : Rom.engine -> Circuit.Mna.t -> int -> int
+(** The order a certify request reduces to: [0] means the full pencil
+    size [n] (every check then a theorem test), or 3 for AWE (its
+    documented low-order validity).
+    @raise Circuit.Diagnostic.User_error on a negative order. *)
+
+val request :
+  ctx:Pencil.t ->
+  ?shift:float ->
+  ?band:float * float ->
+  Rom.model ->
+  Circuit.Mna.t ->
+  report
+(** {!run} as [symor certify], [symor reduce --certify] and the serve
+    [certify] op all call it: [ctx] built the model, with the [shift]
+    and [band] it was asked for. The MOD009 drift band is [band], else
+    1e6–1e10 Hz for AWE; a given [shift] counts as user-chosen
+    (MOD008). *)

@@ -102,51 +102,6 @@ let check_lanczos ?(drift_tol = 1e-6) ~j ~dtol ~ctol (res : Band_lanczos.result)
   in
   (drift_diag :: tol_diags) @ (defl :: exhausted)
 
-let check_model (model : Model.t) =
-  let stable = Stability.is_stable model in
-  let max_re = Stability.max_pole_re model in
-  let stab =
-    if stable then
-      D.info "NUM005"
-        (Printf.sprintf
-           "stability certificate: all %d poles in the closed left half-plane \
-            (max Re = %.3e)"
-           (Array.length (Model.poles model))
-           max_re)
-    else if model.Model.definite && model.Model.shift = 0.0 then
-      D.error "NUM005"
-        (Printf.sprintf
-           "unstable pole (Re = %.3e) on the definite unshifted path — the \
-            structural stability theorem is violated, which indicates a \
-            numerical breakdown in the factorisation or recurrence"
-           max_re)
-    else
-      D.warning "NUM005"
-        (Printf.sprintf
-           "unstable pole(s), max Re = %.3e (indefinite or shifted expansion: \
-            no structural guarantee) — consider post-processing or a different \
-            shift"
-           max_re)
-  in
-  let pasv =
-    match Stability.passivity_certificate model with
-    | Stability.Certified ->
-      D.info "NUM006"
-        "passivity certificate: T is symmetric PSD on the J = I path — every \
-         truncation is passive"
-    | Stability.Indefinite_t x ->
-      D.warning "NUM006"
-        (Printf.sprintf
-           "passivity certificate failed: T has a negative eigenvalue (%.3e) on \
-            the definite path"
-           x)
-    | Stability.Not_applicable ->
-      D.info "NUM006"
-        "passivity: no structural certificate (indefinite J or shifted \
-         expansion); use sampled passivity checks if required"
-  in
-  [ stab; pasv ]
-
 let check_pencil ?(tol = 1e-7) ctx ~shift =
   (* backward-residual probe of the shared pencil context: solve
      K(s₀)x = b through the (cached) factorisation and measure
@@ -182,7 +137,3 @@ let check_pencil ?(tol = 1e-7) ctx ~shift =
          (Printf.sprintf "pencil factor-solve residual %.3e at shift %.3e (tol %.1e): ok"
             rel shift tol));
   ]
-
-let check_reduction ~mna ~j ~lanczos ~dtol ~ctol ~model =
-  D.sort
-    (check_mna mna @ check_lanczos ~j ~dtol ~ctol lanczos @ check_model model)

@@ -16,13 +16,13 @@
     - [NUM004] — deflation-tolerance consistency: [dtol] against the
       cluster-closing tolerance [ctol] and machine precision, plus a
       record of the deflations that occurred
-    - [NUM005] — eigenvalue-based stability certificate of [Tₙ]
-      (error when the definite unshifted path — which is provably
-      stable — still produced an unstable pole; warning otherwise)
-    - [NUM006] — passivity certificate of [Tₙ] (info when certified or
-      structurally inapplicable, warning when [T] is indefinite)
     - [NUM007] — factor-solve backward residual of the shared
       {!Pencil} context at the expansion shift (warning above [tol])
+
+    The model's stability and passivity are not re-derived here:
+    {!Certify.structural} (MOD002/MOD001) judges every engine's model
+    through one adapter, and [symor reduce --check] adds those two
+    findings to the contract findings for the exit code.
 
     Enable from the CLI with [symor reduce --check] or by setting
     [SYMOR_CHECK=1] in the environment. *)
@@ -45,22 +45,8 @@ val check_lanczos :
 (** J-orthogonality drift and tolerance consistency
     ([NUM003]/[NUM004]); [drift_tol] defaults to [1e-6]. *)
 
-val check_model : Model.t -> Circuit.Diagnostic.t list
-(** Stability and passivity certificates of [Tₙ]
-    ([NUM005]/[NUM006]). *)
-
 val check_pencil :
   ?tol:float -> Pencil.t -> shift:float -> Circuit.Diagnostic.t list
 (** Backward-residual probe of the shared pencil context ([NUM007]):
     solve [K(s₀)x = b] through the (cached) factorisation and check
     [‖K(s₀)x − b‖∞ / (‖K‖‖x‖ + ‖b‖) ≤ tol] (default [1e-7]). *)
-
-val check_reduction :
-  mna:Circuit.Mna.t ->
-  j:float array ->
-  lanczos:Band_lanczos.result ->
-  dtol:float ->
-  ctol:float ->
-  model:Model.t ->
-  Circuit.Diagnostic.t list
-(** The full contract suite, sorted errors-first. *)

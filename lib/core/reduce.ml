@@ -94,15 +94,16 @@ let checked ?opts ?ctx ~order (m : Circuit.Mna.t) =
   let opts = match opts with Some o -> o | None -> default ~order in
   let model, fac, res, ctx = mna_internal ~opts ?ctx ~order m in
   let diags =
-    Contract.check_reduction ~mna:m ~j:fac.Factor.j ~lanczos:res ~dtol:opts.dtol
-      ~ctol:opts.ctol ~model
+    Circuit.Diagnostic.sort
+      (Contract.check_mna m
+      @ Contract.check_lanczos ~j:fac.Factor.j ~dtol:opts.dtol ~ctol:opts.ctol res)
     @ Contract.check_pencil ctx ~shift:model.Model.shift
   in
   (model, diags)
 
 let netlist ?opts ~order nl = mna ?opts ~order (Circuit.Mna.auto nl)
 
-let to_accuracy ?opts ?max_order ?(points = 25) ~tol ~band (m : Circuit.Mna.t) =
+let to_accuracy ?opts ?ctx ?max_order ?(points = 25) ~tol ~band (m : Circuit.Mna.t) =
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
   let max_order =
     match max_order with Some n -> n | None -> min m.Circuit.Mna.n 200
@@ -133,7 +134,10 @@ let to_accuracy ?opts ?max_order ?(points = 25) ~tol ~band (m : Circuit.Mna.t) =
      phase runs once and every retried order reuses the cached
      factorisation at the common expansion shift *)
   let ctx =
-    Pencil.create ~ordering:(match opts with Some o -> o.ordering | None -> true) m
+    match ctx with
+    | Some c -> c
+    | None ->
+      Pencil.create ~ordering:(match opts with Some o -> o.ordering | None -> true) m
   in
   let build order =
     let base = match opts with Some o -> o | None -> default ~order in

@@ -61,9 +61,8 @@ val checked :
   Model.t * Circuit.Diagnostic.t list
 (** Like {!mna}, but additionally audits the numerical contracts the
     algorithm rests on — symmetry of [G]/[C], J-orthogonality of the
-    Lanczos basis, tolerance consistency, the stability/passivity
-    certificates of [Tₙ], and a factor-solve residual probe of the
-    shared pencil context ({!Contract.check_pencil}) — and returns
+    Lanczos basis, tolerance consistency, and a factor-solve residual
+    probe of the shared pencil context ({!Contract.check_pencil}) — and returns
     the {!Contract} findings alongside the model (used by
     [symor reduce --check] and the [SYMOR_CHECK=1] environment
     contract). *)
@@ -78,6 +77,7 @@ val scalar : ?opts:options -> order:int -> port:int -> Circuit.Mna.t -> Model.t
 
 val to_accuracy :
   ?opts:options ->
+  ?ctx:Pencil.t ->
   ?max_order:int ->
   ?points:int ->
   tol:float ->
@@ -90,4 +90,5 @@ val to_accuracy :
     convergence criterion that needs no exact solves. Returns the
     converged model and the last observed model-to-model deviation
     (an error {e estimate}, not a bound). [max_order] defaults to
-    [min(N, 200)]. *)
+    [min(N, 200)]. Every trial order shares one {!Pencil} context —
+    [ctx] when given. *)

@@ -156,7 +156,7 @@ let compute st (r : Protocol.request) =
   | Protocol.Tran ->
     with_entry st r.netlist @@ fun entry ->
     let nl = Cache.netlist entry in
-    let nodes = List.map (Circuit.Netlist.node nl) r.observe in
+    let nodes = List.map (Circuit.Netlist.find_node nl) r.observe in
     let opts = Simulate.Transient.default ~dt:r.dt ~t_stop:r.t_stop in
     let res = Simulate.Transient.run ~opts ~observe:nodes nl in
     ( [
@@ -172,24 +172,13 @@ let compute st (r : Protocol.request) =
   | Protocol.Certify ->
     with_entry st r.netlist @@ fun entry ->
     let mna = Cache.mna entry in
-    (* order 0 = auto, mirroring the CLI: the full pencil size (every
-       check a theorem test) except AWE's documented low-order validity *)
-    let order =
-      if r.order > 0 then r.order
-      else match r.engine with `Awe -> 3 | _ -> mna.Circuit.Mna.n
-    in
+    let order = Sympvl.Certify.request_order r.engine mna r.order in
     let model, cached =
       Cache.model st.cache entry ~engine:r.engine ~order ~shift:r.shift
         ~band:r.band
     in
-    let drift_band =
-      match r.band with
-      | Some b -> Some b
-      | None -> ( match r.engine with `Awe -> Some (1e6, 1e10) | _ -> None)
-    in
     let rep =
-      Sympvl.Certify.run ~ctx:(Cache.ctx entry) ?drift_band
-        ~shift_requested:(r.shift <> None) model mna
+      Sympvl.Certify.request ~ctx:(Cache.ctx entry) ?shift:r.shift ?band:r.band model mna
     in
     ( [
         ("engine", Json.Str (Sympvl.Rom.name r.engine));

@@ -162,12 +162,20 @@ let test_contract_clean_reduction () =
   let nl = Circuit.Parser.parse_string clean in
   let mna = Circuit.Mna.auto nl in
   let model, ds = Sympvl.Reduce.checked ~order:4 mna in
-  Alcotest.(check bool) "model is stable" true (Sympvl.Stability.is_stable model);
+  (* stability and passivity are Certify's findings, for every engine *)
+  let structural =
+    Sympvl.Certify.(structural (state_space (Sympvl.Rom.Sympvl_model model))) mna
+  in
+  Alcotest.(check bool) "model is stable and certified" true
+    (List.for_all (fun d -> d.D.severity = D.Info) structural);
   Alcotest.(check int) "no contract errors" 0 (D.count D.Error ds);
   let have c = List.exists (fun d -> d.D.code = c) ds in
   List.iter
     (fun c -> Alcotest.(check bool) (c ^ " reported") true (have c))
-    [ "NUM001"; "NUM002"; "NUM003"; "NUM004"; "NUM005"; "NUM006" ]
+    [ "NUM001"; "NUM002"; "NUM003"; "NUM004"; "NUM007" ];
+  List.iter
+    (fun c -> Alcotest.(check bool) (c ^ " retired") false (have c))
+    [ "NUM005"; "NUM006" ]
 
 let test_contract_symmetry_violation () =
   let g =

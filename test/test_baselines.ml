@@ -1,12 +1,14 @@
 (* Tests for the baselines and post-processing: AWE (explicit-moment
    Padé), block-Arnoldi congruence projection, pole/residue
-   stabilisation, stability/passivity module. *)
+   stabilisation, and the stability/passivity findings Certify
+   (MOD002/MOD001) reports for SyMPVL models. *)
 
 module Model = Sympvl.Model
 module Reduce = Sympvl.Reduce
 module Awe = Sympvl.Awe
 module Arnoldi = Sympvl.Arnoldi
-module Stability = Sympvl.Stability
+module Certify = Sympvl.Certify
+module D = Circuit.Diagnostic
 module Postprocess = Sympvl.Postprocess
 
 let checkf msg ~tol expected actual = Alcotest.(check (float tol)) msg expected actual
@@ -126,28 +128,39 @@ let test_arnoldi_fewer_moments_than_sympvl () =
     (e_sympvl <= e_arnoldi *. 1.5)
 
 (* ------------------------------------------------------------------ *)
-(* Stability module                                                   *)
+(* Stability and passivity through Certify                            *)
+
+let realisation model = Certify.state_space (Sympvl.Rom.Sympvl_model model)
+
+let severity_of code ds = (List.find (fun d -> d.D.code = code) ds).D.severity
 
 let test_stability_certified_rc () =
   let nl = terminated_bus () in
   let m = Circuit.Mna.assemble_rc nl in
   let model = Reduce.mna ~order:10 m in
-  Alcotest.(check bool) "stable" true (Stability.is_stable model);
-  (match Stability.passivity_certificate model with
-  | Stability.Certified -> ()
-  | Stability.Indefinite_t x -> Alcotest.failf "unexpected indefinite T: %g" x
-  | Stability.Not_applicable -> Alcotest.fail "certificate should apply");
+  let r = realisation model in
+  let ds = Certify.structural r m in
+  Alcotest.(check bool) "stable (MOD001 info)" true (severity_of "MOD001" ds = D.Info);
+  Alcotest.(check bool) "passivity certified" true
+    (match Certify.structural_certificate r with Certify.Certified _ -> true | _ -> false);
   Alcotest.(check bool) "no violation bands" true
-    (Stability.passivity_bands model = [])
+    (Linalg.Hamiltonian.violation_bands (Certify.phys_pencil r) = [])
 
+(* a shifted expansion leaves the definite unshifted path: nothing was
+   promised, so no finding can be an error, and the certify pass
+   reports the shift (MOD008) *)
 let test_stability_not_applicable_shifted () =
   let nl = Circuit.Generators.rc_line ~sections:10 () in
   let m = Circuit.Mna.assemble_rc nl in
   let opts = { (Reduce.default ~order:6) with Reduce.band = Some (1e7, 1e9) } in
   let model = Reduce.mna ~opts ~order:6 m in
   Alcotest.(check bool) "shifted" true (model.Model.shift > 0.0);
-  Alcotest.(check bool) "certificate not applicable" true
-    (Stability.passivity_certificate model = Stability.Not_applicable)
+  let r = realisation model in
+  Alcotest.(check bool) "no promise on the shifted path" false r.Certify.definite;
+  Alcotest.(check int) "no structural errors" 0 (D.count D.Error (Certify.structural r m));
+  let rep = Certify.run (Sympvl.Rom.Sympvl_model model) m in
+  Alcotest.(check bool) "MOD008 reports the shift" true
+    (List.exists (fun d -> d.D.code = "MOD008") rep.Certify.findings)
 
 let test_stability_unstable_pole_listing () =
   (* a hand-built model with one unstable pole: T with a negative
@@ -169,10 +182,16 @@ let test_stability_unstable_pole_listing () =
       exhausted = false;
     }
   in
-  Alcotest.(check bool) "not stable" false (Stability.is_stable model);
-  Alcotest.(check int) "one unstable pole" 1
-    (Array.length (Stability.unstable_poles model));
-  checkf "its location" ~tol:1.0 5e9 (Stability.unstable_poles model).(0).Complex.re
+  let m = Circuit.Mna.assemble_rc (terminated_bus ()) in
+  let ds = Certify.structural (realisation model) m in
+  (* T ⪰ 0 was promised on the definite unshifted path: Theorem 5.1 is
+     violated, an error *)
+  Alcotest.(check bool) "violated certificate" true (severity_of "MOD002" ds = D.Error);
+  let mod001 = List.find (fun d -> d.D.code = "MOD001") ds in
+  Alcotest.(check bool) "not stable" true (mod001.D.severity <> D.Info);
+  Alcotest.(check bool) "one unstable pole, at Re = 5e9" true
+    (String.starts_with ~prefix:"sympvl: 1 unstable pole(s), worst Re = 5.000e+09"
+       mod001.D.message)
 
 let test_model_eval_jw () =
   let nl = terminated_bus () in

@@ -3,14 +3,16 @@
    1. Narrow-band acceptance: a hand-built near-passive model whose
       only passivity violation is a band ~ω₀/500 wide, placed between
       the points of the legacy 16-point sampling grid. The Hamiltonian
-      test (Certify / Stability.passivity_bands) must locate the band;
+      test on the Certify pencil must locate the band;
       the deprecated grid sampler must come back empty — that is the
       whole argument for replacing it.
    2. Cross-engine adapter: every engine in Rom.all is routed through
       the one Certify.state_space adapter and the resulting descriptor
       realisation must reproduce Rom.eval on the imaginary axis.
-   3. Pin: Stability.model_pencil (the inlined SyMPVL arm) equals the
-      pencil Certify builds for the same model.
+   3. Structural findings: Certify.structural (MOD002 then MOD001, the
+      pair `symor reduce` prints for every engine) is exactly what
+      Certify.run reports under those codes, and MOD001 still sees
+      every pole of a realisation that also has a pole at DC.
    4. qcheck property: a lint-clean all-positive RC netlist reduced at
       shift 0 certifies structurally passive (MOD002) with no MOD001 /
       MOD003 complaint, for every supported engine.
@@ -22,7 +24,6 @@
 module Rom = Sympvl.Rom
 module Certify = Sympvl.Certify
 module Model = Sympvl.Model
-module Stability = Sympvl.Stability
 module H = Linalg.Hamiltonian
 module Mat = Linalg.Mat
 module D = Circuit.Diagnostic
@@ -103,9 +104,11 @@ let test_narrow_band () =
       if me < -.1e-9 *. scale then
         Alcotest.failf "legacy grid sees the violation at %g rad/s (λ = %g)" w me)
     legacy_grid;
-  (* the Hamiltonian test, through the same pencil certify uses,
-     locates it exactly *)
-  let bands = Stability.passivity_bands m in
+  (* the Hamiltonian test on the certify adapter's pencil locates it
+     exactly *)
+  let bands =
+    H.violation_bands (Certify.phys_pencil (Certify.state_space (Rom.Sympvl_model m)))
+  in
   Alcotest.(check int) "exactly one violation band" 1 (List.length bands);
   let b = List.hd bands in
   Alcotest.(check bool)
@@ -116,15 +119,7 @@ let test_narrow_band () =
     (b.H.w_hi -. b.H.w_lo < w0 /. 250.0);
   Alcotest.(check bool)
     "worst depth ≈ −1" true
-    (Float.abs (b.H.lambda_min +. 1.0) < 1e-3);
-  (* and the certify adapter reports the same band on the same model *)
-  let phys = Certify.phys_pencil (Certify.state_space (Rom.Sympvl_model m)) in
-  match H.violation_bands phys with
-  | [ b' ] ->
-    Alcotest.(check bool)
-      "certify band agrees with Stability.passivity_bands" true
-      (Float.abs (b'.H.w_worst -. b.H.w_worst) < 1e-6 *. w0)
-  | bs -> Alcotest.failf "certify found %d bands, expected 1" (List.length bs)
+    (Float.abs (b.H.lambda_min +. 1.0) < 1e-3)
 
 (* ------------------------------------------------------------------ *)
 (* 2. every engine through the one adapter                             *)
@@ -158,7 +153,7 @@ let test_adapter_all_engines () =
         (fun f ->
           let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
           let ze = Rom.eval model s in
-          let zr = Certify.eval r s in
+          let zr = H.eval (Certify.phys_pencil r) s in
           let scale = Float.max (Linalg.Cmat.max_abs ze) 1e-300 in
           let err = Linalg.Cmat.dist_max ze zr /. scale in
           if err > 1e-8 then
@@ -179,34 +174,59 @@ let test_adapter_all_engines () =
     Rom.all
 
 (* ------------------------------------------------------------------ *)
-(* 3. Stability.model_pencil ≡ the certify adapter                     *)
+(* 3. the structural pair: MOD002 then MOD001                          *)
 
-let test_pencil_pin () =
-  let check name (m : Model.t) =
-    let a = Stability.model_pencil m in
-    let b = Certify.phys_pencil (Certify.state_space (Rom.Sympvl_model m)) in
-    let eq what x y =
-      Alcotest.(check (float 0.0)) (name ^ ": " ^ what) 0.0 (Mat.dist_max x y)
+let test_structural_in_run () =
+  let check name model mna =
+    let mine = Certify.structural (Certify.state_space model) mna in
+    Alcotest.(check (list string))
+      (name ^ ": MOD002 then MOD001") [ "MOD002"; "MOD001" ]
+      (List.map (fun d -> d.D.code) mine);
+    let rep = Certify.run ~ctx:(Sympvl.Pencil.create mna) model mna in
+    let in_run =
+      List.filter (fun d -> d.D.code = "MOD001" || d.D.code = "MOD002") rep.Certify.findings
     in
-    eq "a0" a.H.a0 b.H.a0;
-    eq "a1" a.H.a1 b.H.a1;
-    eq "b" a.H.b b.H.b;
-    eq "c" a.H.c b.H.c
+    Alcotest.(check (list string))
+      (name ^ ": run reports the same pair")
+      (List.map (Format.asprintf "%a" D.pp) (D.sort mine))
+      (List.map (Format.asprintf "%a" D.pp) in_run)
   in
-  check "narrow-band model" (narrow_band_model ());
-  (match Sympvl.Reduce.mna ~order:6 (mna_of "rc_line") with
-  | m -> check "rc_line" m);
+  let rc = mna_of "rc_line" in
+  check "rc_line sympvl" (Rom.reduce ~order:6 `Sympvl rc) rc;
+  check "rc_line prima" (Rom.reduce ~order:6 `Prima rc) rc;
   (* a shifted and an s²-variable model exercise the augmentation arms *)
-  (match Sympvl.Reduce.mna ~order:4 (mna_of "rl_ladder") with
-  | m ->
-    Alcotest.(check bool) "rl_ladder model is shifted" true (m.Model.shift <> 0.0);
-    check "rl_ladder (shifted)" m);
-  match Sympvl.Reduce.mna ~order:3 (mna_of "lc_tank") with
-  | m ->
-    Alcotest.(check bool)
-      "lc_tank model is s²-variable" true
-      (m.Model.variable = Circuit.Mna.S_squared);
-    check "lc_tank (s², ×s gain)" m
+  let rl = mna_of "rl_ladder" in
+  let shifted = Rom.reduce ~order:4 `Sympvl rl in
+  Alcotest.(check bool) "rl_ladder model is shifted" true (Rom.shift shifted <> 0.0);
+  check "rl_ladder (shifted)" shifted rl;
+  let lc = mna_of "lc_tank" in
+  check "lc_tank (s², ×s gain)" (Rom.reduce ~order:3 `Sympvl lc) lc;
+  let peec = mna_of "peec_coupled" in
+  check "peec_coupled sprim" (Rom.reduce ~order:8 `Sprim peec) peec
+
+(* the package model reduced about a band shift (its G is singular, so
+   the realisation has poles at DC) has right-half-plane poles at
+   ~3e10 that MOD001 must see, and AWE's modal realisation has exactly
+   one finite pole per state *)
+let test_structural_dc_pole () =
+  let mna =
+    Circuit.Mna.assemble (Circuit.Generators.package_model ~pins:16 ~signal_pins:8 ~sections:4 ())
+  in
+  let opts = { (Rom.default ~order:80) with Rom.band = Some (1e7, 2e10) } in
+  let model = Rom.reduce ~opts ~order:80 `Sympvl mna in
+  (match model with
+  | Rom.Sympvl_model m ->
+    Alcotest.(check bool) "the model has a pole beyond Re = 1e10" true
+      (Array.exists (fun p -> p.Complex.re > 1e10) (Model.poles m))
+  | _ -> ());
+  let mod001 rom m =
+    List.find (fun d -> d.D.code = "MOD001") (Certify.structural (Certify.state_space rom) m)
+  in
+  Alcotest.(check bool) "MOD001 flags them" true ((mod001 model mna).D.severity <> D.Info);
+  let rl = mna_of "rl_ladder" in
+  Alcotest.(check string) "AWE order 4: four finite poles"
+    "awe: all 4 finite poles in the closed left half-plane"
+    (mod001 (Rom.reduce ~order:4 `Awe rl) rl).D.message
 
 (* ------------------------------------------------------------------ *)
 (* 4. property: clean RC at shift 0 certifies passive on every engine  *)
@@ -323,8 +343,12 @@ let () =
         [ Alcotest.test_case "found by Hamiltonian, missed by grid" `Quick test_narrow_band ] );
       ( "adapter",
         [ Alcotest.test_case "all engines through state_space" `Quick test_adapter_all_engines ] );
-      ( "pencil pin",
-        [ Alcotest.test_case "Stability.model_pencil = certify" `Quick test_pencil_pin ] );
+      ( "structural",
+        [
+          Alcotest.test_case "run opens with the structural pair" `Quick
+            test_structural_in_run;
+          Alcotest.test_case "poles beside a DC pole" `Quick test_structural_dc_pole;
+        ] );
       ("properties", [ Qtest.to_alcotest prop_clean_rc_certifies ]);
       ("registry", [ Alcotest.test_case "codes documented" `Quick test_registry ]);
       ("spans", [ Alcotest.test_case "one span per rule group" `Quick test_rule_spans ]);

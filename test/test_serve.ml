@@ -20,6 +20,11 @@
        cost exactly one cache miss and get identical bytes;
      - batching: two identical sweeps arriving in one tick share one
        pooled sweep (stats report the saved points);
+     - cli: one certify request gives the same findings through
+       `symor certify --json`, `symor reduce --certify` and the serve
+       certify op (and a negative order is rejected by both front
+       ends); an unknown `tran` observe name is a one-line user error
+       on the CLI and leaves the daemon's cached netlist intact;
      - lifecycle: SIGTERM drains the in-flight request (answered with
        golden-exact data) before a clean exit 0, and a long run of
        traced requests leaves the obs buffers bounded. *)
@@ -469,6 +474,101 @@ let test_trace_bounded () =
   if ev >= 8192 then
     Alcotest.failf "obs buffers grew unbounded under traced requests: %d events" ev
 
+(* ------------------------------------------------------------------ *)
+(* the CLI and the daemon over the same operations                     *)
+
+(* run the symor binary to completion: (exit code, stdout, stderr) *)
+let run_symor args =
+  let out = Filename.temp_file "symor" ".out" and err = Filename.temp_file "symor" ".err" in
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote (symor_exe :: args))
+      ^ " </dev/null >" ^ Filename.quote out ^ " 2>" ^ Filename.quote err)
+  in
+  let o = read_file out and e = read_file err in
+  List.iter Sys.remove [ out; err ];
+  (code, o, e)
+
+(* a JSON finding rendered like Diagnostic.pp prints it *)
+let render_finding j =
+  let str k = Option.value ~default:"?" (J.to_str_opt (J.member k j)) in
+  Printf.sprintf "%s %s: %s" (str "severity") (str "code") (str "message")
+
+let lines s = List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
+
+(* the findings under "certification:" in `symor reduce --certify`
+   (the safe-order hint is indented, findings are not) *)
+let rec certification_block = function
+  | [] -> Alcotest.fail "reduce --certify printed no certification: block"
+  | "certification:" :: rest -> List.filter (fun l -> l.[0] <> ' ') rest
+  | _ :: rest -> certification_block rest
+
+(* a user error on the CLI: exit 1, one line on stderr, no backtrace *)
+let check_user_error what (code, out, err) =
+  Alcotest.(check int) (what ^ ": exit 1") 1 code;
+  Alcotest.(check string) (what ^ ": nothing on stdout") "" out;
+  Alcotest.(check int) (what ^ ": one line on stderr") 1 (List.length (lines err));
+  Alcotest.(check bool) (what ^ ": no backtrace") false (contains err "Raised")
+
+let certify_request text ?(engine = "sympvl") order =
+  Printf.sprintf {|{"op":"certify","netlist":%s,"engine":%S,"order":%d}|}
+    (J.to_string (J.Str text)) engine order
+
+(* one certify request, three front ends: `symor certify --json`, the
+   certification block of `symor reduce --certify`, and the serve
+   certify op must report the same findings for every engine *)
+let test_certify_parity () =
+  with_server @@ fun (addr, _) ->
+  with_client addr @@ fun c ->
+  List.iter
+    (fun base ->
+      let path = netlist_path base in
+      let text = read_file path in
+      let mna = Circuit.Mna.auto (Circuit.Parser.parse_string text) in
+      List.iter
+        (fun eng ->
+          let name = Sympvl.Rom.name eng in
+          let what = base ^ "/" ^ name in
+          let run cmd flags = run_symor ([ cmd; path; "--engine"; name; "-n"; "8" ] @ flags) in
+          let _, json, _ = run "certify" [ "--json" ] in
+          let cli = List.map render_finding (jlist_exn (J.parse json)) in
+          let _, out, _ = run "reduce" [ "--certify" ] in
+          let resp = J.parse (request_exn c (certify_request text ~engine:name 8)) in
+          let served = List.map render_finding (jlist_exn (J.member "findings" resp)) in
+          Alcotest.(check bool) (what ^ ": certify found something") true (cli <> []);
+          Alcotest.(check (list string)) (what ^ ": reduce --certify = certify") cli
+            (certification_block (lines out));
+          Alcotest.(check (list string)) (what ^ ": serve certify = certify") cli served)
+        (List.filter (fun e -> Sympvl.Rom.supports e mna = Ok ()) Sympvl.Rom.all))
+    [ "rc_line"; "peec_coupled" ];
+  (* a negative order is rejected by both front ends *)
+  let path = netlist_path "rc_line" in
+  check_user_error "CLI certify --order=-5" (run_symor [ "certify"; path; "--order=-5" ]);
+  let resp = request_exn c (certify_request (read_file path) (-5)) in
+  Alcotest.(check (option bool)) "serve: order -5 is not ok" (Some false)
+    (jbool "ok" (J.parse resp));
+  Alcotest.(check bool) "serve: SRV004" true (contains resp "SRV004")
+
+(* an observe name the netlist does not have is a user error, and it
+   must not intern a floating node into the cached netlist *)
+let test_tran_unknown_node () =
+  let path = netlist_path "rc_line" in
+  check_user_error "CLI tran --observe nosuch"
+    (run_symor [ "tran"; path; "--observe"; "nosuch" ]);
+  with_server @@ fun (addr, _) ->
+  with_client addr @@ fun c ->
+  let nl = J.to_string (J.Str (read_file path)) in
+  let tran =
+    request_exn c (Printf.sprintf {|{"op":"tran","netlist":%s,"observe":["nosuch"]}|} nl)
+  in
+  Alcotest.(check (option bool)) "serve: tran not ok" (Some false) (jbool "ok" (J.parse tran));
+  Alcotest.(check bool) "serve: a user error (SRV007)" true (contains tran "SRV007");
+  let reduce =
+    J.parse (request_exn c (Printf.sprintf {|{"op":"reduce","netlist":%s,"order":4}|} nl))
+  in
+  Alcotest.(check (option bool)) "serve: reduce on the same netlist still works" (Some true)
+    (jbool "ok" reduce)
+
 let () =
   Alcotest.run "serve"
     [
@@ -496,6 +596,13 @@ let () =
           Alcotest.test_case "single-flight on a racing uncached netlist" `Quick
             test_single_flight;
           Alcotest.test_case "same-tick twins share one sweep" `Quick test_batching;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "certify: CLI, reduce --certify and serve agree" `Quick
+            test_certify_parity;
+          Alcotest.test_case "tran: unknown observe node is a user error" `Quick
+            test_tran_unknown_node;
         ] );
       ( "lifecycle",
         [
