@@ -994,7 +994,11 @@ let factor_bench () =
     time_rounds (fun () ->
         let fac = Sparse.Supernodal.Real.factor sym s0 in
         super_fill := Sparse.Supernodal.Real.fill fac;
-        Sympvl.Factor.of_supernodal n amd fac)
+        Sympvl.Factor.of_ldlt ~kind:`Supernodal ~perm:amd
+          ~d:(Sparse.Supernodal.Real.d fac)
+          ~solve_lower:(Sparse.Supernodal.Real.solve_lower fac)
+          ~solve_lower_t:(Sparse.Supernodal.Real.solve_lower_t fac)
+          ~solve:(Sparse.Supernodal.Real.solve fac))
   in
   Printf.printf "%-26s symbolic %6.3fs  factor %6.3fs  %d solves %6.3fs  \
                  nnz %d (%d supernodes)\n"
@@ -1013,7 +1017,11 @@ let factor_bench () =
     time_rounds (fun () ->
         let fac = Sparse.Skyline.factor_pencil_real env s0 in
         sky_fill := Sparse.Skyline.Real.fill fac;
-        Sympvl.Factor.of_skyline n rcm fac)
+        Sympvl.Factor.of_ldlt ~kind:`Skyline ~perm:rcm
+          ~d:(Sparse.Skyline.Real.d fac)
+          ~solve_lower:(Sparse.Skyline.Real.solve_lower fac)
+          ~solve_lower_t:(Sparse.Skyline.Real.solve_lower_t fac)
+          ~solve:(Sparse.Skyline.Real.solve fac))
   in
   Printf.printf "%-26s symbolic %6.3fs  factor %6.3fs  %d solves %6.3fs  \
                  envelope fill %d\n"
@@ -1081,10 +1089,8 @@ let kernels () =
       ( "package: Rom.eval (order 48)",
         fun () -> ignore (Sympvl.Rom.eval rom ws_point) );
       ("package: exact AC point", fun () -> ignore (Simulate.Ac.z_at pkg ws_point));
-      ( "package: factor G+s0C (skyline+RCM)",
-        fun () ->
-          ignore
-            (Sympvl.Factor.with_shift pkg.Circuit.Mna.g pkg.Circuit.Mna.c 1e9) );
+      ( "package: Pencil.create + factor at s0",
+        fun () -> ignore (Sympvl.Pencil.factor (Sympvl.Pencil.create pkg) ~shift:1e9) );
     ]
   in
   List.iter

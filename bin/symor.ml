@@ -125,8 +125,9 @@ let load path = Circuit.Parser.parse_file path
    exit nonzero. Only the dedicated user-facing exception types are
    caught — a bare Invalid_argument/Failure is a programming bug and
    must surface with its backtrace, not be dressed up as a user
-   error. *)
-let safely ?netlist f =
+   error. [netlist] is the command's netlist path, [shift_flags] whether
+   it takes --shift/--band. *)
+let safely ?netlist ?(shift_flags = false) f =
   try f () with
   | Circuit.Parser.Parse_error (line, msg) ->
     Printf.eprintf "symor: parse error at line %d: %s\n" line msg;
@@ -152,23 +153,32 @@ let safely ?netlist f =
       "symor: MPVL exact breakdown at step %d — perturb --shift or use --engine sympvl\n" k;
     exit 1
   | Sympvl.Factor.Singular i ->
-    (* concrete recovery: recompute the automatic eq.-26 shift for this
-       pencil so the message names a value that is known to regularise
-       it, instead of telling the user to go guess one *)
-    let hint =
+    (* name the failing unknown through the netlist's MNA assembly, and
+       suggest a shift only to a command that takes one — with the
+       automatic eq.-26 shift for this pencil, a value known to
+       regularise it, instead of telling the user to go guess one *)
+    let mna =
       match netlist with
-      | None -> "pass --band LO,HI to pick a usable expansion shift"
+      | None -> None
       | Some path -> (
-        match
-          Sympvl.Pencil.auto_shift (Circuit.Mna.auto (Circuit.Parser.parse_file path))
-        with
-        | s0 ->
-          Printf.sprintf
-            "retry with --shift %g (the automatic shift for this pencil) or --band LO,HI"
-            s0
-        | exception _ -> "pass --band LO,HI to pick a usable expansion shift")
+        match Circuit.Mna.auto (Circuit.Parser.parse_file path) with
+        | m -> Some m
+        | exception _ -> None)
     in
-    Printf.eprintf "symor: the (shifted) G matrix is singular (pivot %d) — %s\n" i hint;
+    let at =
+      match mna with
+      | Some m -> Circuit.Mna.unknown_label m i
+      | None -> Printf.sprintf "unknown %d" (i + 1)
+    in
+    let hint =
+      match mna with
+      | Some m when shift_flags ->
+        Printf.sprintf
+          " — retry with --shift %g (the automatic shift for this pencil) or --band LO,HI"
+          (Sympvl.Pencil.auto_shift m)
+      | _ -> ""
+    in
+    Printf.eprintf "symor: factoring G + sC hit a zero pivot at %s%s\n" at hint;
     exit 1
 
 let class_name nl =
@@ -339,7 +349,7 @@ let certify_cmd =
     Arg.(value & opt (some float) None & info [ "shift" ] ~docv:"S0" ~doc)
   in
   let run path engine order shift band json strict quiet jobs factor trace stats =
-   safely ~netlist:path @@ fun () ->
+   safely ~netlist:path ~shift_flags:true @@ fun () ->
     apply_jobs jobs;
     apply_factor factor;
     (* exit only after with_obs has written the trace and stats *)
@@ -522,7 +532,7 @@ let reduce_cmd =
           --certify`) runs the\nMOD001-MOD009 certification pass.\n";
        exit 0
      end);
-   safely ~netlist:path @@ fun () ->
+   safely ~netlist:path ~shift_flags:true @@ fun () ->
     setup_logs verbose;
     apply_jobs jobs;
     apply_factor factor;
@@ -714,7 +724,7 @@ let tran_cmd =
     Arg.(required & opt (some (list string)) None & info [ "observe" ] ~doc)
   in
   let run path dt tstop observe factor =
-   safely ~netlist:path @@ fun () ->
+   safely @@ fun () ->
     apply_factor factor;
     let nl = load path in
     let nodes = List.map (Circuit.Netlist.find_node nl) observe in

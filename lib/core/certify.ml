@@ -404,43 +404,6 @@ let poles_of (pen : H.pencil) =
   |> List.map (fun s -> Cx.smul ws s)
   |> Array.of_list
 
-let var_of_s variable s =
-  match variable with Circuit.Mna.S -> s | Circuit.Mna.S_squared -> Cx.(s *: s)
-
-(* exact p×p transfer function of the full MNA pencil at jω — the
-   same split-complex production kernel as Simulate.Ac, kept local
-   because lib/simulate sits above this library *)
-let exact_z ctx (mna : Circuit.Mna.t) w =
-  let s = Cx.im w in
-  let var = var_of_s mna.Circuit.Mna.variable s in
-  let n = Pencil.n ctx and p = Pencil.p ctx in
-  let port_idx = Pencil.port_idx ctx and port_val = Pencil.port_val ctx in
-  let fac = Pencil.factor_complex ctx var in
-  let z = Cmat.create p p in
-  let x_re = Array.make n 0.0 and x_im = Array.make n 0.0 in
-  for c = 0 to p - 1 do
-    Array.fill x_re 0 n 0.0;
-    Array.fill x_im 0 n 0.0;
-    let ci = port_idx.(c) and cv = port_val.(c) in
-    for k = 0 to Array.length ci - 1 do
-      x_re.(ci.(k)) <- cv.(k)
-    done;
-    Pencil.csolve_split fac x_re x_im;
-    for r = 0 to p - 1 do
-      let ri = port_idx.(r) and rv = port_val.(r) in
-      let sre = ref 0.0 and sim = ref 0.0 in
-      for k = 0 to Array.length ri - 1 do
-        let i = ri.(k) in
-        sre := !sre +. (rv.(k) *. x_re.(i));
-        sim := !sim +. (rv.(k) *. x_im.(i))
-      done;
-      Cmat.set z r c { Complex.re = !sre; im = !sim }
-    done
-  done;
-  match mna.Circuit.Mna.gain with
-  | Circuit.Mna.Unit -> z
-  | Circuit.Mna.Times_s -> Cmat.scale s z
-
 (* compare a (possibly scalar) model matrix against the exact p×p one:
    a single-port realisation of a multi-port pencil reads entry (0,0)
    — the same convention as the cross-engine golden test *)
@@ -661,7 +624,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
                  "%s: only %d of the first %d moment(s) match at s0 = %.3g \
                   (rtol %.0e) — the Pade property is not holding numerically"
                  engine !j q r.shift mom_rtol))
-     | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
+     | exception (Factor.Singular _ | Linalg.Lu.Singular _) ->
        emit
          (D.info "MOD005"
             (Printf.sprintf
@@ -687,7 +650,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
             (Printf.sprintf
                "%s: DC mismatch %.2e relative vs the exact zeroth moment at s = 0"
                engine rel))
-   | exception (Factor.Singular _ | Linalg.Lu.Singular _ | Sparse.Skyline.Singular _) ->
+   | exception (Factor.Singular _ | Linalg.Lu.Singular _) ->
      emit
        (D.info "MOD006"
           (Printf.sprintf
@@ -723,13 +686,24 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
         (* no band known: two decades around the realisation's own scale *)
         core_freq_scale r *. (10.0 ** (-2.0 +. (4.0 *. t)))
     in
-    (* a lossless (LC) pencil is exactly singular at its resonances —
-       a sample that lands on one is dropped, not an error *)
+    (* the exact Z(jω) of the full pencil, through the same kernel as
+       Simulate.Ac; a lossless (LC) pencil is exactly singular at its
+       resonances — a sample that lands on one is dropped, not an error *)
+    let exact w =
+      let s = Cx.im w in
+      let var =
+        match mna.Circuit.Mna.variable with
+        | Circuit.Mna.S -> s
+        | Circuit.Mna.S_squared -> Cx.(s *: s)
+      in
+      let z = Pencil.transfer ctx (Pencil.factor_complex ctx var) in
+      match mna.Circuit.Mna.gain with
+      | Circuit.Mna.Unit -> z
+      | Circuit.Mna.Times_s -> Cmat.scale s z
+    in
     let exacts =
       Array.init k (fun i ->
-          match exact_z ctx mna (w_of i) with
-          | z -> Some z
-          | exception Sparse.Skyline.Singular _ -> None)
+          match exact (w_of i) with z -> Some z | exception Factor.Singular _ -> None)
     in
     (* same error metric as the golden fixtures: the denominator is
        floored at 1e-3 of the sweep-wide |Z| scale, so a deep null in

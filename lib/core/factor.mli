@@ -1,7 +1,11 @@
-(** Front-end for the symmetric factorisation [G = M J Mᵀ] (paper
-    eq. (15)) with [J = diag(±1)].
+(** The symmetric factorisation [G + s₀C = M J Mᵀ] (paper eq. (15))
+    with [J = diag(±1)], as the operators SyMPVL runs on.
 
-    All returned operators act in the original coordinates; any
+    {!Pencil} is the only module that builds one from a sparse
+    backend: it plans, runs the shared symbolic phase, and falls back
+    to {!of_dense}. This module holds the result type, the backend
+    decision ({!plan}) and the wrappers that turn an [L D Lᵀ] into a
+    [t]. All returned operators act in the original coordinates; any
     internal fill-reducing permutation is hidden. Positive
     semi-definite inputs that factor cleanly give [J = I]
     ([definite = true]) — the provably stable/passive SyMPVL path. *)
@@ -19,8 +23,13 @@ type t = {
 }
 
 exception Singular of int
-(** The matrix is numerically singular — apply a frequency shift
-    (paper eq. (26)) and retry. *)
+(** [Singular row]: the factorisation broke down at [row], in the
+    {e original} (unpermuted) coordinates of the pencil — an
+    {!Circuit.Mna.unknown_label} index when the pencil came from an
+    MNA assembly. The one exception {!Pencil} lets out, raised at real
+    shifts (the matrix is singular: apply a frequency shift, paper
+    eq. (26)) and at complex points (the unpivoted sparse [L D Lᵀ] of
+    [G + sC] met a zero pivot). *)
 
 (** {1 Sparse-backend selection}
 
@@ -34,36 +43,36 @@ exception Singular of int
 
 type backend = [ `Auto | `Skyline | `Supernodal ]
 
-val backend : unit -> backend
-(** The current override ([`Auto] unless [SYMOR_FACTOR] or
-    {!set_backend} said otherwise). *)
-
 val set_backend : backend -> unit
 (** Force (or restore to [`Auto]) the sparse backend for subsequent
     factorisations — the [--factor] CLI flag. Thread-safe. *)
-
-val supernodal_threshold : int
-(** Below this unknown count [`Auto] always picks skyline. *)
 
 type plan = [ `Skyline of int array | `Supernodal of int array ]
 
 val plan : Sparse.Csr.t -> plan
 (** [plan pattern] — the backend decision plus its fill-reducing
-    permutation ({!Csr.permute_sym} convention). Under [`Auto], small
-    patterns take RCM-skyline outright; large ones compare the RCM
-    envelope against twice the AMD predicted factor nnz and take the
-    supernodal backend when the envelope loses — the same numbers
-    [symor analyze] reports. *)
+    permutation ({!Csr.permute_sym} convention). Under [`Auto],
+    patterns below 4 096 unknowns take RCM-skyline outright; larger
+    ones compare the RCM envelope against twice the AMD predicted
+    factor nnz and take the supernodal backend when the envelope
+    loses — the same numbers [symor analyze] reports. *)
 
-val of_skyline : int -> int array -> Sparse.Skyline.Real.t -> t
-(** [of_skyline n perm fac] wraps an already-computed skyline
-    factorisation of [P A Pᵀ] (rows of [perm] list old indices in new
-    order) into operators acting in the original coordinates:
-    [M = Pᵀ L √|D|], [J = sign D]. This is how {!Pencil} turns its
-    envelope-reusing numeric factorisations into [Factor.t]s. *)
+(** {1 Wrappers} *)
 
-val of_supernodal : int -> int array -> Sparse.Supernodal.Real.t -> t
-(** Same wrapping for a supernodal factorisation of [P A Pᵀ]. *)
+val of_ldlt :
+  kind:[ `Skyline | `Supernodal ] ->
+  perm:int array ->
+  d:float array ->
+  solve_lower:(Linalg.Vec.t -> Linalg.Vec.t) ->
+  solve_lower_t:(Linalg.Vec.t -> Linalg.Vec.t) ->
+  solve:(Linalg.Vec.t -> Linalg.Vec.t) ->
+  t
+(** [of_ldlt ~kind ~perm ~d ~solve_lower ~solve_lower_t ~solve] wraps
+    a sparse factorisation [P A Pᵀ = L D Lᵀ] (rows of [perm] list old
+    indices in new order; [d] the pivots; [solve_lower x = L⁻¹x],
+    [solve_lower_t x = L⁻ᵀx] and [solve x = (L D Lᵀ)⁻¹x], all in
+    permuted coordinates) into operators acting in the original
+    coordinates: [M = Pᵀ L √|D|], [J = sign D]. *)
 
 val congruent : t:(Linalg.Vec.t -> Linalg.Vec.t) -> tt:(Linalg.Vec.t -> Linalg.Vec.t) -> t -> t
 (** [congruent ~t ~tt f] turns a factorisation [f] of the congruent
@@ -71,21 +80,6 @@ val congruent : t:(Linalg.Vec.t -> Linalg.Vec.t) -> tt:(Linalg.Vec.t -> Linalg.V
     [tt x = Tᵀ x]: [M = T⁻ᵀM'] with the same [J] and [kind], so
     [M⁻¹ = M'⁻¹Tᵀ], [M⁻ᵀ = T M'⁻ᵀ] and [K⁻¹ = T K'⁻¹ Tᵀ]. *)
 
-val of_csr : ?ordering:bool -> ?pivot_tol:float -> Sparse.Csr.t -> t
-(** Sparse path: {!plan} picks the ordering and backend
-    ([ordering:false] forces identity-ordered skyline). Raises
-    {!Singular} on pivot breakdown — note that an *indefinite* matrix
-    can also break down without pivoting; use {!auto} to fall back to
-    the dense Bunch–Kaufman factorisation. *)
-
 val of_dense : Linalg.Mat.t -> t
-(** Dense Bunch–Kaufman path (any symmetric nonsingular input). *)
-
-val auto : ?ordering:bool -> Sparse.Csr.t -> t
-(** The planned sparse backend first; on breakdown, dense
-    Bunch–Kaufman (recorded as the [factor.fallback_dense] counter
-    and instant under [--stats]/[--trace]). Raises {!Singular} only
-    if both fail (then the matrix really is singular: shift). *)
-
-val with_shift : ?ordering:bool -> Sparse.Csr.t -> Sparse.Csr.t -> float -> t
-(** [with_shift g c s0] factors [G + s0·C] via {!auto}. *)
+(** Dense Bunch–Kaufman path (any symmetric nonsingular input);
+    raises {!Singular} otherwise. *)

@@ -23,6 +23,7 @@ type sky_fallback = {
 type t = {
   g : Sparse.Csr.t;
   c : Sparse.Csr.t;
+  pattern : Sparse.Csr.t; (* merged G/C pattern the plan was made on *)
   mna : Circuit.Mna.t option; (* set by [create]: labels and the general form *)
   variable : Circuit.Mna.variable;
   n : int;
@@ -42,17 +43,9 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let n t = t.n
 
-let p t = t.p
-
-let perm t = t.perm
-
-let backend_kind t = match t.backend with Sky _ -> `Skyline | Super _ -> `Supernodal
-
 let port_idx t = t.port_idx
 
 let port_val t = t.port_val
-
-let variable t = t.variable
 
 let g t = t.g
 
@@ -62,8 +55,8 @@ let c t = t.c
    < n is singular for every element value and every expansion shift
    (Matching.mli) — fail up front with a located user error instead of
    a late Factor.Singular from some shifted retry *)
-let check_structure (m : Circuit.Mna.t) =
-  let mm = Sparse.Matching.maximum (Circuit.Mna.pencil_pattern m) in
+let check_structure (m : Circuit.Mna.t) pattern =
+  let mm = Sparse.Matching.maximum pattern in
   let n = m.Circuit.Mna.n in
   if mm.Sparse.Matching.rank < n then begin
     let rows = Sparse.Matching.unmatched_rows mm in
@@ -99,14 +92,17 @@ let band_shift_var variable (f_lo, f_hi) =
 
 let band_shift (m : Circuit.Mna.t) band = band_shift_var m.Circuit.Mna.variable band
 
-let make ?(ordering = true) ?(variable = Circuit.Mna.S) ?b ?mna g c =
+(* [mna], when given, supplies the variable, the ports and the labels *)
+let make ?mna pattern g c =
+  let variable, b =
+    match mna with
+    | Some m -> (m.Circuit.Mna.variable, Some m.Circuit.Mna.b)
+    | None -> (Circuit.Mna.S, None)
+  in
   if Obs.tracing () then
     Obs.span_begin ~args:[ ("n", Obs.Int g.Sparse.Csr.rows) ] "factor.symbolic";
   let n = g.Sparse.Csr.rows in
-  let pattern = Sparse.Csr.add g c in
-  let chosen =
-    if ordering then Factor.plan pattern else `Skyline (Sparse.Rcm.identity n)
-  in
+  let chosen = Factor.plan pattern in
   let perm = match chosen with `Skyline p | `Supernodal p -> p in
   let gp = Sparse.Csr.permute_sym g perm in
   let cp = Sparse.Csr.permute_sym c perm in
@@ -138,6 +134,7 @@ let make ?(ordering = true) ?(variable = Circuit.Mna.S) ?b ?mna g c =
   {
     g;
     c;
+    pattern;
     mna;
     variable;
     n;
@@ -151,15 +148,29 @@ let make ?(ordering = true) ?(variable = Circuit.Mna.S) ?b ?mna g c =
     cache = Hashtbl.create 4;
   }
 
-let of_matrices ?ordering ?variable ?b g c = make ?ordering ?variable ?b g c
+let of_matrices g c = make (Sparse.Csr.add g c) g c
 
-let create ?ordering (m : Circuit.Mna.t) =
-  check_structure m;
-  make ?ordering ~variable:m.Circuit.Mna.variable ~b:m.Circuit.Mna.b ~mna:m
-    m.Circuit.Mna.g m.Circuit.Mna.c
+(* one merged pattern, the one [symor analyze] plans on, serves both
+   the structural pre-flight and the backend plan *)
+let create (m : Circuit.Mna.t) =
+  let pattern = Circuit.Mna.pencil_pattern m in
+  check_structure m pattern;
+  make ~mna:m pattern m.Circuit.Mna.g m.Circuit.Mna.c
 
 (* ------------------------------------------------------------------ *)
 (* real factorisations, memoized by shift                              *)
+
+let of_sky perm fac =
+  Factor.of_ldlt ~kind:`Skyline ~perm ~d:(Sparse.Skyline.Real.d fac)
+    ~solve_lower:(Sparse.Skyline.Real.solve_lower fac)
+    ~solve_lower_t:(Sparse.Skyline.Real.solve_lower_t fac)
+    ~solve:(Sparse.Skyline.Real.solve fac)
+
+let of_super perm fac =
+  Factor.of_ldlt ~kind:`Supernodal ~perm ~d:(Sparse.Supernodal.Real.d fac)
+    ~solve_lower:(Sparse.Supernodal.Real.solve_lower fac)
+    ~solve_lower_t:(Sparse.Supernodal.Real.solve_lower_t fac)
+    ~solve:(Sparse.Supernodal.Real.solve fac)
 
 let dense_shifted t s0 =
   let shifted =
@@ -175,20 +186,20 @@ let sparse_numeric ?extra t s0 =
       Obs.count "factor.count" 1;
       Obs.count "factor.nnz" (Sparse.Skyline.Real.fill sky)
     end;
-    Factor.of_skyline t.n t.perm sky
+    of_sky t.perm sky
   | Super sym ->
     let fac = Sparse.Supernodal.Real.factor ?extra sym s0 in
     if Obs.tracing () then begin
       Obs.count "factor.count" 1;
       Obs.count "factor.nnz" (Sparse.Supernodal.Real.fill fac)
     end;
-    Factor.of_supernodal t.n t.perm fac
+    of_super t.perm fac
 
 let sky_fallback t =
   match Atomic.get t.fallback with
   | Some fb -> fb
   | None ->
-    let rcm = Sparse.Rcm.order (Sparse.Csr.add t.g t.c) in
+    let rcm = Sparse.Rcm.order t.pattern in
     let gp = Sparse.Csr.permute_sym t.g rcm in
     let cp = Sparse.Csr.permute_sym t.c rcm in
     let fb =
@@ -312,7 +323,7 @@ let kkt_factor t nn =
     done;
     x
   in
-  Factor.congruent ~t:tm ~tt (Factor.of_supernodal n perm fac)
+  Factor.congruent ~t:tm ~tt (of_super perm fac)
 
 (* the planned sparse backend, RCM-skyline retry after a supernodal
    breakdown; the error is the failing row in original coordinates *)
@@ -324,7 +335,7 @@ let backend_factor t s0 =
        surrender to the dense factorisation *)
     let fb = retry_skyline t i in
     match Sparse.Skyline.factor_pencil_real fb.sf_env s0 with
-    | sky -> Ok (Factor.of_skyline t.n fb.sf_perm sky)
+    | sky -> Ok (of_sky fb.sf_perm sky)
     | exception Sparse.Skyline.Singular j -> Error fb.sf_perm.(j))
   | exception Sparse.Skyline.Singular i -> Error t.perm.(i)
 
@@ -416,7 +427,7 @@ let factor_with t ~shift ~extra =
   match sparse_numeric ~extra t shift with
   | fac -> fac
   | exception (Sparse.Skyline.Singular i | Sparse.Supernodal.Singular i) ->
-    raise (Factor.Singular i)
+    raise (Factor.Singular t.perm.(i))
 
 (* ------------------------------------------------------------------ *)
 (* complex pencil solves (AC path)                                     *)
@@ -429,15 +440,21 @@ type cfactor =
          remap from backend-permuted to fallback-permuted coordinates
          so callers keep addressing the backend permutation *)
 
-let factor_complex ?pivot_tol t s =
+(* every breakdown leaves as [Factor.Singular] at the original row *)
+let factor_complex t s =
   match t.backend with
-  | Sky env -> Csky (Sparse.Skyline.Complex_soa.factor_pencil ?pivot_tol env s)
+  | Sky env -> (
+    match Sparse.Skyline.Complex_soa.factor_pencil env s with
+    | fac -> Csky fac
+    | exception Sparse.Skyline.Singular i -> raise (Factor.Singular t.perm.(i)))
   | Super sym -> (
-    match Sparse.Supernodal.Complex_soa.factor ?pivot_tol sym s with
+    match Sparse.Supernodal.Complex_soa.factor sym s with
     | fac -> Csuper fac
-    | exception Sparse.Supernodal.Singular i ->
+    | exception Sparse.Supernodal.Singular i -> (
       let fb = retry_skyline t i in
-      Cfall (fb, Sparse.Skyline.Complex_soa.factor_pencil ?pivot_tol fb.sf_env s))
+      match Sparse.Skyline.Complex_soa.factor_pencil fb.sf_env s with
+      | fac -> Cfall (fb, fac)
+      | exception Sparse.Skyline.Singular j -> raise (Factor.Singular fb.sf_perm.(j))))
 
 let csolve_split fac b_re b_im =
   match fac with
@@ -459,14 +476,29 @@ let csolve_split fac b_re b_im =
       b_im.(s) <- bi.(k)
     done
 
-let solve_complex t s b_re b_im =
-  let fac = factor_complex t s in
-  let xr = Array.init t.n (fun i -> b_re.(t.perm.(i))) in
-  let xi = Array.init t.n (fun i -> b_im.(t.perm.(i))) in
-  csolve_split fac xr xi;
-  let o_re = Array.make t.n 0.0 and o_im = Array.make t.n 0.0 in
-  for i = 0 to t.n - 1 do
-    o_re.(t.perm.(i)) <- xr.(i);
-    o_im.(t.perm.(i)) <- xi.(i)
+(* one complex solve per port against a shared factor, gathered
+   through the sparse port patterns: X = (G + sC)⁻¹B, then BᵀX *)
+let transfer t fac =
+  let n = t.n and p = t.p in
+  let z = Linalg.Cmat.create p p in
+  let x_re = Array.make n 0.0 and x_im = Array.make n 0.0 in
+  for c = 0 to p - 1 do
+    Array.fill x_re 0 n 0.0;
+    Array.fill x_im 0 n 0.0;
+    let ci = t.port_idx.(c) and cv = t.port_val.(c) in
+    for k = 0 to Array.length ci - 1 do
+      x_re.(ci.(k)) <- cv.(k)
+    done;
+    csolve_split fac x_re x_im;
+    for r = 0 to p - 1 do
+      let ri = t.port_idx.(r) and rv = t.port_val.(r) in
+      let sre = ref 0.0 and sim = ref 0.0 in
+      for k = 0 to Array.length ri - 1 do
+        let i = ri.(k) in
+        sre := !sre +. (rv.(k) *. x_re.(i));
+        sim := !sim +. (rv.(k) *. x_im.(i))
+      done;
+      Linalg.Cmat.set z r c { Complex.re = !sre; im = !sim }
+    done
   done;
-  (o_re, o_im)
+  z

@@ -1,4 +1,5 @@
-(** Shared pencil-solve context: one symbolic phase, one shift policy.
+(** Shared pencil-solve context: one symbolic phase, one shift policy,
+    and the only front door to the sparse factor backends.
 
     Every engine in the pipeline — SyMPVL/MPVL Lanczos, PRIMA Arnoldi,
     AWE moments, exact moment checks, AC sweeps, transient integration
@@ -9,9 +10,10 @@
     - the structural pre-flight (STR001: a pattern with structural
       rank < n is singular for every element value and shift);
     - the {!Factor.plan} backend decision over the merged [G]/[C]
-      pattern: RCM ordering + skyline envelope, or AMD ordering +
-      supernodal panels ({!Sparse.Supernodal}) for large scattered
-      patterns — forced either way by [SYMOR_FACTOR] / [--factor];
+      pattern ({!Circuit.Mna.pencil_pattern}, the one [symor analyze]
+      plans on): RCM ordering + skyline envelope, or AMD ordering +
+      supernodal panels for large scattered patterns — forced either
+      way by [SYMOR_FACTOR] / [--factor];
     - the backend's shared symbolic phase (both matrices pre-scattered
       into envelope rows or panel slots), so each factorisation —
       real at any shift, or complex at any frequency — is a pure
@@ -22,43 +24,31 @@
       counters; [factor.symbolic]/[factor.numeric] spans).
 
     {!with_auto_shift} is the {e only} implementation of the paper's
-    eq. (26) singular→shift retry; [Factor.Singular] is not caught
-    anywhere else in the library. *)
+    eq. (26) singular→shift retry.
+
+    Failure contract: {!Factor.Singular} [row], with [row] in the
+    original coordinates, is the only exception that leaves this
+    module — from {!factor}, {!factor_with} and {!factor_complex}
+    alike. No backend exception escapes. *)
 
 type t
 
-val create : ?ordering:bool -> Circuit.Mna.t -> t
-(** Build the context from an assembled pencil: structural pre-flight
-    (raises {!Circuit.Diagnostic.User_error} with an [STR001] message
-    on structural singularity), backend plan + ordering of the merged
-    pattern (identity-ordered skyline when [ordering:false]), the
-    chosen symbolic phase, and the per-port sparse patterns of the
-    permuted [B]. *)
+val create : Circuit.Mna.t -> t
+(** Build the context from an assembled pencil: the merged pattern
+    (built once), structural pre-flight on it (raises
+    {!Circuit.Diagnostic.User_error} with an [STR001] message on
+    structural singularity), backend plan + ordering, the chosen
+    symbolic phase, and the per-port sparse patterns of the permuted
+    [B]. *)
 
-val of_matrices :
-  ?ordering:bool ->
-  ?variable:Circuit.Mna.variable ->
-  ?b:Linalg.Mat.t ->
-  Sparse.Csr.t ->
-  Sparse.Csr.t ->
-  t
+val of_matrices : Sparse.Csr.t -> Sparse.Csr.t -> t
 (** Context over a raw symmetric pair [(G, C)] — the transient
     engine's stamped system, say — without the MNA-level structural
-    pre-flight. [variable] (default [S]) only affects
-    {!with_auto_shift}'s band heuristic. *)
+    pre-flight, ports or unknown labels; the pencil variable is [s]. *)
 
 (** {1 Accessors} *)
 
 val n : t -> int
-
-val p : t -> int
-(** Number of ports ([0] when built without [B]). *)
-
-val perm : t -> int array
-(** Fill-reducing permutation: new index → old index. *)
-
-val backend_kind : t -> [ `Skyline | `Supernodal ]
-(** Which sparse backend's symbolic phase this context carries. *)
 
 val port_idx : t -> int array array
 (** Per port, the permuted rows carrying a nonzero of [B] (ascending).
@@ -66,8 +56,6 @@ val port_idx : t -> int array array
 
 val port_val : t -> float array array
 (** The matching [B] entries. Do not mutate. *)
-
-val variable : t -> Circuit.Mna.variable
 
 val g : t -> Sparse.Csr.t
 (** The original (unpermuted) [G]. *)
@@ -126,7 +114,8 @@ val factor_with :
     before factoring — the transient engine's Newton-Jacobian stamps.
     Never cached. Positions must have been declared with {!reserve}
     unless they fall inside the symbolic pattern already. Sparse
-    backends only: raises {!Factor.Singular} on breakdown. *)
+    backends only: raises {!Factor.Singular} at the original row on
+    breakdown. *)
 
 val reserve : t -> (int * int) array -> unit
 (** Grow the shared symbolic phase so the given (original-coordinate)
@@ -143,19 +132,21 @@ type cfactor
     skyline or supernodal split-complex, matching the context's
     backend. *)
 
-val factor_complex : ?pivot_tol:float -> t -> Complex.t -> cfactor
+val factor_complex : t -> Complex.t -> cfactor
 (** Numeric phase of [G + sC] at a complex point against the shared
-    symbolic phase — the split-complex AC production kernel. The
-    returned factor lives in {e permuted} coordinates; combine with
-    {!perm} / {!port_idx} and {!csolve_split} (as [Simulate.Ac]
-    does) or use {!solve_complex}. *)
+    symbolic phase — the split-complex AC production kernel. A
+    supernodal breakdown retries once on an RCM-ordered skyline
+    envelope; a breakdown there (or on a skyline context) raises
+    {!Factor.Singular} at the original row. The returned factor lives
+    in {e permuted} coordinates; address it through {!port_idx} and
+    {!csolve_split}, or use {!transfer}. *)
 
 val csolve_split : cfactor -> float array -> float array -> unit
 (** [csolve_split fac re im] solves [(G + sC) x = b] in place on the
     split (permuted-coordinate) right-hand side. *)
 
-val solve_complex :
-  t -> Complex.t -> float array -> float array -> float array * float array
-(** [solve_complex t s b_re b_im] solves [(G + sC) x = b] in original
-    coordinates, returning [(x_re, x_im)]. One factorisation per call
-    — for repeated solves at one frequency, use {!factor_complex}. *)
+val transfer : t -> cfactor -> Linalg.Cmat.t
+(** [transfer t fac] — the [p×p] port matrix [Bᵀ(G + sC)⁻¹B] from a
+    factor of [t]: one {!csolve_split} per port, gathered through the
+    sparse port patterns. The exact-Z kernel behind [Simulate.Ac] and
+    {!Certify}'s drift check; the caller applies the MNA gain. *)

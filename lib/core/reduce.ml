@@ -5,7 +5,6 @@ type options = {
   dtol : float;
   ctol : float;
   full_ortho : bool;
-  ordering : bool;
 }
 
 let default ~order =
@@ -16,7 +15,6 @@ let default ~order =
     dtol = 1e-8;
     ctol = 1e-10;
     full_ortho = true;
-    ordering = true;
   }
 
 let band_shift = Pencil.band_shift
@@ -79,9 +77,7 @@ let run_with_factor (m : Circuit.Mna.t) opts shift fac =
 let mna_internal ?opts ?ctx ~order (m : Circuit.Mna.t) =
   let opts = match opts with Some o -> o | None -> default ~order in
   Obs.with_span "reduce.mna" @@ fun () ->
-  let ctx =
-    match ctx with Some c -> c | None -> Pencil.create ~ordering:opts.ordering m
-  in
+  let ctx = match ctx with Some c -> c | None -> Pencil.create m in
   Pencil.with_auto_shift ?shift:opts.shift ?band:opts.band ctx (fun s0 fac ->
       let model, fac, res = run_with_factor m opts s0 fac in
       (model, fac, res, ctx))
@@ -133,12 +129,7 @@ let to_accuracy ?opts ?ctx ?max_order ?(points = 25) ~tol ~band (m : Circuit.Mna
   (* one shared context across the whole escalation: the symbolic
      phase runs once and every retried order reuses the cached
      factorisation at the common expansion shift *)
-  let ctx =
-    match ctx with
-    | Some c -> c
-    | None ->
-      Pencil.create ~ordering:(match opts with Some o -> o.ordering | None -> true) m
-  in
+  let ctx = match ctx with Some c -> c | None -> Pencil.create m in
   let build order =
     let base = match opts with Some o -> o | None -> default ~order in
     let o = { base with order; band = Some band } in

@@ -21,7 +21,6 @@ type options = {
   dtol : float;  (** Deflation tolerance (see {!Band_lanczos.run}). *)
   ctol : float;  (** Cluster-closing tolerance. *)
   full_ortho : bool;  (** Full re-J-orthogonalisation (default true). *)
-  ordering : bool;  (** RCM pre-ordering of the sparse factor. *)
 }
 
 val default : order:int -> options

@@ -7,7 +7,6 @@ type options = {
   dtol : float;
   ctol : float;
   full_ortho : bool;
-  ordering : bool;
   port : int;
 }
 
@@ -19,7 +18,6 @@ let default ~order =
     dtol = 1e-8;
     ctol = 1e-10;
     full_ortho = true;
-    ordering = true;
     port = 0;
   }
 
@@ -154,7 +152,6 @@ let reduce ?ctx ?opts ~order engine (m : Circuit.Mna.t) =
         dtol = o.dtol;
         ctol = o.ctol;
         full_ortho = o.full_ortho;
-        ordering = o.ordering;
       }
     in
     Sympvl_model (Reduce.mna ~opts:ropts ?ctx ~order:o.order m)
@@ -169,9 +166,7 @@ let reduce ?ctx ?opts ~order engine (m : Circuit.Mna.t) =
     (* shift resolution (including the singular-G retry) goes through
        the one policy in Pencil; the factorisation it computes stays in
        the shared cache, so Awe's moment recurrence reuses it *)
-    let ctx =
-      match ctx with Some c -> c | None -> Pencil.create ~ordering:o.ordering m
-    in
+    let ctx = match ctx with Some c -> c | None -> Pencil.create m in
     Awe_model
       (Pencil.with_auto_shift ?shift:o.shift ?band:o.band ctx (fun s0 _fac ->
            Awe.build ~ctx ~shift:s0 ~order:o.order ~port:o.port m))

@@ -21,12 +21,11 @@ type options = {
   dtol : float;  (** Deflation tolerance (Lanczos engines). *)
   ctol : float;  (** Definiteness check tolerance (SyMPVL). *)
   full_ortho : bool;  (** Full re-orthogonalisation (SyMPVL). *)
-  ordering : bool;  (** RCM fill-reducing ordering in the shared context. *)
   port : int;  (** Port column driven by scalar engines (AWE). *)
 }
 
 val default : order:int -> options
-(** The library defaults: no shift, RCM on, [dtol = 1e-8],
+(** The library defaults: no shift, [dtol = 1e-8],
     [ctol = 1e-10], full re-orthogonalisation, port 0. *)
 
 val all : engine list

@@ -231,17 +231,8 @@ let parse line =
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
-let diag_to_json (d : Diagnostic.t) =
-  Json.Obj
-    [
-      ("code", Json.Str d.Diagnostic.code);
-      ("severity", Json.Str (Diagnostic.severity_to_string d.Diagnostic.severity));
-      ("message", Json.Str d.Diagnostic.message);
-      ( "line",
-        match d.Diagnostic.line with
-        | Some l -> Json.Num (float_of_int l)
-        | None -> Json.Null );
-    ]
+(* the one JSON rendering of a finding, shared with `symor lint --json` *)
+let diag_to_json d = Json.Raw (Diagnostic.to_json d)
 
 let status_of findings = Diagnostic.exit_code ~strict:false findings
 

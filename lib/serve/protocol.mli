@@ -59,6 +59,7 @@ val parse : string -> (request, Json.t * Circuit.Diagnostic.t list) result
 (** {1 Responses} *)
 
 val diag_to_json : Circuit.Diagnostic.t -> Json.t
+(** {!Circuit.Diagnostic.to_json}, embedded verbatim. *)
 
 val error_response : id:Json.t -> Circuit.Diagnostic.t list -> string
 (** [{"id":…,"ok":false,"status":2,"findings":[…]}] — one line, no

@@ -37,8 +37,9 @@ type state = {
 
 (* the same user-level exception surface the CLI's [safely] enumerates,
    rendered as findings instead of stderr lines; anything else is an
-   internal error (SRV008) except the truly fatal trio *)
-let user_diag = function
+   internal error (SRV008) except the truly fatal trio. [mna] names a
+   zero pivot's unknown; [op] decides whether a shift can be suggested *)
+let user_diag ?mna (op : Protocol.op) = function
   | Circuit.Parser.Parse_error (line, msg) ->
     Some (Diagnostic.error ~line "SRV007" (Printf.sprintf "parse error: %s" msg))
   | Diagnostic.User_error msg -> Some (Diagnostic.error "SRV007" msg)
@@ -57,23 +58,30 @@ let user_diag = function
              \"sympvl\""
             k))
   | Sympvl.Factor.Singular i ->
+    let at =
+      match mna with
+      | Some m -> Circuit.Mna.unknown_label m i
+      | None -> Printf.sprintf "unknown %d" (i + 1)
+    in
+    let hint =
+      match op with
+      | Protocol.Reduce | Protocol.Certify -> " — pass \"shift\" or \"band\""
+      | _ -> ""
+    in
     Some
       (Diagnostic.error "SRV007"
-         (Printf.sprintf
-            "the (shifted) G matrix is singular (pivot %d) — pass \"shift\" or \
-             \"band\""
-            i))
+         (Printf.sprintf "factoring G + sC hit a zero pivot at %s%s" at hint))
   | Simulate.Transient.Convergence_failure t ->
     Some
       (Diagnostic.error "SRV007"
          (Printf.sprintf "transient Newton failed to converge at t = %g s" t))
   | _ -> None
 
-let guard ~id f =
+let guard ~id ~op f =
   try f () with
   | (Out_of_memory | Stack_overflow | San.Violation _) as e -> raise e
   | e -> (
-    match user_diag e with
+    match user_diag op e with
     | Some d -> Protocol.error_response ~id [ d ]
     | None ->
       Protocol.error_response ~id
@@ -203,7 +211,7 @@ let handle_single st (r : Protocol.request) =
   let t0 = Obs.now () in
   let m = Obs.mark () in
   let resp =
-    guard ~id:r.Protocol.id @@ fun () ->
+    guard ~id:r.Protocol.id ~op:r.Protocol.op @@ fun () ->
     if Obs.tracing () then Obs.span_begin "serve.request";
     let fields, findings =
       Fun.protect
@@ -226,6 +234,8 @@ let handle_group st (items : (int * Protocol.request) list) =
   let t0 = Obs.now () in
   let m = Obs.mark () in
   let ids = List.map (fun (i, r) -> (i, r.Protocol.id)) items in
+  let _, r0 = List.hd items in
+  let group_mna = ref None in
   let result =
     try
       if Obs.tracing () then Obs.span_begin "serve.request";
@@ -233,9 +243,9 @@ let handle_group st (items : (int * Protocol.request) list) =
         Fun.protect
           ~finally:(fun () -> if Obs.tracing () then Obs.span_end ())
           (fun () ->
-          let _, r0 = List.hd items in
           with_entry st r0.Protocol.netlist @@ fun entry ->
           let mna = Cache.mna entry in
+          group_mna := Some mna;
           let ws = Cache.ctx entry in
           let hits = ref 0 and fresh_total = ref 0 in
           let seen = Hashtbl.create 64 in
@@ -314,7 +324,7 @@ let handle_group st (items : (int * Protocol.request) list) =
     | (Out_of_memory | Stack_overflow | San.Violation _) as e -> raise e
     | e ->
       let d =
-        match user_diag e with
+        match user_diag ?mna:!group_mna r0.Protocol.op e with
         | Some d -> d
         | None ->
           Diagnostic.error "SRV008"

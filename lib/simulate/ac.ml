@@ -5,11 +5,10 @@ type sweep = {
 }
 
 (* The reusable symbolic phase is the shared pencil context
-   (Sympvl.Pencil): RCM ordering of the merged pattern, envelope with
-   pre-scattered G/C rows, and per-port sparse patterns of the
-   permuted B — used both to build the right-hand side and for the
-   BᵀX dot products. The sweep below runs the split-complex numeric
-   kernel against it at each frequency. *)
+   (Sympvl.Pencil): the planned backend's ordering and symbolic phase
+   over the merged pattern, and per-port sparse patterns of the
+   permuted B. Each frequency point is one split-complex numeric
+   factor plus Pencil.transfer's per-port solves and BᵀX gathers. *)
 type workspace = Sympvl.Pencil.t
 
 let workspace (m : Circuit.Mna.t) =
@@ -28,31 +27,9 @@ let z_at_ws (m : Circuit.Mna.t) ws s =
     | Circuit.Mna.S -> s
     | Circuit.Mna.S_squared -> Linalg.Cx.(s *: s)
   in
-  let n = Sympvl.Pencil.n ws and p = Sympvl.Pencil.p ws in
-  let port_idx = Sympvl.Pencil.port_idx ws and port_val = Sympvl.Pencil.port_val ws in
   let fac = Sympvl.Pencil.factor_complex ws var in
-  let z = Linalg.Cmat.create p p in
-  let x_re = Array.make n 0.0 and x_im = Array.make n 0.0 in
   if traced then Obs.span_begin "ac.solve";
-  for c = 0 to p - 1 do
-    Array.fill x_re 0 n 0.0;
-    Array.fill x_im 0 n 0.0;
-    let ci = port_idx.(c) and cv = port_val.(c) in
-    for k = 0 to Array.length ci - 1 do
-      x_re.(ci.(k)) <- cv.(k)
-    done;
-    Sympvl.Pencil.csolve_split fac x_re x_im;
-    for r = 0 to p - 1 do
-      let ri = port_idx.(r) and rv = port_val.(r) in
-      let sre = ref 0.0 and sim = ref 0.0 in
-      for k = 0 to Array.length ri - 1 do
-        let i = ri.(k) in
-        sre := !sre +. (rv.(k) *. x_re.(i));
-        sim := !sim +. (rv.(k) *. x_im.(i))
-      done;
-      Linalg.Cmat.set z r c { Complex.re = !sre; im = !sim }
-    done
-  done;
+  let z = Sympvl.Pencil.transfer ws fac in
   if traced then Obs.span_end ();
   let z =
     match m.Circuit.Mna.gain with

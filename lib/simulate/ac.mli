@@ -5,10 +5,11 @@
     [(G + var·C)] at each frequency point — the "exact analysis"
     reference curves of the paper's Figures 2–4.
 
-    The sweep is split into a one-time symbolic phase (RCM ordering,
-    merged envelope, G/C pre-scatter, per-port sparse B patterns) and
-    a per-frequency numeric phase running the split-complex (SoA)
-    skyline kernel; frequency points are distributed over the shared
+    The sweep is split into a one-time symbolic phase (the shared
+    {!Sympvl.Pencil} context: backend plan, ordering, G/C
+    pre-scatter, per-port sparse B patterns) and a per-frequency
+    numeric phase running the split-complex (SoA) kernel of the
+    planned backend; frequency points are distributed over the shared
     {!Parallel} pool. Every point is independent, so the sweep output
     is bitwise identical to a sequential run at any job count. *)
 
@@ -20,7 +21,7 @@ type sweep = {
 
 type workspace = Sympvl.Pencil.t
 (** Reusable symbolic phase of the sweep — the shared pencil context
-    (RCM ordering, merged envelope with pre-scattered G/C rows,
+    (backend plan and ordering, symbolic phase with pre-scattered G/C,
     per-port sparse B patterns). Build once with {!workspace}; each
     {!z_at_ws} call is then a pure numeric factor + solve. Because it
     {e is} a {!Sympvl.Pencil.t}, the same context can be handed to
@@ -30,7 +31,11 @@ type workspace = Sympvl.Pencil.t
 val workspace : Circuit.Mna.t -> workspace
 
 val z_at_ws : Circuit.Mna.t -> workspace -> Complex.t -> Linalg.Cmat.t
-(** [z_at_ws m ws s] — {!z_at} against a precomputed symbolic phase. *)
+(** [z_at_ws m ws s] — {!z_at} against a precomputed symbolic phase:
+    {!Sympvl.Pencil.factor_complex} then {!Sympvl.Pencil.transfer},
+    timed as the [ac.point]/[ac.solve] spans and counted in
+    [ac.points]. Raises {!Sympvl.Factor.Singular} (original row) when
+    the unpivoted factor of [G + sC] breaks down at [s]. *)
 
 val z_at : Circuit.Mna.t -> Complex.t -> Linalg.Cmat.t
 (** [z_at m s] evaluates the exact [Z(s)] at one physical complex

@@ -223,7 +223,7 @@ let add_nonlinear_currents sys x q =
 type backend_state =
   | Dense_backend of Linalg.Mat.t (* dense A without nonlinear part *)
   | Skyline_backend of Sympvl.Pencil.t
-    (* shared pencil context over (G, C): RCM ordering and envelope
+    (* shared pencil context over (G, C): the planned ordering and
        symbolic phase run once; every Newton refactorisation is a pure
        numeric phase at shift γ with the Jacobian stamps as extras *)
 

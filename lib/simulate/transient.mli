@@ -8,7 +8,7 @@
     paper: this is the "stamped directly into the Jacobian" usage).
 
     Linear symmetric circuits use the shared pencil context
-    ({!Sympvl.Pencil}) as the sparse skyline backend with one
+    ({!Sympvl.Pencil}) as the sparse backend with one
     factorisation for the whole run; circuits with reduced stamps or
     controlled sources use dense LU. *)
 

@@ -12,7 +12,9 @@
    3. qcheck properties: a Pencil.factor cache hit is bitwise
       identical to a cold factorisation of a fresh context at the same
       shift, and Moments.exact through a shared context is bitwise
-      identical to the from-scratch path. *)
+      identical to the from-scratch path.
+   4. Failure contract: a breakdown leaves Pencil as Factor.Singular at
+      the original (unpermuted) row, also from factor_with. *)
 
 module Rom = Sympvl.Rom
 module Pencil = Sympvl.Pencil
@@ -189,6 +191,37 @@ let prop_moments_shared_ctx =
           !ok)
         shared scratch)
 
+(* a conductance chain numbered out of order, so the planned ordering
+   is not the identity; a Jacobian stamp cancels the diagonal of the
+   first eliminated unknown, whose pivot is then exactly zero *)
+let test_factor_with_original_row () =
+  let chain = [| 3; 0; 5; 1; 4; 2 |] in
+  let n = Array.length chain in
+  let tr = Sparse.Triplet.create n n in
+  for i = 0 to n - 1 do
+    Sparse.Triplet.add tr i i 1.0
+  done;
+  for k = 0 to n - 2 do
+    let a = chain.(k) and b = chain.(k + 1) in
+    Sparse.Triplet.add tr a a 2.0;
+    Sparse.Triplet.add tr b b 2.0;
+    Sparse.Triplet.add tr a b (-2.0);
+    Sparse.Triplet.add tr b a (-2.0)
+  done;
+  let g = Sparse.Csr.of_triplet tr and c = Sparse.Csr.identity n in
+  let perm =
+    match Sympvl.Factor.plan (Sparse.Csr.add g c) with `Skyline p | `Supernodal p -> p
+  in
+  let first = perm.(0) in
+  Alcotest.(check bool) "first eliminated unknown is not row 0" true (first <> 0);
+  let ctx = Pencil.of_matrices g c in
+  Pencil.reserve ctx [| (first, first) |];
+  let stamp = [| (first, first, -.Sparse.Csr.get g first first) |] in
+  match Pencil.factor_with ctx ~shift:0.0 ~extra:stamp with
+  | _ -> Alcotest.fail "a zero pivot must raise Factor.Singular"
+  | exception Sympvl.Factor.Singular row ->
+    Alcotest.(check int) "Singular names the original row" first row
+
 let () =
   Alcotest.run "engines"
     [
@@ -199,4 +232,9 @@ let () =
           names );
       ( "pencil cache properties",
         List.map Qtest.to_alcotest [ prop_cache_hit_bitwise; prop_moments_shared_ctx ] );
+      ( "pencil failure contract",
+        [
+          Alcotest.test_case "factor_with reports the original row" `Quick
+            test_factor_with_original_row;
+        ] );
     ]

@@ -107,17 +107,20 @@ let test_failure_order_exceeds_dimension () =
     (Linalg.Cmat.dist_max ze (Model.eval model s) /. Linalg.Cmat.max_abs ze)
 
 let test_failure_skyline_fallback () =
-  (* a matrix whose natural ordering makes the unpivoted skyline break
-     down (zero leading pivot) but which is perfectly factorable by
-     the dense Bunch–Kaufman fallback *)
+  (* a matrix with a zero leading pivot under every ordering: the
+     unpivoted sparse factor breaks down (factor_with has no fallback
+     and reports the row), and Pencil.factor recovers through the dense
+     Bunch–Kaufman fallback *)
   let m = Linalg.Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
   let csr = Sparse.Csr.of_dense m in
-  Alcotest.(check bool) "skyline path raises" true
+  let no_c = Sparse.Csr.of_triplet (Sparse.Triplet.create 2 2) in
+  let ctx = Sympvl.Pencil.of_matrices csr no_c in
+  Alcotest.(check bool) "sparse path raises" true
     (try
-       ignore (Sympvl.Factor.of_csr ~ordering:false csr);
+       ignore (Sympvl.Pencil.factor_with ctx ~shift:0.0 ~extra:[||]);
        false
      with Sympvl.Factor.Singular _ -> true);
-  let f = Sympvl.Factor.auto ~ordering:false csr in
+  let f = Sympvl.Pencil.factor ctx ~shift:0.0 in
   Alcotest.(check bool) "fallback is dense" true (f.Sympvl.Factor.kind = `Dense);
   let x = f.Sympvl.Factor.solve [| 1.0; 2.0 |] in
   checkf "solve via fallback x0" ~tol:1e-12 2.0 x.(0);

@@ -8,6 +8,9 @@
        eviction under the entry bound, deferred eviction of a pinned
        (in-use) pencil context, the doomed-ghost re-request path, model
        memoisation, and exact bit-pattern point keying;
+     - a finding renders to the same bytes through Protocol as the
+       field-by-field Json rendering (quote, backslash, newline and
+       control characters in the message, integer and null line);
      - protocol fuzz (qcheck, seeded through Qtest for replay):
        arbitrary junk bytes and semantically-bad requests each get one
        JSON error response with stable SRV* codes, the connection stays
@@ -24,7 +27,9 @@
        `symor certify --json`, `symor reduce --certify` and the serve
        certify op (and a negative order is rejected by both front
        ends); an unknown `tran` observe name is a one-line user error
-       on the CLI and leaves the daemon's cached netlist intact;
+       on the CLI and leaves the daemon's cached netlist intact; a
+       zero pivot in an exact jω factor is a one-line user error
+       naming the unknown on the CLI and an SRV007 finding in serve;
      - lifecycle: SIGTERM drains the in-flight request (answered with
        golden-exact data) before a clean exit 0, and a long run of
        traced requests leaves the obs buffers bounded. *)
@@ -135,6 +140,30 @@ let check_ping c =
   if jbool "pong" j <> Some true then Alcotest.fail "ping: no pong";
   if J.to_int_opt (J.member "id" j) <> Some id then
     Alcotest.fail "ping: wrong id echoed (response misalignment)"
+
+(* ------------------------------------------------------------------ *)
+(* finding rendering                                                   *)
+
+let test_finding_json () =
+  let message = "a \"quoted\" C:\\path\nnext line\ttab\r\001\031 end" in
+  List.iter
+    (fun line ->
+      let d =
+        Circuit.Diagnostic.make ?line ~code:"SRV007" ~severity:Circuit.Diagnostic.Error
+          message
+      in
+      let by_field =
+        J.Obj
+          [
+            ("code", J.Str "SRV007");
+            ("severity", J.Str "error");
+            ("message", J.Str message);
+            ("line", match line with Some l -> J.Num (float_of_int l) | None -> J.Null);
+          ]
+      in
+      Alcotest.(check string) "same bytes" (J.to_string by_field)
+        (J.to_string (Serve.Protocol.diag_to_json d)))
+    [ Some 12; None ]
 
 (* ------------------------------------------------------------------ *)
 (* cache units (in-process, no daemon)                                 *)
@@ -569,9 +598,48 @@ let test_tran_unknown_node () =
   Alcotest.(check (option bool)) "serve: reduce on the same netlist still works" (Some true)
     (jbool "ok" reduce)
 
+(* a PEEC conductor pair whose exact jω factor meets a zero pivot
+   under the unpivoted sparse LDLᵀ: a user error naming the unknown,
+   with no hint at --shift/--band (ac and sparams take neither), and
+   the daemon answers SRV007 and keeps serving *)
+let test_jw_pivot_breakdown () =
+  let text =
+    Circuit.Parser.to_string (Circuit.Generators.peec_partial ~conductors:2 ~segments:4 ())
+  in
+  let path = Filename.temp_file "peec_partial" ".cir" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  List.iter
+    (fun cmd ->
+      let what = "CLI " ^ cmd in
+      let ((_, _, err) as run) = run_symor [ cmd; path; "--points"; "3" ] in
+      check_user_error what run;
+      Alcotest.(check bool) (what ^ ": names the zero pivot") true
+        (contains err "zero pivot at");
+      Alcotest.(check bool) (what ^ ": names the unknown") true (contains err "unknown");
+      Alcotest.(check bool) (what ^ ": no flag the command lacks") false
+        (contains err "--shift" || contains err "--band"))
+    [ "ac"; "sparams" ];
+  with_server @@ fun (addr, _) ->
+  with_client addr @@ fun c ->
+  let resp =
+    request_exn c
+      (Printf.sprintf {|{"op":"ac","netlist":%s,"points":3}|} (J.to_string (J.Str text)))
+  in
+  Alcotest.(check (option bool)) "serve: ac not ok" (Some false) (jbool "ok" (J.parse resp));
+  Alcotest.(check bool) "serve: a user error (SRV007)" true (contains resp "SRV007");
+  Alcotest.(check bool) "serve: no internal error" false (contains resp "SRV008");
+  Alcotest.(check bool) "serve: no field the op lacks" false
+    (contains resp "shift" || contains resp "band");
+  check_ping c
+
 let () =
   Alcotest.run "serve"
     [
+      ( "protocol",
+        [ Alcotest.test_case "finding JSON: one rendering" `Quick test_finding_json ] );
       ( "cache",
         [
           Alcotest.test_case "content-hash keying" `Quick test_cache_keying;
@@ -603,6 +671,8 @@ let () =
             test_certify_parity;
           Alcotest.test_case "tran: unknown observe node is a user error" `Quick
             test_tran_unknown_node;
+          Alcotest.test_case "ac: a jw zero pivot is a user error" `Quick
+            test_jw_pivot_breakdown;
         ] );
       ( "lifecycle",
         [

@@ -1,5 +1,5 @@
 (* Fixtures for the source lint: one firing fixture per rule
-   SRC001-SRC012, the matching negative (allowed) case, suppression
+   SRC001-SRC013, the matching negative (allowed) case, suppression
    attributes, and the SRC006 interface check against a scratch tree. *)
 
 module D = Circuit.Diagnostic
@@ -126,6 +126,25 @@ let test_src012_shared_state () =
   check_clean "no domains, no rule" "SRC012"
     "let state = ref 0\nlet bump () = state := !state + 1"
 
+let test_src013_backend_refs () =
+  check_fires "backend value" "SRC013"
+    "let f env s = Sparse.Skyline.Complex_soa.factor_pencil env s";
+  check_fires "backend exception pattern" "SRC013"
+    "let f g = try g () with Sparse.Skyline.Singular _ -> None";
+  check_fires "backend exception raised" "SRC013"
+    "let f i = raise (Sparse.Supernodal.Singular i)";
+  check_fires "backend type" "SRC013" "type t = { s : Sparse.Supernodal.symbolic }";
+  check_fires "backend module alias" "SRC013" "module S = Sparse.Skyline";
+  check_fires "the CLI too" ~path:"bin/symor.ml" "SRC013"
+    "let k = Sparse.Skyline.Real.fill f";
+  check_clean "through the front door" "SRC013"
+    "let f ctx s = Sympvl.Pencil.factor_complex ctx s";
+  check_clean "other sparse modules" "SRC013" "let p = Sparse.Rcm.order a";
+  List.iter
+    (fun path ->
+      check_clean ("owner " ^ path) ~path "SRC013" "let x = Sparse.Skyline.Real.d f")
+    [ "lib/sparse/skyline.ml"; "lib/core/pencil.ml"; "lib/core/factor.ml"; "bench/main.ml" ]
+
 let test_suppression () =
   check_clean "expression attribute" "SRC003"
     "let xs = List.sort (compare [@srclint.allow \"SRC003\"]) ys";
@@ -187,6 +206,7 @@ let () =
           Alcotest.test_case "SRC010 spawn" `Quick test_src010_spawn;
           Alcotest.test_case "SRC011 getenv" `Quick test_src011_getenv;
           Alcotest.test_case "SRC012 shared state" `Quick test_src012_shared_state;
+          Alcotest.test_case "SRC013 backend refs" `Quick test_src013_backend_refs;
         ] );
       ( "meta",
         [

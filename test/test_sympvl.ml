@@ -1,7 +1,8 @@
-(* Tests for the SyMPVL core: factorisation front-end, band Lanczos
+(* Tests for the SyMPVL core: the factor behind Pencil, band Lanczos
    invariants, matrix-Padé moment matching, stability/passivity. *)
 
 module Factor = Sympvl.Factor
+module Pencil = Sympvl.Pencil
 module Band_lanczos = Sympvl.Band_lanczos
 module Model = Sympvl.Model
 module Reduce = Sympvl.Reduce
@@ -26,13 +27,15 @@ let z_exact (m : Circuit.Mna.t) s =
   | Circuit.Mna.Times_s -> Linalg.Cmat.scale s z
 
 (* ------------------------------------------------------------------ *)
-(* Factor front-end                                                   *)
+(* Factor front-end: G = M J Mᵀ through the one door, Pencil.factor   *)
+
+let factor_g m = Pencil.factor (Pencil.create m) ~shift:0.0
 
 let test_factor_spd_definite () =
   (* random_rc always has a resistive path to ground: G is PD *)
   let nl = Circuit.Generators.random_rc ~nodes:20 ~extra_edges:15 ~seed:11 () in
   let m = Circuit.Mna.assemble_rc nl in
-  let f = Factor.auto m.Circuit.Mna.g in
+  let f = factor_g m in
   Alcotest.(check bool) "definite" true f.Factor.definite;
   (* M J Mᵀ x = G x for random x, via solve: G(G⁻¹b) = b *)
   let b = Linalg.Vec.init f.Factor.n (fun i -> sin (float_of_int i)) in
@@ -43,7 +46,7 @@ let test_factor_spd_definite () =
 let test_factor_indefinite_rlc () =
   let nl = Circuit.Generators.rlc_line ~r_load:50.0 ~sections:5 () in
   let m = Circuit.Mna.assemble nl in
-  let f = Factor.auto m.Circuit.Mna.g in
+  let f = factor_g m in
   Alcotest.(check bool) "indefinite" false f.Factor.definite;
   let b = Linalg.Vec.init f.Factor.n (fun i -> cos (float_of_int i)) in
   let x = f.Factor.solve b in
@@ -54,7 +57,7 @@ let test_factor_m_consistency () =
   (* G x = M J Mᵀ x: check via applying the factored ops *)
   let nl = Circuit.Generators.random_rc ~nodes:12 ~extra_edges:8 ~seed:12 () in
   let m = Circuit.Mna.assemble_rc nl in
-  let f = Factor.auto m.Circuit.Mna.g in
+  let f = factor_g m in
   let x = Linalg.Vec.init f.Factor.n (fun i -> float_of_int (i + 1)) in
   (* y = M⁻¹ G M⁻ᵀ x should equal J x *)
   let gmt = Sparse.Csr.mul_vec m.Circuit.Mna.g (f.Factor.apply_mt_inv x) in
@@ -67,7 +70,7 @@ let test_factor_singular_raises () =
   let m = Circuit.Mna.assemble_lc nl in
   Alcotest.(check bool) "singular G detected" true
     (try
-       ignore (Factor.auto m.Circuit.Mna.g);
+       ignore (factor_g m);
        false
      with Factor.Singular _ -> true)
 

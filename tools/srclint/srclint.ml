@@ -3,7 +3,7 @@
    Usage: srclint [--json] [--strict] [PATH ...]
 
    Walks the given paths (default: lib bin bench) for .ml files, runs
-   SRC001-SRC012 (see Rules), and reports findings. Exit code follows
+   SRC001-SRC013 (see Rules), and reports findings. Exit code follows
    the shared Diagnostic contract: 0 clean (infos only), 1 warnings,
    2 errors — with --strict promoting warnings to errors, which is how
    CI runs it. *)
@@ -13,8 +13,8 @@ module Diagnostic = Circuit.Diagnostic
 let usage () =
   print_string
     "usage: srclint [--json] [--strict] [PATH ...]\n\n\
-     Source lint for concurrency and determinism invariants\n\
-     (rules SRC001-SRC012; see README \"Correctness tooling\").\n\n\
+     Source lint for concurrency, determinism and layering invariants\n\
+     (rules SRC001-SRC013; see README \"Correctness tooling\").\n\n\
      \  --json    emit findings as a JSON array\n\
      \  --strict  exit 2 on warnings as well as errors\n\n\
      Default paths: lib bin bench\n"

@@ -1,4 +1,4 @@
-(* Source-level concurrency & determinism lint (SRC001-SRC012).
+(* Source-level concurrency, determinism & layering lint (SRC001-SRC013).
 
    Parses each .ml file with compiler-libs and walks the Parsetree with
    Ast_iterator; findings are emitted through Circuit.Diagnostic so the
@@ -19,6 +19,9 @@
    - SRC011  getenv of a non-literal or non-SYMOR_* variable
    - SRC012  module-level mutable state in a Domain-aware module used
              by a function that never takes a Mutex
+   - SRC013  Sparse.Skyline / Sparse.Supernodal named in lib/ or bin/
+             outside lib/sparse and lib/core/{pencil,factor}.ml (the
+             factor backends sit behind Sympvl.Pencil; bench/ is exempt)
 
    Suppression: [@srclint.allow "SRC003"] on an expression or a value
    binding, or a floating [@@@srclint.allow "SRC003"] for the whole
@@ -274,6 +277,33 @@ let check_shared_state st str =
         bindings
   end
 
+(* ---------- SRC013: the factor backends sit behind Pencil ---------- *)
+
+let backend_modules = [ "Sparse.Skyline"; "Sparse.Supernodal" ]
+
+let names_backend name =
+  List.exists
+    (fun m -> name = m || String.starts_with ~prefix:(m ^ ".") name)
+    backend_modules
+
+(* lib/sparse owns the backends and Pencil/Factor drive them; bench/
+   studies compare backends and so stays out of scope *)
+let backend_scoped path =
+  (in_lib path || in_dir "bin" path)
+  && (not (in_dir "sparse" path))
+  && not
+       (in_dir "core" path
+       && List.mem (Filename.basename path) [ "pencil.ml"; "factor.ml" ])
+
+let check_backend_ref st (lid : Longident.t Location.loc) =
+  let name = lid_to_string lid.Location.txt in
+  if names_backend name && backend_scoped st.path then
+    err st ~line:(line lid.Location.loc) "SRC013"
+      (Printf.sprintf
+         "%s reaches a sparse factor backend directly; go through Sympvl.Pencil \
+          (only lib/sparse and lib/core/{pencil,factor}.ml name the backends)"
+         name)
+
 (* ---------- main per-expression checks ---------- *)
 
 let zero_float s = match float_of_string_opt s with Some 0.0 -> true | _ -> false
@@ -418,8 +448,42 @@ let run_rules ~path ~source str =
             check_apply st pexp_loc txt args
           | Pexp_try (_, cases) -> check_try st cases
           | _ -> ());
+          (match e.pexp_desc with
+          | Pexp_ident lid
+          | Pexp_construct (lid, _)
+          | Pexp_field (_, lid)
+          | Pexp_setfield (_, lid, _) ->
+            check_backend_ref st lid
+          | Pexp_record (fields, _) ->
+            List.iter (fun (lid, _) -> check_backend_ref st lid) fields
+          | _ -> ());
           Ast_iterator.default_iterator.expr self e;
           st.allow <- List.tl st.allow);
+      pat =
+        (fun self p ->
+          (match p.ppat_desc with
+          | Ppat_construct (lid, _) | Ppat_type lid | Ppat_open (lid, _) ->
+            check_backend_ref st lid
+          | Ppat_record (fields, _) ->
+            List.iter (fun (lid, _) -> check_backend_ref st lid) fields
+          | _ -> ());
+          Ast_iterator.default_iterator.pat self p);
+      typ =
+        (fun self t ->
+          (match t.ptyp_desc with
+          | Ptyp_constr (lid, _) | Ptyp_class (lid, _) -> check_backend_ref st lid
+          | _ -> ());
+          Ast_iterator.default_iterator.typ self t);
+      module_expr =
+        (fun self m ->
+          (match m.pmod_desc with Pmod_ident lid -> check_backend_ref st lid | _ -> ());
+          Ast_iterator.default_iterator.module_expr self m);
+      module_type =
+        (fun self m ->
+          (match m.pmty_desc with
+          | Pmty_ident lid | Pmty_alias lid -> check_backend_ref st lid
+          | _ -> ());
+          Ast_iterator.default_iterator.module_type self m);
       value_binding =
         (fun self vb ->
           let codes = allow_codes_of_attrs vb.pvb_attributes in

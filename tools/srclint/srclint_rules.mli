@@ -1,4 +1,5 @@
-(** Source-level concurrency & determinism lint rules (SRC001-SRC012).
+(** Source-level concurrency, determinism & layering lint rules
+    (SRC001-SRC013).
 
     Each rule produces {!Circuit.Diagnostic.t} findings whose message is
     prefixed with the offending path; severities follow the shared CLI
