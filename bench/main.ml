@@ -1679,8 +1679,7 @@ let sprim_bench () =
   let freqs = Simulate.Ac.log_freqs ~points:16 1e6 1e10 in
   let sw = Simulate.Ac.sweep mx freqs in
   let err_of eng =
-    let opts = Sympvl.Rom.default ~order:order2 in
-    let model = Sympvl.Rom.reduce ~opts ~order:order2 eng mx in
+    let model = Sympvl.Rom.reduce ~order:order2 eng mx in
     Simulate.Ac.max_rel_error sw
       (Simulate.Ac.model_sweep (Sympvl.Rom.eval model) freqs)
   in

@@ -46,23 +46,6 @@ let jobs_arg =
 
 let apply_jobs = function None -> () | Some j -> Parallel.set_jobs j
 
-let factor_arg =
-  let doc =
-    "Force the sparse factorisation backend: $(b,skyline) (RCM ordering + \
-     envelope), $(b,supernodal) (AMD ordering + blocked panels), or $(b,auto) \
-     (per-pattern plan; the default). Equivalent to $(b,SYMOR_FACTOR); the \
-     flag wins. General-form RLC pencils at shift 0 always factor on the \
-     supernodal backend, whatever this says. Both backends produce the \
-     same solutions to rounding; $(b,symor analyze) reports what auto \
-     would pick and why."
-  in
-  let backend =
-    Arg.enum [ ("auto", `Auto); ("skyline", `Skyline); ("supernodal", `Supernodal) ]
-  in
-  Arg.(value & opt (some backend) None & info [ "factor" ] ~docv:"BACKEND" ~doc)
-
-let apply_factor = function None -> () | Some b -> Sympvl.Factor.set_backend b
-
 let trace_arg =
   let doc =
     "Record an execution trace (spans, counters, deflation/escalation events) and \
@@ -116,70 +99,28 @@ let with_obs trace stats f =
 
 let order_arg =
   let doc = "Reduced order n." in
-  Arg.(value & opt int 20 & info [ "n"; "order" ] ~doc)
+  Arg.(value & opt int (Ops.default Ops.Reduce).Ops.order & info [ "n"; "order" ] ~doc)
+
+let default_engine = Sympvl.Rom.name (Ops.default Ops.Reduce).Ops.engine
 
 let load path = Circuit.Parser.parse_file path
 
-(* uniform CLI error reporting: user-level problems (bad netlists,
-   unsupported element classes, singular matrices) print one line and
-   exit nonzero. Only the dedicated user-facing exception types are
-   caught — a bare Invalid_argument/Failure is a programming bug and
-   must surface with its backtrace, not be dressed up as a user
-   error. [netlist] is the command's netlist path, [shift_flags] whether
-   it takes --shift/--band. *)
-let safely ?netlist ?(shift_flags = false) f =
-  try f () with
-  | Circuit.Parser.Parse_error (line, msg) ->
-    Printf.eprintf "symor: parse error at line %d: %s\n" line msg;
+(* uniform CLI error reporting: a user-level problem (the Ops failure
+   table: bad netlists and requests, unsupported engines, singular
+   matrices) prints one line and exits 1. Anything else is a
+   programming bug and surfaces with its backtrace. [f] hands the
+   pencil it assembles to its argument, so a zero pivot names its
+   unknown. *)
+let safely ?op f =
+  match Ops.guard ~spell:(fun field -> "--" ^ field) ?op f with
+  | Ok v -> v
+  | Error { Ops.message; _ } ->
+    Printf.eprintf "symor: %s\n" message;
     exit 1
-  | San.Violation msg ->
+  | exception San.Violation msg ->
     (* a checked-pool race is a determinism bug, not a user error *)
     Printf.eprintf "symor: sanitizer: %s\n" msg;
     exit 2
-  | Circuit.Diagnostic.User_error msg ->
-    Printf.eprintf "symor: %s\n" msg;
-    exit 1
-  | Sys_error msg ->
-    Printf.eprintf "symor: %s\n" msg;
-    exit 1
-  | Sympvl.Rom.Unsupported why ->
-    Printf.eprintf "symor: engine does not apply to this netlist: %s\n" why;
-    exit 1
-  | Sympvl.Awe.Breakdown msg ->
-    Printf.eprintf "symor: AWE breakdown: %s — lower --order (AWE is limited to ~8)\n" msg;
-    exit 1
-  | Sympvl.Mpvl.Breakdown k ->
-    Printf.eprintf
-      "symor: MPVL exact breakdown at step %d — perturb --shift or use --engine sympvl\n" k;
-    exit 1
-  | Sympvl.Factor.Singular i ->
-    (* name the failing unknown through the netlist's MNA assembly, and
-       suggest a shift only to a command that takes one — with the
-       automatic eq.-26 shift for this pencil, a value known to
-       regularise it, instead of telling the user to go guess one *)
-    let mna =
-      match netlist with
-      | None -> None
-      | Some path -> (
-        match Circuit.Mna.auto (Circuit.Parser.parse_file path) with
-        | m -> Some m
-        | exception _ -> None)
-    in
-    let at =
-      match mna with
-      | Some m -> Circuit.Mna.unknown_label m i
-      | None -> Printf.sprintf "unknown %d" (i + 1)
-    in
-    let hint =
-      match mna with
-      | Some m when shift_flags ->
-        Printf.sprintf
-          " — retry with --shift %g (the automatic shift for this pencil) or --band LO,HI"
-          (Sympvl.Pencil.auto_shift m)
-      | _ -> ""
-    in
-    Printf.eprintf "symor: factoring G + sC hit a zero pivot at %s%s\n" at hint;
-    exit 1
 
 let class_name nl =
   match Circuit.Netlist.classify nl with
@@ -193,7 +134,7 @@ let class_name nl =
 
 let info_cmd =
   let run path =
-   safely @@ fun () ->
+   safely @@ fun _ ->
     let nl = load path in
     Format.printf "%a@." Circuit.Netlist.pp_stats (Circuit.Netlist.stats nl);
     Format.printf "class: %s@." (class_name nl);
@@ -280,7 +221,7 @@ let report_file ~json ~strict ~quiet ~clean path ds =
 
 let lint_cmd =
   let run path json strict quiet =
-   safely @@ fun () ->
+   safely @@ fun _ ->
     report_file ~json ~strict ~quiet ~clean:"clean" path (Analysis.Lint.lint_file path)
   in
   let doc =
@@ -302,7 +243,7 @@ let analyze_cmd =
     Arg.(value & opt float 10.0 & info [ "fill-threshold" ] ~docv:"X" ~doc)
   in
   let run path json strict quiet fill_threshold =
-   safely @@ fun () ->
+   safely @@ fun _ ->
     report_file ~json ~strict ~quiet ~clean:"structurally sound" path
       (Analysis.Struct_rules.analyze_file ~fill_threshold path)
   in
@@ -332,14 +273,14 @@ let certify_cmd =
        $(b,awe), $(b,bt), or $(b,all) to sweep every engine that supports the \
        netlist."
     in
-    Arg.(value & opt string "sympvl" & info [ "engine" ] ~docv:"ENGINE" ~doc)
+    Arg.(value & opt string default_engine & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
   let order_arg =
     let doc =
       "Reduced order to certify (0 = auto: the full pencil size for the \
        Krylov/BT engines, so the checks become theorem tests; 3 for AWE)."
     in
-    Arg.(value & opt int 0 & info [ "n"; "order" ] ~doc)
+    Arg.(value & opt int (Ops.default Ops.Certify).Ops.order & info [ "n"; "order" ] ~doc)
   in
   let shift_arg =
     let doc =
@@ -348,24 +289,16 @@ let certify_cmd =
     in
     Arg.(value & opt (some float) None & info [ "shift" ] ~docv:"S0" ~doc)
   in
-  let run path engine order shift band json strict quiet jobs factor trace stats =
-   safely ~netlist:path ~shift_flags:true @@ fun () ->
+  let run path engine order shift band json strict quiet jobs trace stats =
+   safely ~op:Ops.Certify @@ fun seen ->
     apply_jobs jobs;
-    apply_factor factor;
     (* exit only after with_obs has written the trace and stats *)
     let code =
       with_obs trace stats @@ fun () ->
-      let engines =
-        if engine = "all" then Sympvl.Rom.all
-        else
-          match Sympvl.Rom.of_name engine with
-          | Some e -> [ e ]
-          | None ->
-            Printf.eprintf "symor: unknown engine %S (try --engine help)\n" engine;
-            exit 1
-      in
-      let nl = load path in
-      let mna = Circuit.Mna.auto nl in
+      let engines = if engine = "all" then Sympvl.Rom.all else [ Ops.engine engine ] in
+      let r = Ops.check { (Ops.default Ops.Certify) with Ops.order; shift; band } in
+      let mna = Circuit.Mna.auto (load path) in
+      seen mna;
       let findings = ref [] in
       List.iter
         (fun eng ->
@@ -375,11 +308,10 @@ let certify_cmd =
               Format.printf "%s: skipping %s (unsupported: %s)@." (Sympvl.Rom.name eng)
                 path why
           | Ok () ->
-            let order = Sympvl.Certify.request_order eng mna order in
+            let r = { r with Ops.engine = eng } in
             let ctx = Sympvl.Pencil.create mna in
-            let opts = { (Sympvl.Rom.default ~order) with Sympvl.Rom.shift; band } in
-            let model = Sympvl.Rom.reduce ~ctx ~opts ~order eng mna in
-            let rep = Sympvl.Certify.request ~ctx ?shift ?band model mna in
+            let model = Ops.model ~ctx r mna in
+            let rep = Ops.certify ~ctx r model mna in
             findings := !findings @ rep.Sympvl.Certify.findings;
             if not json then begin
               Format.printf "%s:@." (Sympvl.Rom.name eng);
@@ -405,8 +337,13 @@ let certify_cmd =
   Cmd.v (Cmd.info "certify" ~doc)
     Term.(
       const run $ netlist_arg $ engine_arg $ order_arg $ shift_arg $ band_arg
-      $ json_arg $ strict_arg $ quiet_arg $ jobs_arg $ factor_arg $ trace_arg
-      $ stats_arg)
+      $ json_arg $ strict_arg $ quiet_arg $ jobs_arg $ trace_arg $ stats_arg)
+
+(* the band the SyMPVL-only checks sweep: --band, else the default AC
+   sweep band *)
+let sweep_band band =
+  let d = Ops.default Ops.Ac in
+  Option.value band ~default:(d.Ops.flo, d.Ops.fhi)
 
 let reduce_cmd =
   let shift_arg =
@@ -425,7 +362,7 @@ let reduce_cmd =
        --adaptive and --poles stay SyMPVL-only, --synth works for sympvl (RC) \
        and sprim (RLCk)."
     in
-    Arg.(value & opt string "sympvl" & info [ "engine" ] ~docv:"ENGINE" ~doc)
+    Arg.(value & opt string default_engine & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
   let synth_arg =
     let doc = "Write a synthesized reduced netlist to $(docv)." in
@@ -453,9 +390,7 @@ let reduce_cmd =
       if contracts then Sympvl.Reduce.checked ~ctx ~opts ~order mna
       else (Sympvl.Reduce.mna ~ctx ~opts ~order mna, [])
     | Some tol ->
-      let band =
-        match opts.Sympvl.Reduce.band with Some b -> b | None -> (1e6, 1e10)
-      in
+      let band = sweep_band opts.Sympvl.Reduce.band in
       let model, dev =
         Sympvl.Reduce.to_accuracy ~ctx ~opts ~max_order:order ~tol ~band mna
       in
@@ -470,7 +405,7 @@ let reduce_cmd =
       else (model, [])
   in
   let print_accuracy ~ctx ~band mna model =
-    let f_lo, f_hi = match band with Some b -> b | None -> (1e6, 1e10) in
+    let f_lo, f_hi = sweep_band band in
     let freqs = Simulate.Ac.log_freqs ~points:40 f_lo f_hi in
     let sw = Simulate.Ac.sweep_ws mna ctx freqs in
     let zm = Simulate.Ac.model_sweep (Sympvl.Rom.eval model) freqs in
@@ -521,7 +456,7 @@ let reduce_cmd =
     Format.printf "synthesized: %s -> %s@." summary out
   in
   let run verbose path order band shift engine synth_out poles check certify strict
-      adaptive jobs factor trace stats =
+      adaptive jobs trace stats =
     (if engine = "help" then begin
        List.iter
          (fun e -> Printf.printf "%-8s %s\n" (Sympvl.Rom.name e) (Sympvl.Rom.describe e))
@@ -532,18 +467,15 @@ let reduce_cmd =
           --certify`) runs the\nMOD001-MOD009 certification pass.\n";
        exit 0
      end);
-   safely ~netlist:path ~shift_flags:true @@ fun () ->
+   safely ~op:Ops.Reduce @@ fun seen ->
     setup_logs verbose;
     apply_jobs jobs;
-    apply_factor factor;
     with_obs trace stats @@ fun () ->
-    let eng =
-      match Sympvl.Rom.of_name engine with
-      | Some e -> e
-      | None ->
-        Printf.eprintf "symor: unknown engine %S (try --engine help)\n" engine;
-        exit 1
+    let r =
+      Ops.check
+        { (Ops.default Ops.Reduce) with Ops.engine = Ops.engine engine; order; shift; band }
     in
+    let eng = r.Ops.engine in
     if
       eng <> `Sympvl
       && (adaptive <> None || poles || (synth_out <> None && eng <> `Sprim))
@@ -553,8 +485,8 @@ let reduce_cmd =
          sympvl (RC) or sprim (RLCk)\n";
       exit 1
     end;
-    let nl = load path in
-    let mna = Circuit.Mna.auto nl in
+    let mna = Circuit.Mna.auto (load path) in
+    seen mna;
     match Sympvl.Rom.supports eng mna with
     | Error why ->
       (* skipped with exit 0, so a matrix loop over examples × engines
@@ -576,8 +508,7 @@ let reduce_cmd =
           (Sympvl.Rom.Sympvl_model m, ds)
         end
         else begin
-          let opts = { (Sympvl.Rom.default ~order) with Sympvl.Rom.shift; band } in
-          let model = Sympvl.Rom.reduce ~ctx ~opts ~order eng mna in
+          let model = Ops.model ~ctx r mna in
           Format.printf "%s: N = %d -> n = %d (p = %d); shift s0 = %g@."
             (Sympvl.Rom.name eng) mna.Circuit.Mna.n (Sympvl.Rom.order model)
             (Sympvl.Rom.ports model) (Sympvl.Rom.shift model);
@@ -609,7 +540,7 @@ let reduce_cmd =
       let cert_exit =
         if not certify then 0
         else begin
-          let rep = Sympvl.Certify.request ~ctx ?shift ?band model mna in
+          let rep = Ops.certify ~ctx r model mna in
           Format.printf "certification:@.";
           print_report rep;
           Circuit.Diagnostic.exit_code ~strict rep.Sympvl.Certify.findings
@@ -644,32 +575,35 @@ let reduce_cmd =
     Term.(
       const run $ verbose_arg $ netlist_arg $ order_arg $ band_arg $ shift_arg
       $ engine_arg $ synth_arg $ poles_arg $ check_arg $ certify_arg $ strict_arg
-      $ adaptive_arg $ jobs_arg $ factor_arg $ trace_arg $ stats_arg)
+      $ adaptive_arg $ jobs_arg $ trace_arg $ stats_arg)
 
-(* `ac` and `sparams`: one exact sweep behind both; [print extra sw]
-   writes the CSV, [extra] being the value of the command's own flag *)
-let sweep_cmd name ~doc extra_arg print =
+(* `ac` and `sparams`: one exact sweep behind both; [print r sw]
+   writes the CSV. [z0] is the sparams flag (a constant for ac). *)
+let sweep_cmd name op ~doc z0 print =
+  let d = Ops.default op in
   let points_arg =
-    Arg.(value & opt int 100 & info [ "points" ] ~doc:"Number of frequency points.")
+    Arg.(value & opt int d.Ops.points & info [ "points" ] ~doc:"Number of frequency points.")
   in
-  let flo_arg = Arg.(value & opt float 1e6 & info [ "flo" ] ~doc:"Start frequency, Hz.") in
-  let fhi_arg = Arg.(value & opt float 1e10 & info [ "fhi" ] ~doc:"Stop frequency, Hz.") in
-  let run path flo fhi points extra jobs factor trace stats =
-   safely ~netlist:path @@ fun () ->
+  let flo_arg = Arg.(value & opt float d.Ops.flo & info [ "flo" ] ~doc:"Start frequency, Hz.") in
+  let fhi_arg = Arg.(value & opt float d.Ops.fhi & info [ "fhi" ] ~doc:"Stop frequency, Hz.") in
+  let run path flo fhi points z0 jobs trace stats =
+   safely ~op @@ fun seen ->
     apply_jobs jobs;
-    apply_factor factor;
     with_obs trace stats @@ fun () ->
+    let r = Ops.check { d with Ops.flo; fhi; points; z0 } in
     let mna = Circuit.Mna.auto (load path) in
-    print extra (Simulate.Ac.sweep mna (Simulate.Ac.log_freqs ~points flo fhi))
+    seen mna;
+    print r (Simulate.Ac.sweep mna (Ops.freqs r))
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ extra_arg $ jobs_arg
-      $ factor_arg $ trace_arg $ stats_arg)
+      const run $ netlist_arg $ flo_arg $ fhi_arg $ points_arg $ z0 $ jobs_arg $ trace_arg
+      $ stats_arg)
 
 let ac_cmd =
-  sweep_cmd "ac" ~doc:"Exact AC sweep (CSV on stdout)." (Term.const ())
-    (fun () sw ->
+  sweep_cmd "ac" Ops.Ac ~doc:"Exact AC sweep (CSV on stdout)."
+    (Term.const (Ops.default Ops.Ac).Ops.z0)
+    (fun _ sw ->
       let p = Array.length sw.Simulate.Ac.port_names in
       print_string "freq";
       for i = 0 to p - 1 do
@@ -692,9 +626,14 @@ let ac_cmd =
         sw.Simulate.Ac.freqs)
 
 let sparams_cmd =
-  let z0_arg = Arg.(value & opt float 50.0 & info [ "z0" ] ~doc:"Reference impedance, ohms.") in
-  sweep_cmd "sparams" ~doc:"Exact S-parameter sweep (CSV on stdout)." z0_arg
-    (fun z0 sw ->
+  let z0_arg =
+    Arg.(
+      value
+      & opt float (Ops.default Ops.Sparams).Ops.z0
+      & info [ "z0" ] ~doc:"Reference impedance, ohms.")
+  in
+  sweep_cmd "sparams" Ops.Sparams ~doc:"Exact S-parameter sweep (CSV on stdout)." z0_arg
+    (fun r sw ->
       let p = Array.length sw.Simulate.Ac.port_names in
       print_string "freq";
       for i = 0 to p - 1 do
@@ -705,7 +644,7 @@ let sparams_cmd =
       print_newline ();
       Array.iteri
         (fun k f ->
-          let s = Simulate.Netparams.z_to_s ~z0 sw.Simulate.Ac.z.(k) in
+          let s = Simulate.Netparams.z_to_s ~z0:r.Ops.z0 sw.Simulate.Ac.z.(k) in
           Printf.printf "%.6e" f;
           for i = 0 to p - 1 do
             for j = 0 to p - 1 do
@@ -717,19 +656,17 @@ let sparams_cmd =
         sw.Simulate.Ac.freqs)
 
 let tran_cmd =
-  let dt_arg = Arg.(value & opt float 1e-11 & info [ "dt" ] ~doc:"Time step, s.") in
-  let tstop_arg = Arg.(value & opt float 1e-8 & info [ "tstop" ] ~doc:"Stop time, s.") in
+  let d = Ops.default Ops.Tran in
+  let dt_arg = Arg.(value & opt float d.Ops.dt & info [ "dt" ] ~doc:"Time step, s.") in
+  let tstop_arg = Arg.(value & opt float d.Ops.t_stop & info [ "tstop" ] ~doc:"Stop time, s.") in
   let observe_arg =
     let doc = "Comma-separated node names to record." in
     Arg.(required & opt (some (list string)) None & info [ "observe" ] ~doc)
   in
-  let run path dt tstop observe factor =
-   safely @@ fun () ->
-    apply_factor factor;
-    let nl = load path in
-    let nodes = List.map (Circuit.Netlist.find_node nl) observe in
-    let opts = Simulate.Transient.default ~dt ~t_stop:tstop in
-    let res = Simulate.Transient.run ~opts ~observe:nodes nl in
+  let run path dt t_stop observe =
+   safely ~op:Ops.Tran @@ fun _ ->
+    let r = Ops.check { d with Ops.dt; t_stop; observe } in
+    let res = Ops.tran r (load path) in
     Printf.printf "time,%s\n" (String.concat "," observe);
     Array.iteri
       (fun k t ->
@@ -742,7 +679,7 @@ let tran_cmd =
   in
   let doc = "Transient simulation (CSV on stdout)." in
   Cmd.v (Cmd.info "tran" ~doc)
-    Term.(const run $ netlist_arg $ dt_arg $ tstop_arg $ observe_arg $ factor_arg)
+    Term.(const run $ netlist_arg $ dt_arg $ tstop_arg $ observe_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve / request: the daemon and its one-shot client                 *)
@@ -770,10 +707,6 @@ let resolve_addr socket port host : Serve.Protocol.addr =
     Printf.eprintf "symor: pass --socket PATH or --port N\n";
     exit 2
 
-let addr_to_string = function
-  | `Unix path -> "unix:" ^ path
-  | `Tcp (host, port) -> Printf.sprintf "%s:%d" host port
-
 let serve_cmd =
   let entries_arg =
     let doc =
@@ -784,10 +717,9 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "cache-entries" ] ~docv:"N" ~doc)
   in
-  let run socket port host entries jobs factor stats =
-   safely @@ fun () ->
+  let run socket port host entries jobs stats =
+   safely @@ fun _ ->
     apply_jobs jobs;
-    apply_factor factor;
     let addr = resolve_addr socket port host in
     let cfg =
       { (Serve.Server.default_config addr) with Serve.Server.max_entries = entries }
@@ -796,7 +728,7 @@ let serve_cmd =
        "trace":true subtrees have data; buffers are truncated per batch *)
     Serve.Server.run
       ~on_ready:(fun () ->
-        Printf.eprintf "symor: serving on %s\n%!" (addr_to_string addr))
+        Printf.eprintf "symor: serving on %s\n%!" (Serve.Protocol.addr_to_string addr))
       cfg;
     if stats then prerr_string (Obs.stats_table ());
     report_san ()
@@ -812,8 +744,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ socket_arg $ port_arg $ host_arg $ entries_arg $ jobs_arg
-      $ factor_arg $ stats_arg)
+      const run $ socket_arg $ port_arg $ host_arg $ entries_arg $ jobs_arg $ stats_arg)
 
 let request_cmd =
   let lines_arg =
@@ -830,7 +761,7 @@ let request_cmd =
     Arg.(value & opt float 10.0 & info [ "connect-timeout" ] ~docv:"S" ~doc)
   in
   let run socket port host timeout lines =
-   safely @@ fun () ->
+   safely @@ fun _ ->
     let addr = resolve_addr socket port host in
     let c = Serve.Client.connect ~deadline_s:timeout addr in
     let lines =

@@ -14,6 +14,14 @@ let build ?ctx ?(shift = 0.0) ~order ~port (m : Circuit.Mna.t) =
     invalid_arg "Awe.build: only pencils in the s variable are supported";
   let q = order in
   assert (q >= 1);
+  (* 2q moments of an N-state pencil carry at most 2N independent
+     ones: far beyond that the Hankel system is singular by
+     construction (and q×q storage would only exhaust memory) *)
+  if q > 2 * m.Circuit.Mna.n then
+    raise
+      (Breakdown
+         (Printf.sprintf "order %d exceeds twice the pencil size N = %d" q
+            m.Circuit.Mna.n));
   (* scalar moments c_0 .. c_{2q-1} of the chosen port *)
   let b = Linalg.Mat.create m.Circuit.Mna.n 1 in
   Linalg.Mat.set_col b 0 (Linalg.Mat.col m.Circuit.Mna.b port);

@@ -21,7 +21,9 @@ type t = {
 }
 
 exception Breakdown of string
-(** The Hankel system is numerically singular. *)
+(** The Hankel system is numerically singular, or the order exceeds
+    twice the pencil size (at most [2N] of the [2·order] moments are
+    independent). *)
 
 val build : ?ctx:Pencil.t -> ?shift:float -> order:int -> port:int -> Circuit.Mna.t -> t
 (** [build ~order ~port m] computes the [order]-pole AWE model of

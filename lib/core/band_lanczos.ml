@@ -35,11 +35,13 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
      process bails out of the middle of a step (Krylov exhaustion) *)
   let step_open = ref false in
   let j_dot x y = Linalg.Vec.dot3 x j y in
-  (* storage; paper index n is 1-based: vs.(n-1) = v_n *)
-  let vs = Array.make n_max [||] in
+  (* storage; paper index n is 1-based: vs.(n-1) = v_n. The Krylov
+     space cannot exceed N, so a huge requested order allocates for N *)
+  let cap = min n_max nn in
+  let vs = Array.make cap [||] in
   let nv = ref 0 in
-  let tm = Linalg.Mat.create n_max n_max in
-  let rho = Linalg.Mat.create n_max p in
+  let tm = Linalg.Mat.create cap cap in
+  let rho = Linalg.Mat.create cap p in
   (* paper column c: c ≥ 1 goes to T, c ≤ 0 to ρ (column c + p − 1,
      0-based); rows are 1-based paper indices *)
   let add_t row col v =
@@ -64,7 +66,7 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
   in
   new_cluster ();
   let cluster g = !clusters.(g - 1) in
-  let gamma_of = Array.make (n_max + 1) 0 in
+  let gamma_of = Array.make (cap + 1) 0 in
   let gamma_v = ref 1 in
   let iv = ref [] in
   let deflations = ref [] in

@@ -754,21 +754,3 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
                documented %.0e — the model has left its validated regime"
               engine !worst rtol)));
   { findings = D.sort (List.rev !findings); bands; safe_order }
-
-(* ------------------------------------------------------------------ *)
-(* the certify request: the defaults every front end shares            *)
-
-let request_order engine (mna : Circuit.Mna.t) order =
-  if order < 0 then
-    Circuit.Diagnostic.user_errorf "certify order must be >= 0 (got %d)" order
-  else if order > 0 then order
-  else match engine with `Awe -> 3 | _ -> mna.Circuit.Mna.n
-
-let request ~ctx ?shift ?band model mna =
-  let drift_band =
-    match (band, Rom.engine_of_model model) with
-    | Some b, _ -> Some b
-    | None, `Awe -> Some (1e6, 1e10)
-    | None, _ -> None
-  in
-  run ~ctx ?drift_band ~shift_requested:(shift <> None) model mna

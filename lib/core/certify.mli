@@ -44,7 +44,7 @@
       documented {!Rom.golden_rtol}.
 
     Emitted through [symor certify] / [symor reduce --certify] / the
-    serve [certify] op (all through {!request}) with the same
+    serve [certify] op (all through [Ops.certify]) with the same
     [--json] / [--strict] / exit-code contract as [symor lint] and
     [symor analyze]; [symor reduce] prints the MOD002/MOD001 pair
     ({!structural}) for every model it builds. *)
@@ -134,22 +134,3 @@ val run :
     [shift_requested] marks an explicitly user-chosen shift (MOD008
     severity). Obs: [certify.run]/[certify.hamiltonian] spans,
     [certify.violation_band] counter. *)
-
-val request_order : Rom.engine -> Circuit.Mna.t -> int -> int
-(** The order a certify request reduces to: [0] means the full pencil
-    size [n] (every check then a theorem test), or 3 for AWE (its
-    documented low-order validity).
-    @raise Circuit.Diagnostic.User_error on a negative order. *)
-
-val request :
-  ctx:Pencil.t ->
-  ?shift:float ->
-  ?band:float * float ->
-  Rom.model ->
-  Circuit.Mna.t ->
-  report
-(** {!run} as [symor certify], [symor reduce --certify] and the serve
-    [certify] op all call it: [ctx] built the model, with the [shift]
-    and [band] it was asked for. The MOD009 drift band is [band], else
-    1e6–1e10 Hz for AWE; a given [shift] counts as user-chosen
-    (MOD008). *)

@@ -13,17 +13,12 @@ exception Singular of int
 (* ------------------------------------------------------------------ *)
 (* sparse-backend selection                                             *)
 
-type backend = [ `Auto | `Skyline | `Supernodal ]
-
-let backend_of_env () : backend =
+(* the SYMOR_FACTOR override, read once at start-up *)
+let backend_override =
   match Sys.getenv_opt "SYMOR_FACTOR" with
   | Some "skyline" -> `Skyline
   | Some "supernodal" -> `Supernodal
   | _ -> `Auto
-
-let backend_override : backend Atomic.t = Atomic.make (backend_of_env ())
-
-let set_backend b = Atomic.set backend_override b
 
 (* Below this size the RCM-skyline path wins on constant factors (and
    keeps small-circuit results bitwise identical to earlier releases);
@@ -37,7 +32,7 @@ type plan = [ `Skyline of int array | `Supernodal of int array ]
 
 let plan pattern : plan =
   let n = pattern.Sparse.Csr.rows in
-  match Atomic.get backend_override with
+  match backend_override with
   | `Skyline -> `Skyline (Sparse.Rcm.order pattern)
   | `Supernodal -> `Supernodal (Sparse.Supernodal.order pattern)
   | `Auto ->

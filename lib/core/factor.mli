@@ -38,20 +38,14 @@ exception Singular of int
     constants, bitwise-stable results) and AMD ordering + supernodal
     panels ({!Sparse.Supernodal}, the scattered-sparsity backend that
     scales to 10⁵ unknowns). {!plan} picks per pattern; the
-    [SYMOR_FACTOR] environment variable ([skyline] | [supernodal]) or
-    {!set_backend} forces one globally. *)
-
-type backend = [ `Auto | `Skyline | `Supernodal ]
-
-val set_backend : backend -> unit
-(** Force (or restore to [`Auto]) the sparse backend for subsequent
-    factorisations — the [--factor] CLI flag. Thread-safe. *)
+    [SYMOR_FACTOR] environment variable ([skyline] | [supernodal]),
+    read once at start-up, forces one globally. *)
 
 type plan = [ `Skyline of int array | `Supernodal of int array ]
 
 val plan : Sparse.Csr.t -> plan
 (** [plan pattern] — the backend decision plus its fill-reducing
-    permutation ({!Csr.permute_sym} convention). Under [`Auto],
+    permutation ({!Csr.permute_sym} convention). Without an override,
     patterns below 4 096 unknowns take RCM-skyline outright; larger
     ones compare the RCM envelope against twice the AMD predicted
     factor nnz and take the supernodal backend when the envelope

@@ -13,7 +13,7 @@
       pattern ({!Circuit.Mna.pencil_pattern}, the one [symor analyze]
       plans on): RCM ordering + skyline envelope, or AMD ordering +
       supernodal panels for large scattered patterns — forced either
-      way by [SYMOR_FACTOR] / [--factor];
+      way by [SYMOR_FACTOR];
     - the backend's shared symbolic phase (both matrices pre-scattered
       into envelope rows or panel slots), so each factorisation —
       real at any shift, or complex at any frequency — is a pure

@@ -1,26 +1,5 @@
 type engine = [ `Sympvl | `Mpvl | `Prima | `Sprim | `Awe | `Bt ]
 
-type options = {
-  order : int;
-  shift : float option;
-  band : (float * float) option;
-  dtol : float;
-  ctol : float;
-  full_ortho : bool;
-  port : int;
-}
-
-let default ~order =
-  {
-    order;
-    shift = None;
-    band = None;
-    dtol = 1e-8;
-    ctol = 1e-10;
-    full_ortho = true;
-    port = 0;
-  }
-
 let all = [ `Sympvl; `Mpvl; `Prima; `Sprim; `Awe; `Bt ]
 
 let name = function
@@ -139,39 +118,26 @@ type model =
 
 exception Unsupported of string
 
-let reduce ?ctx ?opts ~order engine (m : Circuit.Mna.t) =
-  let o = match opts with Some o -> o | None -> default ~order in
+let reduce ?ctx ?shift ?band ~order engine (m : Circuit.Mna.t) =
   (match supports engine m with Ok () -> () | Error why -> raise (Unsupported why));
   match engine with
   | `Sympvl ->
-    let ropts =
-      {
-        Reduce.order = o.order;
-        shift = o.shift;
-        band = o.band;
-        dtol = o.dtol;
-        ctol = o.ctol;
-        full_ortho = o.full_ortho;
-      }
-    in
-    Sympvl_model (Reduce.mna ~opts:ropts ?ctx ~order:o.order m)
-  | `Mpvl ->
-    Mpvl_model
-      (Mpvl.reduce ?ctx ?shift:o.shift ?band:o.band ~dtol:o.dtol ~order:o.order m)
-  | `Prima ->
-    Prima_model (Arnoldi.reduce ?ctx ?shift:o.shift ?band:o.band ~order:o.order m)
-  | `Sprim ->
-    Sprim_model (Sprim.reduce ?ctx ?shift:o.shift ?band:o.band ~order:o.order m)
+    let opts = { (Reduce.default ~order) with Reduce.shift; band } in
+    Sympvl_model (Reduce.mna ~opts ?ctx ~order m)
+  | `Mpvl -> Mpvl_model (Mpvl.reduce ?ctx ?shift ?band ~order m)
+  | `Prima -> Prima_model (Arnoldi.reduce ?ctx ?shift ?band ~order m)
+  | `Sprim -> Sprim_model (Sprim.reduce ?ctx ?shift ?band ~order m)
   | `Awe ->
     (* shift resolution (including the singular-G retry) goes through
        the one policy in Pencil; the factorisation it computes stays in
-       the shared cache, so Awe's moment recurrence reuses it *)
+       the shared cache, so Awe's moment recurrence reuses it. AWE
+       always drives port 0. *)
     let ctx = match ctx with Some c -> c | None -> Pencil.create m in
     Awe_model
-      (Pencil.with_auto_shift ?shift:o.shift ?band:o.band ctx (fun s0 _fac ->
-           Awe.build ~ctx ~shift:s0 ~order:o.order ~port:o.port m))
+      (Pencil.with_auto_shift ?shift ?band ctx (fun s0 _fac ->
+           Awe.build ~ctx ~shift:s0 ~order ~port:0 m))
   | `Bt -> (
-    match Btruncation.reduce ~order:o.order m with
+    match Btruncation.reduce ~order m with
     | bt -> Bt_model bt
     | exception Btruncation.Not_definite ->
       raise

@@ -13,21 +13,6 @@
 
 type engine = [ `Sympvl | `Mpvl | `Prima | `Sprim | `Awe | `Bt ]
 
-type options = {
-  order : int;  (** Requested reduced order (columns of the Krylov basis). *)
-  shift : float option;  (** Explicit expansion point [s₀]; no retry. *)
-  band : (float * float) option;
-      (** Frequency band (Hz) for the automatic mid-band shift. *)
-  dtol : float;  (** Deflation tolerance (Lanczos engines). *)
-  ctol : float;  (** Definiteness check tolerance (SyMPVL). *)
-  full_ortho : bool;  (** Full re-orthogonalisation (SyMPVL). *)
-  port : int;  (** Port column driven by scalar engines (AWE). *)
-}
-
-val default : order:int -> options
-(** The library defaults: no shift, [dtol = 1e-8],
-    [ctol = 1e-10], full re-orthogonalisation, port 0. *)
-
 val all : engine list
 (** Every registered engine, in documentation order. *)
 
@@ -70,9 +55,17 @@ exception Unsupported of string
 (** Raised by {!reduce} when {!supports} says no. *)
 
 val reduce :
-  ?ctx:Pencil.t -> ?opts:options -> order:int -> engine -> Circuit.Mna.t -> model
-(** Run one engine. [opts] defaults to [default ~order] (an explicit
-    [opts] wins over [~order]). The shared [ctx] is threaded to every
+  ?ctx:Pencil.t ->
+  ?shift:float ->
+  ?band:float * float ->
+  order:int ->
+  engine ->
+  Circuit.Mna.t ->
+  model
+(** Run one engine at the library defaults ({!Reduce.default} for
+    SyMPVL; AWE drives port 0). [shift] is an explicit expansion point
+    [s₀] (no singular-G retry); [band] (Hz) picks the automatic
+    mid-band shift. The shared [ctx] is threaded to every
     pencil-backed engine; balanced truncation is dense and ignores it.
     AWE resolves [band] to the same mid-band shift as the Krylov
     engines ({!Pencil.band_shift}).

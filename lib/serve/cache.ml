@@ -141,21 +141,22 @@ let mna e = fst (Lazy.force e.pencil)
 
 let ctx e = snd (Lazy.force e.pencil)
 
-let model_key ~engine ~order ~shift ~band =
-  Printf.sprintf "%s|%d|%s|%s" (Sympvl.Rom.name engine) order
-    (match shift with Some s -> Printf.sprintf "%h" s | None -> "auto")
-    (match band with
+(* a model is named by what it is built from: the engine, the order
+   Ops.model resolves, the shift and the band *)
+let model_key (r : Ops.request) order =
+  Printf.sprintf "%s|%d|%s|%s" (Sympvl.Rom.name r.Ops.engine) order
+    (match r.Ops.shift with Some s -> Printf.sprintf "%h" s | None -> "auto")
+    (match r.Ops.band with
     | Some (lo, hi) -> Printf.sprintf "%h:%h" lo hi
     | None -> "none")
 
-let model (t : t) e ~engine ~order ~shift ~band =
-  let mk = model_key ~engine ~order ~shift ~band in
+let model (t : t) e r =
+  let m, pencil_ctx = Lazy.force e.pencil in
+  let mk = model_key r (Ops.order r m) in
   match Hashtbl.find_opt e.models mk with
-  | Some m -> (m, true)
+  | Some rom -> (rom, true)
   | None ->
-    let m, pencil_ctx = Lazy.force e.pencil in
-    let opts = { (Sympvl.Rom.default ~order) with Sympvl.Rom.shift; band } in
-    let rom = Sympvl.Rom.reduce ~ctx:pencil_ctx ~opts ~order engine m in
+    let rom = Ops.model ~ctx:pencil_ctx r m in
     if List.length e.model_order >= max_models_per_entry then begin
       match List.rev e.model_order with
       | oldest :: _ ->

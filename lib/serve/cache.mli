@@ -66,15 +66,9 @@ val mna : entry -> Circuit.Mna.t
 val ctx : entry -> Sympvl.Pencil.t
 (** The shared pencil context (also the AC workspace). *)
 
-val model :
-  t ->
-  entry ->
-  engine:Sympvl.Rom.engine ->
-  order:int ->
-  shift:float option ->
-  band:(float * float) option ->
-  Sympvl.Rom.model * bool
-(** Reduced model for one engine configuration, memoized per entry
+val model : t -> entry -> Ops.request -> Sympvl.Rom.model * bool
+(** {!Ops.model} of a request on this entry's pencil, memoized per
+    entry by engine, resolved order ({!Ops.order}), shift and band
     (bounded; least-recently-built drops first). The flag is [true]
     on a cache hit. *)
 

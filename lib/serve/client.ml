@@ -12,9 +12,10 @@ let connect ?(deadline_s = 10.0) addr =
       Unix.close fd;
       Unix.sleepf 0.02;
       go ()
-    | exception e ->
+    | exception Unix.Unix_error (err, _, _) ->
       Unix.close fd;
-      raise e
+      Circuit.Diagnostic.user_errorf "cannot connect to %s: %s"
+        (Protocol.addr_to_string addr) (Unix.error_message err)
   in
   let fd = go () in
   { ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }

@@ -11,8 +11,9 @@ type t
 val connect : ?deadline_s:float -> Protocol.addr -> t
 (** Connect, retrying refused/absent sockets until the deadline
     (default 10 s) — the standard way to wait for a daemon that was
-    just spawned to come up. @raise Unix.Unix_error once the deadline
-    passes. *)
+    just spawned to come up.
+    @raise Circuit.Diagnostic.User_error ["cannot connect to …"] once
+    the deadline passes, or on any other connection error. *)
 
 val send_line : t -> string -> unit
 (** Write one request line (the terminating newline is added). *)

@@ -16,138 +16,99 @@ let sockaddr = function
     in
     Unix.ADDR_INET (ip, port)
 
-type op = Ping | Reduce | Ac | Sparams | Tran | Certify | Stats | Shutdown
+let addr_to_string = function
+  | `Unix path -> "unix:" ^ path
+  | `Tcp (host, port) -> Printf.sprintf "%s:%d" host port
 
-let op_name = function
-  | Ping -> "ping"
-  | Reduce -> "reduce"
-  | Ac -> "ac"
-  | Sparams -> "sparams"
-  | Tran -> "tran"
-  | Certify -> "certify"
-  | Stats -> "stats"
-  | Shutdown -> "shutdown"
+type body = Ping | Stats | Shutdown | Run of string * Ops.request
 
-let op_of_name = function
-  | "ping" -> Some Ping
-  | "reduce" -> Some Reduce
-  | "ac" -> Some Ac
-  | "sparams" -> Some Sparams
-  | "tran" -> Some Tran
-  | "certify" -> Some Certify
-  | "stats" -> Some Stats
-  | "shutdown" -> Some Shutdown
-  | _ -> None
-
-type request = {
-  id : Json.t;
-  op : op;
-  netlist : string;
-  engine : Sympvl.Rom.engine;
-  order : int;
-  shift : float option;
-  band : (float * float) option;
-  freqs : float array;
-  z0 : float;
-  dt : float;
-  t_stop : float;
-  observe : string list;
-  trace : bool;
-}
+type request = { id : Json.t; body : body; trace : bool }
 
 (* ------------------------------------------------------------------ *)
-(* Validation                                                          *)
+(* Decoding: the field types live here, their ranges in Ops.check      *)
 
 exception Invalid of Diagnostic.t
 
 let invalidf code fmt =
   Printf.ksprintf (fun msg -> raise (Invalid (Diagnostic.error code msg))) fmt
 
-let float_field j name default =
+let field conv what j name default =
   match Json.member name j with
   | Json.Null -> default
   | v -> (
-    match Json.to_float_opt v with
+    match conv v with
     | Some x -> x
-    | None -> invalidf "SRV004" "field %S must be a number" name)
+    | None -> invalidf "SRV004" "field %S must be %s" name what)
 
-let int_field j name default =
+let float_field = field Json.to_float_opt "a number"
+
+let int_field = field Json.to_int_opt "an integer"
+
+let bool_field = field Json.to_bool_opt "a boolean"
+
+let str_field = field Json.to_str_opt "a string"
+
+(* an optional array field: [not_list] when it is no array, [bad_item]
+   when an entry does not convert *)
+let list_field conv ~not_list ~bad_item j name =
   match Json.member name j with
-  | Json.Null -> default
-  | v -> (
-    match Json.to_int_opt v with
-    | Some x -> x
-    | None -> invalidf "SRV004" "field %S must be an integer" name)
-
-let bool_field j name default =
-  match Json.member name j with
-  | Json.Null -> default
-  | v -> (
-    match Json.to_bool_opt v with
-    | Some x -> x
-    | None -> invalidf "SRV004" "field %S must be a boolean" name)
-
-let str_field j name default =
-  match Json.member name j with
-  | Json.Null -> default
-  | v -> (
-    match Json.to_str_opt v with
-    | Some x -> x
-    | None -> invalidf "SRV004" "field %S must be a string" name)
-
-let needs_netlist = function
-  | Reduce | Ac | Sparams | Tran | Certify -> true
-  | Ping | Stats | Shutdown -> false
-
-let parse_band j =
-  match Json.member "band" j with
   | Json.Null -> None
   | v -> (
-    match Option.map (List.map Json.to_float_opt) (Json.to_list_opt v) with
-    | Some [ Some lo; Some hi ] when lo > 0.0 && hi > lo -> Some (lo, hi)
-    | _ -> invalidf "SRV004" "field \"band\" must be [lo, hi] with 0 < lo < hi")
+    match Option.map (List.map conv) (Json.to_list_opt v) with
+    | None -> invalidf "SRV004" "%s" not_list
+    | Some items when List.for_all Option.is_some items -> Some (List.map Option.get items)
+    | Some _ -> invalidf "SRV004" "%s" bad_item)
 
-let parse_freqs op j =
-  match Json.member "freqs" j with
-  | Json.Null ->
-    let flo = float_field j "flo" 1e6 in
-    let fhi = float_field j "fhi" 1e10 in
-    let points = int_field j "points" 100 in
-    if not (flo > 0.0 && fhi > flo) then
-      invalidf "SRV004" "need 0 < flo < fhi (got flo=%g, fhi=%g)" flo fhi;
-    if points < 2 || points > 100_000 then
-      invalidf "SRV004" "field \"points\" must be in [2, 100000] (got %d)" points;
-    if op = Ac || op = Sparams then Simulate.Ac.log_freqs ~points flo fhi else [||]
-  | v -> (
-    match Json.to_list_opt v with
-    | None -> invalidf "SRV004" "field \"freqs\" must be an array of frequencies"
-    | Some items ->
-      if items = [] then invalidf "SRV004" "field \"freqs\" must not be empty";
-      if List.length items > 100_000 then
-        invalidf "SRV004" "field \"freqs\" is limited to 100000 points";
-      let arr =
-        List.map
-          (fun it ->
-            match Json.to_float_opt it with
-            | Some f when f > 0.0 -> f
-            | _ -> invalidf "SRV004" "field \"freqs\" entries must be positive numbers")
-          items
-      in
-      Array.of_list arr)
+let ops =
+  [
+    ("ping", `Control Ping);
+    ("reduce", `Run Ops.Reduce);
+    ("ac", `Run Ops.Ac);
+    ("sparams", `Run Ops.Sparams);
+    ("tran", `Run Ops.Tran);
+    ("certify", `Run Ops.Certify);
+    ("stats", `Control Stats);
+    ("shutdown", `Control Shutdown);
+  ]
 
-let parse_observe j =
-  match Json.member "observe" j with
-  | Json.Null -> []
-  | v -> (
-    match Json.to_list_opt v with
-    | None -> invalidf "SRV004" "field \"observe\" must be an array of node names"
-    | Some items ->
-      List.map
-        (fun it ->
-          match Json.to_str_opt it with
-          | Some s -> s
-          | None -> invalidf "SRV004" "field \"observe\" entries must be strings")
-        items)
+(* one compute request: its fields over the op's Ops defaults, then the
+   Ops range checks *)
+let decode op j =
+  let d = Ops.default op in
+  let engine = Ops.engine (str_field j "engine" (Sympvl.Rom.name d.Ops.engine)) in
+  let order = int_field j "order" d.Ops.order in
+  let shift =
+    match Json.member "shift" j with Json.Null -> None | _ -> Some (float_field j "shift" 0.0)
+  in
+  let band =
+    let msg = "field \"band\" must be [lo, hi] with 0 < lo < hi" in
+    match list_field Json.to_float_opt ~not_list:msg ~bad_item:msg j "band" with
+    | None -> None
+    | Some [ lo; hi ] -> Some (lo, hi)
+    | Some _ -> invalidf "SRV004" "%s" msg
+  in
+  let freqs =
+    Option.map Array.of_list
+      (list_field Json.to_float_opt j "freqs"
+         ~not_list:"field \"freqs\" must be an array of frequencies"
+         ~bad_item:"field \"freqs\" entries must be positive numbers")
+  in
+  (* the log grid is read only when no explicit grid is given *)
+  let log_grid = Option.is_none freqs in
+  let flo = if log_grid then float_field j "flo" d.Ops.flo else d.Ops.flo in
+  let fhi = if log_grid then float_field j "fhi" d.Ops.fhi else d.Ops.fhi in
+  let points = if log_grid then int_field j "points" d.Ops.points else d.Ops.points in
+  let observe =
+    Option.value ~default:d.Ops.observe
+      (list_field Json.to_str_opt j "observe"
+         ~not_list:"field \"observe\" must be an array of node names"
+         ~bad_item:"field \"observe\" entries must be strings")
+  in
+  let z0 = float_field j "z0" d.Ops.z0 in
+  let dt = float_field j "dt" d.Ops.dt in
+  let t_stop = float_field j "tstop" d.Ops.t_stop in
+  Ops.check
+    { d with Ops.engine; order; shift; band; freqs; flo; fhi; points; z0; dt; t_stop; observe }
 
 let parse line =
   match Json.parse line with
@@ -157,75 +118,31 @@ let parse line =
   | Json.Obj _ as j -> (
     let id = Json.member "id" j in
     try
-      let op =
+      let name =
         match Json.member "op" j with
         | Json.Null -> invalidf "SRV003" "missing \"op\" field"
         | v -> (
           match Json.to_str_opt v with
           | None -> invalidf "SRV003" "field \"op\" must be a string"
-          | Some name -> (
-            match op_of_name name with
-            | Some op -> op
-            | None ->
-              invalidf "SRV003"
-                "unknown op %S (have ping, reduce, ac, sparams, tran, certify, \
-                 stats, shutdown)"
-                name))
+          | Some name -> name)
       in
-      let netlist = str_field j "netlist" "" in
-      if needs_netlist op && String.trim netlist = "" then
-        invalidf "SRV005" "op %S needs a non-empty \"netlist\" field" (op_name op);
-      let engine =
-        match str_field j "engine" "sympvl" with
-        | name -> (
-          match Sympvl.Rom.of_name name with
-          | Some e -> e
-          | None -> invalidf "SRV006" "unknown engine %S (try sympvl)" name)
+      let body =
+        match List.assoc_opt name ops with
+        | None ->
+          invalidf "SRV003" "unknown op %S (have %s)" name
+            (String.concat ", " (List.map fst ops))
+        | Some (`Run op) ->
+          let netlist = str_field j "netlist" "" in
+          if String.trim netlist = "" then
+            invalidf "SRV005" "op %S needs a non-empty \"netlist\" field" name;
+          Run (netlist, decode op j)
+        | Some (`Control body) -> body
       in
-      let order = int_field j "order" (match op with Certify -> 0 | _ -> 20) in
-      (match op with
-      | Reduce when order <= 0 ->
-        invalidf "SRV004" "field \"order\" must be positive (got %d)" order
-      | Certify when order < 0 ->
-        invalidf "SRV004" "field \"order\" must be >= 0 (got %d)" order
-      | _ -> ());
-      let shift =
-        match Json.member "shift" j with
-        | Json.Null -> None
-        | v -> (
-          match Json.to_float_opt v with
-          | Some s -> Some s
-          | None -> invalidf "SRV004" "field \"shift\" must be a number")
-      in
-      let band = parse_band j in
-      let freqs = parse_freqs op j in
-      let z0 = float_field j "z0" 50.0 in
-      if z0 <= 0.0 then invalidf "SRV004" "field \"z0\" must be positive";
-      let dt = float_field j "dt" 1e-11 in
-      let t_stop = float_field j "tstop" 1e-8 in
-      if op = Tran && not (dt > 0.0 && t_stop > dt) then
-        invalidf "SRV004" "need 0 < dt < tstop (got dt=%g, tstop=%g)" dt t_stop;
-      let observe = parse_observe j in
-      if op = Tran && observe = [] then
-        invalidf "SRV004" "op \"tran\" needs a non-empty \"observe\" field";
-      let trace = bool_field j "trace" false in
-      Ok
-        {
-          id;
-          op;
-          netlist;
-          engine;
-          order;
-          shift;
-          band;
-          freqs;
-          z0;
-          dt;
-          t_stop;
-          observe;
-          trace;
-        }
-    with Invalid d -> Error (id, [ d ]))
+      Ok { id; body; trace = bool_field j "trace" false }
+    with
+    | Invalid d -> Error (id, [ d ])
+    | Ops.Invalid (field, msg) ->
+      Error (id, [ Diagnostic.error (if field = "engine" then "SRV006" else "SRV004") msg ]))
   | _ -> Error (Json.Null, [ Diagnostic.error "SRV002" "request must be a JSON object" ])
 
 (* ------------------------------------------------------------------ *)

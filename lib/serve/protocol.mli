@@ -13,12 +13,14 @@
     {v
     {"id": any, "op": "ping|reduce|ac|sparams|tran|certify|stats|shutdown",
      "netlist": "<netlist text>",            // compute ops
-     "engine": "sympvl", "order": 20, "shift": s0, "band": [lo, hi],
+     "engine", "order", "shift", "band",     // reduce, certify
      "freqs": [hz, ...] | "flo"/"fhi"/"points",   // ac, sparams
-     "z0": 50.0,                                  // sparams
-     "dt": 1e-11, "tstop": 1e-8, "observe": ["n1", ...],  // tran
+     "z0",                                        // sparams
+     "dt", "tstop", "observe": ["n1", ...],       // tran
      "trace": true}                           // per-request span subtree
-    v} *)
+    v}
+
+    Each compute field defaults to {!Ops.default}. *)
 
 type addr = [ `Unix of string | `Tcp of string * int ]
 (** Where the daemon listens: a Unix socket path, or a TCP host:port. *)
@@ -27,34 +29,34 @@ val sockaddr : addr -> Unix.sockaddr
 (** Resolve to a [Unix.sockaddr] ([Tcp] hosts accept dotted quads or
     names). @raise Circuit.Diagnostic.User_error on an unknown host. *)
 
-type op = Ping | Reduce | Ac | Sparams | Tran | Certify | Stats | Shutdown
+val addr_to_string : addr -> string
+(** [unix:PATH] or [HOST:PORT], as the daemon and its client name an
+    address in messages. *)
 
-val op_name : op -> string
+type body =
+  | Ping
+  | Stats
+  | Shutdown
+  | Run of string * Ops.request
+      (** A compute op on a netlist text, decoded and range-checked by
+          {!Ops.check}. *)
 
 type request = {
   id : Json.t;  (** Echoed verbatim in the response ([Null] if absent). *)
-  op : op;
-  netlist : string;  (** Netlist text; [""] for the data-free ops. *)
-  engine : Sympvl.Rom.engine;
-  order : int;  (** [0] means the op's auto order (certify). *)
-  shift : float option;
-  band : (float * float) option;
-  freqs : float array;  (** Resolved grid, in request order (ac/sparams). *)
-  z0 : float;
-  dt : float;
-  t_stop : float;
-  observe : string list;
+  body : body;
   trace : bool;
 }
 
 val parse : string -> (request, Json.t * Circuit.Diagnostic.t list) result
-(** Decode and validate one request line. The error carries the
-    request [id] when one could still be extracted ([Null] otherwise)
-    so even a rejected request gets an addressable response.
+(** Decode one request line: field types here, defaults and ranges
+    from {!Ops}. The error carries the request [id] when one could
+    still be extracted ([Null] otherwise) so even a rejected request
+    gets an addressable response.
 
     Error codes: [SRV001] malformed JSON, [SRV002] not an object,
-    [SRV003] missing/unknown op, [SRV004] invalid field value,
-    [SRV005] missing or empty netlist, [SRV006] unknown engine. *)
+    [SRV003] missing/unknown op, [SRV004] invalid field value (the
+    {!Ops.Invalid} text), [SRV005] missing or empty netlist, [SRV006]
+    unknown engine. *)
 
 (** {1 Responses} *)
 

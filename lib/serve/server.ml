@@ -35,60 +35,16 @@ type state = {
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
 
-(* the same user-level exception surface the CLI's [safely] enumerates,
-   rendered as findings instead of stderr lines; anything else is an
-   internal error (SRV008) except the truly fatal trio. [mna] names a
-   zero pivot's unknown; [op] decides whether a shift can be suggested *)
-let user_diag ?mna (op : Protocol.op) = function
-  | Circuit.Parser.Parse_error (line, msg) ->
-    Some (Diagnostic.error ~line "SRV007" (Printf.sprintf "parse error: %s" msg))
-  | Diagnostic.User_error msg -> Some (Diagnostic.error "SRV007" msg)
-  | Sys_error msg -> Some (Diagnostic.error "SRV007" msg)
-  | Sympvl.Rom.Unsupported why ->
-    Some (Diagnostic.error "SRV007" ("engine does not apply to this netlist: " ^ why))
-  | Sympvl.Awe.Breakdown msg ->
-    Some
-      (Diagnostic.error "SRV007"
-         ("AWE breakdown: " ^ msg ^ " — lower \"order\" (AWE is limited to ~8)"))
-  | Sympvl.Mpvl.Breakdown k ->
-    Some
-      (Diagnostic.error "SRV007"
-         (Printf.sprintf
-            "MPVL exact breakdown at step %d — perturb \"shift\" or use engine \
-             \"sympvl\""
-            k))
-  | Sympvl.Factor.Singular i ->
-    let at =
-      match mna with
-      | Some m -> Circuit.Mna.unknown_label m i
-      | None -> Printf.sprintf "unknown %d" (i + 1)
-    in
-    let hint =
-      match op with
-      | Protocol.Reduce | Protocol.Certify -> " — pass \"shift\" or \"band\""
-      | _ -> ""
-    in
-    Some
-      (Diagnostic.error "SRV007"
-         (Printf.sprintf "factoring G + sC hit a zero pivot at %s%s" at hint))
-  | Simulate.Transient.Convergence_failure t ->
-    Some
-      (Diagnostic.error "SRV007"
-         (Printf.sprintf "transient Newton failed to converge at t = %g s" t))
-  | _ -> None
-
-let guard ~id ~op f =
-  try f () with
-  | (Out_of_memory | Stack_overflow | San.Violation _) as e -> raise e
-  | e -> (
-    match user_diag op e with
-    | Some d -> Protocol.error_response ~id [ d ]
-    | None ->
-      Protocol.error_response ~id
-        [
-          Diagnostic.error "SRV008"
-            (Printf.sprintf "internal error: %s" (Printexc.to_string e));
-        ])
+(* one request (or batch group) through the Ops failure table: a user
+   error is SRV007; anything else except the truly fatal trio is an
+   internal error (SRV008) *)
+let guard ?op f =
+  match Ops.guard ~spell:(Printf.sprintf "%S") ?op f with
+  | r -> Result.map_error (fun { Ops.line; message } -> Diagnostic.error ?line "SRV007" message) r
+  | exception ((Out_of_memory | Stack_overflow | San.Violation _) as e) -> raise e
+  | exception e ->
+    Error
+      (Diagnostic.error "SRV008" (Printf.sprintf "internal error: %s" (Printexc.to_string e)))
 
 let jint k = Json.Num (float_of_int k)
 
@@ -110,9 +66,9 @@ let with_entry st text f =
   Cache.pin entry;
   Fun.protect ~finally:(fun () -> Cache.unpin st.cache entry) (fun () -> f entry)
 
-(* one non-sweep request -> (fields, findings) *)
-let compute st (r : Protocol.request) =
-  match r.op with
+(* one non-sweep request -> (fields, findings); [seen] takes the
+   pencil a zero pivot is named against *)
+let compute st seen = function
   | Protocol.Ping -> ([ ("pong", Json.Bool true) ], None)
   | Protocol.Shutdown ->
     request_stop ();
@@ -145,62 +101,52 @@ let compute st (r : Protocol.request) =
             ] );
       ],
       None )
-  | Protocol.Reduce ->
-    with_entry st r.netlist @@ fun entry ->
-    let mna = Cache.mna entry in
-    let model, cached =
-      Cache.model st.cache entry ~engine:r.engine ~order:r.order ~shift:r.shift
-        ~band:r.band
-    in
-    ( [
-        ("engine", Json.Str (Sympvl.Rom.name r.engine));
-        ("n", jint mna.Circuit.Mna.n);
-        ("order", jint (Sympvl.Rom.order model));
-        ("ports", jint (Sympvl.Rom.ports model));
-        ("shift", Json.Num (Sympvl.Rom.shift model));
-        ("cached", Json.Bool cached);
-      ],
-      None )
-  | Protocol.Tran ->
-    with_entry st r.netlist @@ fun entry ->
-    let nl = Cache.netlist entry in
-    let nodes = List.map (Circuit.Netlist.find_node nl) r.observe in
-    let opts = Simulate.Transient.default ~dt:r.dt ~t_stop:r.t_stop in
-    let res = Simulate.Transient.run ~opts ~observe:nodes nl in
-    ( [
-        ("times", jfloats res.Simulate.Transient.times);
-        ( "voltages",
-          Json.Obj
-            (List.map
-               (fun (name, w) -> (name, jfloats w))
-               res.Simulate.Transient.voltages) );
-        ("steps", jint res.Simulate.Transient.steps);
-      ],
-      None )
-  | Protocol.Certify ->
-    with_entry st r.netlist @@ fun entry ->
-    let mna = Cache.mna entry in
-    let order = Sympvl.Certify.request_order r.engine mna r.order in
-    let model, cached =
-      Cache.model st.cache entry ~engine:r.engine ~order ~shift:r.shift
-        ~band:r.band
-    in
-    let rep =
-      Sympvl.Certify.request ~ctx:(Cache.ctx entry) ?shift:r.shift ?band:r.band model mna
-    in
-    ( [
-        ("engine", Json.Str (Sympvl.Rom.name r.engine));
-        ("order", jint (Sympvl.Rom.order model));
-        ("cached", Json.Bool cached);
-        ( "safe_order",
-          match rep.Sympvl.Certify.safe_order with
-          | Some k -> jint k
-          | None -> Json.Null );
-      ],
-      Some rep.Sympvl.Certify.findings )
-  | Protocol.Ac | Protocol.Sparams ->
-    (* routed through [handle_group] by the batch processor *)
-    assert false
+  | Protocol.Run (text, r) -> (
+    with_entry st text @@ fun entry ->
+    match r.Ops.op with
+    | Ops.Reduce ->
+      let mna = Cache.mna entry in
+      seen mna;
+      let model, cached = Cache.model st.cache entry r in
+      ( [
+          ("engine", Json.Str (Sympvl.Rom.name r.Ops.engine));
+          ("n", jint mna.Circuit.Mna.n);
+          ("order", jint (Sympvl.Rom.order model));
+          ("ports", jint (Sympvl.Rom.ports model));
+          ("shift", Json.Num (Sympvl.Rom.shift model));
+          ("cached", Json.Bool cached);
+        ],
+        None )
+    | Ops.Tran ->
+      let res = Ops.tran r (Cache.netlist entry) in
+      ( [
+          ("times", jfloats res.Simulate.Transient.times);
+          ( "voltages",
+            Json.Obj
+              (List.map
+                 (fun (name, w) -> (name, jfloats w))
+                 res.Simulate.Transient.voltages) );
+          ("steps", jint res.Simulate.Transient.steps);
+        ],
+        None )
+    | Ops.Certify ->
+      let mna = Cache.mna entry in
+      seen mna;
+      let model, cached = Cache.model st.cache entry r in
+      let rep = Ops.certify ~ctx:(Cache.ctx entry) r model mna in
+      ( [
+          ("engine", Json.Str (Sympvl.Rom.name r.Ops.engine));
+          ("order", jint (Sympvl.Rom.order model));
+          ("cached", Json.Bool cached);
+          ( "safe_order",
+            match rep.Sympvl.Certify.safe_order with
+            | Some k -> jint k
+            | None -> Json.Null );
+        ],
+        Some rep.Sympvl.Certify.findings )
+    | Ops.Ac | Ops.Sparams ->
+      (* routed through [handle_group] by the batch processor *)
+      assert false)
 
 let record_latency st dt =
   st.lat_count <- st.lat_count + 1;
@@ -210,18 +156,23 @@ let record_latency st dt =
 let handle_single st (r : Protocol.request) =
   let t0 = Obs.now () in
   let m = Obs.mark () in
+  let op = match r.Protocol.body with Protocol.Run (_, q) -> Some q.Ops.op | _ -> None in
   let resp =
-    guard ~id:r.Protocol.id ~op:r.Protocol.op @@ fun () ->
-    if Obs.tracing () then Obs.span_begin "serve.request";
-    let fields, findings =
-      Fun.protect
-        ~finally:(fun () -> if Obs.tracing () then Obs.span_end ())
-        (fun () -> compute st r)
-    in
-    let trace =
-      if r.Protocol.trace then Some (Obs.export_chrome_since m) else None
-    in
-    Protocol.ok_response ~id:r.Protocol.id ?findings ?trace fields
+    match
+      guard ?op @@ fun seen ->
+      if Obs.tracing () then Obs.span_begin "serve.request";
+      let fields, findings =
+        Fun.protect
+          ~finally:(fun () -> if Obs.tracing () then Obs.span_end ())
+          (fun () -> compute st seen r.Protocol.body)
+      in
+      let trace =
+        if r.Protocol.trace then Some (Obs.export_chrome_since m) else None
+      in
+      Protocol.ok_response ~id:r.Protocol.id ?findings ?trace fields
+    with
+    | Ok resp -> resp
+    | Error d -> Protocol.error_response ~id:r.Protocol.id [ d ]
   in
   record_latency st (Obs.now () -. t0);
   resp
@@ -230,28 +181,27 @@ let handle_single st (r : Protocol.request) =
    union the frequency points missing from the entry's point cache,
    run one pooled sweep for the whole group, then answer each request
    from the point table *)
-let handle_group st (items : (int * Protocol.request) list) =
+let handle_group st text (items : (int * Protocol.request * Ops.request) list) =
   let t0 = Obs.now () in
   let m = Obs.mark () in
-  let ids = List.map (fun (i, r) -> (i, r.Protocol.id)) items in
-  let _, r0 = List.hd items in
-  let group_mna = ref None in
+  let items = List.map (fun (i, r, q) -> (i, r, q, Ops.freqs q)) items in
   let result =
-    try
+    match
+      guard ~op:Ops.Ac @@ fun seen ->
       if Obs.tracing () then Obs.span_begin "serve.request";
       let fields_per_item =
         Fun.protect
           ~finally:(fun () -> if Obs.tracing () then Obs.span_end ())
           (fun () ->
-          with_entry st r0.Protocol.netlist @@ fun entry ->
+          with_entry st text @@ fun entry ->
           let mna = Cache.mna entry in
-          group_mna := Some mna;
+          seen mna;
           let ws = Cache.ctx entry in
           let hits = ref 0 and fresh_total = ref 0 in
-          let seen = Hashtbl.create 64 in
+          let seen_f = Hashtbl.create 64 in
           let union = ref [] in
           List.iter
-            (fun (_, r) ->
+            (fun (_, _, _, freqs) ->
               Array.iter
                 (fun f ->
                   match Cache.cached_point entry f with
@@ -262,11 +212,11 @@ let handle_group st (items : (int * Protocol.request) list) =
                     incr fresh_total;
                     Obs.count "serve.point_miss" 1;
                     let k = Printf.sprintf "%h" f in
-                    if not (Hashtbl.mem seen k) then begin
-                      Hashtbl.add seen k ();
+                    if not (Hashtbl.mem seen_f k) then begin
+                      Hashtbl.add seen_f k ();
                       union := f :: !union
                     end)
-                r.Protocol.freqs)
+                freqs)
             items;
           let needed = Array.of_list !union in
           (* canonical ascending order: the sweep's work distribution
@@ -286,34 +236,30 @@ let handle_group st (items : (int * Protocol.request) list) =
           end;
           let port_names = mna.Circuit.Mna.port_names in
           List.map
-            (fun (i, r) ->
+            (fun (i, r, q, freqs) ->
               let zs =
                 Array.map
                   (fun f ->
                     match Cache.cached_point entry f with
                     | Some z -> z
                     | None -> assert false)
-                  r.Protocol.freqs
+                  freqs
               in
               let key, mats =
-                match r.Protocol.op with
-                | Protocol.Sparams ->
-                  ( "s",
-                    Array.map
-                      (Simulate.Netparams.z_to_s ~z0:r.Protocol.z0)
-                      zs )
+                match q.Ops.op with
+                | Ops.Sparams -> ("s", Array.map (Simulate.Netparams.z_to_s ~z0:q.Ops.z0) zs)
                 | _ -> ("z", zs)
               in
               ( i,
                 r,
                 [
-                  ("freqs", jfloats r.Protocol.freqs);
+                  ("freqs", jfloats freqs);
                   ("ports", jstrs port_names);
                   (key, Json.List (Array.to_list (Array.map jcmat mats)));
                 ] ))
             items)
-    in
-      let traced = List.exists (fun (_, r) -> r.Protocol.trace) items in
+      in
+      let traced = List.exists (fun (_, r, _, _) -> r.Protocol.trace) items in
       let trace = if traced then Some (Obs.export_chrome_since m) else None in
       List.map
         (fun (i, (r : Protocol.request), fields) ->
@@ -321,16 +267,9 @@ let handle_group st (items : (int * Protocol.request) list) =
           (i, Protocol.ok_response ~id:r.Protocol.id ?trace fields))
         fields_per_item
     with
-    | (Out_of_memory | Stack_overflow | San.Violation _) as e -> raise e
-    | e ->
-      let d =
-        match user_diag ?mna:!group_mna r0.Protocol.op e with
-        | Some d -> d
-        | None ->
-          Diagnostic.error "SRV008"
-            (Printf.sprintf "internal error: %s" (Printexc.to_string e))
-      in
-      List.map (fun (i, id) -> (i, Protocol.error_response ~id [ d ])) ids
+    | Ok resps -> resps
+    | Error d ->
+      List.map (fun (i, r, _, _) -> (i, Protocol.error_response ~id:r.Protocol.id [ d ])) items
   in
   List.iter (fun _ -> record_latency st (Obs.now () -. t0)) result;
   result
@@ -340,10 +279,11 @@ let handle_group st (items : (int * Protocol.request) list) =
 
 let append_response c resp = c.out <- c.out ^ resp ^ "\n"
 
-let is_sweep (r : Protocol.request) =
-  match r.Protocol.op with
-  | Protocol.Ac | Protocol.Sparams -> true
-  | _ -> false
+(* an ac/sparams request: its netlist text and compute request *)
+let sweep_of (r : Protocol.request) =
+  match r.Protocol.body with
+  | Protocol.Run (text, ({ Ops.op = Ops.Ac | Ops.Sparams; _ } as q)) -> Some (text, q)
+  | _ -> None
 
 let process_batch st (items : (conn * string) list) =
   let batch_mark = Obs.mark () in
@@ -357,29 +297,34 @@ let process_batch st (items : (conn * string) list) =
   Array.iteri
     (fun i p ->
       match p with
-      | Ok r when is_sweep r ->
-        let k = Cache.key_of_text r.Protocol.netlist in
-        let members =
-          match Hashtbl.find_opt groups k with Some l -> l | None -> []
-        in
-        Hashtbl.replace groups k ((i, r) :: members)
-      | _ -> ())
+      | Ok r -> (
+        match sweep_of r with
+        | Some (text, q) ->
+          let k = Cache.key_of_text text in
+          let members =
+            match Hashtbl.find_opt groups k with Some l -> l | None -> []
+          in
+          Hashtbl.replace groups k ((i, r, q) :: members)
+        | None -> ())
+      | Error _ -> ())
     parsed;
   let done_groups = Hashtbl.create 8 in
   Array.iteri
     (fun i p ->
       match p with
       | Error (id, ds) -> out.(i) <- Protocol.error_response ~id ds
-      | Ok r when is_sweep r ->
-        let k = Cache.key_of_text r.Protocol.netlist in
-        if not (Hashtbl.mem done_groups k) then begin
-          Hashtbl.add done_groups k ();
-          let members =
-            List.rev (match Hashtbl.find_opt groups k with Some l -> l | None -> [])
-          in
-          List.iter (fun (j, resp) -> out.(j) <- resp) (handle_group st members)
-        end
-      | Ok r -> out.(i) <- handle_single st r)
+      | Ok r -> (
+        match sweep_of r with
+        | Some (text, _) ->
+          let k = Cache.key_of_text text in
+          if not (Hashtbl.mem done_groups k) then begin
+            Hashtbl.add done_groups k ();
+            let members =
+              List.rev (match Hashtbl.find_opt groups k with Some l -> l | None -> [])
+            in
+            List.iter (fun (j, resp) -> out.(j) <- resp) (handle_group st text members)
+          end
+        | None -> out.(i) <- handle_single st r))
     parsed;
   (* the responses carried any requested trace subtrees out; drop the
      batch's span events so daemon buffers stay bounded (counters and
@@ -519,10 +464,7 @@ let setup_listener cfg =
   | () -> ()
   | exception Unix.Unix_error (err, _, _) ->
     close_quiet fd;
-    Diagnostic.user_errorf "cannot bind %s: %s"
-      (match cfg.addr with
-      | `Unix p -> p
-      | `Tcp (h, p) -> Printf.sprintf "%s:%d" h p)
+    Diagnostic.user_errorf "cannot bind %s: %s" (Protocol.addr_to_string cfg.addr)
       (Unix.error_message err));
   Unix.listen fd 64;
   Unix.set_nonblock fd;

@@ -130,10 +130,12 @@ let test_narrow_band () =
 let bt_mna () =
   Circuit.Mna.assemble_rc (Circuit.Generators.random_rc ~nodes:8 ~extra_edges:4 ~seed:7 ())
 
+(* (order, band) per engine: AWE at its documented low order on a
+   mid-band shift, every other engine at full order *)
 let adapter_opts eng (m : Circuit.Mna.t) =
   match eng with
-  | `Awe -> { (Rom.default ~order:3) with Rom.band = Some (1e6, 1e10) }
-  | _ -> Rom.default ~order:m.Circuit.Mna.n
+  | `Awe -> (3, Some (1e6, 1e10))
+  | _ -> (m.Circuit.Mna.n, None)
 
 let test_adapter_all_engines () =
   let exercised = ref [] in
@@ -141,8 +143,8 @@ let test_adapter_all_engines () =
     match Rom.supports eng m with
     | Error _ -> ()
     | Ok () ->
-      let opts = adapter_opts eng m in
-      let model = Rom.reduce ~opts ~order:opts.Rom.order eng m in
+      let order, band = adapter_opts eng m in
+      let model = Rom.reduce ?band ~order eng m in
       let r = Certify.state_space model in
       Alcotest.(check bool)
         (Rom.name eng ^ ": adapter reports the engine") true
@@ -212,8 +214,7 @@ let test_structural_dc_pole () =
   let mna =
     Circuit.Mna.assemble (Circuit.Generators.package_model ~pins:16 ~signal_pins:8 ~sections:4 ())
   in
-  let opts = { (Rom.default ~order:80) with Rom.band = Some (1e7, 2e10) } in
-  let model = Rom.reduce ~opts ~order:80 `Sympvl mna in
+  let model = Rom.reduce ~band:(1e7, 2e10) ~order:80 `Sympvl mna in
   (match model with
   | Rom.Sympvl_model m ->
     Alcotest.(check bool) "the model has a pole beyond Re = 1e10" true
@@ -250,8 +251,8 @@ let prop_clean_rc_certifies =
           match Rom.supports eng mna with
           | Error _ -> true
           | Ok () -> (
-            let opts = adapter_opts eng mna in
-            match Rom.reduce ~ctx ~opts ~order:opts.Rom.order eng mna with
+            let order, band = adapter_opts eng mna in
+            match Rom.reduce ~ctx ?band ~order eng mna with
             | exception (Sympvl.Awe.Breakdown _ | Sympvl.Mpvl.Breakdown _) -> true
             | model ->
               if Rom.shift model <> 0.0 then true
@@ -302,8 +303,8 @@ let test_registry () =
       match Rom.supports eng mna with
       | Error _ -> ()
       | Ok () ->
-        let opts = adapter_opts eng mna in
-        let model = Rom.reduce ~ctx ~opts ~order:opts.Rom.order eng mna in
+        let order, band = adapter_opts eng mna in
+        let model = Rom.reduce ~ctx ?band ~order eng mna in
         let rep = Certify.run ~ctx model mna in
         List.iter (fun d -> emitted := d.D.code :: !emitted) rep.Certify.findings)
     Rom.all;

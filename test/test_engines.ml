@@ -94,11 +94,11 @@ let engine_opts eng (m : Circuit.Mna.t) =
   match eng with
   | `Awe ->
     (* AWE's documented validity is low order at a mid-band expansion *)
-    { (Rom.default ~order:3) with Rom.band = Some (1e6, 1e10) }
+    (3, Some (1e6, 1e10))
   | _ ->
     (* Krylov/BT engines at full order: the model is the exact transfer
        function up to roundoff, so the golden comparison is tight *)
-    Rom.default ~order:m.Circuit.Mna.n
+    (m.Circuit.Mna.n, None)
 
 let test_engine_golden base () =
   let m = mna_of base in
@@ -119,8 +119,8 @@ let test_engine_golden base () =
           (Printf.sprintf "%s/%s: support is documented" base (Rom.name eng))
           false
           (List.mem (base, eng) expected_skips);
-        let opts = engine_opts eng m in
-        let model = Rom.reduce ~opts ~order:opts.Rom.order eng m in
+        let order, band = engine_opts eng m in
+        let model = Rom.reduce ?band ~order eng m in
         let scalar = Rom.ports model = 1 && Array.length m.Circuit.Mna.port_names > 1 in
         let rtol = Rom.golden_rtol eng in
         List.iter

@@ -25,14 +25,17 @@
        pooled sweep (stats report the saved points);
      - cli: one certify request gives the same findings through
        `symor certify --json`, `symor reduce --certify` and the serve
-       certify op (and a negative order is rejected by both front
-       ends); an unknown `tran` observe name is a one-line user error
-       on the CLI and leaves the daemon's cached netlist intact; a
-       zero pivot in an exact jω factor is a one-line user error
+       certify op; an unknown `tran` observe name is a one-line user
+       error on the CLI and leaves the daemon's cached netlist intact;
+       a zero pivot in an exact jω factor is a one-line user error
        naming the unknown on the CLI and an SRV007 finding in serve;
+       one table of out-of-range requests gets the same message as a
+       one-line CLI error and as a serve SRV004 finding; `symor
+       request` against a dead socket is a one-line user error;
      - lifecycle: SIGTERM drains the in-flight request (answered with
-       golden-exact data) before a clean exit 0, and a long run of
-       traced requests leaves the obs buffers bounded. *)
+       golden-exact data) before a clean exit 0, a long run of traced
+       requests leaves the obs buffers bounded, and a reduce at order
+       100000 answers at the pencil size and leaves the daemon up. *)
 
 module J = Serve.Json
 
@@ -248,14 +251,20 @@ let test_cache_doomed_ghost () =
 let test_cache_model_and_points () =
   let t = Serve.Cache.create ~max_entries:2 in
   let e = Serve.Cache.find t (grid 4 4) in
-  let _, c1 = Serve.Cache.model t e ~engine:`Sympvl ~order:4 ~shift:None ~band:None in
-  let _, c2 = Serve.Cache.model t e ~engine:`Sympvl ~order:4 ~shift:None ~band:None in
+  let request op order = { (Ops.default op) with Ops.order } in
+  let _, c1 = Serve.Cache.model t e (request Ops.Reduce 4) in
+  let _, c2 = Serve.Cache.model t e (request Ops.Reduce 4) in
   Alcotest.(check bool) "first build not cached" false c1;
   Alcotest.(check bool) "repeat configuration cached" true c2;
   Alcotest.(check int) "one model build" 1
     (Serve.Cache.stats t).Serve.Cache.model_builds;
-  let _, c3 = Serve.Cache.model t e ~engine:`Sympvl ~order:6 ~shift:None ~band:None in
+  let _, c3 = Serve.Cache.model t e (request Ops.Reduce 6) in
   Alcotest.(check bool) "different order rebuilds" false c3;
+  (* certify's automatic order resolves to N = 16 before the lookup *)
+  let _, c4 = Serve.Cache.model t e (request Ops.Reduce 16) in
+  let _, c5 = Serve.Cache.model t e (request Ops.Certify 0) in
+  Alcotest.(check bool) "full order builds" false c4;
+  Alcotest.(check bool) "certify at auto order shares it" true c5;
   (* point table: exact bit-pattern keying, no float tolerance *)
   Serve.Cache.store_point e 1e9 (Linalg.Cmat.create 1 1);
   Alcotest.(check bool) "stored point found" true
@@ -503,6 +512,20 @@ let test_trace_bounded () =
   if ev >= 8192 then
     Alcotest.failf "obs buffers grew unbounded under traced requests: %d events" ev
 
+(* an order far beyond the pencil size reduces to the Krylov space the
+   pencil has (N = 6 on rc_line) instead of exhausting the daemon's
+   memory *)
+let test_huge_order () =
+  with_server @@ fun (addr, _) ->
+  with_client addr @@ fun c ->
+  let nl = J.to_string (J.Str (read_file (netlist_path "rc_line"))) in
+  let resp =
+    J.parse (request_exn c (Printf.sprintf {|{"op":"reduce","netlist":%s,"order":100000}|} nl))
+  in
+  Alcotest.(check (option bool)) "reduce ok" (Some true) (jbool "ok" resp);
+  Alcotest.(check int) "order = N" 6 (jint_exn "order" resp);
+  check_ping c
+
 (* ------------------------------------------------------------------ *)
 (* the CLI and the daemon over the same operations                     *)
 
@@ -569,14 +592,71 @@ let test_certify_parity () =
             (certification_block (lines out));
           Alcotest.(check (list string)) (what ^ ": serve certify = certify") cli served)
         (List.filter (fun e -> Sympvl.Rom.supports e mna = Ok ()) Sympvl.Rom.all))
-    [ "rc_line"; "peec_coupled" ];
-  (* a negative order is rejected by both front ends *)
-  let path = netlist_path "rc_line" in
-  check_user_error "CLI certify --order=-5" (run_symor [ "certify"; path; "--order=-5" ]);
-  let resp = request_exn c (certify_request (read_file path) (-5)) in
-  Alcotest.(check (option bool)) "serve: order -5 is not ok" (Some false)
-    (jbool "ok" (J.parse resp));
-  Alcotest.(check bool) "serve: SRV004" true (contains resp "SRV004")
+    [ "rc_line"; "peec_coupled" ]
+
+(* one table of out-of-range requests, each sent through both front
+   ends: the CLI's one-line user error and the daemon's SRV004 finding
+   carry the same message *)
+let test_invalid_requests () =
+  let rc = netlist_path "rc_line" and rl = netlist_path "rl_ladder" in
+  let cases =
+    [
+      ([ "reduce"; rc; "-n"; "0" ], {|"op":"reduce","order":0|},
+        {|field "order" must be positive (got 0)|});
+      ([ "certify"; rc; "--order=-5" ], {|"op":"certify","order":-5|},
+        {|field "order" must be >= 0 (got -5)|});
+      ([ "reduce"; rl; "--band"; "1e9,1e6" ], {|"op":"reduce","band":[1e9,1e6]|},
+        {|field "band" must be [lo, hi] with 0 < lo < hi|});
+      ([ "ac"; rc; "--flo"; "1e9"; "--fhi"; "1e9" ], {|"op":"ac","flo":1e9,"fhi":1e9|},
+        {|need 0 < flo < fhi (got flo=1e+09, fhi=1e+09)|});
+      ([ "ac"; rc; "--points"; "1" ], {|"op":"ac","points":1|},
+        {|field "points" must be in [2, 100000] (got 1)|});
+      ([ "sparams"; rc; "--z0"; "0" ], {|"op":"sparams","z0":0|},
+        {|field "z0" must be positive|});
+      ( [ "tran"; rc; "--observe"; "out"; "--dt"; "1e-8" ],
+        {|"op":"tran","observe":["out"],"dt":1e-8|},
+        {|need 0 < dt < tstop (got dt=1e-08, tstop=1e-08)|} );
+      ([ "tran"; rc; "--observe"; "" ], {|"op":"tran","observe":[]|},
+        {|op "tran" needs a non-empty "observe" field|});
+    ]
+  in
+  with_server @@ fun (addr, _) ->
+  with_client addr @@ fun c ->
+  List.iter
+    (fun (args, fields, message) ->
+      let what = String.concat " " args in
+      let ((_, _, err) as run) = run_symor args in
+      check_user_error ("CLI " ^ what) run;
+      Alcotest.(check string) ("CLI " ^ what ^ ": message") ("symor: " ^ message ^ "\n") err;
+      let text = J.to_string (J.Str (read_file (List.nth args 1))) in
+      let resp = J.parse (request_exn c (Printf.sprintf {|{%s,"netlist":%s}|} fields text)) in
+      Alcotest.(check (option bool)) ("serve " ^ fields ^ ": not ok") (Some false)
+        (jbool "ok" resp);
+      let served =
+        List.map
+          (fun f -> render_finding f)
+          (jlist_exn (J.member "findings" resp))
+      in
+      Alcotest.(check (list string)) ("serve " ^ fields ^ ": one SRV004")
+        [ "error SRV004: " ^ message ] served)
+    cases;
+  check_ping c
+
+(* a stale socket with no daemon behind it: one line, exit 1, naming
+   the address *)
+let test_request_dead_socket () =
+  let sock = Printf.sprintf "/tmp/symor-test-%d-dead.sock" (Unix.getpid ()) in
+  (try Sys.remove sock with Sys_error _ -> ());
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX sock);
+  Unix.close fd;
+  Fun.protect ~finally:(fun () -> Sys.remove sock) @@ fun () ->
+  let ((_, _, err) as run) =
+    run_symor [ "request"; "--socket"; sock; "--connect-timeout"; "0.2"; {|{"op":"ping"}|} ]
+  in
+  check_user_error "CLI request on a dead socket" run;
+  Alcotest.(check bool) "names the address" true
+    (contains err ("cannot connect to unix:" ^ sock))
 
 (* an observe name the netlist does not have is a user error, and it
    must not intern a floating node into the cached netlist *)
@@ -673,6 +753,10 @@ let () =
             test_tran_unknown_node;
           Alcotest.test_case "ac: a jw zero pivot is a user error" `Quick
             test_jw_pivot_breakdown;
+          Alcotest.test_case "invalid requests: one message, both front ends" `Quick
+            test_invalid_requests;
+          Alcotest.test_case "request: a dead socket is a user error" `Quick
+            test_request_dead_socket;
         ] );
       ( "lifecycle",
         [
@@ -680,5 +764,7 @@ let () =
             test_sigterm_drain;
           Alcotest.test_case "traced requests keep obs bounded" `Quick
             test_trace_bounded;
+          Alcotest.test_case "a huge order does not kill the daemon" `Quick
+            test_huge_order;
         ] );
     ]
