@@ -117,7 +117,7 @@ let fig2 () =
         let ze = sw.Simulate.Ac.z.(k) in
         Printf.printf "%12.4e %14.6e" f (zin ze);
         List.iter
-          (fun (_, model) -> Printf.printf " %14.6e" (zin (Sympvl.Model.eval model s)))
+          (fun (_, model) -> Printf.printf " %14.6e" (zin (Sympvl.Realisation.eval model.Sympvl.Model.real s)))
           models;
         Printf.printf " %14.6e\n" (Linalg.Cx.abs (Linalg.Cmat.get ze 1 0))
       end)
@@ -132,7 +132,7 @@ let fig2 () =
             let zin z = Linalg.Cx.abs Linalg.Cx.(s *: Linalg.Cmat.get z 0 0) in
             [ f; zin sw.Simulate.Ac.z.(k);
               Linalg.Cx.abs (Linalg.Cmat.get sw.Simulate.Ac.z.(k) 1 0) ]
-            @ List.map (fun (_, model) -> zin (Sympvl.Model.eval model s)) models)
+            @ List.map (fun (_, model) -> zin (Sympvl.Realisation.eval model.Sympvl.Model.real s)) models)
           freqs));
   (* like the paper: n = 50 gives a good match; a few more iterations
      make it essentially perfect over the band of interest; report the
@@ -142,7 +142,7 @@ let fig2 () =
     Array.iteri
       (fun k f ->
         if f <= f_hi then begin
-          let zm = Sympvl.Model.eval model (Linalg.Cx.im (2.0 *. Float.pi *. f)) in
+          let zm = Sympvl.Realisation.eval model.Sympvl.Model.real (Linalg.Cx.im (2.0 *. Float.pi *. f)) in
           let ze = sw.Simulate.Ac.z.(k) in
           worst :=
             Float.max !worst
@@ -196,7 +196,7 @@ let package_figure ~out_port ~title =
       if row then Printf.printf "%12.4e %12.6f" f t_exact;
       List.iter
         (fun (_, model) ->
-          let t_model = transfer (Sympvl.Model.eval model s) in
+          let t_model = transfer (Sympvl.Realisation.eval model.Sympvl.Model.real s) in
           if row then Printf.printf " %10.6f" t_model)
         models;
       if row then print_newline ())
@@ -210,7 +210,7 @@ let package_figure ~out_port ~title =
           (fun k f ->
             let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
             [ f; transfer sw.Simulate.Ac.z.(k) ]
-            @ List.map (fun (_, model) -> transfer (Sympvl.Model.eval model s)) models)
+            @ List.map (fun (_, model) -> transfer (Sympvl.Realisation.eval model.Sympvl.Model.real s)) models)
           freqs));
   (* the figures' visual story: each order tracks the exact transfer
      up to some frequency and gives out above it; report the error on
@@ -223,7 +223,7 @@ let package_figure ~out_port ~title =
         if f <= f_hi then begin
           let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
           let t_exact = transfer sw.Simulate.Ac.z.(k) in
-          let t_model = transfer (Sympvl.Model.eval model s) in
+          let t_model = transfer (Sympvl.Realisation.eval model.Sympvl.Model.real s) in
           worst :=
             Float.max !worst (Float.abs (t_model -. t_exact) /. Float.max t_exact 1e-12)
         end)
@@ -414,7 +414,7 @@ let tab_c () =
         (fun order ->
           let model = Sympvl.Reduce.mna ~order mna in
           let tmin = Linalg.Eig_sym.min_eigenvalue model.Sympvl.Model.t_mat in
-          let r = Sympvl.Certify.state_space (Sympvl.Rom.Sympvl_model model) in
+          let r = model.Sympvl.Model.real in
           (* the certify MOD002 verdict, then the exact Hamiltonian band
              test (MOD003), which proves the whole axis, not just a
              sampling grid *)
@@ -423,14 +423,14 @@ let tab_c () =
             | Sympvl.Certify.Certified _ -> "certified"
             | Sympvl.Certify.Violated _ -> "VIOLATED"
             | Sympvl.Certify.No_certificate _ ->
-              if Linalg.Hamiltonian.violation_bands (Sympvl.Certify.phys_pencil r) = []
+              if Linalg.Hamiltonian.violation_bands (Sympvl.Realisation.phys_pencil r) = []
               then "bands-ok"
               else "VIOLATED"
           in
           let max_re =
             Array.fold_left
               (fun acc p -> Float.max acc p.Complex.re)
-              neg_infinity (Sympvl.Model.poles model)
+              neg_infinity (Sympvl.Realisation.poles model.Sympvl.Model.real)
           in
           Printf.printf "%-20s %6d %10b %14.3e %12.3e %10s\n" name order
             model.Sympvl.Model.definite max_re tmin passive)
@@ -461,10 +461,14 @@ let tab_d () =
           freqs;
         !worst
       in
-      let e_sypvl = err_of (fun s -> Linalg.Cmat.get (Sympvl.Model.eval sypvl s) 0 0) in
+      let e_sypvl =
+        err_of (fun s -> Linalg.Cmat.get (Sympvl.Realisation.eval sypvl.Sympvl.Model.real s) 0 0)
+      in
       match Sympvl.Awe.build ~order ~port:0 mna with
       | awe ->
-        let e_awe = err_of (Sympvl.Awe.eval awe) in
+        let e_awe =
+          err_of (fun s -> Linalg.Cmat.get (Sympvl.Realisation.eval awe.Sympvl.Awe.real s) 0 0)
+        in
         Printf.printf "%6d %16.3e %16.3e %16.3e\n" order e_awe e_sypvl
           awe.Sympvl.Awe.hankel_rcond
       | exception Sympvl.Awe.Breakdown msg ->
@@ -494,11 +498,11 @@ let tab_e () =
         let t2 = Obs.now () in
         let e1 =
           Simulate.Ac.max_rel_error sw
-            (Simulate.Ac.model_sweep (Sympvl.Model.eval sympvl) freqs)
+            (Simulate.Ac.model_sweep (Sympvl.Realisation.eval sympvl.Sympvl.Model.real) freqs)
         in
         let e2 =
           Simulate.Ac.max_rel_error sw
-            (Simulate.Ac.model_sweep (Sympvl.Arnoldi.eval arnoldi) freqs)
+            (Simulate.Ac.model_sweep (Sympvl.Realisation.eval arnoldi) freqs)
         in
         Printf.printf "%6d %18.3e %18.3e %14.2f %14.2f\n" order e1 e2
           ((t1 -. t0) *. 1e3)
@@ -538,7 +542,7 @@ let tab_f () =
           let model = Sympvl.Reduce.mna ~opts ~order mna in
           let e =
             Simulate.Ac.max_rel_error sw
-              (Simulate.Ac.model_sweep (Sympvl.Model.eval model) freqs)
+              (Simulate.Ac.model_sweep (Sympvl.Realisation.eval model.Sympvl.Model.real) freqs)
           in
           Printf.printf "%10s %6d %16.3e\n" name order e)
         [ 32; 64 ])
@@ -566,7 +570,7 @@ let tab_f () =
       let model = Sympvl.Reduce.mna ~opts ~order:16 mna_dup in
       let e =
         Simulate.Ac.max_rel_error sw_dup
-          (Simulate.Ac.model_sweep (Sympvl.Model.eval model) freqs_dup)
+          (Simulate.Ac.model_sweep (Sympvl.Realisation.eval model.Sympvl.Model.real) freqs_dup)
       in
       Printf.printf "%10.0e %12d %8d %16.3e\n" dtol model.Sympvl.Model.deflations
         model.Sympvl.Model.order e)
@@ -585,7 +589,7 @@ let tab_f () =
       in
       let model = Sympvl.Reduce.mna ~opts ~order:40 peec in
       let e =
-        Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Sympvl.Model.eval model) freqs)
+        Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Sympvl.Realisation.eval model.Sympvl.Model.real) freqs)
       in
       Printf.printf "%14s %16.3e\n" label e)
     [
@@ -636,10 +640,10 @@ let tab_g () =
       let t2 = Obs.now () in
       let e1 =
         Simulate.Ac.max_rel_error sw
-          (Simulate.Ac.model_sweep (Sympvl.Model.eval sympvl) freqs)
+          (Simulate.Ac.model_sweep (Sympvl.Realisation.eval sympvl.Sympvl.Model.real) freqs)
       in
       let e2 =
-        Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Sympvl.Mpvl.eval mpvl) freqs)
+        Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Sympvl.Realisation.eval mpvl.Sympvl.Mpvl.real) freqs)
       in
       Printf.printf "%6d %14.2f %14.2f %16.3e %16.3e %9.2fx\n" order
         ((t1 -. t0) *. 1e3)
@@ -675,11 +679,11 @@ let tab_h () =
       in
       let e1 =
         Simulate.Ac.max_rel_error sw
-          (Simulate.Ac.model_sweep (Sympvl.Model.eval sympvl) freqs)
+          (Simulate.Ac.model_sweep (Sympvl.Realisation.eval sympvl.Sympvl.Model.real) freqs)
       in
       let e2 =
         Simulate.Ac.max_rel_error sw
-          (Simulate.Ac.model_sweep (Sympvl.Btruncation.eval bt) freqs)
+          (Simulate.Ac.model_sweep (Sympvl.Realisation.eval bt.Sympvl.Btruncation.real) freqs)
       in
       Printf.printf "%6d %16.3e %16.3e %14.3e %12.2f %12.2f\n" order e1 e2
         (bt.Sympvl.Btruncation.error_bound /. abs_scale)
@@ -693,16 +697,16 @@ let tab_h () =
   let s_hi = Sympvl.Arnoldi.shift_of_hz mna 3e9 in
   Printf.printf "%26s %10s %16s\n" "basis" "order" "max rel err";
   let report name t =
-    Printf.printf "%26s %10d %16.3e\n" name t.Sympvl.Arnoldi.order
+    Printf.printf "%26s %10d %16.3e\n" name (Sympvl.Realisation.order t)
       (Simulate.Ac.max_rel_error sw
-         (Simulate.Ac.model_sweep (Sympvl.Arnoldi.eval t) freqs))
+         (Simulate.Ac.model_sweep (Sympvl.Realisation.eval t) freqs))
   in
   let multi = Sympvl.Arnoldi.reduce_multipoint ~points:[ (s_lo, 3); (s_hi, 3) ] mna in
   report "two points x 3 blocks" multi;
-  report "one point (s=0), same n" (Sympvl.Arnoldi.reduce ~shift:0.0 ~order:multi.Sympvl.Arnoldi.order mna);
+  report "one point (s=0), same n" (Sympvl.Arnoldi.reduce ~shift:0.0 ~order:(Sympvl.Realisation.order multi) mna);
   report "one point (mid), same n"
     (Sympvl.Arnoldi.reduce ~shift:(Sympvl.Arnoldi.shift_of_hz mna 3e8)
-       ~order:multi.Sympvl.Arnoldi.order mna)
+       ~order:(Sympvl.Realisation.order multi) mna)
 
 (* ------------------------------------------------------------------ *)
 (* ac — the exact-sweep engine: seed path vs symbolic reuse + SoA      *)
@@ -1648,7 +1652,7 @@ let sprim_bench () =
   in
   Printf.printf
     "peec_partial %dx%d: %d elements, N=%d -> n=%d (n1=%d, n2=%d) in %.2f s\n"
-    conductors segments elements mna.Circuit.Mna.n sp.Sympvl.Sprim.order
+    conductors segments elements mna.Circuit.Mna.n (Sympvl.Realisation.order sp.Sympvl.Sprim.real)
     sp.Sympvl.Sprim.n1 sp.Sympvl.Sprim.n2 reduce_s;
   Printf.printf
     "structure error %.1e; M/D/K symmetric %b; MOD002/MOD003 clean %b (full \
@@ -1665,7 +1669,7 @@ let sprim_bench () =
        \"elements\":%d,\"n\":%d,\"order\":%d,\"n1\":%d,\"n2\":%d,\
        \"reduce_s\":%.3f,\"structure_error\":%.3e,\"blocks_symmetric\":%b,\
        \"passivity_clean\":%b,\"certify_clean\":%b,\"fallback_dense\":%d}"
-      conductors segments elements mna.Circuit.Mna.n sp.Sympvl.Sprim.order
+      conductors segments elements mna.Circuit.Mna.n (Sympvl.Realisation.order sp.Sympvl.Sprim.real)
       sp.Sympvl.Sprim.n1 sp.Sympvl.Sprim.n2 reduce_s serr blocks_sym mod23_clean
       clean fallback_dense
     :: !rows;
@@ -1690,7 +1694,7 @@ let sprim_bench () =
   let rt_err =
     Simulate.Ac.max_rel_error
       (Simulate.Ac.sweep m_rt freqs)
-      (Simulate.Ac.model_sweep (Sympvl.Sprim.eval spx) freqs)
+      (Simulate.Ac.model_sweep (Sympvl.Realisation.eval spx.Sympvl.Sprim.real) freqs)
   in
   let rtol = Sympvl.Rom.golden_rtol `Sprim in
   Printf.printf

@@ -359,8 +359,8 @@ let reduce_cmd =
        $(b,awe) or $(b,bt). Pass $(b,help) to list the engines with their \
        guarantees. Every engine reports size/shift, the MOD002/MOD001 \
        stability and passivity findings and the $(b,--check) accuracy figure; \
-       --adaptive and --poles stay SyMPVL-only, --synth works for sympvl (RC) \
-       and sprim (RLCk)."
+       --adaptive stays SyMPVL-only, --synth works for sympvl (RC) and sprim \
+       (RLCk)."
     in
     Arg.(value & opt string default_engine & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
@@ -476,13 +476,10 @@ let reduce_cmd =
         { (Ops.default Ops.Reduce) with Ops.engine = Ops.engine engine; order; shift; band }
     in
     let eng = r.Ops.engine in
-    if
-      eng <> `Sympvl
-      && (adaptive <> None || poles || (synth_out <> None && eng <> `Sprim))
-    then begin
+    if eng <> `Sympvl && (adaptive <> None || (synth_out <> None && eng <> `Sprim)) then begin
       Printf.eprintf
-        "symor: --adaptive/--poles are SyMPVL-only; --synth needs --engine \
-         sympvl (RC) or sprim (RLCk)\n";
+        "symor: --adaptive is SyMPVL-only; --synth needs --engine sympvl (RC) or \
+         sprim (RLCk)\n";
       exit 1
     end;
     let mna = Circuit.Mna.auto (load path) in
@@ -515,15 +512,14 @@ let reduce_cmd =
           (model, [])
         end
       in
-      let structural = Sympvl.Certify.(structural (state_space model)) mna in
+      let structural = Sympvl.Certify.structural model mna in
       print_diagnostics structural;
-      (match model with
-      | Sympvl.Rom.Sympvl_model m when poles ->
+      if poles then begin
         Format.printf "poles:@.";
         Array.iter
           (fun p -> Format.printf "  %+.6e %+.6ei@." p.Complex.re p.Complex.im)
-          (Sympvl.Model.poles m)
-      | _ -> ());
+          (Sympvl.Realisation.poles (Sympvl.Rom.realisation model))
+      end;
       if contracts && eng = `Sympvl then begin
         Format.printf "contracts:@.";
         print_diagnostics contract_diags

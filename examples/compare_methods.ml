@@ -25,9 +25,9 @@ let () =
       let sympvl = Sympvl.Reduce.mna ~order mna in
       let mpvl = Sympvl.Mpvl.reduce ~order mna in
       let arnoldi = Sympvl.Arnoldi.reduce ~order mna in
-      let e1 = err_of (Sympvl.Model.eval sympvl) in
-      let e2 = err_of (Sympvl.Mpvl.eval mpvl) in
-      let e3 = err_of (Sympvl.Arnoldi.eval arnoldi) in
+      let e1 = err_of (Sympvl.Realisation.eval sympvl.Sympvl.Model.real) in
+      let e2 = err_of (Sympvl.Realisation.eval mpvl.Sympvl.Mpvl.real) in
+      let e3 = err_of (Sympvl.Realisation.eval arnoldi) in
       (* AWE is scalar: compare its entry (0,0) only *)
       let e4 =
         match Sympvl.Awe.build ~order:(order / 4) ~port:0 mna with
@@ -37,7 +37,7 @@ let () =
             (fun k f ->
               let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
               let ze = Linalg.Cmat.get sw.Simulate.Ac.z.(k) 0 0 in
-              let za = Sympvl.Awe.eval awe s in
+              let za = Linalg.Cmat.get (Sympvl.Realisation.eval awe.Sympvl.Awe.real s) 0 0 in
               worst :=
                 Float.max !worst (Linalg.Cx.abs Linalg.Cx.(ze -: za) /. Linalg.Cx.abs ze))
             freqs;

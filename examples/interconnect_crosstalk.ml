@@ -23,9 +23,7 @@ let () =
   let model = Sympvl.Reduce.mna ~order mna in
   Printf.printf "SyMPVL: order %d for %d ports (definite=%b, certified passive=%b)\n"
     model.Sympvl.Model.order wires model.Sympvl.Model.definite
-    (match
-       Sympvl.Certify.(structural_certificate (state_space (Sympvl.Rom.Sympvl_model model)))
-     with
+    (match Sympvl.Certify.structural_certificate model.Sympvl.Model.real with
     | Sympvl.Certify.Certified _ -> true
     | _ -> false);
 

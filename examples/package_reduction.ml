@@ -31,7 +31,7 @@ let () =
   (* MOD001 is an info finding exactly when every pole is in the
      closed left half-plane *)
   let stable model =
-    Sympvl.Certify.(structural (state_space (Sympvl.Rom.Sympvl_model model)) mna)
+    Sympvl.Certify.structural (Sympvl.Rom.Sympvl_model model) mna
     |> List.for_all (fun d -> Circuit.Diagnostic.(d.code <> "MOD001" || d.severity = Info))
   in
   List.iter
@@ -60,7 +60,7 @@ let () =
           Printf.printf "  %10.3e   %8.5f" f (transfer ze num 0);
           List.iter
             (fun (_, model) ->
-              let zm = Sympvl.Model.eval model s in
+              let zm = Sympvl.Realisation.eval model.Sympvl.Model.real s in
               Printf.printf "   %8.5f" (transfer zm num 0))
             models;
           print_newline ())

@@ -31,7 +31,7 @@ let () =
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
       let ze = Simulate.Ac.z_at mna s in
-      let zm = Sympvl.Model.eval model s in
+      let zm = Sympvl.Realisation.eval model.Sympvl.Model.real s in
       let zin_e = Linalg.Cx.(s *: Linalg.Cmat.get ze 0 0) in
       let zin_m = Linalg.Cx.(s *: Linalg.Cmat.get zm 0 0) in
       let err = Linalg.Cx.abs (Complex.sub zin_e zin_m) /. Linalg.Cx.abs zin_e in

@@ -30,7 +30,7 @@ let () =
      two findings `symor reduce` prints for every engine *)
   List.iter
     (fun d -> print_endline (Format.asprintf "%a" Circuit.Diagnostic.pp d))
-    Sympvl.Certify.(structural (state_space (Sympvl.Rom.Sympvl_model model)) mna);
+    (Sympvl.Certify.structural (Sympvl.Rom.Sympvl_model model) mna);
 
   (* compare against exact AC analysis across five decades *)
   print_endline "\n      f [Hz]      |Z11| exact    |Z11| reduced   rel.err";
@@ -38,7 +38,7 @@ let () =
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
       let z_exact = Linalg.Cmat.get (Simulate.Ac.z_at mna s) 0 0 in
-      let z_model = Linalg.Cmat.get (Sympvl.Model.eval model s) 0 0 in
+      let z_model = Linalg.Cmat.get (Sympvl.Realisation.eval model.Sympvl.Model.real s) 0 0 in
       let err =
         Linalg.Cx.abs (Complex.sub z_exact z_model) /. Linalg.Cx.abs z_exact
       in
@@ -50,4 +50,4 @@ let () =
   print_endline "\nreduced-model poles (rad/s):";
   Array.iter
     (fun pole -> Printf.printf "  %+.6e %+.3ei\n" pole.Complex.re pole.Complex.im)
-    (Sympvl.Model.poles model)
+    (Sympvl.Realisation.poles model.Sympvl.Model.real)

@@ -1,16 +1,15 @@
-type t = {
-  ghat : Linalg.Mat.t;
-  chat : Linalg.Mat.t;
-  bhat : Linalg.Mat.t;
-  order : int;
-  p : int;
-  shift : float;
-  variable : Circuit.Mna.variable;
-  gain : Circuit.Mna.gain;
-}
+type t = Realisation.t
+
+(* the congruence projection (VᵀGV, VᵀCV, VᵀB) lives in the physical
+   pencil variable — the shift only chose the Krylov space *)
+let project ~shift (m : Circuit.Mna.t) v =
+  Realisation.congruence ~shift ~variable:m.Circuit.Mna.variable ~gain:m.Circuit.Mna.gain
+    (Linalg.Mat.congruence v (Sparse.Csr.to_dense m.Circuit.Mna.g))
+    (Linalg.Mat.congruence v (Sparse.Csr.to_dense m.Circuit.Mna.c))
+    (Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b)
 
 let reduce ?ctx ?shift ?band ~order (m : Circuit.Mna.t) =
-  let g = m.Circuit.Mna.g and c = m.Circuit.Mna.c in
+  let c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
   (* shift resolution and factorisation via the shared policy: PRIMA
      expands about the exact same point SyMPVL/MPVL would pick *)
@@ -65,19 +64,7 @@ let reduce ?ctx ?shift ?band ~order (m : Circuit.Mna.t) =
   done;
   let v = Linalg.Mat.create nn !nb in
   List.iteri (fun k q -> Linalg.Mat.set_col v k q) !basis;
-  let ghat = Linalg.Mat.congruence v (Sparse.Csr.to_dense g) in
-  let chat = Linalg.Mat.congruence v (Sparse.Csr.to_dense c) in
-  let bhat = Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b in
-  {
-    ghat;
-    chat;
-    bhat;
-    order = !nb;
-    p;
-    shift = s0;
-    variable = m.Circuit.Mna.variable;
-    gain = m.Circuit.Mna.gain;
-  }
+  project ~shift:s0 m v
 
 let shift_of_hz (m : Circuit.Mna.t) f =
   let w = 2.0 *. Float.pi *. f in
@@ -87,7 +74,7 @@ let shift_of_hz (m : Circuit.Mna.t) f =
 
 let reduce_multipoint ?ctx ~points (m : Circuit.Mna.t) =
   assert (points <> []);
-  let g = m.Circuit.Mna.g and c = m.Circuit.Mna.c in
+  let c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
   let nn = m.Circuit.Mna.n in
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
@@ -133,41 +120,4 @@ let reduce_multipoint ?ctx ~points (m : Circuit.Mna.t) =
     points;
   let v = Linalg.Mat.create nn !nb in
   List.iteri (fun k q -> Linalg.Mat.set_col v k q) !basis;
-  {
-    ghat = Linalg.Mat.congruence v (Sparse.Csr.to_dense g);
-    chat = Linalg.Mat.congruence v (Sparse.Csr.to_dense c);
-    bhat = Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b;
-    order = !nb;
-    p;
-    shift = fst (List.hd points);
-    variable = m.Circuit.Mna.variable;
-    gain = m.Circuit.Mna.gain;
-  }
-
-let eval t s =
-  let var =
-    match t.variable with
-    | Circuit.Mna.S -> s
-    | Circuit.Mna.S_squared -> Linalg.Cx.(s *: s)
-  in
-  let k = Linalg.Cmat.lincomb Linalg.Cx.one t.ghat var t.chat in
-  let b = Linalg.Cmat.of_real t.bhat in
-  let z = Linalg.Cmat.mul (Linalg.Cmat.transpose b) (Linalg.Cmat.lu_solve_mat (Linalg.Cmat.lu_factor k) b) in
-  match t.gain with
-  | Circuit.Mna.Unit -> z
-  | Circuit.Mna.Times_s -> Linalg.Cmat.scale s z
-
-let poles t =
-  (* generalised eigenvalues of (Ĝ, Ĉ): poles satisfy Ĝ + λĈ singular;
-     compute via the standard eigenproblem of −Ĉ⁻¹Ĝ when Ĉ is
-     invertible, else of −ĜĈ pencil shifted *)
-  match Linalg.Lu.factor t.chat with
-  | lu ->
-    let n = t.order in
-    let m = Linalg.Mat.create n n in
-    for j = 0 to n - 1 do
-      let col = Linalg.Lu.solve_vec lu (Linalg.Mat.col t.ghat j) in
-      Linalg.Mat.set_col m j (Linalg.Vec.scale (-1.0) col)
-    done;
-    Linalg.Eig_gen.eigenvalues m
-  | exception Linalg.Lu.Singular _ -> [||]
+  project ~shift:(fst (List.hd points)) m v

@@ -9,16 +9,10 @@
     [⌊n/p⌋] moments (half of SyMPVL's Padé count) but preserves
     semi-definiteness of [G] and [C] by congruence. *)
 
-type t = {
-  ghat : Linalg.Mat.t;
-  chat : Linalg.Mat.t;
-  bhat : Linalg.Mat.t;
-  order : int;
-  p : int;
-  shift : float;
-  variable : Circuit.Mna.variable;
-  gain : Circuit.Mna.gain;
-}
+type t = Realisation.t
+(** The congruence projection [(Ĝ, Ĉ, B̂)] as [a0 = Ĝ], [a1 = Ĉ],
+    [b = B̂], [c = B̂ᵀ] in the physical pencil variable
+    ({!Realisation.congruence}); [order] is the basis size. *)
 
 val reduce :
   ?ctx:Pencil.t -> ?shift:float -> ?band:float * float -> order:int -> Circuit.Mna.t -> t
@@ -43,10 +37,3 @@ val reduce_multipoint : ?ctx:Pencil.t -> points:(float * int) list -> Circuit.Mn
 val shift_of_hz : Circuit.Mna.t -> float -> float
 (** Convert a frequency in Hz to an expansion point in the pencil
     variable ([2πf], squared for the LC [s²] form). *)
-
-val eval : t -> Complex.t -> Linalg.Cmat.t
-(** Evaluate [B̂ᵀ(Ĝ + var·Ĉ)⁻¹B̂] at physical [s] (with the same
-    variable/gain conventions as {!Model.eval}). *)
-
-val poles : t -> Complex.t array
-(** Physical poles of the reduced pencil. *)

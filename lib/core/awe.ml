@@ -1,13 +1,58 @@
-type t = {
-  poles : Complex.t array;
-  residues : Complex.t array;
-  order : int;
-  shift : float;
-  gain : Circuit.Mna.gain;
-  hankel_rcond : float;
-}
+type t = { real : Realisation.t; order : int; hankel_rcond : float }
 
 exception Breakdown of string
+
+(* modal realisation of the σ-domain pole/residue form: one 1×1 block
+   per real pole (r/(σ−p)), one 2×2 rotation block per conjugate pair
+   (2[ρ(σ−α) − γβ]/((σ−α)² + β²)); each positive-imaginary pole stands
+   for its pair *)
+let modal ~shift ~gain poles residues =
+  let pscale = Array.fold_left (fun acc p -> Float.max acc (Linalg.Cx.abs p)) 1e-300 poles in
+  let blocks = ref [] in
+  Array.iteri
+    (fun i p ->
+      let r = residues.(i) in
+      if Float.abs p.Complex.im <= 1e-9 *. pscale then
+        blocks := `Real (p.Complex.re, r.Complex.re) :: !blocks
+      else if p.Complex.im > 0.0 then
+        blocks := `Pair (p.Complex.re, p.Complex.im, r.Complex.re, r.Complex.im) :: !blocks)
+    poles;
+  let blocks = List.rev !blocks in
+  let nx = List.fold_left (fun acc b -> acc + match b with `Real _ -> 1 | `Pair _ -> 2) 0 blocks in
+  let a0 = Linalg.Mat.create nx nx in
+  let b = Linalg.Mat.create nx 1 in
+  let c = Linalg.Mat.create 1 nx in
+  let k = ref 0 in
+  List.iter
+    (function
+      | `Real (p, r) ->
+        Linalg.Mat.set a0 !k !k (-.p);
+        Linalg.Mat.set b !k 0 r;
+        Linalg.Mat.set c 0 !k 1.0;
+        incr k
+      | `Pair (alpha, beta, rho, gamma) ->
+        Linalg.Mat.set a0 !k !k (-.alpha);
+        Linalg.Mat.set a0 !k (!k + 1) (-.beta);
+        Linalg.Mat.set a0 (!k + 1) !k beta;
+        Linalg.Mat.set a0 (!k + 1) (!k + 1) (-.alpha);
+        Linalg.Mat.set b !k 0 1.0;
+        Linalg.Mat.set c 0 !k (2.0 *. rho);
+        Linalg.Mat.set c 0 (!k + 1) (2.0 *. gamma);
+        k := !k + 2)
+    blocks;
+  {
+    Realisation.a0;
+    a1 = Linalg.Mat.identity nx;
+    b;
+    c;
+    origin = shift;
+    shift;
+    variable = Circuit.Mna.S;
+    gain;
+    sym = None;
+    foster = Some (poles, residues);
+    definite = false;
+  }
 
 let build ?ctx ?(shift = 0.0) ~order ~port (m : Circuit.Mna.t) =
   if m.Circuit.Mna.variable <> Circuit.Mna.S then
@@ -79,14 +124,4 @@ let build ?ctx ?(shift = 0.0) ~order ~port (m : Circuit.Mna.t) =
   let residues =
     Array.map (fun r -> Linalg.Cx.smul (1.0 /. alpha) r) residues_scaled
   in
-  { poles; residues; order = q; shift; gain = m.Circuit.Mna.gain; hankel_rcond }
-
-let eval t s =
-  let sigma = Linalg.Cx.(s -: re t.shift) in
-  let z = ref Linalg.Cx.zero in
-  Array.iteri
-    (fun k p -> z := Linalg.Cx.(!z +: (t.residues.(k) /: (sigma -: p))))
-    t.poles;
-  match t.gain with
-  | Circuit.Mna.Unit -> !z
-  | Circuit.Mna.Times_s -> Linalg.Cx.(s *: !z)
+  { real = modal ~shift ~gain:m.Circuit.Mna.gain poles residues; order = q; hankel_rcond }

@@ -10,11 +10,13 @@
     Restricted to pencils in the [s] variable. *)
 
 type t = {
-  poles : Complex.t array;  (** In the pencil variable [σ]. *)
-  residues : Complex.t array;
+  real : Realisation.t;
+      (** The pole/residue form [Σ rₖ/(σ − pₖ)], [σ = s − s₀]: poles
+          and residues in [foster] (what {!Realisation.eval} sums), with
+          its modal realisation — a 1×1 block per real pole, a 2×2
+          rotation block per conjugate pair — for the certification
+          pass. *)
   order : int;
-  shift : float;
-  gain : Circuit.Mna.gain;
   hankel_rcond : float;
       (** Reciprocal condition estimate of the Hankel system — watch
           it collapse as the order grows. *)
@@ -30,6 +32,3 @@ val build : ?ctx:Pencil.t -> ?shift:float -> order:int -> port:int -> Circuit.Mn
     [Z_port,port] from [2·order] explicit moments (solved through the
     shared pencil context; pass [ctx] to reuse a factorisation cached
     by another engine at the same shift). *)
-
-val eval : t -> Complex.t -> Complex.t
-(** Evaluate at physical [s] via the pole/residue form. *)

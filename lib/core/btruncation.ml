@@ -1,11 +1,4 @@
-type t = {
-  ahat : Linalg.Mat.t;
-  bhat : Linalg.Mat.t;
-  order : int;
-  p : int;
-  hsv : Linalg.Vec.t;
-  error_bound : float;
-}
+type t = { real : Realisation.t; hsv : Linalg.Vec.t; error_bound : float }
 
 exception Not_definite
 
@@ -66,12 +59,10 @@ let reduce ~order (m : Circuit.Mna.t) =
   for k = order to n - 1 do
     tail := !tail +. hsv.(k)
   done;
-  { ahat; bhat; order; p; hsv; error_bound = 2.0 *. !tail }
-
-let eval t s =
-  let k = Linalg.Cmat.lincomb Linalg.Cx.one t.ahat s (Linalg.Mat.identity t.order) in
-  let b = Linalg.Cmat.of_real t.bhat in
-  Linalg.Cmat.mul (Linalg.Cmat.transpose b)
-    (Linalg.Cmat.lu_solve_mat (Linalg.Cmat.lu_factor k) b)
-
-let poles t = Array.map (fun l -> -.l) (Linalg.Eig_sym.values t.ahat)
+  {
+    real =
+      Realisation.congruence ~definite:true ~shift:0.0 ~variable:Circuit.Mna.S
+        ~gain:Circuit.Mna.Unit ahat (Linalg.Mat.identity order) bhat;
+    hsv;
+    error_bound = 2.0 *. !tail;
+  }

@@ -14,10 +14,9 @@
     replacement for the Krylov methods on large circuits. *)
 
 type t = {
-  ahat : Linalg.Mat.t;  (** Reduced symmetric [Â ≻ 0]. *)
-  bhat : Linalg.Mat.t;
-  order : int;
-  p : int;
+  real : Realisation.t;
+      (** [B̂ᵀ(Â + s·I)⁻¹B̂] with the reduced symmetric [Â ≻ 0]: a
+          definite congruence realisation ({!Realisation.congruence}). *)
   hsv : Linalg.Vec.t;  (** All [N] Hankel singular values, descending. *)
   error_bound : float;  (** [2·Σ] of the truncated tail. *)
 }
@@ -27,9 +26,3 @@ exception Not_definite
     RC/RL special cases with a nonsingular [G] qualify). *)
 
 val reduce : order:int -> Circuit.Mna.t -> t
-
-val eval : t -> Complex.t -> Linalg.Cmat.t
-(** [B̂ᵀ(Â + s·I)⁻¹B̂]. *)
-
-val poles : t -> float array
-(** All at [−λ(Â) < 0]. *)

@@ -4,20 +4,15 @@
     The paper's selling point (Section 5) is that matrix-Padé
     reduction of passive circuits yields {e provably} stable, passive
     reduced models. This pass turns that claim into a checkable
-    static-analysis report over {e any} {!Rom.model}: every engine's
-    native data is first mapped through one adapter
-    ({!state_space}) onto the uniform descriptor realisation
-
-      [Z(var) = cout·(g0 + var·g1)⁻¹·bin]
-
-    (expansion shift already folded into [g0]; [var]/gain conventions
-    carried alongside), and every rule below is then evaluated on that
-    one form — BT/AWE/PRIMA/MPVL get exactly the same scrutiny as
-    SyMPVL.
+    static-analysis report over {e any} {!Rom.model}: every engine
+    stores its model as the one descriptor form {!Realisation.t}
+    ({!Rom.realisation}, built at reduce time), and every rule below
+    is evaluated on that one form — BT/AWE/PRIMA/MPVL get exactly the
+    same scrutiny as SyMPVL.
 
     Rules (stable codes, shared {!Circuit.Diagnostic} type):
-    - {b MOD001} pole stability: every finite pole of the physical
-      pencil in the closed left half-plane. An unstable pole is an
+    - {b MOD001} pole stability: every finite pole
+      ({!Realisation.poles}) in the closed left half-plane. An unstable pole is an
       [Error] when the structural theorem (MOD002) promised stability,
       a [Warning] otherwise.
     - {b MOD002} structural passivity certificate: symmetric-form
@@ -49,44 +44,6 @@
     [symor analyze]; [symor reduce] prints the MOD002/MOD001 pair
     ({!structural}) for every model it builds. *)
 
-type realisation = {
-  engine : Rom.engine;
-  g0 : Linalg.Mat.t;  (** nx×nx; the expansion shift is folded in. *)
-  g1 : Linalg.Mat.t;  (** nx×nx. *)
-  bin : Linalg.Mat.t;  (** nx×p input map. *)
-  cout : Linalg.Mat.t;  (** p×nx output map. *)
-  nx : int;
-  np : int;  (** Ports of the realisation (1 for AWE). *)
-  shift : float;  (** Expansion point [s₀] (metadata — already folded). *)
-  variable : Circuit.Mna.variable;
-  gain : Circuit.Mna.gain;
-  sym : (Linalg.Mat.t * Linalg.Mat.t * Linalg.Mat.t) option;
-      (** Recovered symmetric form [(h0, h1, w)] with
-          [Z = wᵀ(h0 + var·h1)⁻¹w], when the engine's structure
-          admits one (SyMPVL [Δ]-congruence, MPVL [Λ]-rescaling,
-          PRIMA/BT directly). [None] means "no structural certificate
-          available", not "non-passive". *)
-  foster : (Complex.t array * Complex.t array) option;
-      (** AWE only: physical-[s] poles and residues for the Foster
-          positive-real certificate. *)
-  definite : bool;
-      (** The construction {e promised} a definite symmetric form
-          (SyMPVL's [J = I] unshifted path, BT) — an indefinite
-          recovery is then a violated theorem, not merely an absent
-          certificate. *)
-}
-
-val state_space : Rom.model -> realisation
-(** The one adapter every engine goes through. The realisation
-    reproduces [Rom.eval] exactly (up to roundoff of the explicit
-    solve) — asserted by the cross-engine test through
-    [Linalg.Hamiltonian.eval] on {!phys_pencil}. *)
-
-val phys_pencil : realisation -> Linalg.Hamiltonian.pencil
-(** The physical-frequency descriptor pencil:
-    {!Linalg.Hamiltonian.augment} applied to the core realisation so
-    that [Z(s)] needs no variable substitution or gain post-scaling. *)
-
 type certificate =
   | Certified of string  (** Proof sketch (which matrices are PSD / Foster). *)
   | Violated of string * float
@@ -94,17 +51,17 @@ type certificate =
           carries the scaled minimum eigenvalue (or Foster residual). *)
   | No_certificate of string  (** Why no structural argument applies. *)
 
-val structural_certificate : ?tol:float -> ?definite:bool -> realisation -> certificate
+val structural_certificate : ?tol:float -> ?definite:bool -> Realisation.t -> certificate
 (** MOD002's verdict (default [tol = 1e-9], relative to each
     matrix's magnitude). [definite] overrides the
     realisation's own promise flag — {!run} passes [mna.spd] for
     PRIMA, whose congruence inherits semidefiniteness from the source
     pencil. *)
 
-val structural : realisation -> Circuit.Mna.t -> Circuit.Diagnostic.t list
+val structural : Rom.model -> Circuit.Mna.t -> Circuit.Diagnostic.t list
 (** The stability/passivity findings, MOD002 then MOD001: the
-    structural certificate, then every finite pole of {!phys_pencil}
-    checked against the closed left half-plane. An unstable pole is an
+    structural certificate, then every finite pole
+    ({!Realisation.poles}) checked against the closed left half-plane. An unstable pole is an
     [Error] when the certificate promised stability, and a violated
     certificate on SyMPVL's definite unshifted path is an [Error] (the
     paper's Theorem 5.1); [mna] supplies PRIMA's promise (an SPD

@@ -1,3 +1,5 @@
+module Mat = Linalg.Mat
+
 type t = {
   t_mat : Linalg.Mat.t;
   delta : Linalg.Mat.t;
@@ -11,73 +13,49 @@ type t = {
   deflations : int;
   look_ahead_steps : int;
   exhausted : bool;
+  real : Realisation.t;
 }
 
-let eval_sigma m sigma =
-  let n = m.order in
-  let k =
-    Linalg.Cmat.lincomb Linalg.Cx.one (Linalg.Mat.identity n) sigma m.t_mat
+let make ~t_mat ~delta ~rho ~shift ~variable ~gain ~definite ~deflations ~look_ahead_steps
+    ~exhausted =
+  let n = t_mat.Mat.rows in
+  (* Δ-congruence: Z = ρᵀΔ(I + σT)⁻¹ρ = (Δρ)ᵀ[Δ(I − s₀T) + var·ΔT]⁻¹(Δρ),
+     a symmetric sandwich whenever Δ and ΔT come out symmetric (exact
+     arithmetic guarantees both; roundoff is checked) *)
+  let sym =
+    let dt = Mat.mul delta t_mat in
+    if Realisation.near_symmetric delta && Realisation.near_symmetric dt then
+      Some (Realisation.fold ~origin:shift delta dt, dt, Mat.mul delta rho)
+    else None
   in
-  (* (I + σT)⁻¹ ρ, then ρᵀ Δ · that *)
-  let rho_c = Linalg.Cmat.of_real m.rho in
-  let x = Linalg.Cmat.solve k rho_c in
-  let rho_delta = Linalg.Mat.mul (Linalg.Mat.transpose m.rho) m.delta in
-  Linalg.Cmat.mul (Linalg.Cmat.of_real rho_delta) x
-
-let eval m s =
-  let var =
-    match m.variable with Circuit.Mna.S -> s | Circuit.Mna.S_squared -> Linalg.Cx.(s *: s)
-  in
-  let sigma = Linalg.Cx.(var -: re m.shift) in
-  let z = eval_sigma m sigma in
-  match m.gain with
-  | Circuit.Mna.Unit -> z
-  | Circuit.Mna.Times_s -> Linalg.Cmat.scale s z
-
-let eval_jw m w = eval m (Linalg.Cx.im w)
-
-let poles_sigma m =
-  let eigs =
-    if m.definite then
-      Array.map (fun x -> Linalg.Cx.re x) (Linalg.Eig_sym.values m.t_mat)
-    else Linalg.Eig_gen.eigenvalues m.t_mat
-  in
-  (* eigenvalues at roundoff level relative to ‖T‖ are poles pushed to
-     infinity: drop them rather than reporting ±1/ε garbage *)
-  let lam_max = Array.fold_left (fun acc l -> Float.max acc (Linalg.Cx.abs l)) 0.0 eigs in
-  let cutoff = 1e-12 *. Float.max lam_max 1e-300 in
-  eigs
-  |> Array.to_list
-  |> List.filter_map (fun lam ->
-         if Linalg.Cx.abs lam <= cutoff then None
-         else Some (Linalg.Cx.(neg (inv lam))))
-  |> Array.of_list
-
-let poles m =
-  let sig_poles = poles_sigma m in
-  let shifted = Array.map (fun p -> Linalg.Cx.(p +: re m.shift)) sig_poles in
-  match m.variable with
-  | Circuit.Mna.S -> shifted
-  | Circuit.Mna.S_squared ->
-    (* each σ-pole is an s² location: s = ±√σ *)
-    Array.concat
-      (Array.to_list
-         (Array.map
-            (fun p ->
-              let r = Linalg.Cx.sqrt p in
-              [| r; Linalg.Cx.neg r |])
-            shifted))
-
-let state_space m =
-  (* I + σT with σ = var − s₀ gives the physical-variable pencil
-     ĝ + var·ĉ with ĝ = Δ⁻¹ − s₀·TΔ⁻¹ and ĉ = TΔ⁻¹ (both symmetric) *)
-  let delta_inv = Linalg.Lu.inverse m.delta in
-  let chat = Linalg.Mat.mul m.t_mat delta_inv in
-  let ghat =
-    if m.shift = 0.0 then delta_inv
-    else Linalg.Mat.sub delta_inv (Linalg.Mat.scale m.shift chat)
-  in
-  (ghat, chat, m.rho)
+  {
+    t_mat;
+    delta;
+    rho;
+    order = n;
+    p = rho.Mat.cols;
+    shift;
+    variable;
+    gain;
+    definite;
+    deflations;
+    look_ahead_steps;
+    exhausted;
+    real =
+      {
+        Realisation.a0 = Mat.identity n;
+        a1 = t_mat;
+        b = rho;
+        c = Mat.mul (Mat.transpose rho) delta;
+        origin = shift;
+        shift;
+        variable;
+        gain;
+        sym;
+        foster = None;
+        definite = definite && shift = 0.0;
+      };
+  }
 
 let moments m k =
   let rho_delta = Linalg.Mat.mul (Linalg.Mat.transpose m.rho) m.delta in
@@ -95,8 +73,5 @@ let truncate m order =
     delta = Linalg.Mat.submatrix m.delta 0 0 order order;
     rho = Linalg.Mat.submatrix m.rho 0 0 order m.p;
     order;
+    real = Realisation.truncate m.real order;
   }
-
-let dc_gain m =
-  let z = eval_sigma m Linalg.Cx.zero in
-  Linalg.Mat.init m.p m.p (fun i j -> (Linalg.Cmat.get z i j).Complex.re)

@@ -22,45 +22,33 @@ type t = {
   deflations : int;
   look_ahead_steps : int;
   exhausted : bool;
+  real : Realisation.t;
+      (** The model as a descriptor form: [a0 = I], [a1 = Tₙ], [b = ρₙ],
+          [c = ρₙᵀΔₙ] about [origin = s₀], with the symmetric form
+          [(Δₙ − s₀ΔₙTₙ, ΔₙTₙ, Δₙρₙ)] when [Δₙ] and [ΔₙTₙ] are
+          symmetric. Evaluate, certify and stamp through it. *)
 }
 
-val eval_sigma : t -> Complex.t -> Linalg.Cmat.t
-(** [eval_sigma m σ] evaluates the raw pencil form
-    [ρᵀΔ(I + σT)⁻¹ρ] ([p × p]). *)
-
-val eval : t -> Complex.t -> Linalg.Cmat.t
-(** [eval m s] evaluates at physical complex frequency [s], applying
-    variable substitution ([σ = s − s₀] or [σ = s² − s₀]) and the
-    RL/LC gain factor. *)
-
-val eval_jw : t -> float -> Linalg.Cmat.t
-(** [eval_jw m ω] is [eval m (jω)] with [ω] in rad/s. *)
-
-val poles_sigma : t -> Complex.t array
-(** Poles in the pencil variable: [σ = −1/λ] over nonzero eigenvalues
-    [λ] of [Tₙ] (general eigensolver; exact arithmetic gives real
-    values in the definite case). *)
-
-val poles : t -> Complex.t array
-(** Poles mapped to the physical [s] plane. For the LC ([s²]) variable
-    each pencil pole [σ] yields the pair [±√(σ + s₀)]; for RC/RL/RLC
-    it is [σ + s₀]. *)
-
-val state_space : t -> Linalg.Mat.t * Linalg.Mat.t * Linalg.Mat.t
-(** [(ĝ, ĉ, ρ)] with [ĝ = Δ⁻¹ − s₀·TΔ⁻¹], [ĉ = TΔ⁻¹] (both
-    symmetric) — the reduced MNA pencil of eq. (23) in the physical
-    pencil variable, ready to be stamped into a simulator Jacobian
-    ([ĝ·x + ĉ·ẋ = ρ·i], [v = ρᵀx]). For models built from the LC form
-    the pencil variable is [s²], so time-domain stamping applies to
-    the [S] variable only. *)
+val make :
+  t_mat:Linalg.Mat.t ->
+  delta:Linalg.Mat.t ->
+  rho:Linalg.Mat.t ->
+  shift:float ->
+  variable:Circuit.Mna.variable ->
+  gain:Circuit.Mna.gain ->
+  definite:bool ->
+  deflations:int ->
+  look_ahead_steps:int ->
+  exhausted:bool ->
+  t
+(** Assemble a model (order and port count from the shapes of [t_mat]
+    and [rho]) together with its {!Realisation.t}. *)
 
 val moments : t -> int -> Linalg.Mat.t array
 (** First [k] moments of the reduced model about the expansion point:
     [(−1)ᵏ ρᵀ Δ Tᵏ ρ]. *)
 
 val truncate : t -> int -> t
-(** Restrict to a smaller order (leading submatrices). Only sound at
-    cluster boundaries; with [J = I] every order is a boundary. *)
-
-val dc_gain : t -> Linalg.Mat.t
-(** [eval] at [σ = 0], i.e. the matched zeroth moment. *)
+(** Restrict to a smaller order (leading submatrices, realisation
+    included). Only sound at cluster boundaries; with [J = I] every
+    order is a boundary. *)

@@ -1,15 +1,4 @@
-type t = {
-  t_mat : Linalg.Mat.t;
-  d : Linalg.Mat.t;
-  mu : Linalg.Mat.t;
-  eta : Linalg.Mat.t;
-  order : int;
-  p : int;
-  shift : float;
-  variable : Circuit.Mna.variable;
-  gain : Circuit.Mna.gain;
-  deflations : int;
-}
+type t = { real : Realisation.t; deflations : int }
 
 exception Breakdown of int
 
@@ -74,6 +63,46 @@ let run_lanczos ~dtol ~order ~op ~op_t ~r_start ~l_start =
    with Exit -> ());
   (Array.of_list !vs, Array.of_list !ws, Array.of_list !ds, !deflations)
 
+(* Λ-recovery: unit-norm two-sided Lanczos vectors of a symmetric
+   operator satisfy w_j = ±v_j, i.e. η = Λμ with Λ = diag(λ_j);
+   per-row least squares estimates λ_j, and when the fit is tight with
+   every λ_j > 0, Z = ηᵀ(ΛD(I − s₀T) + var·ΛDT)⁻¹η is a symmetric
+   sandwich *)
+let lambda_form ~shift ~t_mat ~ds ~mu ~eta =
+  let n = Array.length ds and p = mu.Linalg.Mat.cols in
+  let lam = Array.make n 0.0 in
+  let ok = ref (n > 0) in
+  for i = 0 to n - 1 do
+    let num = ref 0.0 and den = ref 0.0 in
+    for j = 0 to p - 1 do
+      let mu = Linalg.Mat.get mu i j and eta = Linalg.Mat.get eta i j in
+      num := !num +. (eta *. mu);
+      den := !den +. (mu *. mu)
+    done;
+    if !den <= 0.0 then ok := false
+    else begin
+      lam.(i) <- !num /. !den;
+      if lam.(i) <= 0.0 then ok := false
+    end
+  done;
+  let resid = ref 0.0 in
+  if !ok then
+    for i = 0 to n - 1 do
+      for j = 0 to p - 1 do
+        let r = Linalg.Mat.get eta i j -. (lam.(i) *. Linalg.Mat.get mu i j) in
+        resid := Float.max !resid (Float.abs r)
+      done
+    done;
+  if (not !ok) || !resid > 1e-8 *. Float.max (Linalg.Mat.max_abs eta) 1e-300 then None
+  else begin
+    let d = Linalg.Mat.diag (Linalg.Vec.init n (fun i -> ds.(i))) in
+    let s_mat = Linalg.Mat.mul d t_mat in
+    let st = Linalg.Mat.init n n (fun i j -> lam.(i) *. Linalg.Mat.get s_mat i j) in
+    let dt = Linalg.Mat.init n n (fun i j -> lam.(i) *. Linalg.Mat.get d i j) in
+    if Realisation.near_symmetric st then Some (Realisation.fold ~origin:shift dt st, st, eta)
+    else None
+  end
+
 let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
   let c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
@@ -103,55 +132,19 @@ let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
   in
   let mu = Linalg.Mat.mul (Linalg.Mat.transpose w) r_start in
   let eta = Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b in
-  {
-    t_mat;
-    d = Linalg.Mat.diag (Linalg.Vec.init n (fun i -> ds.(i)));
-    mu;
-    eta;
-    order = n;
-    p;
-    shift = s0;
-    variable = m.Circuit.Mna.variable;
-    gain = m.Circuit.Mna.gain;
-    deflations;
-  }
-
-let eval t s =
-  let var =
-    match t.variable with
-    | Circuit.Mna.S -> s
-    | Circuit.Mna.S_squared -> Linalg.Cx.(s *: s)
+  let real =
+    {
+      Realisation.a0 = Linalg.Mat.identity n;
+      a1 = t_mat;
+      b = Linalg.Mat.init n p (fun i j -> Linalg.Mat.get mu i j /. ds.(i));
+      c = Linalg.Mat.transpose eta;
+      origin = s0;
+      shift = s0;
+      variable = m.Circuit.Mna.variable;
+      gain = m.Circuit.Mna.gain;
+      sym = lambda_form ~shift:s0 ~t_mat ~ds ~mu ~eta;
+      foster = None;
+      definite = false;
+    }
   in
-  let sigma = Linalg.Cx.(var -: re t.shift) in
-  let n = t.order in
-  let k = Linalg.Cmat.lincomb Linalg.Cx.one (Linalg.Mat.identity n) sigma t.t_mat in
-  (* x = (I + σT)⁻¹ D⁻¹ μ *)
-  let dinv_mu =
-    Linalg.Mat.init n t.p (fun i j -> Linalg.Mat.get t.mu i j /. Linalg.Mat.get t.d i i)
-  in
-  let x = Linalg.Cmat.lu_solve_mat (Linalg.Cmat.lu_factor k) (Linalg.Cmat.of_real dinv_mu) in
-  let z = Linalg.Cmat.mul (Linalg.Cmat.of_real (Linalg.Mat.transpose t.eta)) x in
-  match t.gain with
-  | Circuit.Mna.Unit -> z
-  | Circuit.Mna.Times_s -> Linalg.Cmat.scale s z
-
-let poles t =
-  let eigs = Linalg.Eig_gen.eigenvalues t.t_mat in
-  let lam_max = Array.fold_left (fun acc l -> Float.max acc (Linalg.Cx.abs l)) 1e-300 eigs in
-  let mapped =
-    eigs
-    |> Array.to_list
-    |> List.filter_map (fun lam ->
-           if Linalg.Cx.abs lam <= 1e-12 *. lam_max then None
-           else begin
-             let sigma = Linalg.Cx.(neg (inv lam)) in
-             let shifted = Linalg.Cx.(sigma +: re t.shift) in
-             match t.variable with
-             | Circuit.Mna.S -> Some [ shifted ]
-             | Circuit.Mna.S_squared ->
-               let r = Linalg.Cx.sqrt shifted in
-               Some [ r; Linalg.Cx.neg r ]
-           end)
-    |> List.concat
-  in
-  Array.of_list mapped
+  { real; deflations }

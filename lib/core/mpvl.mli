@@ -16,15 +16,13 @@
     refinements over this baseline). *)
 
 type t = {
-  t_mat : Linalg.Mat.t;  (** [n × n] projected operator. *)
-  d : Linalg.Mat.t;  (** [WᵀV] diagonal (as a matrix). *)
-  mu : Linalg.Mat.t;  (** [Wᵀ(K⁻¹B)], [n × p]. *)
-  eta : Linalg.Mat.t;  (** [VᵀB], [n × p]. *)
-  order : int;
-  p : int;
-  shift : float;
-  variable : Circuit.Mna.variable;
-  gain : Circuit.Mna.gain;
+  real : Realisation.t;
+      (** [Zₙ = ηᵀ(I + σT)⁻¹D⁻¹μ] with [T = D⁻¹WᵀAV], [D = WᵀV],
+          [μ = Wᵀ(K⁻¹B)], [η = VᵀB]: [a0 = I], [a1 = T], [b = D⁻¹μ],
+          [c = ηᵀ] about [origin = s₀]. The symmetric form is the
+          [Λ]-rescaling [(ΛD(I − s₀T), ΛDT, η)] when [η = Λμ] holds
+          with every [λⱼ > 0] (a symmetric operator's two-sided
+          recurrence). *)
   deflations : int;
 }
 
@@ -40,11 +38,3 @@ val reduce :
     explicit [shift] wins; otherwise 0 with band-guided automatic
     retry when [G] is singular. Pass [ctx] to reuse a context (and
     its cached factorisations) across engines. *)
-
-val eval : t -> Complex.t -> Linalg.Cmat.t
-(** Evaluate [Zₙ] at a physical complex frequency (same conventions
-    as {!Model.eval}): [ηᵀ(D + σ·T·D)⁻¹... ] — concretely
-    [ηᵀ·(I + σT)⁻¹·D⁻¹·μ] with the variable/gain mapping applied. *)
-
-val poles : t -> Complex.t array
-(** Physical poles ([−1/λ(T)] mapped through shift/variable). *)

@@ -203,7 +203,7 @@ let require_real_time_domain t =
         invalid_arg "Postprocess: complex poles — no real closed form")
     t.terms
 
-let time_response ~weight t time =
+let step_response t time =
   require_real_time_domain t;
   let out =
     Linalg.Mat.init t.p t.p (fun i j -> (Linalg.Cmat.get t.direct i j).Complex.re)
@@ -211,7 +211,7 @@ let time_response ~weight t time =
   List.iter
     (fun term ->
       let lam = term.lambda.Complex.re in
-      let w = weight lam time in
+      let w = if lam <= 0.0 then 1.0 else 1.0 -. exp (-.time /. lam) in
       for i = 0 to t.p - 1 do
         for j = 0 to t.p - 1 do
           let r = Linalg.Cx.(term.residue_l.(i) *: term.residue_r.(j)) in
@@ -220,19 +220,6 @@ let time_response ~weight t time =
       done)
     t.terms;
   out
-
-let step_response t time =
-  time_response t time ~weight:(fun lam tt ->
-      if lam <= 0.0 then 1.0 else 1.0 -. exp (-.tt /. lam))
-
-let impulse_response t time =
-  let r =
-    time_response t time ~weight:(fun lam tt ->
-        if lam <= 0.0 then 0.0 else exp (-.tt /. lam) /. lam)
-  in
-  (* the direct term belongs to the step form only *)
-  Linalg.Mat.init t.p t.p (fun i j ->
-      Linalg.Mat.get r i j -. (Linalg.Cmat.get t.direct i j).Complex.re)
 
 let stabilized t =
   let scale = pole_scale t in

@@ -53,7 +53,3 @@ val step_response : t -> float -> Linalg.Mat.t
     stable expansions of [s]-variable models with zero shift; raises
     [Invalid_argument] otherwise. This closed form is what eq. (23)
     integrates numerically. *)
-
-val impulse_response : t -> float -> Linalg.Mat.t
-(** [d/dt] of {!step_response} minus the (distributional) direct term:
-    [Σ_k (R_k/λ_k)·e^{−t/λ_k}]. *)

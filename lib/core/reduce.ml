@@ -53,20 +53,12 @@ let run_with_factor (m : Circuit.Mna.t) opts shift fac =
         (List.length res.Band_lanczos.deflations)
         res.Band_lanczos.look_ahead_steps fac.Factor.definite);
   let model =
-    {
-      Model.t_mat = res.Band_lanczos.t_mat;
-      delta = res.Band_lanczos.delta;
-      rho = res.Band_lanczos.rho;
-      order = res.Band_lanczos.order;
-      p;
-      shift;
-      variable = m.Circuit.Mna.variable;
-      gain = m.Circuit.Mna.gain;
-      definite = fac.Factor.definite;
-      deflations = List.length res.Band_lanczos.deflations;
-      look_ahead_steps = res.Band_lanczos.look_ahead_steps;
-      exhausted = res.Band_lanczos.exhausted;
-    }
+    Model.make ~t_mat:res.Band_lanczos.t_mat ~delta:res.Band_lanczos.delta
+      ~rho:res.Band_lanczos.rho ~shift ~variable:m.Circuit.Mna.variable
+      ~gain:m.Circuit.Mna.gain ~definite:fac.Factor.definite
+      ~deflations:(List.length res.Band_lanczos.deflations)
+      ~look_ahead_steps:res.Band_lanczos.look_ahead_steps
+      ~exhausted:res.Band_lanczos.exhausted
   in
   (model, fac, res)
 
@@ -115,7 +107,7 @@ let to_accuracy ?opts ?ctx ?max_order ?(points = 25) ~tol ~band (m : Circuit.Mna
        so they run on the shared pool (deterministic at any job count) *)
     Parallel.Pool.parallel_map (Parallel.get ()) (Array.length freqs) (fun i ->
         if San.race () then San.Race.note_write ~tag:"reduce.grid" i;
-        Model.eval model (Linalg.Cx.im (2.0 *. Float.pi *. freqs.(i))))
+        Realisation.eval model.Model.real (Linalg.Cx.im (2.0 *. Float.pi *. freqs.(i))))
   in
   let deviation za zb =
     let worst = ref 0.0 in

@@ -153,55 +153,34 @@ let engine_of_model = function
   | Awe_model _ -> `Awe
   | Bt_model _ -> `Bt
 
-let eval model s =
-  match model with
-  | Sympvl_model m -> Model.eval m s
-  | Mpvl_model m -> Mpvl.eval m s
-  | Prima_model m -> Arnoldi.eval m s
-  | Sprim_model m -> Sprim.eval m s
-  | Awe_model m ->
-    let z = Linalg.Cmat.create 1 1 in
-    Linalg.Cmat.set z 0 0 (Awe.eval m s);
-    z
-  | Bt_model m -> Btruncation.eval m s
+let realisation = function
+  | Sympvl_model m -> m.Model.real
+  | Mpvl_model m -> m.Mpvl.real
+  | Prima_model r -> r
+  | Sprim_model m -> m.Sprim.real
+  | Awe_model m -> m.Awe.real
+  | Bt_model m -> m.Btruncation.real
 
-let order = function
-  | Sympvl_model m -> m.Model.order
-  | Mpvl_model m -> m.Mpvl.order
-  | Prima_model m -> m.Arnoldi.order
-  | Sprim_model m -> m.Sprim.order
-  | Awe_model m -> m.Awe.order
-  | Bt_model m -> m.Btruncation.order
+let eval model s = Realisation.eval (realisation model) s
 
-let ports = function
-  | Sympvl_model m -> m.Model.p
-  | Mpvl_model m -> m.Mpvl.p
-  | Prima_model m -> m.Arnoldi.p
-  | Sprim_model m -> m.Sprim.p
-  | Awe_model _ -> 1
-  | Bt_model m -> m.Btruncation.p
+let order model = Realisation.order (realisation model)
 
-let shift = function
-  | Sympvl_model m -> m.Model.shift
-  | Mpvl_model m -> m.Mpvl.shift
-  | Prima_model m -> m.Arnoldi.shift
-  | Sprim_model m -> m.Sprim.shift
-  | Awe_model m -> m.Awe.shift
-  | Bt_model _ -> 0.0
+let ports model = Realisation.ports (realisation model)
+
+let shift model = (realisation model).Realisation.shift
 
 (* the number of matrix moments each algorithm matches by construction
    (paper Section 3.2 for the Lanczos engines; Grimme for Arnoldi;
    2·order scalar moments define the AWE Hankel system; balanced
    truncation optimises the H-infinity error, not moments) *)
 let expected_moments model =
-  let two_sided n p = 2 * (n / p) in
+  let p = ports model in
   match model with
-  | Sympvl_model m -> two_sided m.Model.order m.Model.p
-  | Mpvl_model m -> two_sided m.Mpvl.order m.Mpvl.p
-  | Prima_model m -> m.Arnoldi.order / m.Arnoldi.p
+  | Sympvl_model _ | Mpvl_model _ -> 2 * (order model / p)
+  | Prima_model _ -> order model / p
   (* the split basis spans at least PRIMA's projection subspace, so
      SPRIM inherits (at least) the PRIMA moment floor at the same
      Krylov depth *)
-  | Sprim_model m -> m.Sprim.krylov_cols / m.Sprim.p
+  | Sprim_model m -> m.Sprim.krylov_cols / p
   | Awe_model m -> 2 * m.Awe.order
   | Bt_model _ -> 0

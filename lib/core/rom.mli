@@ -3,11 +3,13 @@
     Every model-order-reduction engine in the library — the paper's
     SyMPVL band-Lanczos, two-sided MPVL, PRIMA block-Arnoldi,
     structure-preserving SPRIM, scalar AWE and dense balanced
-    truncation — is reachable here behind a
-    single options record and a single [reduce] entry point, so the
-    CLI, the tests and the benches can enumerate and compare them
-    uniformly. All Krylov engines share one {!Pencil} context (and
-    therefore one symbolic phase, one factor cache and one eq.-26
+    truncation — is reachable here behind a single [reduce] entry
+    point, so the CLI, the tests and the benches can enumerate and
+    compare them uniformly. Each engine's model carries the one
+    descriptor form it reduces to ({!Realisation.t}, built once at
+    reduce time); {!eval}, {!order}, {!ports}, {!shift} and {!Certify}
+    all read that form. All Krylov engines share one {!Pencil} context
+    (and therefore one symbolic phase, one factor cache and one eq.-26
     shift policy); pass [?ctx] to share it with exact AC analysis or
     moment checks too. *)
 
@@ -27,7 +29,7 @@ val describe : engine -> string
     guarantees are not taken on faith: [symor certify]
     ({!Certify.run}) re-derives each claim — stability, passivity,
     moment matching — on the model the engine actually produced,
-    through the engine-uniform {!Certify.state_space} adapter. *)
+    through its {!Realisation.t}. *)
 
 val golden_rtol : engine -> float
 (** Documented worst-case relative deviation from the exact AC golden
@@ -73,10 +75,14 @@ val reduce :
     @raise Unsupported when the engine does not apply to [m].
     @raise Factor.Singular as the underlying engine would. *)
 
+val realisation : model -> Realisation.t
+(** The descriptor form the engine built at reduce time (a field
+    read). *)
+
 val eval : model -> Complex.t -> Linalg.Cmat.t
 (** Reduced-order [Ẑ(s)] at a physical complex frequency, uniformly a
-    [p×p] matrix (AWE's scalar becomes [1×1]); gain and variable
-    conventions as in {!Model.eval}. *)
+    [p×p] matrix (AWE's scalar becomes [1×1]): {!Realisation.eval} of
+    {!realisation}. *)
 
 val order : model -> int
 val ports : model -> int

@@ -4,17 +4,10 @@ type t = {
   a : Linalg.Mat.t;
   lmat : Linalg.Mat.t;
   bn : Linalg.Mat.t;
-  ghat : Linalg.Mat.t;
-  chat : Linalg.Mat.t;
-  bhat : Linalg.Mat.t;
   n1 : int;
   n2 : int;
-  order : int;
-  p : int;
-  shift : float;
   krylov_cols : int;
-  variable : Circuit.Mna.variable;
-  gain : Circuit.Mna.gain;
+  real : Realisation.t;
 }
 
 (* Pad a node-block (resp. current-block) vector to full pencil length
@@ -190,29 +183,13 @@ let reduce ?ctx ?shift ?band ~order (m : Circuit.Mna.t) =
     a;
     lmat;
     bn;
-    ghat;
-    chat;
-    bhat;
     n1;
     n2;
-    order = nr;
-    p;
-    shift = s0;
     krylov_cols;
-    variable = m.Circuit.Mna.variable;
-    gain = m.Circuit.Mna.gain;
+    real =
+      Realisation.congruence ~shift:s0 ~variable:m.Circuit.Mna.variable
+        ~gain:m.Circuit.Mna.gain ghat chat bhat;
   }
-
-let eval t s =
-  let k = Linalg.Cmat.lincomb Linalg.Cx.one t.ghat s t.chat in
-  let b = Linalg.Cmat.of_real t.bhat in
-  let z =
-    Linalg.Cmat.mul (Linalg.Cmat.transpose b)
-      (Linalg.Cmat.lu_solve_mat (Linalg.Cmat.lu_factor k) b)
-  in
-  match t.gain with
-  | Circuit.Mna.Unit -> z
-  | Circuit.Mna.Times_s -> Linalg.Cmat.scale s z
 
 let structure_error t =
   let rel m =
@@ -221,15 +198,3 @@ let structure_error t =
     d /. s
   in
   Float.max (rel t.gn) (Float.max (rel t.cn) (rel t.lmat))
-
-let poles t =
-  match Linalg.Lu.factor t.chat with
-  | lu ->
-    let n = t.order in
-    let m = Linalg.Mat.create n n in
-    for j = 0 to n - 1 do
-      let col = Linalg.Lu.solve_vec lu (Linalg.Mat.col t.ghat j) in
-      Linalg.Mat.set_col m j (Linalg.Vec.scale (-1.0) col)
-    done;
-    Linalg.Eig_gen.eigenvalues m
-  | exception Linalg.Lu.Singular _ -> [||]

@@ -31,20 +31,17 @@ type t = {
   a : Linalg.Mat.t;  (** [Â] — reduced inductor incidence, [n2 × n1]. *)
   lmat : Linalg.Mat.t;  (** [ℒ̂] — reduced inductance, symmetric. *)
   bn : Linalg.Mat.t;  (** [B̂] — reduced terminal incidence, [n1 × p]. *)
-  ghat : Linalg.Mat.t;  (** Re-assembled [[Ĝn, Âᵀ]; [Â, 0]]. *)
-  chat : Linalg.Mat.t;  (** Re-assembled [[Ĉn, 0]; [0, −ℒ̂]]. *)
-  bhat : Linalg.Mat.t;  (** Re-assembled [[B̂]; [0]]. *)
   n1 : int;  (** Node-block dimension (rank of the split basis top). *)
   n2 : int;  (** Current-block dimension. *)
-  order : int;  (** [n1 + n2] — full reduced dimension. *)
-  p : int;
-  shift : float;
   krylov_cols : int;
       (** Columns of the underlying Krylov basis before the split —
           the moment count matched is ≥ [krylov_cols / p] (the PRIMA
           floor). *)
-  variable : Circuit.Mna.variable;  (** Always [S]. *)
-  gain : Circuit.Mna.gain;  (** Always [Unit]. *)
+  real : Realisation.t;
+      (** The re-assembled first-order blocks [Ĝ = [[Ĝn, Âᵀ]; [Â, 0]]],
+          [Ĉ = [[Ĉn, 0]; [0, −ℒ̂]]], [B̂ = [[B̂n]; [0]]] as a congruence
+          realisation ({!Realisation.congruence}) in [s] with unit
+          gain; its order is [n1 + n2]. *)
 }
 
 val reduce :
@@ -63,14 +60,7 @@ val reduce :
     ([variable = S], [gain = Unit]) with a non-empty inductor-current
     block — {!Rom.supports} reports the reason first. *)
 
-val eval : t -> Complex.t -> Linalg.Cmat.t
-(** [B̂ᵀ(Ĝ + s·Ĉ)⁻¹B̂] on the re-assembled blocks (general-form
-    conventions: unit gain, pencil in [s]). *)
-
 val structure_error : t -> float
 (** Largest relative asymmetry over [Ĝn], [Ĉn], [ℒ̂] — exactly 0.0 up
     to the explicit symmetrisation of the congruence blocks; the
     bench gate pins it. *)
-
-val poles : t -> Complex.t array
-(** Physical poles of the reduced pencil. *)

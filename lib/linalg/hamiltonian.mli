@@ -2,8 +2,8 @@
 
     A reduced-order model in this codebase is, uniformly, a transfer
     function [Z(s) = C (A0 + s·A1)⁻¹ B] over a small dense descriptor
-    pencil (every engine's native form maps onto one — see
-    [Sympvl.Certify.state_space]). Grid-sampling
+    pencil (every engine stores its model as one — see
+    [Sympvl.Realisation]). Grid-sampling
     [λmin((Z(jω) + Z(jω)ᴴ)/2)] can miss a narrow passivity violation
     between two samples; the classical Hamiltonian eigenvalue test
     (Boyd–Balakrishnan–Kabamba) locates every level crossing {e

@@ -39,7 +39,8 @@ val z_at_ws : Circuit.Mna.t -> workspace -> Complex.t -> Linalg.Cmat.t
 
 val z_at : Circuit.Mna.t -> Complex.t -> Linalg.Cmat.t
 (** [z_at m s] evaluates the exact [Z(s)] at one physical complex
-    frequency (gain and variable conventions as in {!Sympvl.Model.eval}). *)
+    frequency (gain and variable conventions as in
+    {!Sympvl.Realisation.eval}). *)
 
 val sweep_ws : ?jobs:int -> Circuit.Mna.t -> workspace -> float array -> sweep
 (** {!sweep} against a precomputed symbolic phase — the serve daemon's
@@ -59,7 +60,7 @@ val log_freqs : ?points:int -> float -> float -> float array
 
 val model_sweep :
   (Complex.t -> Linalg.Cmat.t) -> float array -> Linalg.Cmat.t array
-(** Sweep any evaluator (e.g. [Model.eval model]) on the same grid. *)
+(** Sweep any evaluator (e.g. [Rom.eval model]) on the same grid. *)
 
 val max_rel_error : sweep -> Linalg.Cmat.t array -> float
 (** Worst relative (max-norm) deviation over the sweep — the

@@ -155,7 +155,11 @@ let assemble nl reduced =
     (fun (off, st) ->
       let order = st.model.Sympvl.Model.order in
       let p = st.model.Sympvl.Model.p in
-      let ghat, chat, rho = Sympvl.Model.state_space st.model in
+      let ghat, chat, rho =
+        match st.model.Sympvl.Model.real.Sympvl.Realisation.sym with
+        | Some form -> form
+        | None -> invalid_arg "Transient: reduced stamp needs a symmetric-form model"
+      in
       for a = 0 to order - 1 do
         for b = 0 to order - 1 do
           let gv = Linalg.Mat.get ghat a b in

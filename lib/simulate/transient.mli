@@ -24,7 +24,9 @@ val default : dt:float -> t_stop:float -> options
 
 type reduced_stamp = {
   model : Sympvl.Model.t;
-      (** Must be a pencil in the [s] variable (RC/RL/RLC models). *)
+      (** Must be a pencil in the [s] variable (RC/RL/RLC models) whose
+          realisation has a symmetric form [(h0, h1, w)]; that form is
+          what gets stamped. *)
   terminals : (Circuit.Netlist.node * Circuit.Netlist.node) array;
       (** (plus, minus) node pair per model port, in port order. *)
 }

@@ -54,8 +54,12 @@ let synthesize ?(drop_tol = 1e-9) ~port_names (model : Sympvl.Model.t) =
   let p = model.Sympvl.Model.p in
   if Array.length port_names <> p then invalid_arg "Multiport.synthesize: port name count";
   let n = model.Sympvl.Model.order in
-  let ghat, chat, rho = Sympvl.Model.state_space model in
-  let s = port_aligning_transform rho in
+  let ghat, chat, w =
+    match model.Sympvl.Model.real.Sympvl.Realisation.sym with
+    | Some form -> form
+    | None -> raise (Not_synthesizable "no symmetric form (Delta or Delta*T asymmetric)")
+  in
+  let s = port_aligning_transform w in
   let g' = Linalg.Mat.congruence s ghat in
   let c' = Linalg.Mat.congruence s chat in
   (* realise g' with resistors, c' with capacitors: off-diagonal entry

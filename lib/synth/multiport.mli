@@ -1,9 +1,11 @@
 (** Multiport reduced-circuit synthesis (paper Section 6).
 
-    Realises the reduced pencil [(ĝ, ĉ, ρ)] of eq. (23) as an RC
-    netlist with no controlled sources. A congruence [x = S z] with
-    [ρᵀS = [I_p 0]] turns the first [p] states into the port voltages
-    themselves; the transformed [SᵀĝS] / [SᵀĉS] matrices are then
+    Realises the symmetric form [(h0, h1, w)] of the model's
+    realisation ([Z = wᵀ(h0 + s·h1)⁻¹w], the reduced pencil of
+    eq. (23)) as an RC netlist with no controlled sources. A
+    congruence [x = S z] with [wᵀS = [I_p 0]] turns the first [p]
+    states into the port voltages themselves; the transformed
+    [Sᵀh0S] / [Sᵀh1S] matrices are then
     realised entry-by-entry as (possibly negative-valued) resistors
     and capacitors between state nodes — a generalisation of the
     Cauer-form synthesis that the paper refers to. Only definite

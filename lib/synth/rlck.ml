@@ -23,7 +23,7 @@ exception Not_synthesizable = Multiport.Not_synthesizable
    uncoupled branch inductors L = 1/γ, so no K cards are needed in
    the output even though the input model carries a dense ℒ̂. *)
 let synthesize ?(drop_tol = 1e-9) ~port_names (m : Sympvl.Sprim.t) =
-  let p = m.Sympvl.Sprim.p in
+  let p = m.Sympvl.Sprim.bn.Linalg.Mat.cols in
   if Array.length port_names <> p then invalid_arg "Rlck.synthesize: port name count";
   let n1 = m.Sympvl.Sprim.n1 and n2 = m.Sympvl.Sprim.n2 in
   if n1 < p then raise (Not_synthesizable "node block smaller than port count");

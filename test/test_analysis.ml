@@ -164,7 +164,7 @@ let test_contract_clean_reduction () =
   let model, ds = Sympvl.Reduce.checked ~order:4 mna in
   (* stability and passivity are Certify's findings, for every engine *)
   let structural =
-    Sympvl.Certify.(structural (state_space (Sympvl.Rom.Sympvl_model model))) mna
+    Sympvl.Certify.structural (Sympvl.Rom.Sympvl_model model) mna
   in
   Alcotest.(check bool) "model is stable and certified" true
     (List.for_all (fun d -> d.D.severity = D.Info) structural);

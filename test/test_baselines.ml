@@ -41,7 +41,7 @@ let test_awe_low_order_accurate () =
   let awe = Awe.build ~order:5 ~port:0 m in
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 1e8) in
   let ze = z_exact_scalar m s 0 in
-  let za = Awe.eval awe s in
+  let za = Linalg.Cmat.get (Sympvl.Realisation.eval awe.Awe.real s) 0 0 in
   let err = Linalg.Cx.abs Linalg.Cx.(ze -: za) /. Linalg.Cx.abs ze in
   Alcotest.(check bool) (Printf.sprintf "awe err %.2e" err) true (err < 1e-3)
 
@@ -66,8 +66,8 @@ let test_awe_matches_sypvl_low_order () =
   (* both are [order−1/order] Padé approximants of the same function:
      they must agree wherever AWE is numerically sane *)
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 5e7) in
-  let za = Awe.eval awe s in
-  let zp = Linalg.Cmat.get (Model.eval sypvl s) 0 0 in
+  let za = Linalg.Cmat.get (Sympvl.Realisation.eval awe.Awe.real s) 0 0 in
+  let zp = Linalg.Cmat.get (Sympvl.Realisation.eval sypvl.Model.real s) 0 0 in
   let err = Linalg.Cx.abs Linalg.Cx.(za -: zp) /. Linalg.Cx.abs zp in
   Alcotest.(check bool) (Printf.sprintf "padé agreement %.2e" err) true (err < 1e-6)
 
@@ -89,7 +89,7 @@ let test_arnoldi_accuracy () =
   let ar = Arnoldi.reduce ~order:18 m in
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 1e9) in
   let ze = z_exact_scalar m s 0 in
-  let za = Linalg.Cmat.get (Arnoldi.eval ar s) 0 0 in
+  let za = Linalg.Cmat.get (Sympvl.Realisation.eval ar s) 0 0 in
   let err = Linalg.Cx.abs Linalg.Cx.(ze -: za) /. Linalg.Cx.abs ze in
   Alcotest.(check bool) (Printf.sprintf "arnoldi err %.2e" err) true (err < 1e-5)
 
@@ -98,13 +98,13 @@ let test_arnoldi_congruence_psd () =
   let m = Circuit.Mna.assemble_rc nl in
   let ar = Arnoldi.reduce ~order:12 m in
   Alcotest.(check bool) "Ĝ PSD" true
-    (Linalg.Eig_sym.min_eigenvalue ar.Arnoldi.ghat > -1e-9);
+    (Linalg.Eig_sym.min_eigenvalue ar.Sympvl.Realisation.a0 > -1e-9);
   Alcotest.(check bool) "Ĉ PSD" true
-    (Linalg.Eig_sym.min_eigenvalue ar.Arnoldi.chat > -1e-9);
+    (Linalg.Eig_sym.min_eigenvalue ar.Sympvl.Realisation.a1 > -1e-9);
   Array.iter
     (fun pole ->
       Alcotest.(check bool) "pole in LHP" true (pole.Complex.re <= 1e-6))
-    (Arnoldi.poles ar)
+    (Sympvl.Realisation.poles ar)
 
 let test_arnoldi_fewer_moments_than_sympvl () =
   (* at equal order, SyMPVL (2⌊n/p⌋ moments) beats Arnoldi (⌊n/p⌋)
@@ -117,10 +117,10 @@ let test_arnoldi_fewer_moments_than_sympvl () =
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 3e9) in
   let ze = z_exact_scalar m s 0 in
   let e_sympvl =
-    Linalg.Cx.abs Linalg.Cx.(ze -: Linalg.Cmat.get (Model.eval sympvl s) 0 0)
+    Linalg.Cx.abs Linalg.Cx.(ze -: Linalg.Cmat.get (Sympvl.Realisation.eval sympvl.Model.real s) 0 0)
   in
   let e_arnoldi =
-    Linalg.Cx.abs Linalg.Cx.(ze -: Linalg.Cmat.get (Arnoldi.eval arnoldi s) 0 0)
+    Linalg.Cx.abs Linalg.Cx.(ze -: Linalg.Cmat.get (Sympvl.Realisation.eval arnoldi s) 0 0)
   in
   Alcotest.(check bool)
     (Printf.sprintf "sympvl %.2e <= arnoldi %.2e" e_sympvl e_arnoldi)
@@ -130,7 +130,7 @@ let test_arnoldi_fewer_moments_than_sympvl () =
 (* ------------------------------------------------------------------ *)
 (* Stability and passivity through Certify                            *)
 
-let realisation model = Certify.state_space (Sympvl.Rom.Sympvl_model model)
+let structural model m = Certify.structural (Sympvl.Rom.Sympvl_model model) m
 
 let severity_of code ds = (List.find (fun d -> d.D.code = code) ds).D.severity
 
@@ -138,13 +138,14 @@ let test_stability_certified_rc () =
   let nl = terminated_bus () in
   let m = Circuit.Mna.assemble_rc nl in
   let model = Reduce.mna ~order:10 m in
-  let r = realisation model in
-  let ds = Certify.structural r m in
+  let ds = structural model m in
   Alcotest.(check bool) "stable (MOD001 info)" true (severity_of "MOD001" ds = D.Info);
   Alcotest.(check bool) "passivity certified" true
-    (match Certify.structural_certificate r with Certify.Certified _ -> true | _ -> false);
+    (match Certify.structural_certificate model.Model.real with
+    | Certify.Certified _ -> true
+    | _ -> false);
   Alcotest.(check bool) "no violation bands" true
-    (Linalg.Hamiltonian.violation_bands (Certify.phys_pencil r) = [])
+    (Linalg.Hamiltonian.violation_bands (Sympvl.Realisation.phys_pencil model.Model.real) = [])
 
 (* a shifted expansion leaves the definite unshifted path: nothing was
    promised, so no finding can be an error, and the certify pass
@@ -155,9 +156,9 @@ let test_stability_not_applicable_shifted () =
   let opts = { (Reduce.default ~order:6) with Reduce.band = Some (1e7, 1e9) } in
   let model = Reduce.mna ~opts ~order:6 m in
   Alcotest.(check bool) "shifted" true (model.Model.shift > 0.0);
-  let r = realisation model in
-  Alcotest.(check bool) "no promise on the shifted path" false r.Certify.definite;
-  Alcotest.(check int) "no structural errors" 0 (D.count D.Error (Certify.structural r m));
+  Alcotest.(check bool) "no promise on the shifted path" false
+    model.Model.real.Sympvl.Realisation.definite;
+  Alcotest.(check int) "no structural errors" 0 (D.count D.Error (structural model m));
   let rep = Certify.run (Sympvl.Rom.Sympvl_model model) m in
   Alcotest.(check bool) "MOD008 reports the shift" true
     (List.exists (fun d -> d.D.code = "MOD008") rep.Certify.findings)
@@ -167,23 +168,13 @@ let test_stability_unstable_pole_listing () =
      eigenvalue gives pole -1/λ > 0 *)
   let t_mat = Linalg.Mat.diag (Linalg.Vec.of_list [ 1e-9; -2e-10 ]) in
   let model =
-    {
-      Model.t_mat;
-      delta = Linalg.Mat.identity 2;
-      rho = Linalg.Mat.of_arrays [| [| 1.0 |]; [| 0.5 |] |];
-      order = 2;
-      p = 1;
-      shift = 0.0;
-      variable = Circuit.Mna.S;
-      gain = Circuit.Mna.Unit;
-      definite = true;
-      deflations = 0;
-      look_ahead_steps = 0;
-      exhausted = false;
-    }
+    Model.make ~t_mat ~delta:(Linalg.Mat.identity 2)
+      ~rho:(Linalg.Mat.of_arrays [| [| 1.0 |]; [| 0.5 |] |])
+      ~shift:0.0 ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Unit ~definite:true ~deflations:0
+      ~look_ahead_steps:0 ~exhausted:false
   in
   let m = Circuit.Mna.assemble_rc (terminated_bus ()) in
-  let ds = Certify.structural (realisation model) m in
+  let ds = structural model m in
   (* T ⪰ 0 was promised on the definite unshifted path: Theorem 5.1 is
      violated, an error *)
   Alcotest.(check bool) "violated certificate" true (severity_of "MOD002" ds = D.Error);
@@ -192,14 +183,6 @@ let test_stability_unstable_pole_listing () =
   Alcotest.(check bool) "one unstable pole, at Re = 5e9" true
     (String.starts_with ~prefix:"sympvl: 1 unstable pole(s), worst Re = 5.000e+09"
        mod001.D.message)
-
-let test_model_eval_jw () =
-  let nl = terminated_bus () in
-  let m = Circuit.Mna.assemble_rc nl in
-  let model = Reduce.mna ~order:6 m in
-  let w = 2.0 *. Float.pi *. 1e8 in
-  checkf "eval_jw = eval(jw)" ~tol:0.0 0.0
-    (Linalg.Cmat.dist_max (Model.eval_jw model w) (Model.eval model (Linalg.Cx.im w)))
 
 (* ------------------------------------------------------------------ *)
 (* Post-processing                                                    *)
@@ -213,7 +196,7 @@ let test_postprocess_definite_roundtrip () =
   List.iter
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-      let z1 = Model.eval model s in
+      let z1 = Sympvl.Realisation.eval model.Model.real s in
       let z2 = Postprocess.eval pr s in
       checkf (Printf.sprintf "pole/residue eval at %g" f) ~tol:1e-7 0.0
         (Linalg.Cmat.dist_max z1 z2 /. Float.max (Linalg.Cmat.max_abs z1) 1e-300))
@@ -228,7 +211,7 @@ let test_postprocess_indefinite_roundtrip () =
   List.iter
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-      let z1 = Model.eval model s in
+      let z1 = Sympvl.Realisation.eval model.Model.real s in
       let z2 = Postprocess.eval pr s in
       checkf (Printf.sprintf "indefinite eval at %g" f) ~tol:1e-5 0.0
         (Linalg.Cmat.dist_max z1 z2 /. Float.max (Linalg.Cmat.max_abs z1) 1e-300))
@@ -282,7 +265,6 @@ let () =
           Alcotest.test_case "certified rc" `Quick test_stability_certified_rc;
           Alcotest.test_case "shifted not applicable" `Quick test_stability_not_applicable_shifted;
           Alcotest.test_case "unstable pole listing" `Quick test_stability_unstable_pole_listing;
-          Alcotest.test_case "eval_jw" `Quick test_model_eval_jw;
         ] );
       ( "postprocess",
         [

@@ -12,8 +12,8 @@
       with exact-zero rows and columns (the skipped-update branch),
       entries of equal modulus (pivot ties: the first maximum wins)
       and rank-deficient inputs.
-   2. SyMPVL [Model.eval] recomposed from the oracle kernels agrees
-      with [Rom.eval] on every example netlist. *)
+   2. The SyMPVL eval formula recomposed from the oracle kernels
+      agrees with [Rom.eval] on every example netlist. *)
 
 open Linalg
 module Rom = Sympvl.Rom
@@ -127,7 +127,7 @@ let prop_kernels_bitwise =
     check_case
 
 (* ------------------------------------------------------------------ *)
-(* SyMPVL Model.eval recomposed from the oracle                        *)
+(* SyMPVL Rom.eval recomposed from the oracle                          *)
 
 let netlist_path base =
   List.find_opt Sys.file_exists

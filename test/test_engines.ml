@@ -14,7 +14,11 @@
       shift, and Moments.exact through a shared context is bitwise
       identical to the from-scratch path.
    4. Failure contract: a breakdown leaves Pencil as Factor.Singular at
-      the original (unpermuted) row, also from factor_with. *)
+      the original (unpermuted) row, also from factor_with.
+   5. Bitwise eval fixture: Rom.eval on every example × engine (plus a
+      generated all-caps RC net for BT) at 16 log-spaced frequencies
+      reproduces golden/rom_eval.bits — "%h" hex floats written before
+      the engines moved to one realisation — bit for bit. *)
 
 module Rom = Sympvl.Rom
 module Pencil = Sympvl.Pencil
@@ -65,8 +69,8 @@ let test_shift_agreement () =
   let arn = Sympvl.Arnoldi.reduce ~order:4 m in
   let mp = Sympvl.Mpvl.reduce ~order:4 m in
   Alcotest.(check (float 0.0)) "reduce shift" expected model.Sympvl.Model.shift;
-  Alcotest.(check (float 0.0)) "arnoldi shift" expected arn.Sympvl.Arnoldi.shift;
-  Alcotest.(check (float 0.0)) "mpvl shift" expected mp.Sympvl.Mpvl.shift
+  Alcotest.(check (float 0.0)) "arnoldi shift" expected arn.Sympvl.Realisation.shift;
+  Alcotest.(check (float 0.0)) "mpvl shift" expected mp.Sympvl.Mpvl.real.Sympvl.Realisation.shift
 
 (* ------------------------------------------------------------------ *)
 (* cross-engine golden                                                 *)
@@ -222,6 +226,86 @@ let test_factor_with_original_row () =
   | exception Sympvl.Factor.Singular row ->
     Alcotest.(check int) "Singular names the original row" first row
 
+(* ------------------------------------------------------------------ *)
+(* bitwise Rom.eval fixture                                            *)
+
+let fixture_cases () =
+  List.map (fun base -> (base, mna_of base)) names
+  @ [
+      ( "random_rc",
+        Circuit.Mna.assemble_rc
+          (Circuit.Generators.random_rc ~nodes:8 ~extra_edges:4 ~seed:7 ()) );
+    ]
+
+(* (order, band) per engine: AWE at 3 on a mid-band shift and at 4 on
+   the default one, every other engine at 4 and at full order *)
+let fixture_settings eng (m : Circuit.Mna.t) =
+  match eng with
+  | `Awe -> [ (3, Some (1e6, 1e10)); (4, None) ]
+  | _ -> if m.Circuit.Mna.n <= 4 then [ (4, None) ] else [ (4, None); (m.Circuit.Mna.n, None) ]
+
+(* one line per model and frequency: "<example> <engine> <order> <k>"
+   then every entry of Z as "%h %h" *)
+let eval_fixture_lines () =
+  let freqs = Array.init 16 (fun k -> 10.0 ** (6.0 +. (4.0 *. float_of_int k /. 15.0))) in
+  let lines = ref [] in
+  let emit l = lines := l :: !lines in
+  List.iter
+    (fun (base, m) ->
+      List.iter
+        (fun eng ->
+          if Rom.supports eng m = Ok () then
+            List.iter
+              (fun (order, band) ->
+                let tag = Printf.sprintf "%s %s %d" base (Rom.name eng) order in
+                match Rom.reduce ?band ~order eng m with
+                | exception e -> emit (Printf.sprintf "%s raises %s" tag (Printexc.to_string e))
+                | model ->
+                  Array.iteri
+                    (fun k f ->
+                      let z = Rom.eval model (Linalg.Cx.im (2.0 *. Float.pi *. f)) in
+                      let b = Buffer.create 128 in
+                      Buffer.add_string b (Printf.sprintf "%s %d" tag k);
+                      for i = 0 to z.Linalg.Cmat.rows - 1 do
+                        for j = 0 to z.Linalg.Cmat.cols - 1 do
+                          let c = Linalg.Cmat.get z i j in
+                          Buffer.add_string b (Printf.sprintf " %h %h" c.Complex.re c.Complex.im)
+                        done
+                      done;
+                      emit (Buffer.contents b))
+                    freqs)
+              (fixture_settings eng m))
+        Rom.all)
+    (fixture_cases ());
+  List.rev !lines
+
+(* the fixture holds the default factor backend's bits; a backend
+   forced through SYMOR_FACTOR factors differently (numerically valid,
+   other roundoff), so there only the models and shapes must agree *)
+let fixture_backend =
+  match Sys.getenv_opt "SYMOR_FACTOR" with None | Some "" -> true | Some _ -> false
+
+let test_eval_fixture () =
+  let path = find_path [ "golden/rom_eval.bits"; "test/golden/rom_eval.bits" ] in
+  let ic = open_in path in
+  let want = ref [] in
+  (try
+     while true do
+       want := input_line ic :: !want
+     done
+   with End_of_file -> close_in ic);
+  let want = List.rev !want and got = eval_fixture_lines () in
+  Alcotest.(check int) "line count" (List.length want) (List.length got);
+  let shape l =
+    let t = String.split_on_char ' ' l in
+    (List.filteri (fun i _ -> i < 4) t, List.length t)
+  in
+  List.iter2
+    (fun w g ->
+      if (fixture_backend && w <> g) || shape w <> shape g then
+        Alcotest.failf "Rom.eval moved:\n  fixture %s\n  now     %s" w g)
+    want got
+
 let () =
   Alcotest.run "engines"
     [
@@ -237,4 +321,6 @@ let () =
           Alcotest.test_case "factor_with reports the original row" `Quick
             test_factor_with_original_row;
         ] );
+      ( "realisation",
+        [ Alcotest.test_case "Rom.eval fixture bit for bit" `Quick test_eval_fixture ] );
     ]

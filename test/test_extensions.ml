@@ -37,7 +37,7 @@ let test_mpvl_matches_exact () =
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
       let ze = z_exact_dense m s in
-      let zm = Mpvl.eval model s in
+      let zm = Sympvl.Realisation.eval model.Mpvl.real s in
       checkf (Printf.sprintf "mpvl at %g" f) ~tol:1e-6 0.0
         (Linalg.Cmat.dist_max ze zm /. Linalg.Cmat.max_abs ze))
     [ 1e6; 1e8; 1e9 ]
@@ -51,8 +51,8 @@ let test_mpvl_agrees_with_sympvl () =
   List.iter
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-      let z1 = Mpvl.eval mpvl s in
-      let z2 = Model.eval sympvl s in
+      let z1 = Sympvl.Realisation.eval mpvl.Mpvl.real s in
+      let z2 = Sympvl.Realisation.eval sympvl.Model.real s in
       checkf (Printf.sprintf "agree at %g" f) ~tol:1e-7 0.0
         (Linalg.Cmat.dist_max z1 z2 /. Linalg.Cmat.max_abs z2))
     [ 1e6; 1e8; 5e9 ]
@@ -63,7 +63,7 @@ let test_mpvl_rlc_indefinite () =
   let model = Mpvl.reduce ~order:16 m in
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 2e8) in
   let ze = z_exact_dense m s in
-  let zm = Mpvl.eval model s in
+  let zm = Sympvl.Realisation.eval model.Mpvl.real s in
   checkf "mpvl rlc" ~tol:1e-6 0.0 (Linalg.Cmat.dist_max ze zm /. Linalg.Cmat.max_abs ze)
 
 let test_mpvl_poles_stable_rc () =
@@ -73,16 +73,16 @@ let test_mpvl_poles_stable_rc () =
   Array.iter
     (fun p ->
       Alcotest.(check bool) "pole in LHP" true (p.Complex.re <= 1e-3 *. Linalg.Cx.abs p))
-    (Mpvl.poles model)
+    (Sympvl.Realisation.poles model.Mpvl.real)
 
 let test_mpvl_lc_with_band () =
   let nl, _ = Circuit.Generators.peec_mesh ~segments:16 () in
   let m = Circuit.Mna.assemble_lc nl in
   let model = Mpvl.reduce ~band:(1e8, 5e9) ~order:14 m in
-  Alcotest.(check bool) "shift used" true (model.Mpvl.shift > 0.0);
+  Alcotest.(check bool) "shift used" true (model.Mpvl.real.Sympvl.Realisation.shift > 0.0);
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 1e9) in
   let ze = z_exact_dense m s in
-  let zm = Mpvl.eval model s in
+  let zm = Sympvl.Realisation.eval model.Mpvl.real s in
   checkf "mpvl lc" ~tol:1e-5 0.0 (Linalg.Cmat.dist_max ze zm /. Linalg.Cmat.max_abs ze)
 
 (* ------------------------------------------------------------------ *)
@@ -165,7 +165,7 @@ let test_cauer_matches_model () =
   List.iter
     (fun f ->
       let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-      let z_model = Linalg.Cmat.get (Model.eval model s) 0 0 in
+      let z_model = Linalg.Cmat.get (Sympvl.Realisation.eval model.Model.real s) 0 0 in
       let z_circ = Linalg.Cmat.get (Simulate.Ac.z_at mna s) 0 0 in
       checkf (Printf.sprintf "cauer at %g" f) ~tol:1e-4 0.0
         (Linalg.Cx.abs Linalg.Cx.(z_model -: z_circ) /. Linalg.Cx.abs z_model))
@@ -243,7 +243,7 @@ let test_to_accuracy_converges () =
   (* the error estimate is honest: true error on the band is small *)
   let freqs = Simulate.Ac.log_freqs ~points:20 1e6 5e9 in
   let sw = Simulate.Ac.sweep m freqs in
-  let err = Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Model.eval model) freqs) in
+  let err = Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Sympvl.Realisation.eval model.Model.real) freqs) in
   Alcotest.(check bool) (Printf.sprintf "true err %.2e" err) true (err < 1e-6)
 
 let test_to_accuracy_respects_max_order () =

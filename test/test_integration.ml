@@ -72,7 +72,7 @@ let test_pipeline_peec_output_column () =
   let model = Reduce.mna ~opts ~order:14 mna in
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 8e8) in
   let ze = Simulate.Ac.z_at mna s in
-  let zm = Model.eval model s in
+  let zm = Sympvl.Realisation.eval model.Model.real s in
   checkf "peec pipeline" ~tol:1e-6 0.0
     (Linalg.Cmat.dist_max ze zm /. Linalg.Cmat.max_abs ze)
 
@@ -104,7 +104,7 @@ let test_failure_order_exceeds_dimension () =
   let b = Linalg.Cmat.of_real mna.Circuit.Mna.b in
   let ze = Linalg.Cmat.mul (Linalg.Cmat.transpose b) (Linalg.Cmat.solve k b) in
   checkf "exact at exhaustion" ~tol:1e-8 0.0
-    (Linalg.Cmat.dist_max ze (Model.eval model s) /. Linalg.Cmat.max_abs ze)
+    (Linalg.Cmat.dist_max ze (Sympvl.Realisation.eval model.Model.real s) /. Linalg.Cmat.max_abs ze)
 
 let test_failure_skyline_fallback () =
   (* a matrix with a zero leading pivot under every ordering: the
@@ -163,7 +163,7 @@ let test_failure_all_ports_dependent () =
   let model = Reduce.mna ~order:8 mna in
   Alcotest.(check bool) "deflated" true (model.Model.deflations >= 1);
   let s = Linalg.Cx.im 1e8 in
-  let z = Model.eval model s in
+  let z = Sympvl.Realisation.eval model.Model.real s in
   (* both ports are the same node: all four entries equal *)
   checkf "Z00 = Z01" ~tol:1e-9 0.0
     (Linalg.Cx.abs
@@ -219,7 +219,7 @@ let prop_reduce_always_finite =
     (fun seed ->
       let nl = Circuit.Generators.random_rc ~ports:2 ~nodes:12 ~extra_edges:8 ~seed () in
       let model = Reduce.mna ~order:6 (Circuit.Mna.assemble_rc nl) in
-      let z = Model.eval model (Linalg.Cx.make 1e5 1e9) in
+      let z = Sympvl.Realisation.eval model.Model.real (Linalg.Cx.make 1e5 1e9) in
       let ok = ref true in
       for i = 0 to 1 do
         for j = 0 to 1 do

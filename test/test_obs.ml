@@ -225,13 +225,12 @@ let prop_reduced_rc_contract =
           let model = Sympvl.Reduce.mna ~order m in
           (* stable: MOD001 (and MOD002) info; passive: the structural
              certificate holds on this definite unshifted path *)
-          let r = Sympvl.Certify.state_space (Sympvl.Rom.Sympvl_model model) in
           let stable_and_passive =
             List.for_all
               (fun d -> d.Circuit.Diagnostic.severity = Circuit.Diagnostic.Info)
-              (Sympvl.Certify.structural r m)
+              (Sympvl.Certify.structural (Sympvl.Rom.Sympvl_model model) m)
             &&
-            match Sympvl.Certify.structural_certificate r with
+            match Sympvl.Certify.structural_certificate model.Sympvl.Model.real with
             | Sympvl.Certify.Certified _ -> true
             | _ -> false
           in

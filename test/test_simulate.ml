@@ -69,7 +69,7 @@ let test_ac_sweep_grid () =
   (* reduced model matches the sweep everywhere *)
   let opts = { (Reduce.default ~order:8) with Reduce.band = Some (1e6, 1e9) } in
   let model = Reduce.mna ~opts ~order:8 m in
-  let zm = Simulate.Ac.model_sweep (Model.eval model) freqs in
+  let zm = Simulate.Ac.model_sweep (Sympvl.Realisation.eval model.Model.real) freqs in
   Alcotest.(check bool) "model matches sweep" true
     (Simulate.Ac.max_rel_error sw zm < 1e-6)
 

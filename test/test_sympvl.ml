@@ -274,7 +274,7 @@ let test_moments_coupled_bus () =
 (* Transfer-function accuracy                                         *)
 
 let rel_err_at m model s =
-  let ze = z_exact m s and zr = Model.eval model s in
+  let ze = z_exact m s and zr = Sympvl.Realisation.eval model.Model.real s in
   Linalg.Cmat.dist_max ze zr /. Float.max (Linalg.Cmat.max_abs ze) 1e-300
 
 let test_accuracy_rc_line () =
@@ -343,7 +343,7 @@ let test_scalar_sypvl () =
   Alcotest.(check int) "p = 1" 1 model.Model.p;
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 1e8) in
   let ze = Linalg.Cmat.get (z_exact m s) 0 0 in
-  let zr = Linalg.Cmat.get (Model.eval model s) 0 0 in
+  let zr = Linalg.Cmat.get (Sympvl.Realisation.eval model.Model.real s) 0 0 in
   Alcotest.(check bool) "scalar accurate" true
     (Linalg.Cx.abs Linalg.Cx.(ze -: zr) /. Linalg.Cx.abs ze < 1e-6)
 
@@ -371,7 +371,7 @@ let test_stability_rc_all_orders () =
             (Printf.sprintf "pole %g ≤ 0" pole.Complex.re)
             true
             (pole.Complex.re <= 1e-9))
-        (Model.poles model))
+        (Sympvl.Realisation.poles model.Model.real))
     [ 2; 5; 9; 15 ]
 
 let test_passivity_rc_sampling () =
@@ -381,7 +381,7 @@ let test_passivity_rc_sampling () =
   (* Re xᴴ Zₙ(jω) x ≥ 0 ⟺ hermitian part of Zₙ(jω) PSD *)
   List.iter
     (fun f ->
-      let z = Model.eval_jw model (2.0 *. Float.pi *. f) in
+      let z = Sympvl.Realisation.eval model.Model.real (Linalg.Cx.im (2.0 *. Float.pi *. f)) in
       let me = Linalg.Cmat.min_eig_hermitian (Linalg.Cmat.hermitian_part z) in
       Alcotest.(check bool)
         (Printf.sprintf "passive at %g Hz (min eig %g)" f me)
@@ -402,14 +402,14 @@ let test_model_truncate () =
   let direct = Reduce.mna ~order:4 m in
   let s = Linalg.Cx.im 1e8 in
   checkf "same Z" ~tol:1e-6 0.0
-    (Linalg.Cmat.dist_max (Model.eval small s) (Model.eval direct s)
-    /. Linalg.Cmat.max_abs (Model.eval direct s))
+    (Linalg.Cmat.dist_max (Sympvl.Realisation.eval small.Model.real s) (Sympvl.Realisation.eval direct.Model.real s)
+    /. Linalg.Cmat.max_abs (Sympvl.Realisation.eval direct.Model.real s))
 
 let test_model_state_space () =
   let nl = Circuit.Generators.rc_line ~sections:10 () in
   let m = Circuit.Mna.assemble_rc nl in
   let model = Reduce.mna ~order:6 m in
-  let ghat, chat, rho = Model.state_space model in
+  let ghat, chat, rho = Option.get model.Model.real.Sympvl.Realisation.sym in
   Alcotest.(check bool) "ĝ symmetric" true (Linalg.Mat.is_symmetric ~tol:1e-8 ghat);
   Alcotest.(check bool) "ĉ symmetric" true (Linalg.Mat.is_symmetric ~tol:1e-8 chat);
   (* state space evaluates to the same transfer function *)
@@ -418,7 +418,7 @@ let test_model_state_space () =
   let x = Linalg.Cmat.solve k (Linalg.Cmat.of_real rho) in
   let z_ss = Linalg.Cmat.mul (Linalg.Cmat.of_real (Linalg.Mat.transpose rho)) x in
   checkf "state-space eval" ~tol:1e-8 0.0
-    (Linalg.Cmat.dist_max z_ss (Model.eval model s) /. Linalg.Cmat.max_abs z_ss)
+    (Linalg.Cmat.dist_max z_ss (Sympvl.Realisation.eval model.Model.real s) /. Linalg.Cmat.max_abs z_ss)
 
 let test_model_dc_gain () =
   (* RC line: DC impedance from the input = sum of series resistances
@@ -431,7 +431,8 @@ let test_model_dc_gain () =
   Circuit.Netlist.add_port nl "p" a;
   let m = Circuit.Mna.assemble_rc nl in
   let model = Reduce.mna ~order:1 m in
-  checkf "dc gain = R" ~tol:1e-9 7.0 (Linalg.Mat.get (Model.dc_gain model) 0 0)
+  checkf "dc gain = R" ~tol:1e-9 7.0
+    (Linalg.Cmat.get (Sympvl.Realisation.eval model.Model.real Linalg.Cx.zero) 0 0).Complex.re
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
@@ -445,7 +446,7 @@ let prop_rc_stable_passive =
       let model = Reduce.mna ~order:6 m in
       model.Model.definite
       && Linalg.Eig_sym.min_eigenvalue model.Model.t_mat > -1e-9
-      && Array.for_all (fun p -> p.Complex.re <= 1e-9) (Model.poles model))
+      && Array.for_all (fun p -> p.Complex.re <= 1e-9) (Sympvl.Realisation.poles model.Model.real))
 
 let prop_moment_matching =
   QCheck.Test.make ~count:10 ~name:"sympvl: 2⌊n/p⌋ moments match on random RC"
