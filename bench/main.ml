@@ -1433,7 +1433,7 @@ let serve_stats c =
   in
   ( geti [ "cache"; "hits" ],
     geti [ "cache"; "misses" ],
-    geti [ "batched_points" ] )
+    geti [ "cache"; "point_hits" ] )
 
 let percentile_ms sorted p =
   let n = Array.length sorted in
@@ -1551,26 +1551,26 @@ let serve_bench () =
     Printf.eprintf "FAIL: response payloads differ across job counts\n";
     exit 1
   end;
-  (* -------- batching demo: one write, many same-model requests ----- *)
-  let batched =
+  (* -------- pipelined demo: one write, many same-model requests --- *)
+  let point_hits =
     with_serve_daemon exe [] (fun c ->
         let req = serve_ac_request (List.hd examples) in
-        (* 8 lines in a single write so the daemon reads them in one
-           loop tick and batches the union of their frequency points *)
+        (* 8 lines in a single write, read in one loop tick: the first
+           request sweeps its points, the other 7 read them back from
+           the point table *)
         let block = String.concat "\n" (List.init 8 (fun _ -> req)) in
         Serve.Client.send_line c block;
         for _ = 1 to 8 do
           match Serve.Client.recv_line c with
           | Some _ -> ()
           | None ->
-            Printf.eprintf "serve bench: daemon closed during batch read\n";
+            Printf.eprintf "serve bench: daemon closed during pipelined read\n";
             exit 1
         done;
-        let _, _, batched = serve_stats c in
-        batched)
+        let _, _, point_hits = serve_stats c in
+        point_hits)
   in
-  Printf.printf "pipelined batch of 8 identical 16-pt AC requests: %d points saved\n"
-    batched;
+  Printf.printf "pipelined 8 identical 16-pt AC requests: %d point hits\n" point_hits;
   let json =
     let run_json (jobs, n_req, wall, p50, p99, hit_rate, digest) =
       J.Obj
@@ -1592,7 +1592,7 @@ let serve_bench () =
            ("warm_s", J.Num warm_s);
            ("warm_speedup", J.Num speedup);
            ("payload_identical", J.Bool identical);
-           ("batched_points", J.Num (float_of_int batched));
+           ("pipelined_point_hits", J.Num (float_of_int point_hits));
            ("runs", J.List (List.map run_json runs));
          ])
   in

@@ -14,8 +14,8 @@
      ac      exact AC sweep as CSV
      tran    transient simulation as CSV
      serve   persistent reduction/evaluation daemon (newline-delimited
-             JSON over a Unix or TCP socket, content-hash cache,
-             request batching; see README "Serving")
+             JSON over a Unix or TCP socket, content-hash cache with
+             a Z(jw) point table; see README "Serving")
      request one-shot client for a running serve daemon *)
 
 open Cmdliner
@@ -359,8 +359,8 @@ let reduce_cmd =
        $(b,awe) or $(b,bt). Pass $(b,help) to list the engines with their \
        guarantees. Every engine reports size/shift, the MOD002/MOD001 \
        stability and passivity findings and the $(b,--check) accuracy figure; \
-       --adaptive stays SyMPVL-only, --synth works for sympvl (RC) and sprim \
-       (RLCk)."
+       --adaptive stays SyMPVL-only, --synth works for sympvl (RC, RLC) and \
+       sprim (RLCk)."
     in
     Arg.(value & opt string default_engine & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
@@ -431,7 +431,8 @@ let reduce_cmd =
   let synthesize ~port_names out model =
     let syn, summary =
       match model with
-      | Sympvl.Rom.Sympvl_model m when m.Sympvl.Model.p = 1 ->
+      | Sympvl.Rom.Sympvl_model m
+        when m.Sympvl.Model.p = 1 && m.Sympvl.Model.definite && m.Sympvl.Model.shift = 0.0 ->
         let n, s = Synth.Foster.synthesize m in
         ( n,
           Printf.sprintf "%d R, %d C (%d negative)" s.Synth.Foster.resistors
@@ -478,12 +479,17 @@ let reduce_cmd =
     let eng = r.Ops.engine in
     if eng <> `Sympvl && (adaptive <> None || (synth_out <> None && eng <> `Sprim)) then begin
       Printf.eprintf
-        "symor: --adaptive is SyMPVL-only; --synth needs --engine sympvl (RC) or \
-         sprim (RLCk)\n";
+        "symor: --adaptive is SyMPVL-only; --synth needs --engine sympvl (RC, RLC) \
+         or sprim (RLCk)\n";
       exit 1
     end;
     let mna = Circuit.Mna.auto (load path) in
     seen mna;
+    if synth_out <> None && eng = `Sympvl && mna.Circuit.Mna.gain <> Circuit.Mna.Unit then
+      Circuit.Diagnostic.user_errorf
+        "--synth needs an RC or RLC netlist: %s assembles in the RL or LC form, whose Z(s) \
+         carries a factor s"
+        path;
     match Sympvl.Rom.supports eng mna with
     | Error why ->
       (* skipped with exit 0, so a matrix loop over examples × engines
@@ -733,8 +739,9 @@ let serve_cmd =
     "Persistent reduction/evaluation daemon. Speaks newline-delimited JSON \
      (one request per line, one response per line — malformed lines \
      included) over a Unix or TCP socket. Caches netlist -> parsed -> pencil \
-     context -> reduced model by content hash; concurrent AC requests for \
-     the same netlist are batched into one pooled sweep. SIGTERM (or a \
+     context -> reduced model -> Z(jw) point by content hash; the point \
+     table is the one reuse layer for AC, and every response depends only \
+     on its own request. SIGTERM (or a \
      $(b,shutdown) request) drains in-flight requests, then exits 0. See \
      README \"Serving\" for the protocol."
   in

@@ -22,28 +22,18 @@ let backend_override =
 
 (* Below this size the RCM-skyline path wins on constant factors (and
    keeps small-circuit results bitwise identical to earlier releases);
-   above it the two symbolic phases are compared and the supernodal
-   backend must predict a real fill advantage to be picked, since its
-   per-column overhead only pays off when the envelope genuinely
-   explodes. *)
+   from it on, AMD + supernodal is taken outright. *)
 let supernodal_threshold = 4096
 
 type plan = [ `Skyline of int array | `Supernodal of int array ]
 
 let plan pattern : plan =
-  let n = pattern.Sparse.Csr.rows in
   match backend_override with
   | `Skyline -> `Skyline (Sparse.Rcm.order pattern)
   | `Supernodal -> `Supernodal (Sparse.Supernodal.order pattern)
   | `Auto ->
-    if n < supernodal_threshold then `Skyline (Sparse.Rcm.order pattern)
-    else begin
-      let rcm = Sparse.Rcm.order pattern in
-      let sky_fill = Sparse.Csr.profile (Sparse.Csr.permute_sym pattern rcm) + n in
-      let amd = Sparse.Supernodal.order pattern in
-      let super_nnz = Sparse.Etree.predicted_nnz pattern amd in
-      if sky_fill > 2 * super_nnz then `Supernodal amd else `Skyline rcm
-    end
+    if pattern.Sparse.Csr.rows < supernodal_threshold then `Skyline (Sparse.Rcm.order pattern)
+    else `Supernodal (Sparse.Supernodal.order pattern)
 
 (* P A Pᵀ = L D Lᵀ from either sparse backend: M = Pᵀ L S with
    S = diag(√|D|), J = sign(D). Operators in original coordinates. *)

@@ -46,10 +46,8 @@ type plan = [ `Skyline of int array | `Supernodal of int array ]
 val plan : Sparse.Csr.t -> plan
 (** [plan pattern] — the backend decision plus its fill-reducing
     permutation ({!Csr.permute_sym} convention). Without an override,
-    patterns below 4 096 unknowns take RCM-skyline outright; larger
-    ones compare the RCM envelope against twice the AMD predicted
-    factor nnz and take the supernodal backend when the envelope
-    loses — the same numbers [symor analyze] reports. *)
+    patterns below 4 096 unknowns take RCM-skyline and larger ones
+    AMD-supernodal, each without building the other's ordering. *)
 
 (** {1 Wrappers} *)
 

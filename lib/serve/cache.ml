@@ -174,16 +174,39 @@ let model (t : t) e r =
 (* exact bit-pattern rendering: float keys without float equality *)
 let point_key f = Printf.sprintf "%h" f
 
-let cached_point e f = Hashtbl.find_opt e.points (point_key f)
-
-let store_point e f z =
-  if Hashtbl.length e.points >= max_points_per_entry then
-    Hashtbl.reset e.points;
-  Hashtbl.replace e.points (point_key f) z
-
-let note_point_stats (t : t) ~hits ~misses =
-  t.point_hits <- t.point_hits + hits;
-  t.point_misses <- t.point_misses + misses
+let points (t : t) e freqs =
+  let keys = Array.map point_key freqs in
+  let cached = Array.map (Hashtbl.find_opt e.points) keys in
+  let missing = ref [] in
+  Array.iteri
+    (fun i z ->
+      match z with
+      | Some _ ->
+        t.point_hits <- t.point_hits + 1;
+        Obs.count "serve.point_hit" 1
+      | None ->
+        t.point_misses <- t.point_misses + 1;
+        Obs.count "serve.point_miss" 1;
+        missing := freqs.(i) :: !missing)
+    cached;
+  (* ascending and deduplicated: the sweep's work split depends on the
+     set of points only, not on the request's order *)
+  let needed = Array.of_list (List.sort_uniq Float.compare !missing) in
+  let fresh = Hashtbl.create (Array.length needed) in
+  if Array.length needed > 0 then begin
+    let m, ws = Lazy.force e.pencil in
+    let sw = Simulate.Ac.sweep_ws m ws needed in
+    Array.iteri
+      (fun i f ->
+        let k = point_key f and z = sw.Simulate.Ac.z.(i) in
+        Hashtbl.replace fresh k z;
+        if Hashtbl.length e.points >= max_points_per_entry then Hashtbl.reset e.points;
+        Hashtbl.replace e.points k z)
+      needed
+  end;
+  (* answered from the lookups and the sweep, not the table: storing a
+     sweep past the table bound resets it *)
+  Array.mapi (fun i z -> match z with Some z -> z | None -> Hashtbl.find fresh keys.(i)) cached
 
 let pin e = e.pins <- e.pins + 1
 

@@ -14,6 +14,10 @@
     that cannot assemble fails fast on every request without being
     rebuilt.
 
+    The point table is the daemon's one reuse layer for [ac] and
+    [sparams]: a frequency evaluated once, by any earlier request, is
+    a lookup from then on ({!points}).
+
     Entries are evicted LRU once [max_entries] is exceeded. An entry
     {!pin}ned by an in-flight request is never dropped mid-request:
     eviction marks it doomed and defers the drop to {!unpin} — the
@@ -23,10 +27,8 @@
     Counters: entry lookups record [serve.cache_hit] /
     [serve.cache_miss] (and the daemon-local {!stats} mirror, which is
     what [/stats] reports); evictions record [serve.cache_evict];
-    model builds [serve.model_build]. Point-table reuse is tallied by
-    the caller ({!cached_point} is a silent lookup — the server's
-    batch scan records [serve.point_hit] / [serve.point_miss] and
-    folds the totals in via {!note_point_stats}). *)
+    model builds [serve.model_build]; point-table lookups
+    [serve.point_hit] / [serve.point_miss] ({!points}). *)
 
 type t
 
@@ -72,16 +74,17 @@ val model : t -> entry -> Ops.request -> Sympvl.Rom.model * bool
     (bounded; least-recently-built drops first). The flag is [true]
     on a cache hit. *)
 
-val cached_point : entry -> float -> Linalg.Cmat.t option
-(** Evaluated exact [Z(j2πf)] for one frequency, if this entry has
-    served it before. Keyed by the exact bit pattern of [f] (no float
-    tolerance). Records no counters. *)
-
-val store_point : entry -> float -> Linalg.Cmat.t -> unit
-
-val note_point_stats : t -> hits:int -> misses:int -> unit
-(** Fold one batch's point-reuse tally into {!stats} (the Obs
-    counters are recorded by {!cached_point} itself). *)
+val points : t -> entry -> float array -> Linalg.Cmat.t array
+(** Exact [Z(j2πf)] for each frequency, in request order. The point
+    table answers the frequencies this entry has evaluated before,
+    keyed by the exact bit pattern of [f] (no float tolerance); the
+    missing ones, deduplicated and ascending, go through one
+    {!Simulate.Ac.sweep_ws} on the entry's pencil and are stored
+    (the table is bounded: it is cleared when full). Each frequency
+    counts one [point_hits] or [point_misses] in {!stats} and one
+    [serve.point_hit] or [serve.point_miss].
+    @raise Sympvl.Factor.Singular on a zero pivot at a missing point
+    (nothing from that sweep is stored). *)
 
 (** {1 Pinning (deferred eviction)} *)
 

@@ -26,7 +26,6 @@ type state = {
   cache : Cache.t;
   mutable conns : conn list;  (** accept order — the batch order *)
   mutable requests : int;
-  mutable batched_points : int;
   mutable lat_count : int;
   mutable lat_total : float;
   mutable lat_max : float;
@@ -35,9 +34,9 @@ type state = {
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
 
-(* one request (or batch group) through the Ops failure table: a user
-   error is SRV007; anything else except the truly fatal trio is an
-   internal error (SRV008) *)
+(* one request through the Ops failure table: a user error is SRV007;
+   anything else except the truly fatal trio is an internal error
+   (SRV008) *)
 let guard ?op f =
   match Ops.guard ~spell:(Printf.sprintf "%S") ?op f with
   | r -> Result.map_error (fun { Ops.line; message } -> Diagnostic.error ?line "SRV007" message) r
@@ -66,8 +65,8 @@ let with_entry st text f =
   Cache.pin entry;
   Fun.protect ~finally:(fun () -> Cache.unpin st.cache entry) (fun () -> f entry)
 
-(* one non-sweep request -> (fields, findings); [seen] takes the
-   pencil a zero pivot is named against *)
+(* one request -> (fields, findings); [seen] takes the pencil a zero
+   pivot is named against *)
 let compute st seen = function
   | Protocol.Ping -> ([ ("pong", Json.Bool true) ], None)
   | Protocol.Shutdown ->
@@ -88,7 +87,6 @@ let compute st seen = function
               ("point_hits", jint cs.Cache.point_hits);
               ("point_misses", jint cs.Cache.point_misses);
             ] );
-        ("batched_points", jint st.batched_points);
         ("obs_events", jint (Obs.buffered_events ()));
         ( "counters",
           Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) (Obs.counters ())) );
@@ -145,15 +143,28 @@ let compute st seen = function
         ],
         Some rep.Sympvl.Certify.findings )
     | Ops.Ac | Ops.Sparams ->
-      (* routed through [handle_group] by the batch processor *)
-      assert false)
+      let mna = Cache.mna entry in
+      seen mna;
+      let freqs = Ops.freqs r in
+      let zs = Cache.points st.cache entry freqs in
+      let key, mats =
+        match r.Ops.op with
+        | Ops.Sparams -> ("s", Array.map (Simulate.Netparams.z_to_s ~z0:r.Ops.z0) zs)
+        | _ -> ("z", zs)
+      in
+      ( [
+          ("freqs", jfloats freqs);
+          ("ports", jstrs mna.Circuit.Mna.port_names);
+          (key, Json.List (Array.to_list (Array.map jcmat mats)));
+        ],
+        None ))
 
 let record_latency st dt =
   st.lat_count <- st.lat_count + 1;
   st.lat_total <- st.lat_total +. dt;
   if dt > st.lat_max then st.lat_max <- dt
 
-let handle_single st (r : Protocol.request) =
+let handle st (r : Protocol.request) =
   let t0 = Obs.now () in
   let m = Obs.mark () in
   let op = match r.Protocol.body with Protocol.Run (_, q) -> Some q.Ops.op | _ -> None in
@@ -177,160 +188,28 @@ let handle_single st (r : Protocol.request) =
   record_latency st (Obs.now () -. t0);
   resp
 
-(* one batch group of ac/sparams requests over the same netlist text:
-   union the frequency points missing from the entry's point cache,
-   run one pooled sweep for the whole group, then answer each request
-   from the point table *)
-let handle_group st text (items : (int * Protocol.request * Ops.request) list) =
-  let t0 = Obs.now () in
-  let m = Obs.mark () in
-  let items = List.map (fun (i, r, q) -> (i, r, q, Ops.freqs q)) items in
-  let result =
-    match
-      guard ~op:Ops.Ac @@ fun seen ->
-      if Obs.tracing () then Obs.span_begin "serve.request";
-      let fields_per_item =
-        Fun.protect
-          ~finally:(fun () -> if Obs.tracing () then Obs.span_end ())
-          (fun () ->
-          with_entry st text @@ fun entry ->
-          let mna = Cache.mna entry in
-          seen mna;
-          let ws = Cache.ctx entry in
-          let hits = ref 0 and fresh_total = ref 0 in
-          let seen_f = Hashtbl.create 64 in
-          let union = ref [] in
-          List.iter
-            (fun (_, _, _, freqs) ->
-              Array.iter
-                (fun f ->
-                  match Cache.cached_point entry f with
-                  | Some _ ->
-                    incr hits;
-                    Obs.count "serve.point_hit" 1
-                  | None ->
-                    incr fresh_total;
-                    Obs.count "serve.point_miss" 1;
-                    let k = Printf.sprintf "%h" f in
-                    if not (Hashtbl.mem seen_f k) then begin
-                      Hashtbl.add seen_f k ();
-                      union := f :: !union
-                    end)
-                freqs)
-            items;
-          let needed = Array.of_list !union in
-          (* canonical ascending order: the sweep's work distribution
-             must not depend on request arrival order *)
-          Array.sort Float.compare needed;
-          if Array.length needed > 0 then begin
-            let sw = Simulate.Ac.sweep_ws mna ws needed in
-            Array.iteri
-              (fun i f -> Cache.store_point entry f sw.Simulate.Ac.z.(i))
-              needed
-          end;
-          Cache.note_point_stats st.cache ~hits:!hits ~misses:!fresh_total;
-          let saved = !fresh_total - Array.length needed in
-          if saved > 0 then begin
-            st.batched_points <- st.batched_points + saved;
-            Obs.count "serve.batched_points" saved
-          end;
-          let port_names = mna.Circuit.Mna.port_names in
-          List.map
-            (fun (i, r, q, freqs) ->
-              let zs =
-                Array.map
-                  (fun f ->
-                    match Cache.cached_point entry f with
-                    | Some z -> z
-                    | None -> assert false)
-                  freqs
-              in
-              let key, mats =
-                match q.Ops.op with
-                | Ops.Sparams -> ("s", Array.map (Simulate.Netparams.z_to_s ~z0:q.Ops.z0) zs)
-                | _ -> ("z", zs)
-              in
-              ( i,
-                r,
-                [
-                  ("freqs", jfloats freqs);
-                  ("ports", jstrs port_names);
-                  (key, Json.List (Array.to_list (Array.map jcmat mats)));
-                ] ))
-            items)
-      in
-      let traced = List.exists (fun (_, r, _, _) -> r.Protocol.trace) items in
-      let trace = if traced then Some (Obs.export_chrome_since m) else None in
-      List.map
-        (fun (i, (r : Protocol.request), fields) ->
-          let trace = if r.Protocol.trace then trace else None in
-          (i, Protocol.ok_response ~id:r.Protocol.id ?trace fields))
-        fields_per_item
-    with
-    | Ok resps -> resps
-    | Error d ->
-      List.map (fun (i, r, _, _) -> (i, Protocol.error_response ~id:r.Protocol.id [ d ])) items
-  in
-  List.iter (fun _ -> record_latency st (Obs.now () -. t0)) result;
-  result
-
 (* ------------------------------------------------------------------ *)
 (* Batch processing                                                    *)
 
 let append_response c resp = c.out <- c.out ^ resp ^ "\n"
 
-(* an ac/sparams request: its netlist text and compute request *)
-let sweep_of (r : Protocol.request) =
-  match r.Protocol.body with
-  | Protocol.Run (text, ({ Ops.op = Ops.Ac | Ops.Sparams; _ } as q)) -> Some (text, q)
-  | _ -> None
-
+(* every complete line of one tick, answered in batch order; each
+   request is answered on its own, so a response depends only on its
+   request (same-netlist reuse comes from the cache's point table) *)
 let process_batch st (items : (conn * string) list) =
   let batch_mark = Obs.mark () in
-  let arr = Array.of_list items in
-  let n = Array.length arr in
-  st.requests <- st.requests + n;
-  let out = Array.make n "" in
-  let parsed = Array.map (fun (_, line) -> Protocol.parse line) arr in
-  (* sweep groups by content hash, members in batch order *)
-  let groups = Hashtbl.create 8 in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Ok r -> (
-        match sweep_of r with
-        | Some (text, q) ->
-          let k = Cache.key_of_text text in
-          let members =
-            match Hashtbl.find_opt groups k with Some l -> l | None -> []
-          in
-          Hashtbl.replace groups k ((i, r, q) :: members)
-        | None -> ())
-      | Error _ -> ())
-    parsed;
-  let done_groups = Hashtbl.create 8 in
-  Array.iteri
-    (fun i p ->
-      match p with
-      | Error (id, ds) -> out.(i) <- Protocol.error_response ~id ds
-      | Ok r -> (
-        match sweep_of r with
-        | Some (text, _) ->
-          let k = Cache.key_of_text text in
-          if not (Hashtbl.mem done_groups k) then begin
-            Hashtbl.add done_groups k ();
-            let members =
-              List.rev (match Hashtbl.find_opt groups k with Some l -> l | None -> [])
-            in
-            List.iter (fun (j, resp) -> out.(j) <- resp) (handle_group st text members)
-          end
-        | None -> out.(i) <- handle_single st r))
-    parsed;
+  st.requests <- st.requests + List.length items;
+  List.iter
+    (fun (c, line) ->
+      append_response c
+        (match Protocol.parse line with
+        | Ok r -> handle st r
+        | Error (id, ds) -> Protocol.error_response ~id ds))
+    items;
   (* the responses carried any requested trace subtrees out; drop the
      batch's span events so daemon buffers stay bounded (counters and
      gauges survive truncation) *)
-  Obs.truncate batch_mark;
-  Array.iteri (fun i (c, _) -> append_response c out.(i)) arr
+  Obs.truncate batch_mark
 
 (* ------------------------------------------------------------------ *)
 (* Event loop                                                          *)
@@ -483,7 +362,6 @@ let run ?(on_ready = fun () -> ()) cfg =
       cache = Cache.create ~max_entries:cfg.max_entries;
       conns = [];
       requests = 0;
-      batched_points = 0;
       lat_count = 0;
       lat_total = 0.0;
       lat_max = 0.0;

@@ -10,13 +10,12 @@
     the one-shot CLI, so pooled results keep their bitwise-identical
     guarantee.
 
-    Batching: all complete request lines readable in one loop tick
-    are processed as one batch; [ac]/[sparams] requests over the same
-    netlist (same content hash) are grouped, the frequency points
-    missing from the entry's point cache are unioned, and one pooled
-    {!Simulate.Ac.sweep_ws} serves the whole group
-    ([serve.batched_points] counts the points this deduplication
-    saved).
+    Requests: all complete request lines readable in one loop tick
+    are answered in order, each on its own through one handler, so a
+    response depends only on its request. Reuse across requests is
+    the {!Cache}: a repeated netlist hits its entry, and a repeated
+    [ac]/[sparams] frequency is a point-table lookup ({!Cache.points})
+    — also when its twin arrived in the same tick.
 
     Shutdown: SIGTERM/SIGINT (or a [shutdown] request) stop the
     accept loop, drain buffered in-flight requests, flush every

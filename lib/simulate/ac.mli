@@ -44,9 +44,9 @@ val z_at : Circuit.Mna.t -> Complex.t -> Linalg.Cmat.t
 
 val sweep_ws : ?jobs:int -> Circuit.Mna.t -> workspace -> float array -> sweep
 (** {!sweep} against a precomputed symbolic phase — the serve daemon's
-    batching path, which unions the missing frequency points of a
-    batch of same-model requests into one pooled call. Same
-    bitwise-identical-at-any-job-count guarantee. *)
+    point table sweeps a request's missing frequency points through it
+    in one pooled call. Same bitwise-identical-at-any-job-count
+    guarantee. *)
 
 val sweep : ?jobs:int -> Circuit.Mna.t -> float array -> sweep
 (** [sweep m freqs] evaluates along the [jω] axis. [jobs] overrides

@@ -7,7 +7,8 @@
      - direct [Serve.Cache] units: content-hash keying, strict-LRU
        eviction under the entry bound, deferred eviction of a pinned
        (in-use) pencil context, the doomed-ghost re-request path, model
-       memoisation, and exact bit-pattern point keying;
+       memoisation, exact bit-pattern point keying, and a sweep past
+       the point-table bound;
      - a finding renders to the same bytes through Protocol as the
        field-by-field Json rendering (quote, backslash, newline and
        control characters in the message, integer and null line);
@@ -21,8 +22,9 @@
        bytes across the two job counts;
      - single-flight: two clients racing on the same uncached netlist
        cost exactly one cache miss and get identical bytes;
-     - batching: two identical sweeps arriving in one tick share one
-       pooled sweep (stats report the saved points);
+     - same-tick requests: two identical sweeps arriving in one tick
+       cost one sweep (the twin is a point-table hit), and a request
+       whose point meets a zero pivot does not fail its neighbour;
      - cli: one certify request gives the same findings through
        `symor certify --json`, `symor reduce --certify` and the serve
        certify op; an unknown `tran` observe name is a one-line user
@@ -30,8 +32,11 @@
        a zero pivot in an exact jω factor is a one-line user error
        naming the unknown on the CLI and an SRV007 finding in serve;
        one table of out-of-range requests gets the same message as a
-       one-line CLI error and as a serve SRV004 finding; `symor
-       request` against a dead socket is a one-line user error;
+       one-line CLI error and as a serve SRV004 finding (`reduce
+       --synth` on an LC netlist is a CLI-only row); single-port
+       SyMPVL models outside Foster form synthesize to a netlist with
+       the original's Z(jω); `symor request` against a dead socket is
+       a one-line user error;
      - lifecycle: SIGTERM drains the in-flight request (answered with
        golden-exact data) before a clean exit 0, a long run of traced
        requests leaves the obs buffers bounded, and a reduce at order
@@ -266,11 +271,23 @@ let test_cache_model_and_points () =
   Alcotest.(check bool) "full order builds" false c4;
   Alcotest.(check bool) "certify at auto order shares it" true c5;
   (* point table: exact bit-pattern keying, no float tolerance *)
-  Serve.Cache.store_point e 1e9 (Linalg.Cmat.create 1 1);
-  Alcotest.(check bool) "stored point found" true
-    (Serve.Cache.cached_point e 1e9 <> None);
-  Alcotest.(check bool) "ULP-nudged frequency misses" true
-    (Serve.Cache.cached_point e (Float.succ 1e9) = None)
+  let tally () =
+    let s = Serve.Cache.stats t in
+    (s.Serve.Cache.point_hits, s.Serve.Cache.point_misses)
+  in
+  let z1 = Serve.Cache.points t e [| 1e9 |] in
+  let z2 = Serve.Cache.points t e [| 1e9 |] in
+  Alcotest.(check (pair int int)) "1e9 misses, then hits" (1, 1) (tally ());
+  Alcotest.(check bool) "the hit answers the stored point" true (z1.(0) == z2.(0));
+  ignore (Serve.Cache.points t e [| Float.succ 1e9 |]);
+  Alcotest.(check (pair int int)) "ULP-nudged frequency misses" (1, 2) (tally ());
+  (* one sweep past the table bound (8192 points) clears the table
+     while storing, yet answers every point *)
+  let many = Array.init 9000 (fun i -> 1e6 *. float_of_int (i + 1)) in
+  let zs = Serve.Cache.points t e many in
+  Alcotest.(check int) "every point answered" 9000 (Array.length zs);
+  Alcotest.(check bool) "in request order" true
+    (Linalg.Cmat.get zs.(999) 0 0 = Linalg.Cmat.get (Serve.Cache.points t e [| 1e9 |]).(0) 0 0)
 
 (* ------------------------------------------------------------------ *)
 (* protocol fuzz                                                       *)
@@ -468,20 +485,44 @@ let test_single_flight () =
   Alcotest.(check (option (float 0.0))) "exactly one serve.cache_miss" (Some 1.0)
     (J.to_float_opt (J.member "serve.cache_miss" (J.member "counters" stats)))
 
-let test_batching () =
+let test_same_tick_twins () =
   with_server @@ fun (addr, _) ->
   let req = ac_request (read_file (netlist_path "lc_tank")) in
   with_client addr @@ fun c ->
-  (* two identical 16-point sweeps in one write arrive in one tick: the
-     group runs one pooled sweep and the twin's 16 points are saved *)
+  (* two identical 16-point sweeps in one write arrive in one tick:
+     the first sweeps its 16 points, the twin reads them back from the
+     point table *)
   Serve.Client.send_line c (req ^ "\n" ^ req);
   let r1 = recv_exn c in
   let r2 = recv_exn c in
-  Alcotest.(check string) "batched twins get identical bytes" r1 r2;
+  Alcotest.(check string) "same-tick twins get identical bytes" r1 r2;
   check_against_golden "lc_tank" r1;
-  let stats = J.parse (request_exn c {|{"op":"stats"}|}) in
-  Alcotest.(check int) "16 points saved by batching" 16
-    (jint_exn "batched_points" stats)
+  let cache = J.member "cache" (J.parse (request_exn c {|{"op":"stats"}|})) in
+  Alcotest.(check int) "16 points swept" 16 (jint_exn "point_misses" cache);
+  Alcotest.(check int) "16 points reused" 16 (jint_exn "point_hits" cache)
+
+(* a 1-node LC tank resonates at f = 1/2π Hz, where the exact jω
+   factor meets a zero pivot: a request holding that point fails, and
+   a request for another point on the same netlist, arriving in the
+   same tick, must answer exactly as it does alone *)
+let test_request_isolation () =
+  let tank = J.to_string (J.Str "L1 n1 0 1\nC1 n1 0 1\n.port p1 n1\n.end\n") in
+  let a = Printf.sprintf {|{"op":"ac","netlist":%s,"freqs":[0.15915494309189535,1.0]}|} tank in
+  let b = Printf.sprintf {|{"op":"ac","netlist":%s,"freqs":[1.0]}|} tank in
+  let alone =
+    with_server @@ fun (addr, _) -> with_client addr @@ fun c -> request_exn c b
+  in
+  Alcotest.(check (option bool)) "alone: ok" (Some true) (jbool "ok" (J.parse alone));
+  with_server @@ fun (addr, _) ->
+  with_client addr @@ fun c ->
+  Serve.Client.send_line c (a ^ "\n" ^ b);
+  let ra = recv_exn c in
+  let rb = recv_exn c in
+  Alcotest.(check (option bool)) "resonant request: not ok" (Some false)
+    (jbool "ok" (J.parse ra));
+  Alcotest.(check bool) "resonant request: a user error (SRV007)" true
+    (contains ra "SRV007" && contains ra "zero pivot");
+  Alcotest.(check string) "neighbour: same bytes as alone" alone rb
 
 (* ------------------------------------------------------------------ *)
 (* lifecycle                                                           *)
@@ -596,28 +637,33 @@ let test_certify_parity () =
 
 (* one table of out-of-range requests, each sent through both front
    ends: the CLI's one-line user error and the daemon's SRV004 finding
-   carry the same message *)
+   carry the same message (a CLI-only request has no serve fields) *)
 let test_invalid_requests () =
   let rc = netlist_path "rc_line" and rl = netlist_path "rl_ladder" in
+  let lc = netlist_path "lc_tank" in
+  let out = Filename.concat (Filename.get_temp_dir_name ()) "symor-unwritten.cir" in
   let cases =
     [
-      ([ "reduce"; rc; "-n"; "0" ], {|"op":"reduce","order":0|},
+      ([ "reduce"; rc; "-n"; "0" ], Some {|"op":"reduce","order":0|},
         {|field "order" must be positive (got 0)|});
-      ([ "certify"; rc; "--order=-5" ], {|"op":"certify","order":-5|},
+      ([ "certify"; rc; "--order=-5" ], Some {|"op":"certify","order":-5|},
         {|field "order" must be >= 0 (got -5)|});
-      ([ "reduce"; rl; "--band"; "1e9,1e6" ], {|"op":"reduce","band":[1e9,1e6]|},
+      ([ "reduce"; rl; "--band"; "1e9,1e6" ], Some {|"op":"reduce","band":[1e9,1e6]|},
         {|field "band" must be [lo, hi] with 0 < lo < hi|});
-      ([ "ac"; rc; "--flo"; "1e9"; "--fhi"; "1e9" ], {|"op":"ac","flo":1e9,"fhi":1e9|},
+      ([ "ac"; rc; "--flo"; "1e9"; "--fhi"; "1e9" ], Some {|"op":"ac","flo":1e9,"fhi":1e9|},
         {|need 0 < flo < fhi (got flo=1e+09, fhi=1e+09)|});
-      ([ "ac"; rc; "--points"; "1" ], {|"op":"ac","points":1|},
+      ([ "ac"; rc; "--points"; "1" ], Some {|"op":"ac","points":1|},
         {|field "points" must be in [2, 100000] (got 1)|});
-      ([ "sparams"; rc; "--z0"; "0" ], {|"op":"sparams","z0":0|},
+      ([ "sparams"; rc; "--z0"; "0" ], Some {|"op":"sparams","z0":0|},
         {|field "z0" must be positive|});
       ( [ "tran"; rc; "--observe"; "out"; "--dt"; "1e-8" ],
-        {|"op":"tran","observe":["out"],"dt":1e-8|},
+        Some {|"op":"tran","observe":["out"],"dt":1e-8|},
         {|need 0 < dt < tstop (got dt=1e-08, tstop=1e-08)|} );
-      ([ "tran"; rc; "--observe"; "" ], {|"op":"tran","observe":[]|},
+      ([ "tran"; rc; "--observe"; "" ], Some {|"op":"tran","observe":[]|},
         {|op "tran" needs a non-empty "observe" field|});
+      ( [ "reduce"; lc; "-n"; "4"; "--synth"; out ], None,
+        "--synth needs an RC or RLC netlist: " ^ lc
+        ^ " assembles in the RL or LC form, whose Z(s) carries a factor s" );
     ]
   in
   with_server @@ fun (addr, _) ->
@@ -628,19 +674,57 @@ let test_invalid_requests () =
       let ((_, _, err) as run) = run_symor args in
       check_user_error ("CLI " ^ what) run;
       Alcotest.(check string) ("CLI " ^ what ^ ": message") ("symor: " ^ message ^ "\n") err;
-      let text = J.to_string (J.Str (read_file (List.nth args 1))) in
-      let resp = J.parse (request_exn c (Printf.sprintf {|{%s,"netlist":%s}|} fields text)) in
-      Alcotest.(check (option bool)) ("serve " ^ fields ^ ": not ok") (Some false)
-        (jbool "ok" resp);
-      let served =
-        List.map
-          (fun f -> render_finding f)
-          (jlist_exn (J.member "findings" resp))
-      in
-      Alcotest.(check (list string)) ("serve " ^ fields ^ ": one SRV004")
-        [ "error SRV004: " ^ message ] served)
+      Option.iter
+        (fun fields ->
+          let text = J.to_string (J.Str (read_file (List.nth args 1))) in
+          let resp =
+            J.parse (request_exn c (Printf.sprintf {|{%s,"netlist":%s}|} fields text))
+          in
+          Alcotest.(check (option bool)) ("serve " ^ fields ^ ": not ok") (Some false)
+            (jbool "ok" resp);
+          let served = List.map render_finding (jlist_exn (J.member "findings" resp)) in
+          Alcotest.(check (list string)) ("serve " ^ fields ^ ": one SRV004")
+            [ "error SRV004: " ^ message ] served)
+        fields)
     cases;
   check_ping c
+
+(* single-port SyMPVL models outside Foster form (an indefinite RLC
+   model, an RC model at a nonzero shift) synthesize through the
+   multiport congruence: at full order the netlist reproduces the
+   original's Z(jω) *)
+let test_synth_single_port () =
+  let tmp = Filename.get_temp_dir_name () in
+  List.iter
+    (fun (name, text, flags) ->
+      let path = Filename.concat tmp (Printf.sprintf "symor-%d-%s.cir" (Unix.getpid ()) name) in
+      let out = path ^ ".synth.cir" in
+      Fun.protect ~finally:(fun () -> List.iter Sys.remove (List.filter Sys.file_exists [ path; out ]))
+      @@ fun () ->
+      let oc = open_out_bin path in
+      output_string oc text;
+      close_out oc;
+      let code, _, err = run_symor ([ "reduce"; path; "--synth"; out ] @ flags) in
+      Alcotest.(check int) (name ^ ": exit 0") 0 code;
+      Alcotest.(check bool) (name ^ ": no backtrace") false (contains err "Raised");
+      let magnitudes p =
+        let _, csv, _ = run_symor [ "ac"; p; "--points"; "6" ] in
+        List.map (fun l -> float_of_string (List.nth (String.split_on_char ',' l) 1))
+          (List.tl (lines csv))
+      in
+      List.iter2
+        (fun a b ->
+          if Float.abs (a -. b) > 1e-5 *. Float.abs a then
+            Alcotest.failf "%s: synthesized |Z| %g vs original %g" name b a)
+        (magnitudes path) (magnitudes out))
+    [
+      ( "rlc",
+        "R1 in n1 10\nL1 n1 n2 1n\nC1 n2 0 1p\nR2 n2 0 50\nC2 in 0 0.2p\n.port p in\n.end\n",
+        [ "-n"; "4" ] );
+      ( "rc_shifted",
+        "R1 in n1 10\nC1 n1 0 1p\nR2 n1 0 100\nC2 in 0 1p\n.port p in\n.end\n",
+        [ "-n"; "2"; "--shift"; "1e9" ] );
+    ]
 
 (* a stale socket with no daemon behind it: one line, exit 1, naming
    the address *)
@@ -743,7 +827,10 @@ let () =
             test_parity_jobs;
           Alcotest.test_case "single-flight on a racing uncached netlist" `Quick
             test_single_flight;
-          Alcotest.test_case "same-tick twins share one sweep" `Quick test_batching;
+          Alcotest.test_case "same-tick twins share one sweep" `Quick
+            test_same_tick_twins;
+          Alcotest.test_case "a response depends only on its own request" `Quick
+            test_request_isolation;
         ] );
       ( "cli",
         [
@@ -755,6 +842,8 @@ let () =
             test_jw_pivot_breakdown;
           Alcotest.test_case "invalid requests: one message, both front ends" `Quick
             test_invalid_requests;
+          Alcotest.test_case "reduce --synth: single-port models outside Foster form" `Quick
+            test_synth_single_port;
           Alcotest.test_case "request: a dead socket is a user error" `Quick
             test_request_dead_socket;
         ] );
