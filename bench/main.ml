@@ -1039,7 +1039,9 @@ let factor_bench () =
   let rel_err = !err /. Float.max !scale 1e-300 in
   let speedup = (t_sky_f +. t_sky_s) /. Float.max (t_super_f +. t_super_s) 1e-12 in
   let plan_pick =
-    match Sympvl.Factor.plan pat with `Supernodal _ -> "supernodal" | `Skyline _ -> "skyline"
+    match Sympvl.Factor.plan ~nodes:n pat with
+    | `Supernodal _ -> "supernodal"
+    | `Skyline _ -> "skyline"
   in
   Printf.printf
     "factor+%d-solve speedup %.2fx; solutions agree to %.3e rel; plan picks %s\n"

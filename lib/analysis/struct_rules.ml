@@ -96,12 +96,15 @@ let orderings m =
   in
   (* what each Factor backend would store, and the pick the pipeline's
      own planner makes on this pattern (one source of truth: the same
-     Sympvl.Factor.plan every factorisation goes through, including any
-     SYMOR_FACTOR override in effect) *)
+     Sympvl.Factor orders every factorisation goes through — on the
+     general form, the currents-before-nodes supernodal order) *)
+  let nodes = m.M.n_nodes in
   let skyline_stored = rcm_profile + m.M.n in
-  let supernodal_stored = amd_nnz in
+  let supernodal_stored =
+    Sparse.Etree.predicted_nnz pat (Sympvl.Factor.supernodal_order ~nodes pat)
+  in
   let backend_pick =
-    match Sympvl.Factor.plan pat with
+    match Sympvl.Factor.plan ~nodes pat with
     | `Skyline _ -> `Skyline
     | `Supernodal _ -> `Supernodal
   in

@@ -41,7 +41,8 @@
       bandwidth, profile, structural rank
     - [STR009] info — second-order structure: the inductor-loop
       count, K-card coupling density and the MNA form {!Circuit.Mna.auto}
-      picks (the [`Sprim] engine consumes the susceptance view) *)
+      picks (the [`Sprim] engine splits the general form at the
+      node/current boundary) *)
 
 val rules : (string * Circuit.Diagnostic.severity * string) list
 (** Rule table: code, default severity, one-line summary. *)
@@ -78,12 +79,14 @@ type ordering_report = {
   skyline_stored : int;
       (** Entries the RCM+skyline backend stores (envelope + diagonal). *)
   supernodal_stored : int;
-      (** Entries the AMD+supernodal backend stores (exactly the AMD
-          predicted factor nnz — {!Sparse.Supernodal} is fill-exact). *)
+      (** Entries the AMD+supernodal backend stores: the predicted
+          factor nnz under [Sympvl.Factor.supernodal_order]
+          ({!Sparse.Supernodal} is fill-exact) — the AMD figure on
+          nodal pencils, the currents-before-nodes constrained order's
+          on the general RLC form. *)
   backend_pick : [ `Skyline | `Supernodal ];
       (** The decision [Sympvl.Factor.plan] makes on this pattern —
-          the backend a reduction of this netlist will actually use,
-          including any [SYMOR_FACTOR] override in effect. *)
+          the backend a reduction of this netlist will actually use. *)
 }
 
 val orderings : Circuit.Mna.t -> ordering_report

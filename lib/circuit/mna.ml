@@ -392,80 +392,7 @@ let append_output_column mna w name =
   done;
   { mna with b; port_names = Array.append mna.port_names [| name |] }
 
-(* ---------- second-order (susceptance) form ---------- *)
-
-type second_order = {
-  so_n : int;
-  so_ni : int;
-  so_m : Sparse.Csr.t;
-  so_d : Sparse.Csr.t;
-  so_k : Sparse.Csr.t;
-  so_b : Linalg.Mat.t;
-  so_ports : string array;
-  so_gain : gain;
-  so_variable : variable;
-}
-
-let assemble_second_order nl =
-  require_linear nl;
-  require_ports nl;
-  require_couplings nl;
-  let nn = Netlist.num_nodes nl in
-  let ni = List.length (Netlist.inductors nl) in
-  let k2 =
-    if ni = 0 then Sparse.Csr.of_triplet (Sparse.Triplet.create nn nn)
-    else inductive_nodal_g nl
-  in
-  {
-    so_n = nn;
-    so_ni = ni;
-    so_m = capacitance_nodal nl nn;
-    so_d = conductance_nodal nl nn;
-    so_k = k2;
-    so_b = port_matrix nl nn;
-    so_ports = port_names nl;
-    so_gain = Times_s;
-    so_variable = S;
-  }
-
-let linearize so =
-  let nn = so.so_n in
-  let n = 2 * nn in
-  (* G' = [[K, 0]; [0, I]],  C' = [[D, I]; [−M, 0]] — the companion
-     state is w = s·M·v, so the pencil G' + s·C' is nonsingular
-     exactly where the quadratic pencil s²M + sD + K is, even for a
-     singular M (nodes without capacitors). Schur elimination of w
-     recovers (s²M + sD + K)·v = B·u, hence Z(s) = s·Bᵀv matches the
-     second-order transfer function identically. *)
-  let gtr = Sparse.Triplet.create n n in
-  for i = 0 to nn - 1 do
-    Sparse.Csr.iter_row so.so_k i (fun j v -> Sparse.Triplet.add gtr i j v);
-    Sparse.Triplet.add gtr (nn + i) (nn + i) 1.0
-  done;
-  let ctr = Sparse.Triplet.create n n in
-  for i = 0 to nn - 1 do
-    Sparse.Csr.iter_row so.so_d i (fun j v -> Sparse.Triplet.add ctr i j v);
-    Sparse.Triplet.add ctr i (nn + i) 1.0;
-    Sparse.Csr.iter_row so.so_m i (fun j v -> Sparse.Triplet.add ctr (nn + i) j (-.v))
-  done;
-  let p = so.so_b.Linalg.Mat.cols in
-  let b = Linalg.Mat.create n p in
-  for i = 0 to nn - 1 do
-    for j = 0 to p - 1 do
-      Linalg.Mat.set b i j (Linalg.Mat.get so.so_b i j)
-    done
-  done;
-  {
-    n;
-    n_nodes = nn;
-    g = Sparse.Csr.of_triplet gtr;
-    c = Sparse.Csr.of_triplet ctr;
-    b;
-    port_names = so.so_ports;
-    gain = so.so_gain;
-    variable = so.so_variable;
-    spd = false;
-  }
+(* ---------- second-order structure ---------- *)
 
 type second_order_stats = {
   inductor_loops : int;
@@ -500,7 +427,7 @@ let second_order_stats nl =
     | `Rc -> "first-order RC (G + sC)"
     | `Rl -> "susceptance RL (Γ + sG, gain s)"
     | `Lc -> "s²-variable LC (Γ + s²C, gain s)"
-    | `Rlc -> "second-order susceptance (s²M + sD + K) via linearised general form"
+    | `Rlc -> "general RLC (G + sC, node voltages then inductor currents)"
     | `General -> "general (not reducible)"
   in
   { inductor_loops = count_inductor_loops nl; coupling_density; chosen_form }

@@ -94,7 +94,7 @@ val observe_inductor_current : Netlist.t -> t -> string -> Linalg.Vec.t
 val append_output_column : t -> Linalg.Vec.t -> string -> t
 (** Widen [B] with an extra observation column (generalised port). *)
 
-(** {1 Second-order (susceptance) form}
+(** {1 Second-order structure}
 
     Eliminating the inductor currents from the general RLC form yields
     the quadratic (second-order) pencil of Freund's SPRIM line of
@@ -104,48 +104,10 @@ val append_output_column : t -> Linalg.Vec.t -> string -> t
 
     with [M = Aᶜᵀ𝒞Aᶜ] (nodal capacitance), [D = Aᵍᵀ𝒢Aᵍ] (nodal
     conductance) and [K = Aˡᵀℒ⁻¹Aˡ] (nodal inductive susceptance,
-    mutual k-couplings folded into [ℒ]). All three blocks are
-    symmetric PSD for positive element values, which is what the
-    structure-preserving [`Sprim] engine and RLCk re-synthesis rely
-    on. *)
-
-type second_order = {
-  so_n : int;  (** Node count — dimension of the quadratic pencil. *)
-  so_ni : int;  (** Inductor branches eliminated into [so_k]. *)
-  so_m : Sparse.Csr.t;  (** [M] — nodal capacitance, symmetric PSD. *)
-  so_d : Sparse.Csr.t;  (** [D] — nodal conductance, symmetric PSD. *)
-  so_k : Sparse.Csr.t;  (** [K] — nodal susceptance [Aˡᵀℒ⁻¹Aˡ]. *)
-  so_b : Linalg.Mat.t;  (** [so_n × p] nodal terminal incidence. *)
-  so_ports : string array;
-  so_gain : gain;  (** Always [Times_s] — the honest transfer gain. *)
-  so_variable : variable;  (** Always [S]: quadratic pencil in [s]. *)
-}
-
-val assemble_second_order : Netlist.t -> second_order
-(** Susceptance-form assembly. Requires a linear RLC netlist with
-    ports and well-formed couplings (raises {!Diagnostic.User_error}
-    otherwise). Inductor-free netlists get [K = 0]. The [ℒ⁻¹]
-    elimination uses a dense Cholesky of [ℒ] — intended for the small
-    and mid-size regime; the 10⁴⁺-inductor PEEC workloads should stay
-    on {!assemble}, whose [−ℒ] block is stamped sparsely. *)
-
-val linearize : second_order -> t
-(** Companion-form linearisation back to a first-order pencil, with
-    state [x = (v, s·M·v)]:
-
-      [G' = [[K, 0]; [0, I]]],  [C' = [[D, I]; [−M, 0]]]
-
-    The pencil [G' + sC'] is nonsingular exactly where the quadratic
-    pencil is (even for singular [M]), and the transfer function
-    matches {!assemble} on the same netlist exactly (the qcheck suite
-    pins this). Metadata: [gain = Times_s], [variable = S],
-    [n_nodes = so_n].
-
-    {b The companion pencil is nonsymmetric} (the symmetric companion
-    [[[K,0];[0,−M]] + s[[D,M];[M,0]]] is singular for every [s]
-    whenever a node carries no capacitance). Evaluate it with dense
-    complex solves; do not feed it to the symmetric skyline AC /
-    reduction fast paths, which assume [G = Gᵀ], [C = Cᵀ]. *)
+    mutual k-couplings folded into [ℒ]). It is never assembled: the
+    structure-preserving [`Sprim] engine and RLCk re-synthesis work
+    on the general form {!assemble}, whose node/current block split
+    carries the same structure with [ℒ] stamped sparsely. *)
 
 type second_order_stats = {
   inductor_loops : int;

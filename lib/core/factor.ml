@@ -13,13 +13,6 @@ exception Singular of int
 (* ------------------------------------------------------------------ *)
 (* sparse-backend selection                                             *)
 
-(* the SYMOR_FACTOR override, read once at start-up *)
-let backend_override =
-  match Sys.getenv_opt "SYMOR_FACTOR" with
-  | Some "skyline" -> `Skyline
-  | Some "supernodal" -> `Supernodal
-  | _ -> `Auto
-
 (* Below this size the RCM-skyline path wins on constant factors (and
    keeps small-circuit results bitwise identical to earlier releases);
    from it on, AMD + supernodal is taken outright. *)
@@ -27,13 +20,16 @@ let supernodal_threshold = 4096
 
 type plan = [ `Skyline of int array | `Supernodal of int array ]
 
-let plan pattern : plan =
-  match backend_override with
-  | `Skyline -> `Skyline (Sparse.Rcm.order pattern)
-  | `Supernodal -> `Supernodal (Sparse.Supernodal.order pattern)
-  | `Auto ->
-    if pattern.Sparse.Csr.rows < supernodal_threshold then `Skyline (Sparse.Rcm.order pattern)
-    else `Supernodal (Sparse.Supernodal.order pattern)
+(* on the general form (unknowns past [nodes] are inductor currents)
+   every current is eliminated before its nodes, which cannot break
+   down at a real shift s₀ > 0 *)
+let supernodal_order ~nodes pattern =
+  if nodes < pattern.Sparse.Csr.rows then Sparse.Supernodal.order ~early:nodes pattern
+  else Sparse.Supernodal.order pattern
+
+let plan ~nodes pattern : plan =
+  if pattern.Sparse.Csr.rows < supernodal_threshold then `Skyline (Sparse.Rcm.order pattern)
+  else `Supernodal (supernodal_order ~nodes pattern)
 
 (* P A Pᵀ = L D Lᵀ from either sparse backend: M = Pᵀ L S with
    S = diag(√|D|), J = sign(D). Operators in original coordinates. *)

@@ -37,17 +37,28 @@ exception Singular of int
     RCM ordering + skyline envelope (the small-circuit default, cheap
     constants, bitwise-stable results) and AMD ordering + supernodal
     panels ({!Sparse.Supernodal}, the scattered-sparsity backend that
-    scales to 10⁵ unknowns). {!plan} picks per pattern; the
-    [SYMOR_FACTOR] environment variable ([skyline] | [supernodal]),
-    read once at start-up, forces one globally. *)
+    scales to 10⁵ unknowns). {!plan} picks by pattern size alone. *)
 
 type plan = [ `Skyline of int array | `Supernodal of int array ]
 
-val plan : Sparse.Csr.t -> plan
-(** [plan pattern] — the backend decision plus its fill-reducing
-    permutation ({!Csr.permute_sym} convention). Without an override,
-    patterns below 4 096 unknowns take RCM-skyline and larger ones
-    AMD-supernodal, each without building the other's ordering. *)
+val supernodal_order : nodes:int -> Sparse.Csr.t -> int array
+(** [supernodal_order ~nodes pattern] — the supernodal backend's
+    permutation ({!Csr.permute_sym} convention): AMD composed with its
+    elimination-tree postorder. On the general RLC form ([nodes] below
+    the dimension: the trailing unknowns are inductor currents) the
+    order is constrained so that every current is eliminated before
+    each of its node neighbours ({!Sparse.Supernodal.order} [~early]);
+    at any real shift [s₀ > 0] the unpivoted [L D Lᵀ] then exists, with
+    a negative pivot for each current and a positive one for each
+    node. *)
+
+val plan : nodes:int -> Sparse.Csr.t -> plan
+(** [plan ~nodes pattern] — the backend decision plus its
+    fill-reducing permutation ({!Csr.permute_sym} convention):
+    patterns below 4 096 unknowns take RCM-skyline, larger ones
+    {!supernodal_order}, each without building the other's
+    ordering. [nodes] is the count of leading node-voltage unknowns
+    (the dimension for nodal RC/RL/LC pencils). *)
 
 (** {1 Wrappers} *)
 

@@ -5,33 +5,17 @@ type backend_sym =
   | Sky of Sparse.Skyline.pencil_env
   | Super of Sparse.Supernodal.symbolic
 
-(* LDLᵀ without pivoting breaks down iff a leading principal minor is
-   singular, which depends on the ordering alone: an AMD ordering can
-   eliminate an exactly-cancelling MNA node pair before the current
-   variable that couples it, where RCM's level sets happen to
-   interleave them. When the supernodal backend hits such a pivot the
-   pencil retries on an RCM-ordered skyline envelope — a different
-   elimination sequence, not just different storage. Built lazily on
-   first breakdown and memoized; the Atomic makes the memo safe under
-   pooled AC sweeps (both racers compute identical values). *)
-type sky_fallback = {
-  sf_perm : int array; (* RCM: new index -> old index *)
-  sf_remap : int array; (* backend-permuted index of sf_perm.(k) *)
-  sf_env : Sparse.Skyline.pencil_env;
-}
-
 type t = {
   g : Sparse.Csr.t;
   c : Sparse.Csr.t;
-  pattern : Sparse.Csr.t; (* merged G/C pattern the plan was made on *)
-  mna : Circuit.Mna.t option; (* set by [create]: labels and the general form *)
+  mna : Circuit.Mna.t option; (* set by [create]: ports and labels *)
   variable : Circuit.Mna.variable;
   n : int;
+  nodes : int; (* leading node voltages; the rest are inductor currents *)
   p : int;
   perm : int array; (* new index -> old index *)
   inv : int array; (* old index -> new index *)
   mutable backend : backend_sym; (* mutable only via [reserve] *)
-  fallback : sky_fallback option Atomic.t;
   port_idx : int array array;
   port_val : float array array;
   cache : (float, (Factor.t, int) result) Hashtbl.t;
@@ -93,7 +77,7 @@ let band_shift_var variable (f_lo, f_hi) =
 let band_shift (m : Circuit.Mna.t) band = band_shift_var m.Circuit.Mna.variable band
 
 (* [mna], when given, supplies the variable, the ports and the labels *)
-let make ?mna pattern g c =
+let make ?mna ~nodes pattern g c =
   let variable, b =
     match mna with
     | Some m -> (m.Circuit.Mna.variable, Some m.Circuit.Mna.b)
@@ -102,7 +86,7 @@ let make ?mna pattern g c =
   if Obs.tracing () then
     Obs.span_begin ~args:[ ("n", Obs.Int g.Sparse.Csr.rows) ] "factor.symbolic";
   let n = g.Sparse.Csr.rows in
-  let chosen = Factor.plan pattern in
+  let chosen = Factor.plan ~nodes pattern in
   let perm = match chosen with `Skyline p | `Supernodal p -> p in
   let gp = Sparse.Csr.permute_sym g perm in
   let cp = Sparse.Csr.permute_sym c perm in
@@ -134,28 +118,29 @@ let make ?mna pattern g c =
   {
     g;
     c;
-    pattern;
     mna;
     variable;
     n;
+    nodes;
     p;
     perm;
     inv;
     backend;
-    fallback = Atomic.make None;
     port_idx;
     port_val;
     cache = Hashtbl.create 4;
   }
 
-let of_matrices g c = make (Sparse.Csr.add g c) g c
+let of_matrices ?nodes g c =
+  let nodes = Option.value nodes ~default:g.Sparse.Csr.rows in
+  make ~nodes (Sparse.Csr.add g c) g c
 
 (* one merged pattern, the one [symor analyze] plans on, serves both
    the structural pre-flight and the backend plan *)
 let create (m : Circuit.Mna.t) =
   let pattern = Circuit.Mna.pencil_pattern m in
   check_structure m pattern;
-  make ~mna:m pattern m.Circuit.Mna.g m.Circuit.Mna.c
+  make ~mna:m ~nodes:m.Circuit.Mna.n_nodes pattern m.Circuit.Mna.g m.Circuit.Mna.c
 
 (* ------------------------------------------------------------------ *)
 (* real factorisations, memoized by shift                              *)
@@ -195,32 +180,6 @@ let sparse_numeric ?extra t s0 =
     end;
     of_super t.perm fac
 
-let sky_fallback t =
-  match Atomic.get t.fallback with
-  | Some fb -> fb
-  | None ->
-    let rcm = Sparse.Rcm.order t.pattern in
-    let gp = Sparse.Csr.permute_sym t.g rcm in
-    let cp = Sparse.Csr.permute_sym t.c rcm in
-    let fb =
-      {
-        sf_perm = rcm;
-        sf_remap = Array.map (fun old -> t.inv.(old)) rcm;
-        sf_env = Sparse.Skyline.pencil_env gp cp;
-      }
-    in
-    Atomic.set t.fallback (Some fb);
-    fb
-
-let retry_skyline t i =
-  Log.info (fun f ->
-      f "supernodal pivot breakdown at %d; retrying on the RCM skyline envelope" i);
-  if Obs.tracing () then begin
-    Obs.instant ~args:[ ("pivot", Obs.Int i) ] "factor.fallback_skyline";
-    Obs.count "factor.fallback_skyline" 1
-  end;
-  sky_fallback t
-
 (* the unknown behind an original-coordinate row, for messages *)
 let unknown_label t row =
   match t.mna with
@@ -248,16 +207,13 @@ let unknown_label t row =
    factoring; a mismatch means K₀ is singular or too ill-conditioned
    for the unpivoted factor, and the caller falls back to dense. *)
 
-(* Which contexts take the path: built by [create] from the general
-   RLC form (unknowns past [n_nodes] are inductor currents). *)
-let kkt_nodes t =
-  match t.mna with
-  | Some m
-    when m.Circuit.Mna.variable = Circuit.Mna.S
-         && m.Circuit.Mna.gain = Circuit.Mna.Unit
-         && m.Circuit.Mna.n_nodes < m.Circuit.Mna.n ->
-    Some m.Circuit.Mna.n_nodes
-  | _ -> None
+(* Pivot k of an order that separates every current from its nodes is
+   positive for a node and negative for a current; a mismatch is a
+   breakdown at that row (original coordinates). *)
+let check_inertia ~perm ~nodes d =
+  Array.iteri
+    (fun k dk -> if Bool.equal (perm.(k) < nodes) (dk < 0.0) then raise (Factor.Singular perm.(k)))
+    d
 
 (* Raises [Factor.Singular row] (original coordinates) on breakdown or
    on a pivot of the wrong sign. *)
@@ -296,11 +252,7 @@ let kkt_factor t nn =
     try Sparse.Supernodal.Real.factor sym 0.0
     with Sparse.Supernodal.Singular k -> raise (Factor.Singular perm.(k))
   in
-  let d = Sparse.Supernodal.Real.d fac in
-  Array.iteri
-    (fun k dk ->
-      if Bool.equal (perm.(k) < nn) (dk < 0.0) then raise (Factor.Singular perm.(k)))
-    d;
+  check_inertia ~perm ~nodes:nn (Sparse.Supernodal.Real.d fac);
   if Obs.tracing () then begin
     Obs.count "factor.count" 1;
     Obs.count "factor.nnz" (Sparse.Supernodal.Real.fill fac)
@@ -325,27 +277,28 @@ let kkt_factor t nn =
   in
   Factor.congruent ~t:tm ~tt (of_super perm fac)
 
-(* the planned sparse backend, RCM-skyline retry after a supernodal
-   breakdown; the error is the failing row in original coordinates *)
+(* the planned sparse backend; the error is the failing row in original
+   coordinates. On the general form the supernodal order eliminates
+   every current before its nodes (Factor.supernodal_order), so at a
+   real s₀ > 0 the pivot signs are known and checked like the s₀ = 0
+   path's. *)
 let backend_factor t s0 =
   match sparse_numeric t s0 with
-  | fac -> Ok fac
-  | exception Sparse.Supernodal.Singular i -> (
-    (* a different elimination order may well succeed; only then
-       surrender to the dense factorisation *)
-    let fb = retry_skyline t i in
-    match Sparse.Skyline.factor_pencil_real fb.sf_env s0 with
-    | sky -> Ok (of_sky fb.sf_perm sky)
-    | exception Sparse.Skyline.Singular j -> Error fb.sf_perm.(j))
-  | exception Sparse.Skyline.Singular i -> Error t.perm.(i)
+  | fac -> (
+    match t.backend with
+    | Super _ when t.nodes < t.n && s0 > 0.0 -> (
+      match check_inertia ~perm:t.perm ~nodes:t.nodes fac.Factor.j with
+      | () -> Ok fac
+      | exception Factor.Singular i -> Error i)
+    | _ -> Ok fac)
+  | exception (Sparse.Skyline.Singular i | Sparse.Supernodal.Singular i) -> Error t.perm.(i)
 
 let factor_uncached t s0 =
   if Obs.tracing () then Obs.span_begin "factor.numeric";
   let sparse_fac =
-    match kkt_nodes t with
-    | Some nn when s0 = 0.0 -> (
-      match kkt_factor t nn with fac -> Ok fac | exception Factor.Singular i -> Error i)
-    | _ -> backend_factor t s0
+    if s0 = 0.0 && t.nodes < t.n then
+      match kkt_factor t t.nodes with fac -> Ok fac | exception Factor.Singular i -> Error i
+    else backend_factor t s0
   in
   match sparse_fac with
   | Ok fac ->
@@ -435,10 +388,6 @@ let factor_with t ~shift ~extra =
 type cfactor =
   | Csky of Sparse.Skyline.Complex_soa.t
   | Csuper of Sparse.Supernodal.Complex_soa.t
-  | Cfall of sky_fallback * Sparse.Skyline.Complex_soa.t
-      (* RCM-skyline retry after a supernodal breakdown; carries the
-         remap from backend-permuted to fallback-permuted coordinates
-         so callers keep addressing the backend permutation *)
 
 (* every breakdown leaves as [Factor.Singular] at the original row *)
 let factor_complex t s =
@@ -450,31 +399,12 @@ let factor_complex t s =
   | Super sym -> (
     match Sparse.Supernodal.Complex_soa.factor sym s with
     | fac -> Csuper fac
-    | exception Sparse.Supernodal.Singular i -> (
-      let fb = retry_skyline t i in
-      match Sparse.Skyline.Complex_soa.factor_pencil fb.sf_env s with
-      | fac -> Cfall (fb, fac)
-      | exception Sparse.Skyline.Singular j -> raise (Factor.Singular fb.sf_perm.(j))))
+    | exception Sparse.Supernodal.Singular i -> raise (Factor.Singular t.perm.(i)))
 
 let csolve_split fac b_re b_im =
   match fac with
   | Csky f -> Sparse.Skyline.Complex_soa.solve_split f b_re b_im
   | Csuper f -> Sparse.Supernodal.Complex_soa.solve_split f b_re b_im
-  | Cfall (fb, f) ->
-    (* gather into fallback coordinates, solve, scatter back *)
-    let n = Array.length fb.sf_remap in
-    let br = Array.make n 0.0 and bi = Array.make n 0.0 in
-    for k = 0 to n - 1 do
-      let s = fb.sf_remap.(k) in
-      br.(k) <- b_re.(s);
-      bi.(k) <- b_im.(s)
-    done;
-    Sparse.Skyline.Complex_soa.solve_split f br bi;
-    for k = 0 to n - 1 do
-      let s = fb.sf_remap.(k) in
-      b_re.(s) <- br.(k);
-      b_im.(s) <- bi.(k)
-    done
 
 (* one complex solve per port against a shared factor, gathered
    through the sparse port patterns: X = (G + sC)⁻¹B, then BᵀX *)

@@ -11,9 +11,10 @@
       rank < n is singular for every element value and shift);
     - the {!Factor.plan} backend decision over the merged [G]/[C]
       pattern ({!Circuit.Mna.pencil_pattern}, the one [symor analyze]
-      plans on): RCM ordering + skyline envelope, or AMD ordering +
-      supernodal panels for large scattered patterns — forced either
-      way by [SYMOR_FACTOR];
+      plans on): RCM ordering + skyline envelope below 4 096 unknowns,
+      AMD ordering + supernodal panels from there on — on the general
+      RLC form constrained to eliminate every inductor current before
+      its nodes, an order that cannot break down at a real shift;
     - the backend's shared symbolic phase (both matrices pre-scattered
       into envelope rows or panel slots), so each factorisation —
       real at any shift, or complex at any frequency — is a pure
@@ -41,10 +42,14 @@ val create : Circuit.Mna.t -> t
     symbolic phase, and the per-port sparse patterns of the permuted
     [B]. *)
 
-val of_matrices : Sparse.Csr.t -> Sparse.Csr.t -> t
+val of_matrices : ?nodes:int -> Sparse.Csr.t -> Sparse.Csr.t -> t
 (** Context over a raw symmetric pair [(G, C)] — the transient
     engine's stamped system, say — without the MNA-level structural
-    pre-flight, ports or unknown labels; the pencil variable is [s]. *)
+    pre-flight, ports or unknown labels; the pencil variable is [s].
+    [nodes] (default: the dimension) is the count of leading
+    node-voltage unknowns: a smaller value declares the general-form
+    layout [[node voltages | inductor currents]], which is planned and
+    factored as {!create} does the general RLC form. *)
 
 (** {1 Accessors} *)
 
@@ -93,14 +98,18 @@ val factor : t -> shift:float -> Factor.t
     breakdown, logged as a warning naming the failing unknown and
     recorded as the [factor.fallback_dense] counter).
 
-    At [shift = 0.0] on a context built by {!create} from the general
-    RLC form (variable [S], unit gain, inductor currents after the
-    nodes) the factor is instead the supernodal LDLᵀ of the congruent
+    At [shift = 0.0] on a general-form context (built by {!create}
+    from the general RLC form, or by {!of_matrices} with [nodes]
+    below the dimension) the factor is instead the supernodal LDLᵀ of the congruent
     [TᵀGT = [[Gn + 2AᵀWA, Aᵀ], [A, 0]]], [T = [[I, 0], [W·A, I]]],
     under an order that eliminates every current after its incident
     nodes — sparse, with exactly one negative pivot per current
     (checked; a mismatch falls back to dense). Its ordering and
     symbolic phase are built on that first call, not by {!create}.
+    At a real [shift > 0] on a general-form context of 4 096 unknowns
+    or more, the supernodal order eliminates every current before its
+    nodes, so the pivot signs are known too — one negative pivot per
+    current — and checked the same way.
 
     Results — including singular outcomes — are memoized by shift:
     a repeat call is a cache hit returning the identical factor.
@@ -135,9 +144,7 @@ type cfactor
 val factor_complex : t -> Complex.t -> cfactor
 (** Numeric phase of [G + sC] at a complex point against the shared
     symbolic phase — the split-complex AC production kernel. A
-    supernodal breakdown retries once on an RCM-ordered skyline
-    envelope; a breakdown there (or on a skyline context) raises
-    {!Factor.Singular} at the original row. The returned factor lives
+    breakdown raises {!Factor.Singular} at the original row. The returned factor lives
     in {e permuted} coordinates; address it through {!port_idx} and
     {!csolve_split}, or use {!transfer}. *)
 

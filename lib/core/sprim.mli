@@ -22,8 +22,7 @@
     what makes RLCk re-synthesis ({!Synth.Rlck} in the synth library)
     possible. Eliminating the reduced current block recovers the
     second-order susceptance form
-    [Z(s) = s·B̂ᵀ(s²Ĉn + sĜn + Âᵀℒ̂⁻¹Â)⁻¹B̂]
-    (cf. {!Circuit.Mna.assemble_second_order}). *)
+    [Z(s) = s·B̂ᵀ(s²Ĉn + sĜn + Âᵀℒ̂⁻¹Â)⁻¹B̂]. *)
 
 type t = {
   gn : Linalg.Mat.t;  (** [Ĝn] — reduced nodal conductance, symmetric. *)

@@ -39,6 +39,7 @@ type vsource = { vs_row : int; vs_wave : Circuit.Waveform.t }
 (* assembled time-domain system:  G x + q(x) + C ẋ = b(t) *)
 type system = {
   n : int;
+  n_nodes : int; (* leading node voltages; inductor currents follow *)
   g : Sparse.Csr.t;
   c : Sparse.Csr.t;
   sources : source list;
@@ -191,6 +192,7 @@ let assemble nl reduced =
     stamp_offsets;
   {
     n;
+    n_nodes = nn;
     g = Sparse.Csr.of_triplet gtr;
     c = Sparse.Csr.of_triplet ctr;
     sources = List.rev !sources;
@@ -256,7 +258,9 @@ let run ?opts ?(reduced = []) ~observe nl =
     match backend_kind with
     | `Dense -> Dense_backend (Sparse.Csr.to_dense a_lin)
     | `Skyline ->
-      let ctx = Sympvl.Pencil.of_matrices sys.g sys.c in
+      (* no source or stamp rows here: the layout is the general RLC
+         form's [node voltages | inductor currents] *)
+      let ctx = Sympvl.Pencil.of_matrices ~nodes:sys.n_nodes sys.g sys.c in
       (* widen the shared envelope once so the per-iteration Jacobian
          stamps (which need not lie in the linear pattern) fit *)
       let positions =

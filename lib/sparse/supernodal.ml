@@ -51,14 +51,15 @@ let structural_union (g : Csr.t) c extra =
 let merged_pattern ?extra g c =
   match (c, extra) with None, None -> g | _ -> structural_union g c extra
 
-(* Stable deferral of [p1] (new -> old): indices below [late] keep their
-   relative order; each index [v >= late] moves, if it must, to just
-   after the last index [u < late] whose row of [pat] holds [v]. *)
-let defer_late (pat : Csr.t) late p1 =
+(* Stable deferral of [p1] (new -> old): indices outside [deferred] keep
+   their relative order; each index [v] in it moves, if it must, to just
+   after the last index [u] outside it whose row of [pat] holds [v]. *)
+let defer (pat : Csr.t) deferred p1 =
   let n = Array.length p1 in
   let pending = Array.make n 0 in
-  for u = 0 to late - 1 do
-    Csr.iter_row pat u (fun v _ -> if v >= late then pending.(v) <- pending.(v) + 1)
+  for u = 0 to n - 1 do
+    if not (deferred u) then
+      Csr.iter_row pat u (fun v _ -> if deferred v then pending.(v) <- pending.(v) + 1)
   done;
   let reached = Array.make n false in
   let out = Array.make n 0 and k = ref 0 in
@@ -68,10 +69,10 @@ let defer_late (pat : Csr.t) late p1 =
   in
   Array.iter
     (fun v ->
-      if v < late then begin
+      if not (deferred v) then begin
         emit v;
         Csr.iter_row pat v (fun u _ ->
-            if u >= late then begin
+            if deferred u then begin
               pending.(u) <- pending.(u) - 1;
               if pending.(u) = 0 && reached.(u) then emit u
             end)
@@ -83,10 +84,16 @@ let defer_late (pat : Csr.t) late p1 =
     p1;
   out
 
-let order ?c ?late g =
+let order ?c ?late ?early g =
   let pat = merged_pattern g c in
   let p1 = Amd.order pat in
-  let p1 = match late with None -> p1 | Some late -> defer_late pat late p1 in
+  let p1 =
+    match (late, early) with
+    | None, None -> p1
+    | Some late, None -> defer pat (fun v -> v >= late) p1
+    | None, Some early -> defer pat (fun v -> v < early) p1
+    | Some _, Some _ -> invalid_arg "Supernodal.order: ~late and ~early are exclusive"
+  in
   let post = Etree.postorder (Etree.of_pattern (Csr.permute_sym pat p1)) in
   Array.map (fun k -> p1.(k)) post
 

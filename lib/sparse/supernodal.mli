@@ -33,8 +33,8 @@ type symbolic
     free of pattern analysis. Immutable and shareable across shifts
     and threads. *)
 
-val order : ?c:Csr.t -> ?late:int -> Csr.t -> int array
-(** [order ?c ?late g] — the ordering this backend wants: {!Amd.order}
+val order : ?c:Csr.t -> ?late:int -> ?early:int -> Csr.t -> int array
+(** [order ?c ?late ?early g] — the ordering this backend wants: {!Amd.order}
     of the merged [G]/[C] pattern composed with the elimination-tree
     postorder of the AMD-permuted pattern. Returns [perm] in the
     {!Csr.permute_sym} convention ([perm.(new_index) = old_index]);
@@ -48,7 +48,20 @@ val order : ?c:Csr.t -> ?late:int -> Csr.t -> int array
     postorder keeps the constraint because a later-eliminated
     neighbour is an elimination-tree ancestor. This is the
     current-after-node order the general RLC pencil needs at
-    [s₀ = 0]. *)
+    [s₀ = 0].
+
+    With [early], the mirror: every index [v >= early] is eliminated
+    before all of its pattern neighbours below [early] (the same
+    deferral with the roles swapped: each index below [early] moves to
+    just after its last neighbour at or above it), and the postorder
+    keeps this constraint too, since those neighbours are
+    elimination-tree ancestors of [v]. This
+    is the current-before-node order the general RLC pencil needs at a
+    real shift [s₀ > 0] and at [s = jω]: at any real [s₀ > 0] every
+    leading block has a negative-definite [−s₀ℒ] part and a
+    positive-definite node Schur complement, so the unpivoted
+    [L D Lᵀ] exists with one negative pivot per current. Giving both
+    [late] and [early] raises [Invalid_argument]. *)
 
 val symbolic : ?relax:int -> ?extra_pattern:(int * int) array -> ?c:Csr.t -> Csr.t -> symbolic
 (** [symbolic ?relax ?extra_pattern ?c g] — supernode detection and

@@ -5,9 +5,9 @@
     symmetric [Ĝn], [Ĉn], [ℒ̂] and a genuine incidence block [Â], its
     transfer function has the second-order susceptance form
 
-      [Z(s) = s·B̂ᵀ(s²Ĉn + sĜn + Âᵀℒ̂⁻¹Â)⁻¹B̂]
+      [Z(s) = s·B̂ᵀ(s²Ĉn + sĜn + Âᵀℒ̂⁻¹Â)⁻¹B̂],
 
-    (cf. {!Circuit.Mna.assemble_second_order}), which is exactly the
+    which is exactly the
     nodal analysis of an RLC netlist over [n₁] nodes. A port-aligning
     congruence within the node block ({!Multiport.port_aligning_transform},
     [B̂ᵀS₁ = [I_p 0]]) makes the first [p] states the port voltages,

@@ -215,13 +215,6 @@ let test_adapter_all_engines () =
      there is held to the SyMPVL fixture row instead — at order 4 ≥ N
      both are the exact model. *)
   let fixture = read_pole_fixture () in
-  (* the fixture holds the default factor backend's poles; a backend
-     forced through SYMOR_FACTOR moves AWE's ill-conditioned order-4
-     Hankel poles far beyond roundoff, so the comparison is the default
-     backend's *)
-  let fixture_backend =
-    match Sys.getenv_opt "SYMOR_FACTOR" with None | Some "" -> true | Some _ -> false
-  in
   let check_row ((base, eng, order), want) =
     let m = if base = "random_rc" then bt_mna () else mna_of base in
     let engine = Option.get (Rom.of_name eng) in
@@ -240,7 +233,7 @@ let test_adapter_all_engines () =
       Alcotest.failf "%s %s %d: %d poles, fixture has %d finite (or a pole moved)" base eng
         order (Array.length got) (List.length want)
   in
-  if fixture_backend then List.iter check_row fixture;
+  List.iter check_row fixture;
   (* MOD001 sees every pole of the lossless tank, all on the axis *)
   let lc = mna_of "lc_tank" in
   List.iter

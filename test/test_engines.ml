@@ -214,7 +214,7 @@ let test_factor_with_original_row () =
   done;
   let g = Sparse.Csr.of_triplet tr and c = Sparse.Csr.identity n in
   let perm =
-    match Sympvl.Factor.plan (Sparse.Csr.add g c) with `Skyline p | `Supernodal p -> p
+    match Sympvl.Factor.plan ~nodes:n (Sparse.Csr.add g c) with `Skyline p | `Supernodal p -> p
   in
   let first = perm.(0) in
   Alcotest.(check bool) "first eliminated unknown is not row 0" true (first <> 0);
@@ -279,12 +279,6 @@ let eval_fixture_lines () =
     (fixture_cases ());
   List.rev !lines
 
-(* the fixture holds the default factor backend's bits; a backend
-   forced through SYMOR_FACTOR factors differently (numerically valid,
-   other roundoff), so there only the models and shapes must agree *)
-let fixture_backend =
-  match Sys.getenv_opt "SYMOR_FACTOR" with None | Some "" -> true | Some _ -> false
-
 let test_eval_fixture () =
   let path = find_path [ "golden/rom_eval.bits"; "test/golden/rom_eval.bits" ] in
   let ic = open_in path in
@@ -296,13 +290,9 @@ let test_eval_fixture () =
    with End_of_file -> close_in ic);
   let want = List.rev !want and got = eval_fixture_lines () in
   Alcotest.(check int) "line count" (List.length want) (List.length got);
-  let shape l =
-    let t = String.split_on_char ' ' l in
-    (List.filteri (fun i _ -> i < 4) t, List.length t)
-  in
   List.iter2
     (fun w g ->
-      if (fixture_backend && w <> g) || shape w <> shape g then
+      if w <> g then
         Alcotest.failf "Rom.eval moved:\n  fixture %s\n  now     %s" w g)
     want got
 

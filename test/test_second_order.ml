@@ -3,19 +3,14 @@
    1. qcheck: the parser round-trips K cards — print/reparse preserves
       every mutual coupling (names, inductor refs, and k to the
       printer's 9 significant digits).
-   2. qcheck: on coupling-free RLC ladders the companion-form
-      linearisation of Mna.assemble_second_order reproduces the
-      general-form Mna.assemble transfer function to roundoff (both
-      sides evaluated with dense complex LU — the companion pencil is
-      intentionally nonsymmetric, see the Mna.linearize doc).
-   3. SPRIM: split-basis structure is preserved exactly
+   2. SPRIM: split-basis structure is preserved exactly
       (structure_error = 0), the full-order model reproduces the exact
       AC response, and the reduced blocks stay symmetric after
       re-assembly.
-   4. NET017: malformed mutual couplings (zero k, self-coupling,
+   3. NET017: malformed mutual couplings (zero k, self-coupling,
       unknown inductor refs) are linted with provenance, |k| ≥ 1 stays
       NET008's, and MNA assembly refuses the malformed netlist.
-   5. RLCk round-trip: Sprim reduce -> Synth.Rlck -> print -> reparse
+   4. RLCk round-trip: Sprim reduce -> Synth.Rlck -> print -> reparse
       -> Mna.assemble matches the reduced model's transfer function
       within the engine's golden rtol (the printer quantizes element
       values to 9 significant digits), and the synthesized netlist
@@ -32,9 +27,7 @@ let netlist_of base =
     (find_path
        [ "../examples/netlists/" ^ base ^ ".cir"; "examples/netlists/" ^ base ^ ".cir" ])
 
-(* dense complex evaluation of a first-order MNA pencil — valid for
-   nonsymmetric pencils (the companion form), unlike the skyline AC
-   fast path which assumes G = Gᵀ, C = Cᵀ *)
+(* dense complex evaluation of a first-order MNA pencil *)
 let dense_eval (m : M.t) s =
   let var =
     match m.M.variable with M.S -> s | M.S_squared -> Linalg.Cx.(s *: s)
@@ -123,27 +116,7 @@ let prop_k_card_roundtrip =
       && List.for_all2 close (List.sort compare back) (List.sort compare !mutuals))
 
 (* ------------------------------------------------------------------ *)
-(* 2. companion linearisation ≡ general form (coupling-free)           *)
-
-let prop_companion_matches_general =
-  QCheck.Test.make ~count:25
-    ~name:"companion form of assemble_second_order = Mna.assemble (RLC, no K)"
-    QCheck.(pair (int_range 2 8) (int_bound 2))
-    (fun (sections, variant) ->
-      let r = [| 0.5; 2.0; 10.0 |].(variant) in
-      let nl =
-        Circuit.Generators.rlc_line ~r_per_section:r ~sections ()
-      in
-      let m = M.assemble nl in
-      let lin = M.linearize (M.assemble_second_order nl) in
-      List.for_all
-        (fun f ->
-          let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-          rel_dist (dense_eval m s) (dense_eval lin s) < 1e-8)
-        probe_freqs)
-
-(* ------------------------------------------------------------------ *)
-(* 3. SPRIM structure preservation                                     *)
+(* 2. SPRIM structure preservation                                     *)
 
 let test_sprim_structure base () =
   let m = M.auto (netlist_of base) in
@@ -182,7 +155,7 @@ let test_sprim_supports () =
   check "peec_coupled" true
 
 (* ------------------------------------------------------------------ *)
-(* 4. NET017 lint + MNA refusal                                        *)
+(* 3. NET017 lint + MNA refusal                                        *)
 
 let lint_codes text =
   List.map (fun d -> d.Circuit.Diagnostic.code) (Analysis.Lint.lint_string text)
@@ -221,14 +194,10 @@ let test_net017 () =
   Alcotest.(check bool) "Mna.assemble refuses the malformed coupling" true
     (match M.assemble nl with
     | _ -> false
-    | exception Circuit.Diagnostic.User_error _ -> true);
-  Alcotest.(check bool) "assemble_second_order refuses it too" true
-    (match M.assemble_second_order nl with
-    | _ -> false
     | exception Circuit.Diagnostic.User_error _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* 5. RLCk round-trip                                                  *)
+(* 4. RLCk round-trip                                                  *)
 
 let test_rlck_roundtrip base () =
   let m = M.auto (netlist_of base) in
@@ -261,8 +230,6 @@ let () =
     [
       ( "parser",
         List.map Qtest.to_alcotest [ prop_k_card_roundtrip ] );
-      ( "companion",
-        List.map Qtest.to_alcotest [ prop_companion_matches_general ] );
       ( "sprim",
         Alcotest.test_case "supports matrix" `Quick test_sprim_supports
         :: List.map

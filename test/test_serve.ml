@@ -379,18 +379,9 @@ let ac_request text =
   Printf.sprintf {|{"op":"ac","netlist":%s,"flo":1e6,"fhi":1e10,"points":16}|}
     (J.to_string (J.Str text))
 
-(* The daemon inherits SYMOR_FACTOR: an overridden factor backend is
-   numerically valid but not the one that produced the fixtures, so
-   only then do we fall back to test_golden's relative tolerance. *)
-let fixture_backend =
-  match Sys.getenv_opt "SYMOR_FACTOR" with None | Some "" -> true | Some _ -> false
-
-let golden_rtol = 1e-8
-
 (* The daemon's %.17g rendering round-trips doubles exactly, so the
-   response carries the sweep's exact bits: under the fixtures' factor
-   backend, reconstructing |Z| and arg Z here must reproduce the
-   fixture doubles bit for bit. *)
+   response carries the sweep's exact bits: reconstructing |Z| and
+   arg Z here must reproduce the fixture doubles bit for bit. *)
 let check_against_golden name resp =
   let j = J.parse resp in
   if jbool "ok" j <> Some true then Alcotest.failf "%s: ac request failed: %s" name resp;
@@ -422,16 +413,7 @@ let check_against_golden name resp =
         else locate (i + 1)
       in
       let x = z.(locate 0).(g.grow).(g.gcol) in
-      let ok =
-        if fixture_backend then
-          feq (Complex.norm x) g.gmag && feq (Complex.arg x) g.gphase
-        else
-          (* reconstruct the complex reference so phase wrapping cannot
-             produce false failures (as in test_golden) *)
-          Complex.norm (Complex.sub x (Complex.polar g.gmag g.gphase))
-          <= golden_rtol *. Float.max g.gmag 1e-30
-      in
-      if not ok then
+      if not (feq (Complex.norm x) g.gmag && feq (Complex.arg x) g.gphase) then
         Alcotest.failf
           "%s: Z[%d,%d] at %.6e Hz differs from golden (|Z| %.17e vs %.17e)" name
           g.grow g.gcol g.gfreq (Complex.norm x) g.gmag)
