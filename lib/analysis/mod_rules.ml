@@ -29,7 +29,8 @@ let rules =
     ( "MOD009",
       D.Warning,
       "reduced model drifts from the exact transfer function beyond the \
-       golden gate" );
+       golden gate, or a zero pivot in the exact jω factor of a non-LC \
+       pencil skipped drift samples" );
   ]
 
 let find code = List.find_opt (fun (c, _, _) -> c = code) rules

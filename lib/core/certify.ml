@@ -388,7 +388,9 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
     in
     (* the exact Z(jω) of the full pencil, through the same kernel as
        Simulate.Ac; a lossless (LC) pencil is exactly singular at its
-       resonances — a sample that lands on one is dropped, not an error *)
+       resonances — a sample that lands on one is dropped, not an error.
+       Any other pencil's zero pivot is a breakdown of the unpivoted jω
+       factor, reported below with the unknown it met *)
     let exact w =
       let s = Cx.im w in
       let var =
@@ -403,23 +405,27 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
     in
     let exacts =
       Array.init k (fun i ->
-          match exact (w_of i) with z -> Some z | exception Factor.Singular _ -> None)
+          match exact (w_of i) with z -> Ok z | exception Factor.Singular row -> Error row)
     in
+    let failed =
+      Array.fold_right (fun z acc -> match z with Error row -> row :: acc | Ok _ -> acc) exacts []
+    in
+    let lossless = mna.Circuit.Mna.variable = Circuit.Mna.S_squared in
     (* same error metric as the golden fixtures: the denominator is
        floored at 1e-3 of the sweep-wide |Z| scale, so a deep null in
        one sample cannot blow up the relative error *)
     let zsweep =
       Array.fold_left
         (fun acc z ->
-          match z with Some z -> Float.max acc (Cmat.max_abs z) | None -> acc)
+          match z with Ok z -> Float.max acc (Cmat.max_abs z) | Error _ -> acc)
         1e-300 exacts
     in
     let worst = ref 0.0 and used = ref 0 in
     Array.iteri
       (fun i exact ->
         match exact with
-        | None -> ()
-        | Some exact ->
+        | Error _ -> ()
+        | Ok exact ->
           incr used;
           let got = H.eval phys (Cx.im (w_of i)) in
           let want =
@@ -432,25 +438,36 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
           worst := Float.max !worst err)
       exacts;
     let rtol = Rom.golden_rtol eng in
-    if !used = 0 then
+    (match failed with
+    | row :: _ when not lossless ->
       emit
-        (D.info "MOD009"
+        (D.warning "MOD009"
            (Printf.sprintf
-              "%s: every drift sample landed on a singular pencil (lossless \
-               resonances) — check skipped"
-              engine))
-    else if !worst <= rtol then
+              "%s: %d of %d drift samples met a zero pivot in the exact jω factor \
+               at %s — %s"
+              engine (List.length failed) k
+              (Circuit.Mna.unknown_label mna row)
+              (if !used = 0 then "check skipped" else "drift checked on the others")))
+    | _ -> ());
+    if !used > 0 && !worst <= rtol then
       emit
         (D.info "MOD009"
            (Printf.sprintf
               "%s: drift vs the exact transfer function %.2e over %d sample(s) \
                (within the documented %.0e)"
               engine !worst !used rtol))
-    else
+    else if !used > 0 then
       emit
         (D.warning "MOD009"
            (Printf.sprintf
               "%s: drift %.2e vs the exact transfer function exceeds the \
                documented %.0e — the model has left its validated regime"
-              engine !worst rtol)));
+              engine !worst rtol))
+    else if lossless then
+      emit
+        (D.info "MOD009"
+           (Printf.sprintf
+              "%s: every drift sample landed on a singular pencil (lossless \
+               resonances) — check skipped"
+              engine)));
   { findings = D.sort (List.rev !findings); bands; safe_order }

@@ -36,7 +36,10 @@
       definite unshifted path.
     - {b MOD009} model-vs-exact drift: sampled relative deviation
       from the exact MNA transfer function against the engine's
-      documented {!Rom.golden_rtol}.
+      documented {!Rom.golden_rtol}. A sample whose exact jω factor
+      meets a zero pivot is dropped: on the LC form ([σ = s²]) that is
+      a resonance (info when every sample is one); on any other pencil
+      it is a warning naming the unknown the pivot met.
 
     Emitted through [symor certify] / [symor reduce --certify] / the
     serve [certify] op (all through [Ops.certify]) with the same

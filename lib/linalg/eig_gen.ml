@@ -1,6 +1,19 @@
 (* Ports of the classic balanc / elmhes / hqr algorithms (Wilkinson &
    Reinsch; Numerical Recipes presentation), 0-indexed. *)
 
+(* [Mat] with its accessors restated here: a dev-profile build compiles
+   with -opaque, where [Mat.get] cannot inline across the module
+   boundary and every call boxes its float *)
+module Mat = struct
+  include Mat
+
+  let[@inline] get m i j = m.a.((i * m.cols) + j)
+
+  let[@inline] set m i j x = m.a.((i * m.cols) + j) <- x
+
+  let[@inline] add_to m i j x = m.a.((i * m.cols) + j) <- m.a.((i * m.cols) + j) +. x
+end
+
 let radix = 2.0
 
 let balance a =

@@ -1,3 +1,16 @@
+(* [Mat] with its accessors restated here: a dev-profile build compiles
+   with -opaque, where [Mat.get] cannot inline across the module
+   boundary and every call boxes its float *)
+module Mat = struct
+  include Mat
+
+  let[@inline] get m i j = m.a.((i * m.cols) + j)
+
+  let[@inline] set m i j x = m.a.((i * m.cols) + j) <- x
+
+  let[@inline] add_to m i j x = m.a.((i * m.cols) + j) <- m.a.((i * m.cols) + j) +. x
+end
+
 type t = { lu : Mat.t; piv : int array; sign : float }
 
 exception Singular of int

@@ -16,7 +16,7 @@ let diag d =
   let n = Vec.dim d in
   init n n (fun i j -> if i = j then d.(i) else 0.0)
 
-let get m i j = m.a.((i * m.cols) + j)
+let[@inline] get m i j = m.a.((i * m.cols) + j)
 
 let get_diag m =
   let n = min m.rows m.cols in
@@ -24,9 +24,9 @@ let get_diag m =
 
 let copy m = { m with a = Array.copy m.a }
 
-let set m i j x = m.a.((i * m.cols) + j) <- x
+let[@inline] set m i j x = m.a.((i * m.cols) + j) <- x
 
-let add_to m i j x = m.a.((i * m.cols) + j) <- m.a.((i * m.cols) + j) +. x
+let[@inline] add_to m i j x = m.a.((i * m.cols) + j) <- m.a.((i * m.cols) + j) +. x
 
 let of_arrays rows_arr =
   let rows = Array.length rows_arr in

@@ -20,9 +20,12 @@ let max_depth = 512
 
 type cursor = { src : string; mutable pos : int }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
-
 let advance c = c.pos <- c.pos + 1
+
+let at_end c = c.pos >= String.length c.src
+
+(* the byte under the cursor; callers check [at_end] first *)
+let cur c = String.unsafe_get c.src c.pos
 
 let skip_ws c =
   let n = String.length c.src in
@@ -34,10 +37,9 @@ let skip_ws c =
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | Some x -> fail c.pos (Printf.sprintf "expected %C, got %C" ch x)
-  | None -> fail c.pos (Printf.sprintf "expected %C, got end of input" ch)
+  if at_end c then fail c.pos (Printf.sprintf "expected %C, got end of input" ch)
+  else if cur c = ch then advance c
+  else fail c.pos (Printf.sprintf "expected %C, got %C" ch (cur c))
 
 let literal c word v =
   let n = String.length word in
@@ -47,82 +49,179 @@ let literal c word v =
   end
   else fail c.pos (Printf.sprintf "expected %s" word)
 
-(* UTF-8 encode one scalar value (BMP escapes and surrogate pairs) *)
-let add_utf8 b u =
-  if u < 0x80 then Buffer.add_char b (Char.chr u)
-  else if u < 0x800 then begin
-    Buffer.add_char b (Char.chr (0xC0 lor (u lsr 6)));
-    Buffer.add_char b (Char.chr (0x80 lor (u land 0x3F)))
-  end
-  else if u < 0x10000 then begin
-    Buffer.add_char b (Char.chr (0xE0 lor (u lsr 12)));
-    Buffer.add_char b (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (u land 0x3F)))
-  end
-  else begin
-    Buffer.add_char b (Char.chr (0xF0 lor (u lsr 18)));
-    Buffer.add_char b (Char.chr (0x80 lor ((u lsr 12) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
-    Buffer.add_char b (Char.chr (0x80 lor (u land 0x3F)))
-  end
+let hex_digit = function
+  | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+  | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+  | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+  | _ -> -1
 
 let hex4 c =
   let v = ref 0 in
   for _ = 1 to 4 do
-    (match peek c with
-    | Some ('0' .. '9' as ch) -> v := (!v * 16) + (Char.code ch - Char.code '0')
-    | Some ('a' .. 'f' as ch) -> v := (!v * 16) + (Char.code ch - Char.code 'a' + 10)
-    | Some ('A' .. 'F' as ch) -> v := (!v * 16) + (Char.code ch - Char.code 'A' + 10)
-    | _ -> fail c.pos "expected 4 hex digits in \\u escape");
+    let d = if at_end c then -1 else hex_digit (cur c) in
+    if d < 0 then fail c.pos "expected 4 hex digits in \\u escape";
+    v := (!v * 16) + d;
     advance c
   done;
   !v
 
+let utf8_length u = if u < 0x80 then 1 else if u < 0x800 then 2 else if u < 0x10000 then 3 else 4
+
+(* UTF-8 encode one scalar value (BMP escapes and surrogate pairs) at
+   [w]; returns the next write offset *)
+let put_utf8 out w u =
+  let put k byte = Bytes.set out (w + k) (Char.chr byte) in
+  if u < 0x80 then put 0 u
+  else if u < 0x800 then begin
+    put 0 (0xC0 lor (u lsr 6));
+    put 1 (0x80 lor (u land 0x3F))
+  end
+  else if u < 0x10000 then begin
+    put 0 (0xE0 lor (u lsr 12));
+    put 1 (0x80 lor ((u lsr 6) land 0x3F));
+    put 2 (0x80 lor (u land 0x3F))
+  end
+  else begin
+    put 0 (0xF0 lor (u lsr 18));
+    put 1 (0x80 lor ((u lsr 12) land 0x3F));
+    put 2 (0x80 lor ((u lsr 6) land 0x3F));
+    put 3 (0x80 lor (u land 0x3F))
+  end;
+  w + utf8_length u
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* some byte of the word [x] is zero (the classic bit trick: exact as a
+   yes/no answer, which is all the scan below asks) *)
+let[@inline] has_zero x =
+  Int64.logand (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+    0x8080808080808080L
+  <> 0L
+
+(* some byte of [x] is below 0x20 *)
+let[@inline] has_control x =
+  Int64.logand (Int64.logand (Int64.sub x 0x2020202020202020L) (Int64.lognot x))
+    0x8080808080808080L
+  <> 0L
+
+(* end of the run of plain bytes (no quote, backslash or control
+   character) that starts at [i]: eight bytes a step while a whole word
+   is plain, then byte by byte *)
+let run_end src i =
+  let n = String.length src in
+  let i = ref i in
+  while
+    !i + 8 <= n
+    &&
+    let x = get64u src !i in
+    not
+      (has_zero (Int64.logxor x 0x2222222222222222L)
+      || has_zero (Int64.logxor x 0x5C5C5C5C5C5C5C5CL)
+      || has_control x)
+  do
+    i := !i + 8
+  done;
+  while
+    !i < n
+    &&
+    let ch = String.unsafe_get src !i in
+    ch <> '"' && ch <> '\\' && Char.code ch >= 0x20
+  do
+    incr i
+  done;
+  !i
+
+(* decoded length of the string body that starts at [i]: exact when the
+   body is well formed; a malformed body fails in [parse_string] before
+   it could write past this length *)
+let decoded_length src i =
+  let n = String.length src in
+  let hex_at j =
+    if j + 4 > n then -1
+    else
+      let d k = hex_digit src.[j + k] in
+      if d 0 < 0 || d 1 < 0 || d 2 < 0 || d 3 < 0 then -1
+      else (((((d 0 * 16) + d 1) * 16) + d 2) * 16) + d 3
+  in
+  let rec go i len =
+    if i >= n then len
+    else
+      match src.[i] with
+      | '"' -> len
+      | '\\' when i + 1 < n && src.[i + 1] = 'u' ->
+        let u = hex_at (i + 2) in
+        if u >= 0xD800 && u <= 0xDBFF then go (i + 12) (len + 4)
+        else go (i + 6) (len + utf8_length (max u 0))
+      | '\\' -> go (i + 2) (len + 1)
+      | _ ->
+        let e = max (run_end src i) (i + 1) in
+        go e (len + e - i)
+  in
+  go i 0
+
+(* a body without escapes is one [String.sub]; otherwise maximal plain
+   runs are blitted into bytes of the exact decoded length *)
 let parse_string c =
   expect c '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek c with
-    | None -> fail c.pos "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' ->
-      advance c;
-      (match peek c with
-      | Some '"' -> advance c; Buffer.add_char b '"'
-      | Some '\\' -> advance c; Buffer.add_char b '\\'
-      | Some '/' -> advance c; Buffer.add_char b '/'
-      | Some 'b' -> advance c; Buffer.add_char b '\b'
-      | Some 'f' -> advance c; Buffer.add_char b '\012'
-      | Some 'n' -> advance c; Buffer.add_char b '\n'
-      | Some 'r' -> advance c; Buffer.add_char b '\r'
-      | Some 't' -> advance c; Buffer.add_char b '\t'
-      | Some 'u' ->
+  let src = c.src in
+  let n = String.length src in
+  let start = c.pos in
+  let stop = run_end src start in
+  if stop < n && src.[stop] = '"' then begin
+    c.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else begin
+    let out = Bytes.create (decoded_length src start) in
+    let w = ref 0 in
+    let put ch =
+      Bytes.set out !w ch;
+      incr w
+    in
+    let rec go () =
+      let s = c.pos in
+      let e = run_end src s in
+      Bytes.blit_string src s out !w (e - s);
+      w := !w + (e - s);
+      c.pos <- e;
+      if e >= n then fail c.pos "unterminated string";
+      match src.[e] with
+      | '"' -> advance c
+      | '\\' ->
         advance c;
-        let u = hex4 c in
-        if u >= 0xD800 && u <= 0xDBFF then begin
-          (* high surrogate: require a low surrogate escape next *)
-          match (peek c, c.pos + 1 < String.length c.src) with
-          | Some '\\', true when c.src.[c.pos + 1] = 'u' ->
-            advance c;
-            advance c;
-            let lo = hex4 c in
-            if lo >= 0xDC00 && lo <= 0xDFFF then
-              add_utf8 b (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
+        if at_end c then fail c.pos "bad escape";
+        (match cur c with
+        | '"' -> advance c; put '"'
+        | '\\' -> advance c; put '\\'
+        | '/' -> advance c; put '/'
+        | 'b' -> advance c; put '\b'
+        | 'f' -> advance c; put '\012'
+        | 'n' -> advance c; put '\n'
+        | 'r' -> advance c; put '\r'
+        | 't' -> advance c; put '\t'
+        | 'u' ->
+          advance c;
+          let u = hex4 c in
+          if u >= 0xD800 && u <= 0xDBFF then begin
+            (* high surrogate: require a low surrogate escape next *)
+            if c.pos + 1 < n && src.[c.pos] = '\\' && src.[c.pos + 1] = 'u' then begin
+              c.pos <- c.pos + 2;
+              let lo = hex4 c in
+              if lo >= 0xDC00 && lo <= 0xDFFF then
+                w := put_utf8 out !w (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
+              else fail c.pos "unpaired surrogate"
+            end
             else fail c.pos "unpaired surrogate"
-          | _ -> fail c.pos "unpaired surrogate"
-        end
-        else if u >= 0xDC00 && u <= 0xDFFF then fail c.pos "unpaired surrogate"
-        else add_utf8 b u
-      | _ -> fail c.pos "bad escape");
-      go ()
-    | Some ch when Char.code ch < 0x20 -> fail c.pos "control character in string"
-    | Some ch ->
-      advance c;
-      Buffer.add_char b ch;
-      go ()
-  in
-  go ();
-  Buffer.contents b
+          end
+          else if u >= 0xDC00 && u <= 0xDFFF then fail c.pos "unpaired surrogate"
+          else w := put_utf8 out !w u
+        | _ -> fail c.pos "bad escape");
+        go ()
+      | _ -> fail c.pos "control character in string"
+    in
+    go ();
+    if !w = Bytes.length out then Bytes.unsafe_to_string out else Bytes.sub_string out 0 !w
+  end
 
 let parse_number c =
   let start = c.pos in
@@ -144,16 +243,16 @@ let parse_number c =
 let rec parse_value c depth =
   if depth > max_depth then fail c.pos "nesting too deep";
   skip_ws c;
-  match peek c with
-  | None -> fail c.pos "unexpected end of input"
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> Str (parse_string c)
-  | Some '[' ->
+  if at_end c then fail c.pos "unexpected end of input";
+  match cur c with
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> Str (parse_string c)
+  | '[' ->
     advance c;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if (not (at_end c)) && cur c = ']' then begin
       advance c;
       List []
     end
@@ -162,18 +261,18 @@ let rec parse_value c depth =
       let rec go () =
         items := parse_value c (depth + 1) :: !items;
         skip_ws c;
-        match peek c with
-        | Some ',' -> advance c; go ()
-        | Some ']' -> advance c
+        match if at_end c then ' ' else cur c with
+        | ',' -> advance c; go ()
+        | ']' -> advance c
         | _ -> fail c.pos "expected ',' or ']'"
       in
       go ();
       List (List.rev !items)
     end
-  | Some '{' ->
+  | '{' ->
     advance c;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if (not (at_end c)) && cur c = '}' then begin
       advance c;
       Obj []
     end
@@ -187,16 +286,16 @@ let rec parse_value c depth =
         let v = parse_value c (depth + 1) in
         fields := (k, v) :: !fields;
         skip_ws c;
-        match peek c with
-        | Some ',' -> advance c; go ()
-        | Some '}' -> advance c
+        match if at_end c then ' ' else cur c with
+        | ',' -> advance c; go ()
+        | '}' -> advance c
         | _ -> fail c.pos "expected ',' or '}'"
       in
       go ();
       Obj (List.rev !fields)
     end
-  | Some ('0' .. '9' | '-') -> parse_number c
-  | Some ch -> fail c.pos (Printf.sprintf "unexpected %C" ch)
+  | '0' .. '9' | '-' -> parse_number c
+  | ch -> fail c.pos (Printf.sprintf "unexpected %C" ch)
 
 let parse s =
   let c = { src = s; pos = 0 } in
@@ -207,6 +306,10 @@ let parse s =
 
 (* ------------------------------------------------------------------ *)
 (* Printer                                                             *)
+
+(* the C primitive behind [Printf]'s [%g]: for a finite double the same
+   bytes as [Printf.sprintf "%.17g"], without the format interpreter *)
+external format_float : string -> float -> string = "caml_format_float"
 
 let escape b s =
   Buffer.add_char b '"';
@@ -229,7 +332,7 @@ let rec render b = function
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Num v ->
-    if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.17g" v)
+    if Float.is_finite v then Buffer.add_string b (format_float "%.17g" v)
     else Buffer.add_string b "null"
   | Str s -> escape b s
   | List items ->
@@ -258,6 +361,12 @@ let rec render b = function
 let to_string v =
   let b = Buffer.create 256 in
   render b v;
+  Buffer.contents b
+
+let to_line v =
+  let b = Buffer.create 256 in
+  render b v;
+  Buffer.add_char b '\n';
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)

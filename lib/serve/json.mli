@@ -6,7 +6,17 @@
     fuzzed nesting cannot overflow the stack, every failure a
     {!Parse_error}), and a printer whose float rendering ([%.17g])
     round-trips doubles exactly — the serve bench gates bitwise
-    payload identity across job counts on that property. *)
+    payload identity across job counts on that property.
+
+    Every request carries its netlist as one JSON string, so the
+    decoder is linear and allocates per string, not per byte: a string
+    without escapes is one [String.sub]; otherwise a first scan gives
+    the exact decoded length and maximal runs of plain bytes are
+    blitted into it between escapes. [Num] renders through the C
+    primitive behind [Printf]'s [%g], the same bytes as
+    [Printf.sprintf "%.17g"] for every finite double. The test suite
+    checks both against the byte-at-a-time reference decoder and
+    [Printf]. *)
 
 type t =
   | Null
@@ -31,6 +41,10 @@ val parse : string -> t
 val to_string : t -> string
 (** Compact one-line rendering (no interior newlines, so a rendered
     value is always a valid protocol line). *)
+
+val to_line : t -> string
+(** {!to_string} followed by ['\n'], rendered into one buffer: a
+    protocol line ready to write. *)
 
 (** {1 Accessors} *)
 

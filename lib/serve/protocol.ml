@@ -59,6 +59,10 @@ let list_field conv ~not_list ~bad_item j name =
     | Some items when List.for_all Option.is_some items -> Some (List.map Option.get items)
     | Some _ -> invalidf "SRV004" "%s" bad_item)
 
+(* [String.trim]'s blanks, tested in place: trimming a netlist that ends
+   in a newline would copy all of it *)
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
 let ops =
   [
     ("ping", `Control Ping);
@@ -133,7 +137,7 @@ let parse line =
             (String.concat ", " (List.map fst ops))
         | Some (`Run op) ->
           let netlist = str_field j "netlist" "" in
-          if String.trim netlist = "" then
+          if String.for_all is_blank netlist then
             invalidf "SRV005" "op %S needs a non-empty \"netlist\" field" name;
           Run (netlist, decode op j)
         | Some (`Control body) -> body
@@ -163,7 +167,7 @@ let response ~id ~ok ?(findings = []) ?trace fields =
     | fs -> [ ("findings", Json.List (List.map diag_to_json fs)) ]
   in
   let trace_f = match trace with None -> [] | Some t -> [ ("trace", Json.Raw t) ] in
-  Json.to_string (Json.Obj (base @ fields @ findings_f @ trace_f))
+  Json.to_line (Json.Obj (base @ fields @ findings_f @ trace_f))
 
 let error_response ~id findings = response ~id ~ok:false ~findings []
 

@@ -64,8 +64,8 @@ val diag_to_json : Circuit.Diagnostic.t -> Json.t
 (** {!Circuit.Diagnostic.to_json}, embedded verbatim. *)
 
 val error_response : id:Json.t -> Circuit.Diagnostic.t list -> string
-(** [{"id":…,"ok":false,"status":2,"findings":[…]}] — one line, no
-    trailing newline. *)
+(** [{"id":…,"ok":false,"status":2,"findings":[…]}] — one line,
+    ending in its ['\n']. *)
 
 val ok_response :
   id:Json.t ->

@@ -15,7 +15,9 @@ let request_stop () = Atomic.set stop_flag true
 
 type conn = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;
+  mutable inbuf : bytes;  (** received bytes not yet cut into lines: [0, inlen) *)
+  mutable inlen : int;
+  mutable ends : int list;  (** offsets of the ['\n'] in [inbuf], last first *)
   mutable out : string;  (** rendered responses not yet written *)
   mutable alive : bool;
 }
@@ -191,7 +193,7 @@ let handle st (r : Protocol.request) =
 (* ------------------------------------------------------------------ *)
 (* Batch processing                                                    *)
 
-let append_response c resp = c.out <- c.out ^ resp ^ "\n"
+let append_response c line = c.out <- (if c.out = "" then line else c.out ^ line)
 
 (* every complete line of one tick, answered in batch order; each
    request is answered on its own, so a response depends only on its
@@ -214,21 +216,48 @@ let process_batch st (items : (conn * string) list) =
 (* ------------------------------------------------------------------ *)
 (* Event loop                                                          *)
 
+let read_size = 65536
+
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+
+(* some byte of the word [x] is zero *)
+let[@inline] has_zero x =
+  Int64.logand (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+    0x8080808080808080L
+  <> 0L
+
+(* record the line ends in [inbuf] from [i] to [stop], skipping eight
+   bytes a step while a word holds no '\n' *)
+let scan_newlines c i stop =
+  let i = ref i in
+  while !i < stop do
+    if !i + 8 <= stop && not (has_zero (Int64.logxor (get64u c.inbuf !i) 0x0A0A0A0A0A0A0A0AL))
+    then i := !i + 8
+    else begin
+      if Bytes.unsafe_get c.inbuf !i = '\n' then c.ends <- !i :: c.ends;
+      incr i
+    end
+  done
+
+(* read until the socket would block, straight into [inbuf]; only the
+   bytes each read adds are searched for line ends *)
 let read_conn st c =
-  let chunk = Bytes.create 65536 in
   let rec go () =
-    match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    if Bytes.length c.inbuf - c.inlen < read_size then begin
+      let b = Bytes.create (max (2 * Bytes.length c.inbuf) (c.inlen + read_size)) in
+      Bytes.blit c.inbuf 0 b 0 c.inlen;
+      c.inbuf <- b
+    end;
+    match Unix.read c.fd c.inbuf c.inlen read_size with
     | 0 -> c.alive <- false
     | n ->
-      Buffer.add_subbytes c.inbuf chunk 0 n;
-      if
-        Buffer.length c.inbuf > st.cfg.max_line
-        && not (String.contains (Buffer.contents c.inbuf) '\n')
-      then begin
+      scan_newlines c c.inlen (c.inlen + n);
+      c.inlen <- c.inlen + n;
+      if c.inlen > st.cfg.max_line && c.ends = [] then begin
         append_response c
           (Protocol.error_response ~id:Json.Null
              [ Diagnostic.error "SRV001" "request line too long" ]);
-        Buffer.clear c.inbuf;
+        c.inlen <- 0;
         c.alive <- false
       end
       else go ()
@@ -239,25 +268,26 @@ let read_conn st c =
   in
   go ()
 
-let strip_cr line =
-  let n = String.length line in
-  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-
-(* complete lines buffered across all connections, in accept order;
-   every line — empty included — is one request owed one response *)
+(* complete lines buffered across all connections, in accept order,
+   each cut with one copy (a trailing '\r' dropped); every line — empty
+   included — is one request owed one response *)
 let gather st =
   let items = ref [] in
   List.iter
     (fun c ->
-      let s = Buffer.contents c.inbuf in
-      match String.rindex_opt s '\n' with
-      | None -> ()
-      | Some last ->
-        Buffer.clear c.inbuf;
-        Buffer.add_substring c.inbuf s (last + 1) (String.length s - last - 1);
+      match c.ends with
+      | [] -> ()
+      | last :: _ ->
+        let start = ref 0 in
         List.iter
-          (fun line -> items := (c, strip_cr line) :: !items)
-          (String.split_on_char '\n' (String.sub s 0 last)))
+          (fun e ->
+            let stop = if e > !start && Bytes.get c.inbuf (e - 1) = '\r' then e - 1 else e in
+            items := (c, Bytes.sub_string c.inbuf !start (stop - !start)) :: !items;
+            start := e + 1)
+          (List.rev c.ends);
+        c.inlen <- c.inlen - (last + 1);
+        Bytes.blit c.inbuf (last + 1) c.inbuf 0 c.inlen;
+        c.ends <- [])
     st.conns;
   List.rev !items
 
@@ -287,7 +317,7 @@ let rec accept_all st =
     Unix.set_nonblock fd;
     st.conns <-
       st.conns
-      @ [ { fd; inbuf = Buffer.create 256; out = ""; alive = true } ];
+      @ [ { fd; inbuf = Bytes.empty; inlen = 0; ends = []; out = ""; alive = true } ];
     accept_all st
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (EINTR, _, _) -> accept_all st

@@ -17,6 +17,12 @@
     [ac]/[sparams] frequency is a point-table lookup ({!Cache.points})
     — also when its twin arrived in the same tick.
 
+    Framing: a read lands straight in the connection's byte buffer,
+    and only the bytes it adds are scanned for ['\n']; each complete
+    line (a trailing ['\r'] dropped, empty lines included) is cut with
+    one copy, so a request costs time linear in its length however
+    the stream was split into reads.
+
     Shutdown: SIGTERM/SIGINT (or a [shutdown] request) stop the
     accept loop, drain buffered in-flight requests, flush every
     pending response, then close and (for Unix sockets) unlink.

@@ -279,6 +279,40 @@ let test_structural_in_run () =
   let peec = mna_of "peec_coupled" in
   check "peec_coupled sprim" (Rom.reduce ~order:8 `Sprim peec) peec
 
+(* MOD009: a zero pivot in an exact jω drift sample is a resonance only
+   on the LC form (σ = s²); on a lossy RLC pencil (peec_partial below
+   4 096 unknowns: the unpivoted skyline factor breaks down at every jω
+   point) the skipped check is a warning naming the unknown *)
+let test_drift_zero_pivot () =
+  let mod009 model mna =
+    List.filter
+      (fun d -> d.D.code = "MOD009")
+      (Certify.run ~ctx:(Sympvl.Pencil.create mna) model mna).Certify.findings
+  in
+  let has d sub =
+    let n = String.length sub in
+    let m = d.D.message in
+    let rec go i = i + n <= String.length m && (String.sub m i n = sub || go (i + 1)) in
+    go 0
+  in
+  let lc = mna_of "lc_tank" in
+  (match mod009 (Rom.reduce ~order:3 `Sympvl lc) lc with
+  | [ d ] ->
+    Alcotest.(check bool) "lc_tank: info" true (d.D.severity = D.Info);
+    Alcotest.(check bool) "lc_tank: resonances" true (has d "lossless resonances")
+  | ds -> Alcotest.failf "lc_tank: %d MOD009 findings" (List.length ds));
+  let peec = Circuit.Mna.auto (Circuit.Generators.peec_partial ~conductors:2 ~segments:4 ()) in
+  Alcotest.(check bool) "peec_partial: general form" true
+    (peec.Circuit.Mna.variable = Circuit.Mna.S);
+  match mod009 (Rom.reduce ~order:4 `Sprim peec) peec with
+  | [ d ] ->
+    Alcotest.(check bool) "peec_partial: warning" true (d.D.severity = D.Warning);
+    Alcotest.(check bool) "peec_partial: names the pivot and its unknown" true
+      (has d "4 of 4 drift samples met a zero pivot" && has d (Circuit.Mna.unknown_label peec 1))
+  | ds ->
+    Alcotest.failf "peec_partial: %d MOD009 findings: %s" (List.length ds)
+      (String.concat "; " (List.map (fun d -> d.D.message) ds))
+
 (* the package model reduced about a band shift (its G is singular, so
    the realisation has poles at DC) has right-half-plane poles at
    ~3e10 that MOD001 must see, and AWE's modal realisation has exactly
@@ -422,6 +456,8 @@ let () =
           Alcotest.test_case "run opens with the structural pair" `Quick
             test_structural_in_run;
           Alcotest.test_case "poles beside a DC pole" `Quick test_structural_dc_pole;
+          Alcotest.test_case "drift: a zero pivot is info only on the LC form" `Quick
+            test_drift_zero_pivot;
         ] );
       ("properties", [ Qtest.to_alcotest prop_clean_rc_certifies ]);
       ("registry", [ Alcotest.test_case "codes documented" `Quick test_registry ]);

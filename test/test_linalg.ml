@@ -372,6 +372,31 @@ let test_cmat_lu_no_boxing () =
     Alcotest.failf "lu_factor + lu_solve_mat (n = %d, %d rhs) allocated %.0f minor words > %.0f"
       n k words bound
 
+(* The dense real kernels index through [Mat.get]/[set]/[add_to]; each
+   call that is not inlined returns or takes a boxed float, ~n³ minor
+   words per factor. At n = 64 only per-column and per-sweep
+   bookkeeping may reach the minor heap. *)
+let test_mat_kernels_no_boxing () =
+  let n = 64 in
+  let rng = Linalg.Rng.create 16 in
+  let a = Linalg.Mat.init n n (fun _ _ -> Linalg.Rng.uniform rng (-1.0) 1.0) in
+  let s = Linalg.Mat.init n n (fun i j -> Linalg.Mat.get a i j +. Linalg.Mat.get a j i) in
+  let b = Linalg.Mat.init n 8 (fun i j -> float_of_int (i + j)) in
+  let bound = 4.0 *. float_of_int (n * n) in
+  List.iter
+    (fun (what, run) ->
+      run ();
+      let before = Gc.minor_words () in
+      run ();
+      let words = Gc.minor_words () -. before in
+      if words > bound then
+        Alcotest.failf "%s (n = %d) allocated %.0f minor words > %.0f" what n words bound)
+    [
+      ("Lu.factor + Lu.solve_mat", fun () -> ignore (Linalg.Lu.solve_mat (Linalg.Lu.factor a) b));
+      ("Eig_gen.eigenvalues", fun () -> ignore (Linalg.Eig_gen.eigenvalues a));
+      ("Eig_sym.min_eigenvalue", fun () -> ignore (Linalg.Eig_sym.min_eigenvalue s));
+    ]
+
 let test_cmat_min_eig_hermitian () =
   (* [[2, i]; [-i, 2]] has eigenvalues 1 and 3 *)
   let m = Linalg.Cmat.create 2 2 in
@@ -607,6 +632,8 @@ let () =
           Alcotest.test_case "lu solve" `Quick test_cmat_lu_solve;
           Alcotest.test_case "lincomb" `Quick test_cmat_lincomb;
           Alcotest.test_case "lu allocates no boxed entries" `Quick test_cmat_lu_no_boxing;
+          Alcotest.test_case "real kernels allocate no boxed entries" `Quick
+            test_mat_kernels_no_boxing;
           Alcotest.test_case "hermitian min eig" `Quick test_cmat_min_eig_hermitian;
         ] );
       ( "poly",

@@ -12,6 +12,15 @@
      - a finding renders to the same bytes through Protocol as the
        field-by-field Json rendering (quote, backslash, newline and
        control characters in the message, integer and null line);
+     - the codec against its references (qcheck): [Json.parse] gives
+       the value or the [Parse_error] text of the byte-at-a-time
+       decoder in [Json_reference] on random bytes and random JSON
+       (escapes, surrogate pairs, control bytes, long runs, broken
+       and over-deep input), and [Num] renders as [Printf "%.17g"]
+       on random finite doubles;
+     - framing: the same requests written one per line, all in one
+       write, in pieces of 1 byte to 40 KB, or with CRLF ends (one
+       split between two reads) get the same response bytes;
      - protocol fuzz (qcheck, seeded through Qtest for replay):
        arbitrary junk bytes and semantically-bad requests each get one
        JSON error response with stable SRV* codes, the connection stays
@@ -172,6 +181,157 @@ let test_finding_json () =
       Alcotest.(check string) "same bytes" (J.to_string by_field)
         (J.to_string (Serve.Protocol.diag_to_json d)))
     [ Some 12; None ]
+
+(* ------------------------------------------------------------------ *)
+(* codec against its references                                        *)
+
+module G = QCheck.Gen
+
+let outcome parse s = match parse s with v -> Ok v | exception J.Parse_error m -> Error m
+
+let rec same a b =
+  match (a, b) with
+  | J.Num x, J.Num y -> feq x y
+  | J.List xs, J.List ys -> List.length xs = List.length ys && List.for_all2 same xs ys
+  | J.Obj xs, J.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && same v v') xs ys
+  | _ -> a = b
+
+let same_outcome text =
+  match (outcome J.parse text, outcome Json_reference.parse text) with
+  | Ok v, Ok v' -> same v v' || QCheck.Test.fail_reportf "different values for %S" text
+  | Error m, Error m' ->
+    String.equal m m' || QCheck.Test.fail_reportf "errors differ: %S vs %S" m m'
+  | Ok _, Error m -> QCheck.Test.fail_reportf "reference rejects (%s), library accepts" m
+  | Error m, Ok _ -> QCheck.Test.fail_reportf "library rejects (%s), reference accepts" m
+
+(* plain bytes with the quote and backslash folded away *)
+let plain lo hi len =
+  G.map
+    (String.map (fun ch -> if ch = '"' || ch = '\\' then 'x' else ch))
+    (G.string_size ~gen:(G.char_range lo hi) len)
+
+(* one piece of a string body: plain runs (short, long, high bytes),
+   every simple escape, \u escapes, surrogate pairs, and the malformed
+   cases each error message names *)
+let string_piece =
+  G.frequency
+    [
+      (6, plain ' ' '~' (G.int_range 0 12));
+      (1, plain ' ' '\255' (G.int_range 1000 5000));
+      (2, plain '\128' '\255' (G.int_range 1 4));
+      (3, G.oneofl [ {|\"|}; {|\\|}; {|\/|}; {|\b|}; {|\f|}; {|\n|}; {|\r|}; {|\t|} ]);
+      (2, G.map (Printf.sprintf "\\u%04x") (G.int_range 0 0xFFFF));
+      (1, G.map (Printf.sprintf "\\u%04X") (G.int_range 0 0xFFFF));
+      ( 2,
+        G.map2 (Printf.sprintf "\\u%04x\\u%04X") (G.int_range 0xD800 0xDBFF)
+          (G.int_range 0xDC00 0xDFFF) );
+      ( 1,
+        G.oneofl
+          [ {|\x|}; {|\u12|}; {|\u12G4|}; {|\ud800|}; {|\ud800\u0041|}; {|\udc00|};
+            {|\ud800x|}; {|\ud800\|}; "\001"; "\031"; "\\" ] );
+    ]
+
+let json_string =
+  G.map (fun ps -> "\"" ^ String.concat "" ps ^ "\"") (G.list_size (G.int_range 0 8) string_piece)
+
+let blank = G.oneofl [ ""; ""; " "; "\n\t "; "\r\n" ]
+
+let json_number =
+  G.frequency
+    [
+      (3, G.map (Printf.sprintf "%.17g") G.float);
+      (2, G.map string_of_int G.int);
+      (1, G.oneofl [ "-"; "1e999"; "1.2.3"; "-0"; "0.5e-3"; "1E+2"; "--1"; "12e"; "1_0" ]);
+    ]
+
+let json_value =
+  G.sized_size (G.int_range 0 4)
+  @@ G.fix (fun self depth ->
+         let leaf =
+           G.frequency
+             [
+               (3, json_string);
+               (2, json_number);
+               (1, G.oneofl [ "null"; "true"; "false"; "nul"; "tru"; "x" ]);
+             ]
+         in
+         let items = G.list_size (G.int_range 0 4) (G.map2 ( ^ ) blank (self (depth - 1))) in
+         let fields =
+           G.list_size (G.int_range 0 4)
+             (G.map2 (fun k v -> k ^ ":" ^ v) json_string (self (depth - 1)))
+         in
+         if depth <= 0 then leaf
+         else
+           G.frequency
+             [
+               (2, leaf);
+               (1, G.map (fun xs -> "[" ^ String.concat "," xs ^ "]") items);
+               (1, G.map (fun xs -> "{" ^ String.concat ", " xs ^ "}") fields);
+             ])
+
+(* a generated value, kept or broken: cut short, a byte replaced or a
+   byte inserted; or nesting past the depth limit *)
+let json_text =
+  let mutate text =
+    let n = String.length text in
+    G.frequency
+      [
+        (4, G.return text);
+        (1, G.map (fun k -> String.sub text 0 k) (G.int_range 0 n));
+        ( 1,
+          G.map2
+            (fun k ch ->
+              if n = 0 then text else String.mapi (fun i c -> if i = k mod n then ch else c) text)
+            G.nat G.char );
+        ( 1,
+          G.map2
+            (fun k ch ->
+              let k = k mod (n + 1) in
+              String.sub text 0 k ^ String.make 1 ch ^ String.sub text k (n - k))
+            G.nat G.char );
+      ]
+  in
+  G.frequency
+    [
+      (20, G.(map2 (fun a v -> a ^ v) blank json_value >>= mutate));
+      (1, G.map (fun k -> String.make k '[' ^ String.make k ']') (G.int_range 500 520));
+    ]
+
+let prop_decode_json =
+  QCheck.Test.make ~count:1000 ~name:"json: decoder = reference on random JSON"
+    (QCheck.make ~print:(Printf.sprintf "%S") json_text)
+    same_outcome
+
+let prop_decode_bytes =
+  let alphabet = G.oneofl (List.of_seq (String.to_seq {|{}[]",:\u0123456789abcdefABCDEF.-+eE tnl|})) in
+  QCheck.Test.make ~count:1000 ~name:"json: decoder = reference on random bytes"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       (G.frequency
+          [ (1, G.string_size ~gen:G.char (G.int_range 0 64)); (1, G.string_of alphabet) ]))
+    same_outcome
+
+let prop_render_num =
+  let finite =
+    G.frequency
+      [
+        ( 4,
+          G.map
+            (fun b ->
+              let v = Int64.float_of_bits b in
+              if Float.is_finite v then v else 0.0)
+            G.int64 );
+        (2, G.float);
+        ( 1,
+          G.oneofl
+            [ 0.0; -0.0; 5e-324; -5e-324; 2.225073858507201e-308; Float.min_float; Float.max_float;
+              -.Float.max_float; Float.epsilon; 0.1; 1e21; 1e-7; 123456789012345680.0 ] );
+      ]
+  in
+  QCheck.Test.make ~count:2000 ~name:"json: Num renders as Printf %.17g"
+    (QCheck.make ~print:(Printf.sprintf "%h") finite)
+    (fun v -> String.equal (J.to_string (J.Num v)) (Printf.sprintf "%.17g" v))
 
 (* ------------------------------------------------------------------ *)
 (* cache units (in-process, no daemon)                                 *)
@@ -507,6 +667,78 @@ let test_request_isolation () =
   Alcotest.(check string) "neighbour: same bytes as alone" alone rb
 
 (* ------------------------------------------------------------------ *)
+(* line framing                                                        *)
+
+let write_all fd s =
+  let rec go off =
+    if off < String.length s then
+      go (off + Unix.write_substring fd s off (String.length s - off))
+  in
+  go 0
+
+(* the same requests answered the same, byte for byte, however the
+   stream is cut: one per line, all in one write, in pieces of 1 byte
+   to 40 KB (the pauses put each piece in its own read), with CRLF line
+   ends, one of them split between two reads *)
+let test_framing () =
+  let big = Printf.sprintf {|{"id":"big","op":"ac","netlist":%s,"freqs":[1e6]}|}
+      (J.to_string (J.Str (grid 40 40)))
+  in
+  let requests =
+    [
+      {|{"id":1,"op":"ping"}|};
+      ac_request (read_file (netlist_path "rc_line"));
+      "not json";
+      "";
+      big;
+      {|{"id":2,"op":"ac","netlist":"R1 a 0 1\n.port p a\n.end\n","points":1}|};
+      "";
+      {|{"id":3,"op":"ping"}|};
+    ]
+  in
+  Alcotest.(check bool) "a request line longer than one read" true (String.length big > 65536);
+  with_server @@ fun (addr, _) ->
+  let reference = with_client addr (fun c -> List.map (request_exn c) requests) in
+  let rng = Random.State.make [| 24 |] in
+  let pieces s =
+    let rec go off acc =
+      if off >= String.length s then List.rev acc
+      else
+        let len =
+          if Random.State.int rng 4 = 0 then 1000 + Random.State.int rng 40000
+          else 1 + Random.State.int rng 97
+        in
+        let len = min len (String.length s - off) in
+        go (off + len) (String.sub s off len :: acc)
+    in
+    go 0 []
+  in
+  let check what chunks =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Serve.Protocol.sockaddr addr);
+    let ic = Unix.in_channel_of_descr fd in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    List.iter
+      (fun piece ->
+        write_all fd piece;
+        Unix.sleepf 0.0005)
+      chunks;
+    List.iteri
+      (fun i want ->
+        Alcotest.(check string) (Printf.sprintf "%s: response %d" what i) want (input_line ic))
+      reference
+  in
+  let stream sep = String.concat "" (List.map (fun r -> r ^ sep) requests) in
+  check "one write" [ stream "\n" ];
+  check "small pieces" (pieces (stream "\n"));
+  check "crlf" [ stream "\r\n" ];
+  check "crlf in pieces" (pieces (stream "\r\n"));
+  let crlf = stream "\r\n" in
+  let cr = String.index crlf '\r' + 1 in
+  check "cr and lf in two reads"
+    [ String.sub crlf 0 cr; String.sub crlf cr (String.length crlf - cr) ]
+
+(* ------------------------------------------------------------------ *)
 (* lifecycle                                                           *)
 
 let test_sigterm_drain () =
@@ -785,7 +1017,12 @@ let () =
   Alcotest.run "serve"
     [
       ( "protocol",
-        [ Alcotest.test_case "finding JSON: one rendering" `Quick test_finding_json ] );
+        [
+          Alcotest.test_case "finding JSON: one rendering" `Quick test_finding_json;
+          Alcotest.test_case "framing: any cut of the stream, same bytes" `Quick test_framing;
+        ] );
+      ( "json",
+        List.map Qtest.to_alcotest [ prop_decode_json; prop_decode_bytes; prop_render_num ] );
       ( "cache",
         [
           Alcotest.test_case "content-hash keying" `Quick test_cache_keying;
