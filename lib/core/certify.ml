@@ -386,26 +386,16 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
         (* no band known: two decades around the realisation's own scale *)
         core_freq_scale r *. (10.0 ** (-2.0 +. (4.0 *. t)))
     in
-    (* the exact Z(jω) of the full pencil, through the same kernel as
-       Simulate.Ac; a lossless (LC) pencil is exactly singular at its
+    (* the exact Z(jω) of the full pencil, through the same entry point
+       as Simulate.Ac; a lossless (LC) pencil is exactly singular at its
        resonances — a sample that lands on one is dropped, not an error.
        Any other pencil's zero pivot is a breakdown of the unpivoted jω
        factor, reported below with the unknown it met *)
-    let exact w =
-      let s = Cx.im w in
-      let var =
-        match mna.Circuit.Mna.variable with
-        | Circuit.Mna.S -> s
-        | Circuit.Mna.S_squared -> Cx.(s *: s)
-      in
-      let z = Pencil.transfer ctx (Pencil.factor_complex ctx var) in
-      match mna.Circuit.Mna.gain with
-      | Circuit.Mna.Unit -> z
-      | Circuit.Mna.Times_s -> Cmat.scale s z
-    in
     let exacts =
       Array.init k (fun i ->
-          match exact (w_of i) with z -> Ok z | exception Factor.Singular row -> Error row)
+          match Pencil.z_at ctx (Cx.im (w_of i)) with
+          | z -> Ok z
+          | exception Factor.Singular row -> Error row)
     in
     let failed =
       Array.fold_right (fun z acc -> match z with Error row -> row :: acc | Ok _ -> acc) exacts []

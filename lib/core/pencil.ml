@@ -1,9 +1,10 @@
 (* the shared symbolic phase, one per backend: both carry the merged
    G/C pattern with the matrices pre-scattered so each numeric
-   factorisation is free of pattern analysis *)
+   factorisation is free of pattern analysis; the supernodal one also
+   carries the ports' elimination-tree reach for [transfer] *)
 type backend_sym =
   | Sky of Sparse.Skyline.pencil_env
-  | Super of Sparse.Supernodal.symbolic
+  | Super of Sparse.Supernodal.symbolic * Sparse.Supernodal.reach
 
 type t = {
   g : Sparse.Csr.t;
@@ -76,6 +77,14 @@ let band_shift_var variable (f_lo, f_hi) =
 
 let band_shift (m : Circuit.Mna.t) band = band_shift_var m.Circuit.Mna.variable band
 
+(* the supernodal phase with the ports' reach, whose size is the
+   [pencil.reach] gauge: the columns one exact-Z point runs over *)
+let super_backend port_idx sym =
+  let reach = Sparse.Supernodal.reach sym (Array.concat (Array.to_list port_idx)) in
+  if Obs.tracing () then
+    Obs.gauge "pencil.reach" (float_of_int (Array.length (Sparse.Supernodal.reach_columns reach)));
+  Super (sym, reach)
+
 (* [mna], when given, supplies the variable, the ports and the labels *)
 let make ?mna ~nodes pattern g c =
   let variable, b =
@@ -88,13 +97,6 @@ let make ?mna ~nodes pattern g c =
   let n = g.Sparse.Csr.rows in
   let chosen = Factor.plan ~nodes pattern in
   let perm = match chosen with `Skyline p | `Supernodal p -> p in
-  let gp = Sparse.Csr.permute_sym g perm in
-  let cp = Sparse.Csr.permute_sym c perm in
-  let backend =
-    match chosen with
-    | `Skyline _ -> Sky (Sparse.Skyline.pencil_env gp cp)
-    | `Supernodal _ -> Super (Sparse.Supernodal.symbolic ~c:cp gp)
-  in
   let inv = Array.make n 0 in
   Array.iteri (fun new_i old_i -> inv.(old_i) <- new_i) perm;
   let p = match b with None -> 0 | Some b -> b.Linalg.Mat.cols in
@@ -114,6 +116,13 @@ let make ?mna ~nodes pattern g c =
       port_idx.(c) <- Array.of_list !idx;
       port_val.(c) <- Array.of_list !v
     done);
+  let gp = Sparse.Csr.permute_sym g perm in
+  let cp = Sparse.Csr.permute_sym c perm in
+  let backend =
+    match chosen with
+    | `Skyline _ -> Sky (Sparse.Skyline.pencil_env gp cp)
+    | `Supernodal _ -> super_backend port_idx (Sparse.Supernodal.symbolic ~c:cp gp)
+  in
   if Obs.tracing () then Obs.span_end ();
   {
     g;
@@ -172,7 +181,7 @@ let sparse_numeric ?extra t s0 =
       Obs.count "factor.nnz" (Sparse.Skyline.Real.fill sky)
     end;
     of_sky t.perm sky
-  | Super sym ->
+  | Super (sym, _) ->
     let fac = Sparse.Supernodal.Real.factor ?extra sym s0 in
     if Obs.tracing () then begin
       Obs.count "factor.count" 1;
@@ -373,7 +382,7 @@ let reserve t positions =
     in
     let gp = Sparse.Csr.permute_sym t.g t.perm in
     let cp = Sparse.Csr.permute_sym t.c t.perm in
-    t.backend <- Super (Sparse.Supernodal.symbolic ~extra_pattern ~c:cp gp)
+    t.backend <- super_backend t.port_idx (Sparse.Supernodal.symbolic ~extra_pattern ~c:cp gp)
 
 let factor_with t ~shift ~extra =
   let extra = Array.map (fun (i, j, v) -> (t.inv.(i), t.inv.(j), v)) extra in
@@ -385,9 +394,10 @@ let factor_with t ~shift ~extra =
 (* ------------------------------------------------------------------ *)
 (* complex pencil solves (AC path)                                     *)
 
+(* a supernodal factor keeps the reach of the phase it was built on *)
 type cfactor =
   | Csky of Sparse.Skyline.Complex_soa.t
-  | Csuper of Sparse.Supernodal.Complex_soa.t
+  | Csuper of Sparse.Supernodal.Complex_soa.t * Sparse.Supernodal.reach
 
 (* every breakdown leaves as [Factor.Singular] at the original row *)
 let factor_complex t s =
@@ -396,19 +406,19 @@ let factor_complex t s =
     match Sparse.Skyline.Complex_soa.factor_pencil env s with
     | fac -> Csky fac
     | exception Sparse.Skyline.Singular i -> raise (Factor.Singular t.perm.(i)))
-  | Super sym -> (
+  | Super (sym, reach) -> (
     match Sparse.Supernodal.Complex_soa.factor sym s with
-    | fac -> Csuper fac
+    | fac -> Csuper (fac, reach)
     | exception Sparse.Supernodal.Singular i -> raise (Factor.Singular t.perm.(i)))
 
 let csolve_split fac b_re b_im =
   match fac with
   | Csky f -> Sparse.Skyline.Complex_soa.solve_split f b_re b_im
-  | Csuper f -> Sparse.Supernodal.Complex_soa.solve_split f b_re b_im
+  | Csuper (f, _) -> Sparse.Supernodal.Complex_soa.solve_split f b_re b_im
 
 (* one complex solve per port against a shared factor, gathered
    through the sparse port patterns: X = (G + sC)⁻¹B, then BᵀX *)
-let transfer t fac =
+let per_port_transfer t fac =
   let n = t.n and p = t.p in
   let z = Linalg.Cmat.create p p in
   let x_re = Array.make n 0.0 and x_im = Array.make n 0.0 in
@@ -432,3 +442,20 @@ let transfer t fac =
     done
   done;
   z
+
+let transfer t fac =
+  match fac with
+  | Csky _ -> per_port_transfer t fac
+  | Csuper (f, reach) -> Sparse.Supernodal.Complex_soa.transfer f reach t.port_idx t.port_val
+
+let z_at t s =
+  let var =
+    match t.variable with Circuit.Mna.S -> s | Circuit.Mna.S_squared -> Linalg.Cx.(s *: s)
+  in
+  let fac = factor_complex t var in
+  if Obs.tracing () then Obs.span_begin "ac.solve";
+  let z = transfer t fac in
+  if Obs.tracing () then Obs.span_end ();
+  match t.mna with
+  | Some { Circuit.Mna.gain = Circuit.Mna.Times_s; _ } -> Linalg.Cmat.scale s z
+  | _ -> z

@@ -146,7 +146,7 @@ val factor_complex : t -> Complex.t -> cfactor
     symbolic phase — the split-complex AC production kernel. A
     breakdown raises {!Factor.Singular} at the original row. The returned factor lives
     in {e permuted} coordinates; address it through {!port_idx} and
-    {!csolve_split}, or use {!transfer}. *)
+    {!csolve_split}, or use {!transfer} ({!z_at} does all of it). *)
 
 val csolve_split : cfactor -> float array -> float array -> unit
 (** [csolve_split fac re im] solves [(G + sC) x = b] in place on the
@@ -154,6 +154,19 @@ val csolve_split : cfactor -> float array -> float array -> unit
 
 val transfer : t -> cfactor -> Linalg.Cmat.t
 (** [transfer t fac] — the [p×p] port matrix [Bᵀ(G + sC)⁻¹B] from a
-    factor of [t]: one {!csolve_split} per port, gathered through the
-    sparse port patterns. The exact-Z kernel behind [Simulate.Ac] and
-    {!Certify}'s drift check; the caller applies the MNA gain. *)
+    factor of [t], without the MNA gain. On the skyline backend: one
+    {!csolve_split} per port, gathered through the sparse port
+    patterns. On the supernodal backend: [Yᵀ D⁻¹ Y] with [Y = L⁻¹PB]
+    ({!Sparse.Supernodal.Complex_soa.transfer}) — one forward pass
+    for all ports over their elimination-tree reach (built with the
+    symbolic phase, rebuilt by {!reserve}), no backward pass; the
+    result is exactly symmetric. *)
+
+val z_at : t -> Complex.t -> Linalg.Cmat.t
+(** [z_at t s] — the exact [Z(s)] at one physical complex frequency:
+    [s] mapped to the pencil variable ([s], or [s²] for the LC
+    [σ = s²] form), {!factor_complex}, {!transfer} (timed as the
+    [ac.solve] span), then the MNA gain ([s·Z] for the [Times_s]
+    forms). The one exact-Z entry point of [Simulate.Ac] and
+    {!Certify}'s MOD009 drift check. Raises {!Factor.Singular}
+    (original row) when the unpivoted factor breaks down at [s]. *)

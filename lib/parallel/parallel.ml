@@ -179,15 +179,13 @@ module Pool = struct
             | None -> Option.iter San.Race.batch_end batch)
 
   let parallel_map t ?chunk n f =
-    if n <= 0 then [||]
-    else begin
-      (* evaluate slot 0 on the caller to seed the result array; the
-         remaining slots are filled in place, so out.(i) = f i holds
-         regardless of which domain computed it *)
-      let out = Array.make n (f 0) in
-      if n > 1 then parallel_for t ?chunk (n - 1) (fun i -> out.(i + 1) <- f (i + 1));
-      out
-    end
+    (* every slot is filled in place inside the pooled loop, so
+       out.(i) = f i holds regardless of which domain computed it; a
+       slot left empty means the loop raised, and that is re-raised
+       before the read *)
+    let out = Array.make (max n 0) None in
+    parallel_for t ?chunk n (fun i -> out.(i) <- Some (f i));
+    Array.map Option.get out
 end
 
 let default_jobs () =

@@ -7,14 +7,16 @@ type sweep = {
 (* The reusable symbolic phase is the shared pencil context
    (Sympvl.Pencil): the planned backend's ordering and symbolic phase
    over the merged pattern, and per-port sparse patterns of the
-   permuted B. Each frequency point is one split-complex numeric
-   factor plus Pencil.transfer's per-port solves and BᵀX gathers. *)
+   permuted B. Each frequency point is one Pencil.z_at: a split-complex
+   numeric factor plus Pencil.transfer. *)
 type workspace = Sympvl.Pencil.t
 
 let workspace (m : Circuit.Mna.t) =
   Obs.with_span "ac.symbolic" @@ fun () -> Sympvl.Pencil.create m
 
-let z_at_ws (m : Circuit.Mna.t) ws s =
+(* [ws] was built from the same MNA system: the pencil context holds
+   its variable and gain *)
+let z_at_ws (_ : Circuit.Mna.t) ws s =
   (* per-frequency span on the calling domain's track: worker domains
      of the pool each record into their own buffer, merged at the
      join, so tracing cannot perturb the pooled sweep *)
@@ -22,20 +24,7 @@ let z_at_ws (m : Circuit.Mna.t) ws s =
   let t_start = if traced then Obs.now () else 0.0 in
   if traced then
     Obs.span_begin ~args:[ ("im_s", Obs.Float s.Complex.im) ] "ac.point";
-  let var =
-    match m.Circuit.Mna.variable with
-    | Circuit.Mna.S -> s
-    | Circuit.Mna.S_squared -> Linalg.Cx.(s *: s)
-  in
-  let fac = Sympvl.Pencil.factor_complex ws var in
-  if traced then Obs.span_begin "ac.solve";
-  let z = Sympvl.Pencil.transfer ws fac in
-  if traced then Obs.span_end ();
-  let z =
-    match m.Circuit.Mna.gain with
-    | Circuit.Mna.Unit -> z
-    | Circuit.Mna.Times_s -> Linalg.Cmat.scale s z
-  in
+  let z = Sympvl.Pencil.z_at ws s in
   if traced then begin
     Obs.count "ac.points" 1;
     Obs.countf "ac.point_seconds" (Obs.now () -. t_start);

@@ -7,11 +7,15 @@
 
     The sweep is split into a one-time symbolic phase (the shared
     {!Sympvl.Pencil} context: backend plan, ordering, G/C
-    pre-scatter, per-port sparse B patterns) and a per-frequency
-    numeric phase running the split-complex (SoA) kernel of the
-    planned backend; frequency points are distributed over the shared
-    {!Parallel} pool. Every point is independent, so the sweep output
-    is bitwise identical to a sequential run at any job count. *)
+    pre-scatter, per-port sparse B patterns and, on the supernodal
+    backend, the ports' elimination-tree reach) and a per-frequency
+    numeric phase, {!Sympvl.Pencil.z_at}: the split-complex (SoA)
+    factor of the planned backend, then [BᵀX] — one solve per port
+    on the skyline, one forward pass over the reach for all ports on
+    the supernodal backend. Frequency points are distributed over the
+    shared {!Parallel} pool. Every point is independent, so the sweep
+    output is bitwise identical to a sequential run at any job
+    count. *)
 
 type sweep = {
   freqs : float array;  (** In Hz. *)
@@ -31,11 +35,12 @@ type workspace = Sympvl.Pencil.t
 val workspace : Circuit.Mna.t -> workspace
 
 val z_at_ws : Circuit.Mna.t -> workspace -> Complex.t -> Linalg.Cmat.t
-(** [z_at_ws m ws s] — {!z_at} against a precomputed symbolic phase:
-    {!Sympvl.Pencil.factor_complex} then {!Sympvl.Pencil.transfer},
-    timed as the [ac.point]/[ac.solve] spans and counted in
-    [ac.points]. Raises {!Sympvl.Factor.Singular} (original row) when
-    the unpivoted factor of [G + sC] breaks down at [s]. *)
+(** [z_at_ws m ws s] — {!z_at} against a precomputed symbolic phase
+    [ws] built from [m]: {!Sympvl.Pencil.z_at}, timed as the
+    [ac.point] span (the [ac.solve] span nested in it times
+    {!Sympvl.Pencil.transfer}) and counted in [ac.points]. Raises
+    {!Sympvl.Factor.Singular} (original row) when the unpivoted factor
+    of [G + sC] breaks down at [s]. *)
 
 val z_at : Circuit.Mna.t -> Complex.t -> Linalg.Cmat.t
 (** [z_at m s] evaluates the exact [Z(s)] at one physical complex

@@ -1,11 +1,11 @@
 (* Left-looking supernodal sparse LDLᵀ.
 
-   Columns with nested factor structure (fundamental supernodes, plus
-   an optional relaxed-amalgamation budget) are grouped into dense
-   row-major panels; the numeric phase then runs on contiguous float
-   arrays with dot-product inner kernels instead of per-entry index
-   chasing. The skyline envelope kernel remains the accuracy oracle —
-   this module is the scattered-sparsity (AMD-ordered) backend.
+   Columns with nested factor structure (fundamental supernodes) are
+   grouped into dense row-major panels; the numeric phase then runs on
+   contiguous float arrays with dot-product inner kernels instead of
+   per-entry index chasing. The skyline envelope kernel remains the
+   accuracy oracle — this module is the scattered-sparsity
+   (AMD-ordered) backend.
 
    Input matrices are expected already permuted by a fill-reducing
    ordering composed with an elimination-tree postorder ({!order}
@@ -97,7 +97,7 @@ let order ?c ?late ?early g =
   let post = Etree.postorder (Etree.of_pattern (Csr.permute_sym pat p1)) in
   Array.map (fun k -> p1.(k)) post
 
-let symbolic ?(relax = 0) ?extra_pattern ?c g =
+let symbolic ?extra_pattern ?c g =
   let n = g.Csr.rows in
   if g.Csr.cols <> n then invalid_arg "Supernodal.symbolic: square matrix expected";
   (match c with
@@ -124,23 +124,17 @@ let symbolic ?(relax = 0) ?extra_pattern ?c g =
     let et = Etree.of_pattern pat in
     let parent = et.Etree.parent and cc = et.Etree.col_counts in
     (* supernode boundaries: column j joins the running supernode when
-       it continues an elimination-tree chain and either has exactly
-       nested structure (the fundamental rule, padding delta = 0) or
-       fits the relaxed-amalgamation padding budget *)
+       it continues an elimination-tree chain with exactly nested
+       structure (the fundamental rule), up to the width cap *)
     let starts = Array.make (n + 1) 0 in
     let nsuper = ref 1 in
     let start = ref 0 in
-    let pad = ref 0 in
     for j = 1 to n - 1 do
-      let w = j - !start in
-      let delta = w * (cc.(j) + 1 - cc.(j - 1)) in
-      if parent.(j - 1) = j && w < width_cap && !pad + delta <= relax then
-        pad := !pad + delta
-      else begin
+      let nested = parent.(j - 1) = j && cc.(j) + 1 = cc.(j - 1) in
+      if not (nested && j - !start < width_cap) then begin
         starts.(!nsuper) <- j;
         incr nsuper;
-        start := j;
-        pad := 0
+        start := j
       end
     done;
     let ns = !nsuper in
@@ -266,6 +260,54 @@ let symbolic ?(relax = 0) ?extra_pattern ?c g =
 let nnz sym = sym.sy_nnz
 let supernodes sym = sym.sy_nsuper
 let dim sym = sym.sy_n
+
+(* The elimination-tree reach of a set of rows: every column on an
+   etree path from one of them to its root. Inside a supernode the
+   parent of column j is j + 1, and the parent of its last column is
+   the panel's first below row, so the reach is a suffix of every
+   supernode it meets and one first local column describes it. *)
+type reach = {
+  r_sym : symbolic; (* the phase the reach was built on, checked on use *)
+  r_first : int array; (* per supernode: first local column in the reach, w if none *)
+  r_pos : int array; (* column -> compact index (ascending columns), -1 outside *)
+  r_cols : int array; (* compact index -> column *)
+}
+
+let reach sym rows =
+  let n = sym.sy_n and ns = sym.sy_nsuper in
+  let parent j =
+    let s = sym.sy_colsn.(j) in
+    let st = sym.sy_start.(s) and en = sym.sy_start.(s + 1) in
+    if j + 1 < en then j + 1
+    else
+      let rs = sym.sy_rows.(s) in
+      if en - st < Array.length rs then rs.(en - st) else -1
+  in
+  let pos = Array.make n (-1) in
+  Array.iter
+    (fun r ->
+      if r < 0 || r >= n then invalid_arg "Supernodal.reach: row out of range";
+      (* stop at the first column already in: its ancestors are too *)
+      let j = ref r in
+      while !j >= 0 && pos.(!j) < 0 do
+        pos.(!j) <- 0;
+        j := parent !j
+      done)
+    rows;
+  let first = Array.init ns (fun s -> sym.sy_start.(s + 1) - sym.sy_start.(s)) in
+  let cols = ref [] in
+  for j = n - 1 downto 0 do
+    if pos.(j) >= 0 then begin
+      cols := j :: !cols;
+      let s = sym.sy_colsn.(j) in
+      first.(s) <- j - sym.sy_start.(s)
+    end
+  done;
+  let cols = Array.of_list !cols in
+  Array.iteri (fun q j -> pos.(j) <- q) cols;
+  { r_sym = sym; r_first = first; r_pos = pos; r_cols = cols }
+
+let reach_columns r = Array.copy r.r_cols
 
 let bsearch (a : int array) x =
   let lo = ref 0 and hi = ref (Array.length a - 1) in
@@ -755,6 +797,87 @@ module Complex_soa = struct
       San.Fp.check_array ~name:"supernodal.solve_split.re" b_re;
       San.Fp.check_array ~name:"supernodal.solve_split.im" b_im
     end
+
+  (* Z = BᵀA⁻¹B = Yᵀ D⁻¹ Y with Y = L⁻¹B: complex symmetric, so no
+     conjugation and no backward pass. Y is nonzero only on the ports'
+     reach, so the forward pass visits the reach columns alone, with
+     the p right-hand sides interleaved per row. *)
+  let transfer t r idx vals =
+    if r.r_sym != t.sym then
+      invalid_arg "Supernodal.Complex_soa.transfer: reach of another symbolic phase";
+    let sym = t.sym in
+    let p = Array.length idx in
+    let pos = r.r_pos in
+    let m = Array.length r.r_cols * p in
+    let yre = Array.make m 0.0 and yim = Array.make m 0.0 in
+    Array.iteri
+      (fun c ci ->
+        Array.iteri
+          (fun k i ->
+            if pos.(i) < 0 then
+              invalid_arg "Supernodal.Complex_soa.transfer: row outside the reach";
+            yre.((pos.(i) * p) + c) <- vals.(c).(k))
+          ci)
+      idx;
+    for s = 0 to sym.sy_nsuper - 1 do
+      let st = sym.sy_start.(s) in
+      let w = sym.sy_start.(s + 1) - st in
+      let rs = sym.sy_rows.(s) in
+      let len = Array.length rs in
+      let re = t.pre.(s) and im = t.pim.(s) in
+      for cl = r.r_first.(s) to w - 1 do
+        let bj = Array.unsafe_get pos (st + cl) * p in
+        for kk = cl + 1 to len - 1 do
+          let bi = Array.unsafe_get pos (Array.unsafe_get rs kk) * p in
+          let lr = Array.unsafe_get re ((kk * w) + cl)
+          and li = Array.unsafe_get im ((kk * w) + cl) in
+          for c = 0 to p - 1 do
+            let xr = Array.unsafe_get yre (bj + c) and xi = Array.unsafe_get yim (bj + c) in
+            Array.unsafe_set yre (bi + c)
+              (Array.unsafe_get yre (bi + c) -. ((lr *. xr) -. (li *. xi)));
+            Array.unsafe_set yim (bi + c)
+              (Array.unsafe_get yim (bi + c) -. ((lr *. xi) +. (li *. xr)))
+          done
+        done
+      done
+    done;
+    (* upper triangle of Σᵢ Yᵢᵣ Yᵢ꜀ / dᵢ, then the mirror: Z is exactly
+       symmetric *)
+    let z = Linalg.Cmat.create p p in
+    let zre = z.Linalg.Cmat.re and zim = z.Linalg.Cmat.im in
+    let tre = Array.make p 0.0 and tim = Array.make p 0.0 in
+    Array.iteri
+      (fun q j ->
+        let dr = t.dre.(j) and di = t.dim_.(j) in
+        let den = (dr *. dr) +. (di *. di) in
+        let ir = dr /. den and ii = -.(di /. den) in
+        let b = q * p in
+        for c = 0 to p - 1 do
+          let yr = yre.(b + c) and yi = yim.(b + c) in
+          tre.(c) <- (yr *. ir) -. (yi *. ii);
+          tim.(c) <- (yr *. ii) +. (yi *. ir)
+        done;
+        for r = 0 to p - 1 do
+          let ar = tre.(r) and ai = tim.(r) in
+          for c = r to p - 1 do
+            let yr = Array.unsafe_get yre (b + c) and yi = Array.unsafe_get yim (b + c) in
+            let k = (r * p) + c in
+            Array.unsafe_set zre k (Array.unsafe_get zre k +. ((ar *. yr) -. (ai *. yi)));
+            Array.unsafe_set zim k (Array.unsafe_get zim k +. ((ar *. yi) +. (ai *. yr)))
+          done
+        done)
+      r.r_cols;
+    for r = 0 to p - 1 do
+      for c = 0 to r - 1 do
+        zre.((r * p) + c) <- zre.((c * p) + r);
+        zim.((r * p) + c) <- zim.((c * p) + r)
+      done
+    done;
+    if San.fp () then begin
+      San.Fp.check_array ~name:"supernodal.transfer.re" zre;
+      San.Fp.check_array ~name:"supernodal.transfer.im" zim
+    end;
+    z
 
   let d t =
     Array.init (dim t) (fun i -> { Complex.re = t.dre.(i); im = t.dim_.(i) })

@@ -11,11 +11,9 @@
     10⁵-unknown circuits the paper's reduction targets; the skyline
     kernel remains the accuracy oracle it is tested against.
 
-    The symbolic phase is exact: with [relax = 0] the stored factor
-    nonzero count equals {!Etree.predicted_nnz} of the input pattern
-    — no padding, no overallocation. A positive [relax] budget merges
-    near-fundamental chains (relaxed amalgamation), trading at most
-    [relax] stored zeros per supernode for wider panels.
+    The symbolic phase is exact: the stored factor nonzero count
+    equals {!Etree.predicted_nnz} of the input pattern — no padding,
+    no overallocation.
 
     Input matrices must already be permuted by a fill-reducing
     ordering composed with an elimination-tree postorder — {!order}
@@ -63,24 +61,41 @@ val order : ?c:Csr.t -> ?late:int -> ?early:int -> Csr.t -> int array
     [L D Lᵀ] exists with one negative pivot per current. Giving both
     [late] and [early] raises [Invalid_argument]. *)
 
-val symbolic : ?relax:int -> ?extra_pattern:(int * int) array -> ?c:Csr.t -> Csr.t -> symbolic
-(** [symbolic ?relax ?extra_pattern ?c g] — supernode detection and
-    symbolic factorisation of the merged (structural-union) pattern
-    of [g] and [c], both already permuted. [relax] (default [0]) is
-    the relaxed-amalgamation padding budget in stored zeros per
-    supernode; supernode width is capped at 128 columns regardless.
-    [extra_pattern] positions (permuted coordinates, either triangle)
-    are merged into the pattern as structural zeros — how
-    [Pencil.reserve] makes room for Newton-Jacobian stamps. Raises
-    [Invalid_argument] on non-square or mismatched inputs. *)
+val symbolic : ?extra_pattern:(int * int) array -> ?c:Csr.t -> Csr.t -> symbolic
+(** [symbolic ?extra_pattern ?c g] — fundamental-supernode detection
+    and symbolic factorisation of the merged (structural-union)
+    pattern of [g] and [c], both already permuted; supernode width is
+    capped at 128 columns. [extra_pattern] positions (permuted
+    coordinates, either triangle) are merged into the pattern as
+    structural zeros — how [Pencil.reserve] makes room for
+    Newton-Jacobian stamps. Raises [Invalid_argument] on non-square or
+    mismatched inputs. *)
 
 val nnz : symbolic -> int
 (** Stored lower-triangle factor nonzeros, diagonal included. Equals
-    {!Etree.predicted_nnz} of the input pattern exactly when
-    [relax = 0]. *)
+    {!Etree.predicted_nnz} of the input pattern exactly. *)
 
 val supernodes : symbolic -> int
 val dim : symbolic -> int
+
+type reach
+(** The elimination-tree reach of a set of rows: the union of their
+    etree ancestors (each row included), the only columns on which
+    [L⁻¹b] can be nonzero when [b] is supported on those rows. Inside
+    a supernode the parent of column [j] is [j + 1], and the parent of
+    its last column is the panel's first below row, so the reach is a
+    suffix of every supernode it meets; it is stored as one first
+    local column per supernode. Immutable and shareable across
+    threads. *)
+
+val reach : symbolic -> int array -> reach
+(** [reach sym rows] — the reach of [rows] (permuted coordinates, any
+    order, repeats allowed) in [sym]'s elimination tree. Built once
+    per symbolic phase; [Pencil] builds it over the port rows. Raises
+    [Invalid_argument] on a row out of range. *)
+
+val reach_columns : reach -> int array
+(** The reach's columns, ascending (a copy). *)
 
 (** Real factorisation of [G + s₀C] — the reduction and transient
     workhorse. *)
@@ -130,6 +145,20 @@ module Complex_soa : sig
   val solve_split : t -> float array -> float array -> unit
   (** [solve_split fac re im] solves [A x = b] in place on the split
       right-hand side ([re], [im]). *)
+
+  val transfer : t -> reach -> int array array -> float array array -> Linalg.Cmat.t
+  (** [transfer fac r idx vals] — the [p×p] matrix [BᵀA⁻¹B] for the
+      sparse columns of [B] given as rows [idx.(c)] (permuted
+      coordinates) with entries [vals.(c)]; [r] is the reach of all
+      those rows in [fac]'s symbolic phase. Computed as [Yᵀ D⁻¹ Y]
+      with [Y = L⁻¹B] (complex symmetric: no conjugation, no backward
+      pass): one forward pass over the reach columns only, with the
+      [p] right-hand sides interleaved per row in a workspace of
+      [|reach|·p] entries, then the upper triangle of
+      [Σᵢ Yᵢᵣ Yᵢc / dᵢ] mirrored, so the result is exactly symmetric.
+      Under [SYMOR_SAN=fp] the output is scanned for NaN/Inf. Raises
+      [Invalid_argument] when [r] was built on another symbolic phase
+      or misses a row of [idx]. *)
 
   val dim : t -> int
 

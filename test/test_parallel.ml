@@ -27,6 +27,30 @@ let test_pool_for_covers_once () =
 
 exception Boom
 
+let test_pool_map_evaluates_once () =
+  List.iter
+    (fun (jobs, n) ->
+      Parallel.Pool.with_pool ~jobs (fun pool ->
+          let calls = Array.init n (fun _ -> Atomic.make 0) in
+          let got =
+            Parallel.Pool.parallel_map pool ~chunk:3 n (fun i ->
+                Atomic.incr calls.(i);
+                2 * i)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "every index evaluated once at jobs=%d n=%d" jobs n)
+            true
+            (Array.for_all (fun c -> Atomic.get c = 1) calls);
+          Alcotest.(check bool) "slot i = f i" true (got = Array.init n (fun i -> 2 * i))))
+    [ (1, 0); (1, 5); (2, 1); (2, 32); (4, 17) ];
+  (* an exception from any slot, the first included, reaches the caller *)
+  Parallel.Pool.with_pool ~jobs:2 (fun pool ->
+      Alcotest.(check bool) "slot 0 raises" true
+        (try
+           ignore (Parallel.Pool.parallel_map pool 16 (fun i -> if i = 0 then raise Boom else i));
+           false
+         with Boom -> true))
+
 let test_pool_exception_propagates () =
   Parallel.Pool.with_pool ~jobs:3 (fun pool ->
       Alcotest.(check bool) "raises" true
@@ -236,6 +260,7 @@ let () =
         [
           Alcotest.test_case "map matches init" `Quick test_pool_map_matches_init;
           Alcotest.test_case "for covers once" `Quick test_pool_for_covers_once;
+          Alcotest.test_case "map evaluates each index once" `Quick test_pool_map_evaluates_once;
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
           Alcotest.test_case "nested degrades" `Quick test_pool_nested_degrades;
           Alcotest.test_case "default jobs" `Quick test_default_jobs_positive;
