@@ -52,6 +52,7 @@ let modal ~shift ~gain poles residues =
     sym = None;
     foster = Some (poles, residues);
     definite = false;
+    modal = None;
   }
 
 let build ?ctx ?(shift = 0.0) ~order ~port (m : Circuit.Mna.t) =

@@ -229,14 +229,15 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
       bs);
   (* suggested safe order: walk the SyMPVL truncation down until the
      band test comes back clean (every order is a cluster boundary on
-     the J = I path) *)
+     the J = I path). The band test reads only the pencil, so the
+     realisation is truncated without rebuilding its modal form *)
   let safe_order =
     match (model, bands) with
     | Rom.Sympvl_model m, _ :: _ ->
       let rec search k attempts =
         if k < 1 || attempts <= 0 then None
         else begin
-          let rt = (Model.truncate m k).Model.real in
+          let rt = Realisation.truncate m.Model.real k in
           match H.violation_bands ~tol (Realisation.phys_pencil rt) with
           | [] -> Some k
           | _ -> search (k - 1) (attempts - 1)

@@ -22,10 +22,10 @@ let make ~t_mat ~delta ~rho ~shift ~variable ~gain ~definite ~deflations ~look_a
   (* Δ-congruence: Z = ρᵀΔ(I + σT)⁻¹ρ = (Δρ)ᵀ[Δ(I − s₀T) + var·ΔT]⁻¹(Δρ),
      a symmetric sandwich whenever Δ and ΔT come out symmetric (exact
      arithmetic guarantees both; roundoff is checked) *)
+  let dt = Mat.mul delta t_mat and drho = Mat.mul delta rho in
   let sym =
-    let dt = Mat.mul delta t_mat in
     if Realisation.near_symmetric delta && Realisation.near_symmetric dt then
-      Some (Realisation.fold ~origin:shift delta dt, dt, Mat.mul delta rho)
+      Some (Realisation.fold ~origin:shift delta dt, dt, drho)
     else None
   in
   {
@@ -54,6 +54,10 @@ let make ~t_mat ~delta ~rho ~shift ~variable ~gain ~definite ~deflations ~look_a
         sym;
         foster = None;
         definite = definite && shift = 0.0;
+        (* J = I: Δ is the identity up to roundoff, so (Δ, ΔT, Δρ) is a
+           definite triple about s₀ *)
+        modal =
+          (if definite then Realisation.modal_form ~k0:delta ~k1:dt ~w:drho else None);
       };
   }
 
@@ -67,11 +71,9 @@ let moments m k =
 
 let truncate m order =
   assert (order >= 1 && order <= m.order);
-  {
-    m with
-    t_mat = Linalg.Mat.submatrix m.t_mat 0 0 order order;
-    delta = Linalg.Mat.submatrix m.delta 0 0 order order;
-    rho = Linalg.Mat.submatrix m.rho 0 0 order m.p;
-    order;
-    real = Realisation.truncate m.real order;
-  }
+  make
+    ~t_mat:(Mat.submatrix m.t_mat 0 0 order order)
+    ~delta:(Mat.submatrix m.delta 0 0 order order)
+    ~rho:(Mat.submatrix m.rho 0 0 order m.p)
+    ~shift:m.shift ~variable:m.variable ~gain:m.gain ~definite:m.definite
+    ~deflations:m.deflations ~look_ahead_steps:m.look_ahead_steps ~exhausted:m.exhausted

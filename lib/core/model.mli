@@ -26,7 +26,8 @@ type t = {
       (** The model as a descriptor form: [a0 = I], [a1 = Tₙ], [b = ρₙ],
           [c = ρₙᵀΔₙ] about [origin = s₀], with the symmetric form
           [(Δₙ − s₀ΔₙTₙ, ΔₙTₙ, Δₙρₙ)] when [Δₙ] and [ΔₙTₙ] are
-          symmetric. Evaluate, certify and stamp through it. *)
+          symmetric, and its {!Realisation.modal} form when
+          [definite]. Evaluate, certify and stamp through it. *)
 }
 
 val make :
@@ -49,6 +50,7 @@ val moments : t -> int -> Linalg.Mat.t array
     [(−1)ᵏ ρᵀ Δ Tᵏ ρ]. *)
 
 val truncate : t -> int -> t
-(** Restrict to a smaller order (leading submatrices, realisation
-    included). Only sound at cluster boundaries; with [J = I] every
+(** Restrict to a smaller order: {!make} on the leading submatrices,
+    so the result (modal form included) is the one a fresh run of that
+    order builds. Only sound at cluster boundaries; with [J = I] every
     order is a boundary. *)

@@ -145,6 +145,7 @@ let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
       sym = lambda_form ~shift:s0 ~t_mat ~ds ~mu ~eta;
       foster = None;
       definite = false;
+      modal = None;
     }
   in
   { real; deflations }

@@ -151,6 +151,8 @@ let create (m : Circuit.Mna.t) =
   check_structure m pattern;
   make ~mna:m ~nodes:m.Circuit.Mna.n_nodes pattern m.Circuit.Mna.g m.Circuit.Mna.c
 
+let built_from t m = match t.mna with Some m' -> m' == m | None -> false
+
 (* ------------------------------------------------------------------ *)
 (* real factorisations, memoized by shift                              *)
 

@@ -42,6 +42,10 @@ val create : Circuit.Mna.t -> t
     symbolic phase, and the per-port sparse patterns of the permuted
     [B]. *)
 
+val built_from : t -> Circuit.Mna.t -> bool
+(** [built_from t m] — [t] is the context {!create} built from this
+    very [m] (physical equality; [false] for {!of_matrices}). *)
+
 val of_matrices : ?nodes:int -> Sparse.Csr.t -> Sparse.Csr.t -> t
 (** Context over a raw symmetric pair [(G, C)] — the transient
     engine's stamped system, say — without the MNA-level structural

@@ -24,40 +24,35 @@ let physical_pole variable shift lambda =
   | Circuit.Mna.S -> shifted
   | Circuit.Mna.S_squared -> Linalg.Cx.sqrt shifted
 
-(* definite case: T = QΛQᵀ, Δ = I, everything real *)
-let of_definite (m : Model.t) =
-  let { Linalg.Eig_sym.values; vectors } = Linalg.Eig_sym.decompose m.Model.t_mat in
+(* definite case: the realisation's modal form, Z = Σ WₖᵀWₖ/(1 + σλₖ),
+   everything real *)
+let of_modal (m : Model.t) { Realisation.lambda; w } =
   let p = m.Model.p in
-  let lam_scale =
-    Array.fold_left (fun acc l -> Float.max acc (Float.abs l)) 1e-300 values
-  in
+  let lam_scale = Array.fold_left (fun acc l -> Float.max acc (Float.abs l)) 1e-300 lambda in
   let direct = Linalg.Cmat.create p p in
   let terms = ref [] in
-  for k = 0 to m.Model.order - 1 do
-    let w =
-      (* w = ρᵀ q_k, with Δ = I *)
-      Linalg.Mat.mul_trans_vec m.Model.rho (Linalg.Mat.col vectors k)
-    in
-    let wc = Array.map Linalg.Cx.re w in
-    if Float.abs values.(k) <= 1e-13 *. lam_scale then
-      (* λ ≈ 0: constant contribution w wᵀ *)
-      for i = 0 to p - 1 do
-        for jj = 0 to p - 1 do
-          Linalg.Cmat.add_to direct i jj (Linalg.Cx.re (w.(i) *. w.(jj)))
+  Array.iteri
+    (fun k l ->
+      let wk = Linalg.Mat.row w k in
+      if Float.abs l <= 1e-13 *. lam_scale then
+        (* λ ≈ 0: constant contribution WₖᵀWₖ *)
+        for i = 0 to p - 1 do
+          for jj = 0 to p - 1 do
+            Linalg.Cmat.add_to direct i jj (Linalg.Cx.re (wk.(i) *. wk.(jj)))
+          done
         done
-      done
-    else begin
-      let lambda = Linalg.Cx.re values.(k) in
-      terms :=
-        {
-          lambda;
-          pole = physical_pole m.Model.variable m.Model.shift lambda;
-          residue_l = wc;
-          residue_r = wc;
-        }
-        :: !terms
-    end
-  done;
+      else begin
+        let lambda = Linalg.Cx.re l and wc = Array.map Linalg.Cx.re wk in
+        terms :=
+          {
+            lambda;
+            pole = physical_pole m.Model.variable m.Model.shift lambda;
+            residue_l = wc;
+            residue_r = wc;
+          }
+          :: !terms
+      end)
+    lambda;
   (List.rev !terms, direct)
 
 (* indefinite case: complex eigenvalues of T via QR, eigenvectors via
@@ -150,7 +145,11 @@ let of_indefinite (m : Model.t) =
   (List.rev !terms, direct)
 
 let of_model (m : Model.t) =
-  let terms, direct = if m.Model.definite then of_definite m else of_indefinite m in
+  let terms, direct =
+    match m.Model.real.Realisation.modal with
+    | Some md -> of_modal m md
+    | None -> of_indefinite m
+  in
   {
     terms;
     direct;

@@ -34,8 +34,9 @@ exception Defective
     or pathologically clustered spectrum). *)
 
 val of_model : Model.t -> t
-(** Diagonalise: symmetric eigensolver in the definite case; complex
-    eigenvalues + inverse iteration in the indefinite case. *)
+(** Diagonalise. The definite case reads the terms off the model's
+    {!Realisation.modal} form (no second decomposition); the
+    indefinite case takes complex eigenvalues + inverse iteration. *)
 
 val eval : t -> Complex.t -> Linalg.Cmat.t
 (** Evaluate at physical [s]. *)

@@ -14,6 +14,13 @@
     time; {!eval}, {!poles}, {!moments} and the certification pass all
     read it. *)
 
+type modal = {
+  lambda : float array;  (** [λₖ], ascending. *)
+  w : Linalg.Mat.t;  (** [nx×p] residues: row [k] is [Wₖ]. *)
+}
+(** The pole–residue form of a definite symmetric realisation:
+    [Z(σ) = gain·Σₖ WₖᵀWₖ / (1 + σλₖ)] with [σ = var − origin]. *)
+
 type t = {
   a0 : Linalg.Mat.t;  (** nx×nx. *)
   a1 : Linalg.Mat.t;  (** nx×nx. *)
@@ -37,6 +44,12 @@ type t = {
       (** The construction promised a definite symmetric form
           (SyMPVL's [J = I] unshifted path, BT): an indefinite one is
           then a violated theorem, not merely an absent certificate. *)
+  modal : modal option;
+      (** {!modal_form} of the symmetric triple, built once at reduce
+          time: SyMPVL's [J = I] path at any shift (from
+          [(Δ, ΔT, Δρ)] about [s₀]) and BT (from [(Â, I, B̂)]).
+          [None] for every other realisation. Immutable after the
+          build, so models are shared across domains as they are. *)
 }
 
 val order : t -> int
@@ -52,6 +65,14 @@ val fold : origin:float -> Linalg.Mat.t -> Linalg.Mat.t -> Linalg.Mat.t
 (** [fold ~origin k a1] is [k − origin·a1] ([k] itself at origin 0):
     moves the expansion point into the constant coefficient. *)
 
+val modal_form :
+  k0:Linalg.Mat.t -> k1:Linalg.Mat.t -> w:Linalg.Mat.t -> modal option
+(** [modal_form ~k0 ~k1 ~w] diagonalises [wᵀ(k0 + σ·k1)⁻¹w] for a
+    symmetric [k0 ≻ 0] and symmetric [k1]: Cholesky [k0 = LLᵀ],
+    [L⁻¹k1L⁻ᵀ = QΛQᵀ] by {!Linalg.Eig_sym.decompose}, [W = QᵀL⁻¹w].
+    One [O(nx³)] decomposition. [None] when the Cholesky factor breaks
+    down. *)
+
 val congruence :
   ?definite:bool ->
   shift:float ->
@@ -63,13 +84,17 @@ val congruence :
   t
 (** [congruence ~shift ~variable ~gain g c b] is the realisation
     [bᵀ(g + var·c)⁻¹b] of a congruence projection, symmetric form
-    [(g, c, b)] when both are symmetric (always when [definite]). *)
+    [(g, c, b)] when both are symmetric (always when [definite]), and
+    [modal = modal_form ~k0:g ~k1:c ~w:b] when [definite]. *)
 
 val eval : t -> Complex.t -> Linalg.Cmat.t
 (** [Ẑ(s)] at a physical complex frequency, a [p×p] matrix ([1×1] for
-    AWE): one dense complex LU of [a0 + σ·a1], or AWE's pole–residue
-    sum.
-    @raise Linalg.Cmat.Singular at a pole. *)
+    AWE). With a {!modal} form: [O(nx·p²)], one complex reciprocal per
+    term and the upper triangle of [Σ wᵢwⱼ·cₖ] mirrored, so [Ẑ] is
+    exactly symmetric. AWE: its scalar pole–residue sum. Otherwise one
+    dense complex LU of [a0 + σ·a1], [O(nx³)].
+    @raise Linalg.Cmat.Singular at a pole: a zero LU pivot, or an
+    exactly zero [1 + σλₖ] (raised with [k]). *)
 
 val core : t -> Linalg.Hamiltonian.pencil
 (** [c·(g0 + var·a1)⁻¹·b] with [g0 = fold ~origin a0 a1]: the pencil
@@ -85,10 +110,11 @@ val phys_pencil : t -> Linalg.Hamiltonian.pencil
     post-scaling. *)
 
 val poles : t -> Complex.t array
-(** Finite physical poles: the finite generalized eigenvalues of
-    {!core} (pre-scaled by {!freq_scale}, eigenvalues beyond [1e8]
-    scaled units dropped as poles at infinity), each
-    [σ] mapped to [±√σ] for the [s²] variable. *)
+(** Finite physical poles: [origin − 1/λₖ] of the {!modal} form
+    (ascending [λₖ]), else the finite generalized eigenvalues of
+    {!core} (pre-scaled by {!freq_scale}). Either way poles beyond
+    [1e8] scaled units are dropped as poles at infinity, and each pole
+    in [var] is mapped to [±√var] for the [s²] variable. *)
 
 val moments : t -> int -> Linalg.Mat.t array
 (** First [q] moments about [shift]:
@@ -96,5 +122,7 @@ val moments : t -> int -> Linalg.Mat.t array
 
 val truncate : t -> int -> t
 (** Leading [k×k] blocks (and the matching rows/columns of [b], [c]
-    and the symmetric form). Sound where the engine's basis is nested,
-    e.g. at SyMPVL cluster boundaries; not for AWE. *)
+    and the symmetric form), [modal = None]: the cheap form for a
+    check that needs only {!phys_pencil}. Sound where the engine's
+    basis is nested, e.g. at SyMPVL cluster boundaries; not for AWE.
+    {!Model.truncate} rebuilds the modal form. *)

@@ -14,9 +14,11 @@ type workspace = Sympvl.Pencil.t
 let workspace (m : Circuit.Mna.t) =
   Obs.with_span "ac.symbolic" @@ fun () -> Sympvl.Pencil.create m
 
-(* [ws] was built from the same MNA system: the pencil context holds
-   its variable and gain *)
-let z_at_ws (_ : Circuit.Mna.t) ws s =
+(* the pencil context holds the variable and gain, so [m] only names
+   the system [ws] must have been built from *)
+let z_at_ws (m : Circuit.Mna.t) ws s =
+  if not (Sympvl.Pencil.built_from ws m) then
+    invalid_arg "Ac.z_at_ws: the workspace was not built from this MNA system";
   (* per-frequency span on the calling domain's track: worker domains
      of the pool each record into their own buffer, merged at the
      join, so tracing cannot perturb the pooled sweep *)

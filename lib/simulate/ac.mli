@@ -40,7 +40,9 @@ val z_at_ws : Circuit.Mna.t -> workspace -> Complex.t -> Linalg.Cmat.t
     [ac.point] span (the [ac.solve] span nested in it times
     {!Sympvl.Pencil.transfer}) and counted in [ac.points]. Raises
     {!Sympvl.Factor.Singular} (original row) when the unpivoted factor
-    of [G + sC] breaks down at [s]. *)
+    of [G + sC] breaks down at [s].
+    @raise Invalid_argument unless [ws] is {!workspace} of this very
+    [m] ({!Sympvl.Pencil.built_from}). *)
 
 val z_at : Circuit.Mna.t -> Complex.t -> Linalg.Cmat.t
 (** [z_at m s] evaluates the exact [Z(s)] at one physical complex

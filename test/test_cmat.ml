@@ -13,7 +13,11 @@
       entries of equal modulus (pivot ties: the first maximum wins)
       and rank-deficient inputs.
    2. The SyMPVL eval formula recomposed from the oracle kernels
-      agrees with [Rom.eval] on every example netlist. *)
+      agrees with the dense LU arm of [Realisation.eval] (the
+      realisation with [modal = None]) bit for bit on every example
+      netlist, and with the pole–residue arm that [Rom.eval] takes on
+      the J = I path to 1e-12 relative (1e-10 on the LC tank, and
+      16ε·s₀/|var| where a shifted model is evaluated far below s₀). *)
 
 open Linalg
 module Rom = Sympvl.Rom
@@ -155,11 +159,30 @@ let test_model_eval_bitwise () =
           let s = Cx.im (2.0 *. Float.pi *. f) in
           List.iter
             (fun (label, m) ->
-              let got = Rom.eval (Rom.Sympvl_model m) s in
+              let r = m.Model.real and want = oracle_eval m s in
+              let got = Sympvl.Realisation.eval { r with Sympvl.Realisation.modal = None } s in
               Alcotest.(check bool)
                 (Printf.sprintf "%s%s at %.0e Hz" base label f)
                 true
-                (cmat_bits_equal got (oracle_eval m s)))
+                (cmat_bits_equal got want);
+              if r.Sympvl.Realisation.modal <> None then begin
+                (* a shifted expansion (rl_ladder, s₀ = 1e10) evaluated
+                   at |var| ≪ s₀ carries a condition of ~s₀/|var|: one ulp
+                   of T moves Z by ε·s₀/|var| there, on both arms *)
+                let var = if m.Model.variable = Circuit.Mna.S then Cx.abs s else Cx.abs s ** 2.0 in
+                let cond = Float.max 1.0 (Float.abs m.Model.shift /. var) in
+                let rtol =
+                  Float.max (16.0 *. epsilon_float *. cond)
+                    (if base = "lc_tank" then 1e-10 else 1e-12)
+                in
+                let err =
+                  Cmat.dist_max (Rom.eval (Rom.Sympvl_model m) s) want
+                  /. Float.max (Cmat.max_abs want) 1e-300
+                in
+                if err > rtol then
+                  Alcotest.failf "%s%s at %.0e Hz: modal arm %.2e from the oracle" base label f
+                    err
+              end)
             [ ("", m); (" truncated", truncated) ])
         [ 1e3; 1e6; 1e8; 1e9; 1e10 ])
     [ "rc_line"; "lc_tank"; "rl_ladder"; "coupled_lines"; "peec_coupled" ]

@@ -18,7 +18,10 @@
    5. Bitwise eval fixture: Rom.eval on every example × engine (plus a
       generated all-caps RC net for BT) at 16 log-spaced frequencies
       reproduces golden/rom_eval.bits — "%h" hex floats written before
-      the engines moved to one realisation — bit for bit. *)
+      the engines moved to one realisation — bit for bit. The rows of
+      the modal realisations (SyMPVL J = I, BT) were re-pinned when
+      their eval moved to the pole–residue sum (largest relative move
+      1.7e-13, rl_ladder's shifted expansion at 1 MHz; 2.3e-15 elsewhere). *)
 
 module Rom = Sympvl.Rom
 module Pencil = Sympvl.Pencil

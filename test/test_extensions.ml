@@ -1,6 +1,5 @@
 (* Tests for the extension layer: MPVL (two-sided Lanczos), voltage
-   sources, Cauer synthesis, network-parameter conversions, adaptive
-   order selection. *)
+   sources, network-parameter conversions, adaptive order selection. *)
 
 module Model = Sympvl.Model
 module Reduce = Sympvl.Reduce
@@ -151,53 +150,6 @@ let test_vsource_rejected_by_mor () =
      with Circuit.Diagnostic.User_error _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Cauer synthesis                                                    *)
-
-let scalar_model order =
-  let nl = terminated_bus 3 8 in
-  let m = Circuit.Mna.assemble_rc nl in
-  Reduce.scalar ~order ~port:0 m
-
-let test_cauer_matches_model () =
-  let model = scalar_model 6 in
-  let nl, _ = Synth.Cauer.synthesize model in
-  let mna = Circuit.Mna.assemble_rc nl in
-  List.iter
-    (fun f ->
-      let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-      let z_model = Linalg.Cmat.get (Sympvl.Realisation.eval model.Model.real s) 0 0 in
-      let z_circ = Linalg.Cmat.get (Simulate.Ac.z_at mna s) 0 0 in
-      checkf (Printf.sprintf "cauer at %g" f) ~tol:1e-4 0.0
-        (Linalg.Cx.abs Linalg.Cx.(z_model -: z_circ) /. Linalg.Cx.abs z_model))
-    [ 1e5; 1e7; 1e9; 1e10 ]
-
-let test_cauer_is_ladder () =
-  let model = scalar_model 5 in
-  let nl, st = Synth.Cauer.synthesize model in
-  (* ladder structure: every capacitor is grounded *)
-  List.iter
-    (fun e ->
-      match e with
-      | Circuit.Netlist.Capacitor { n2; _ } ->
-        Alcotest.(check int) "shunt capacitor" 0 n2
-      | _ -> ())
-    (Circuit.Netlist.elements nl);
-  Alcotest.(check bool) "has sections" true
-    (st.Synth.Cauer.capacitors >= 4 && st.Synth.Cauer.resistors >= 4)
-
-let test_cauer_agrees_with_foster () =
-  let model = scalar_model 5 in
-  let nlc, _ = Synth.Cauer.synthesize model in
-  let nlf, _ = Synth.Foster.synthesize model in
-  let mc = Circuit.Mna.assemble_rc nlc in
-  let mf = Circuit.Mna.assemble_rc nlf in
-  let s = Linalg.Cx.im (2.0 *. Float.pi *. 1e8) in
-  let zc = Linalg.Cmat.get (Simulate.Ac.z_at mc s) 0 0 in
-  let zf = Linalg.Cmat.get (Simulate.Ac.z_at mf s) 0 0 in
-  checkf "two canonical forms agree" ~tol:1e-5 0.0
-    (Linalg.Cx.abs Linalg.Cx.(zc -: zf) /. Linalg.Cx.abs zf)
-
-(* ------------------------------------------------------------------ *)
 (* Network parameters                                                 *)
 
 let test_netparams_roundtrip () =
@@ -269,12 +221,6 @@ let () =
           Alcotest.test_case "rc charge" `Quick test_vsource_rc_charge;
           Alcotest.test_case "parser" `Quick test_vsource_parser;
           Alcotest.test_case "rejected by MOR" `Quick test_vsource_rejected_by_mor;
-        ] );
-      ( "cauer",
-        [
-          Alcotest.test_case "matches model" `Quick test_cauer_matches_model;
-          Alcotest.test_case "ladder structure" `Quick test_cauer_is_ladder;
-          Alcotest.test_case "agrees with foster" `Quick test_cauer_agrees_with_foster;
         ] );
       ( "netparams",
         [

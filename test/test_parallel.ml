@@ -134,6 +134,38 @@ let test_sweep_bitwise_generator () =
         (sweeps_bitwise_equal seq (Simulate.Ac.sweep ~jobs mna freqs)))
     [ 2; 4 ]
 
+(* the grid_rc shape, scaled down (32×32 RC grid, 16 ports, SyMPVL 64):
+   the modal pole–residue eval of one shared model, pooled over
+   frequencies, is bitwise the sequential one at jobs 1 and 2, also
+   with the race and fp sanitizers on (and they find nothing) *)
+let test_modal_eval_bitwise () =
+  let mna = Circuit.Mna.auto (Circuit.Generators.rc_grid ~pitch_pads:4 ~rows:32 ~cols:32 ()) in
+  let model = Sympvl.Rom.reduce ~order:64 `Sympvl mna in
+  let r = Sympvl.Rom.realisation model in
+  let p = Sympvl.Realisation.ports r in
+  Alcotest.(check bool) "16 ports, modal form" true (p = 16 && r.Sympvl.Realisation.modal <> None);
+  let freqs = Simulate.Ac.log_freqs ~points:32 1e6 1e10 in
+  let point k = Sympvl.Rom.eval model (Linalg.Cx.im (2.0 *. Float.pi *. freqs.(k))) in
+  let seq = Array.init (Array.length freqs) point in
+  let pooled jobs =
+    Parallel.Pool.with_pool ~jobs (fun pool ->
+        Parallel.Pool.parallel_map pool (Array.length freqs) point)
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "modal eval bitwise at jobs=%d" jobs)
+        true
+        (Array.for_all2 (bits_equal_cmat p) seq (pooled jobs)))
+    [ 1; 2 ];
+  let race = San.race () and fp = San.fp () in
+  San.set ~race:true ~fp:true ();
+  San.clear_findings ();
+  let checked = Fun.protect ~finally:(fun () -> San.set ~race ~fp ()) (fun () -> pooled 2) in
+  Alcotest.(check bool) "SYMOR_SAN=race,fp = plain" true
+    (Array.for_all2 (bits_equal_cmat p) seq checked);
+  Alcotest.(check int) "no fp findings" 0 (List.length (San.findings ()))
+
 (* ------------------------------------------------------------------ *)
 (* symbolic-reuse regression: a reused workspace gives the same Z      *)
 
@@ -269,6 +301,7 @@ let () =
         [
           Alcotest.test_case "shipped examples bitwise" `Quick test_sweep_bitwise_examples;
           Alcotest.test_case "rc bus bitwise" `Quick test_sweep_bitwise_generator;
+          Alcotest.test_case "modal eval bitwise" `Quick test_modal_eval_bitwise;
         ] );
       ( "workspace",
         [

@@ -204,6 +204,19 @@ let test_fp_supernodal_nan_detected () =
   Alcotest.(check bool) "NaN input surfaces as SAN101" true
     (List.mem "SAN101" (codes ()))
 
+(* a non-finite entry of the symmetric triple reaches the modal build
+   (λ, W) and the pole–residue eval, and both probes record it *)
+let test_fp_modal_nan_detected () =
+  with_san ~fp:true @@ fun () ->
+  let k0 = Linalg.Mat.identity 2 and w = Linalg.Mat.of_arrays [| [| 1.0 |]; [| Float.nan |] |] in
+  let r =
+    Sympvl.Realisation.congruence ~definite:true ~shift:0.0 ~variable:Circuit.Mna.S
+      ~gain:Circuit.Mna.Unit k0 (Linalg.Mat.diag [| 1.0; 2.0 |]) w
+  in
+  Alcotest.(check (list string)) "the build records W" [ "SAN101" ] (codes ());
+  ignore (Sympvl.Realisation.eval r (Linalg.Cx.im 1.0));
+  Alcotest.(check (list string)) "the eval records Z" [ "SAN101"; "SAN101"; "SAN101" ] (codes ())
+
 let test_fp_supernodal_solve_clean () =
   (* the production path on a well-conditioned pencil: factor + solve,
      real and split-complex, must record nothing — the supernodal
@@ -345,6 +358,7 @@ let () =
           Alcotest.test_case "growth threshold" `Quick test_fp_growth_threshold;
           Alcotest.test_case "skyline NaN" `Quick test_fp_skyline_nan_detected;
           Alcotest.test_case "supernodal NaN" `Quick test_fp_supernodal_nan_detected;
+          Alcotest.test_case "modal NaN" `Quick test_fp_modal_nan_detected;
           Alcotest.test_case "supernodal clean" `Quick test_fp_supernodal_solve_clean;
           Alcotest.test_case "AC sweep clean" `Quick test_fp_ac_sweep_clean;
         ] );

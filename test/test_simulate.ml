@@ -73,6 +73,19 @@ let test_ac_sweep_grid () =
   Alcotest.(check bool) "model matches sweep" true
     (Simulate.Ac.max_rel_error sw zm < 1e-6)
 
+(* a workspace answers only for the MNA system it was built from, even
+   one assembled from the same netlist *)
+let test_ac_workspace_mismatch () =
+  let nl = Circuit.Generators.rc_line ~sections:5 () in
+  let m = Circuit.Mna.assemble_rc nl and other = Circuit.Mna.assemble_rc nl in
+  let ws = Simulate.Ac.workspace m and s = Linalg.Cx.im 1e9 in
+  let z = Simulate.Ac.z_at_ws m ws s in
+  Alcotest.(check bool) "matching pair" true
+    (Linalg.Cmat.dist_max z (z_exact_dense m s) <= 1e-9 *. Linalg.Cmat.max_abs z);
+  Alcotest.check_raises "other MNA system"
+    (Invalid_argument "Ac.z_at_ws: the workspace was not built from this MNA system")
+    (fun () -> ignore (Simulate.Ac.z_at_ws other ws s))
+
 (* ------------------------------------------------------------------ *)
 (* Transient: closed-form checks                                      *)
 
@@ -235,6 +248,7 @@ let () =
           Alcotest.test_case "matches dense rlc" `Quick test_ac_matches_dense_rlc;
           Alcotest.test_case "lc two-port" `Quick test_ac_lc_two_port;
           Alcotest.test_case "sweep grid and model" `Quick test_ac_sweep_grid;
+          Alcotest.test_case "workspace of another system" `Quick test_ac_workspace_mismatch;
         ] );
       ( "transient",
         [

@@ -7,6 +7,8 @@ module Band_lanczos = Sympvl.Band_lanczos
 module Model = Sympvl.Model
 module Reduce = Sympvl.Reduce
 module Moments = Sympvl.Moments
+module Realisation = Sympvl.Realisation
+module Rom = Sympvl.Rom
 
 let checkf msg ~tol expected actual = Alcotest.(check (float tol)) msg expected actual
 
@@ -435,6 +437,143 @@ let test_model_dc_gain () =
     (Linalg.Cmat.get (Sympvl.Realisation.eval model.Model.real Linalg.Cx.zero) 0 0).Complex.re
 
 (* ------------------------------------------------------------------ *)
+(* Modal form: the pole–residue sum against the dense LU arm          *)
+
+let lu_arm (r : Realisation.t) = { r with Realisation.modal = None }
+
+let rel_dist a b = Linalg.Cmat.dist_max a b /. Float.max (Linalg.Cmat.max_abs b) 1e-300
+
+let bits f = Int64.bits_of_float f
+
+let bits_equal a b = Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let cmat_bits_equal (a : Linalg.Cmat.t) (b : Linalg.Cmat.t) =
+  a.rows = b.rows && bits_equal a.re b.re && bits_equal a.im b.im
+
+let mat_bits_equal (a : Linalg.Mat.t) (b : Linalg.Mat.t) = a.rows = b.rows && bits_equal a.a b.a
+
+let bit_symmetric (z : Linalg.Cmat.t) =
+  let p = z.rows in
+  let ok = ref true in
+  for i = 0 to p - 1 do
+    for j = 0 to p - 1 do
+      let ij = (i * p) + j and ji = (j * p) + i in
+      if bits z.re.(ij) <> bits z.re.(ji) || bits z.im.(ij) <> bits z.im.(ji) then ok := false
+    done
+  done;
+  !ok
+
+let modal_freqs = Array.init 17 (fun k -> 10.0 ** (3.0 +. (0.5 *. float_of_int k)))
+
+(* [None] when the realisation agrees with its LU arm (within [rtol],
+   bit-symmetric, same pole count); else what went wrong *)
+let modal_mismatch ~rtol (r : Realisation.t) =
+  if r.Realisation.modal = None then Some "no modal form"
+  else
+    let bad =
+      Array.to_list modal_freqs
+      |> List.find_map (fun f ->
+             let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
+             let z = Realisation.eval r s in
+             let e = rel_dist z (Realisation.eval (lu_arm r) s) in
+             if e > rtol then Some (Printf.sprintf "%.2e relative at %g Hz" e f)
+             else if not (bit_symmetric z) then Some (Printf.sprintf "asymmetric at %g Hz" f)
+             else None)
+    in
+    match bad with
+    | Some _ -> bad
+    | None ->
+      let np = Array.length (Realisation.poles r)
+      and nl = Array.length (Realisation.poles (lu_arm r)) in
+      if np <> nl then Some (Printf.sprintf "%d poles, LU path %d" np nl) else None
+
+let lint_clean nl =
+  List.for_all (fun d -> d.Circuit.Diagnostic.severity = Circuit.Diagnostic.Info) (Analysis.Lint.run nl)
+
+let prop_modal_matches_lu =
+  QCheck.Test.make ~count:25 ~if_assumptions_fail:(`Fatal, 0.5)
+    ~name:"modal eval = LU arm on random RC (s0 = 0, shifted, BT)"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 3))
+    (fun (seed, ports) ->
+      let nl =
+        Circuit.Generators.random_rc ~ports ~nodes:(8 + (seed mod 13)) ~extra_edges:6 ~seed ()
+      in
+      QCheck.assume (lint_clean nl);
+      let m = Circuit.Mna.assemble_rc nl in
+      let order = 6 in
+      (* a mid-band shift: far above every pole (Reduce.auto_shift) the
+         model itself is ill-conditioned — one ulp of T moves Z by ~1e-12
+         there, on both arms alike *)
+      let shifted =
+        { (Reduce.default ~order) with Reduce.shift = Some (Reduce.band_shift m (1e6, 1e10)) }
+      in
+      let cases =
+        [
+          ("sympvl s0 = 0", (Reduce.mna ~order m).Model.real);
+          ("sympvl shifted", (Reduce.mna ~opts:shifted ~order m).Model.real);
+          ("bt", Rom.realisation (Rom.reduce ~order `Bt m));
+        ]
+      in
+      List.for_all
+        (fun (label, r) ->
+          match modal_mismatch ~rtol:1e-12 r with
+          | None -> true
+          | Some why -> QCheck.Test.fail_reportf "%s: %s" label why)
+        cases)
+
+let example_mna base =
+  let path =
+    List.find_opt Sys.file_exists
+      [ "../examples/netlists/" ^ base ^ ".cir"; "examples/netlists/" ^ base ^ ".cir" ]
+    |> Option.value ~default:("../examples/netlists/" ^ base ^ ".cir")
+  in
+  Circuit.Mna.auto (Circuit.Parser.parse_file path)
+
+let test_modal_lc_tank () =
+  let model = Reduce.mna ~order:8 (example_mna "lc_tank") in
+  Alcotest.(check bool) "s² variable" true (model.Model.variable = Circuit.Mna.S_squared);
+  match modal_mismatch ~rtol:1e-10 model.Model.real with
+  | None -> ()
+  | Some why -> Alcotest.failf "lc_tank: %s" why
+
+(* every order is a cluster boundary on the J = I path: truncating is
+   a fresh run of the smaller order, down to the last bit *)
+let test_modal_truncate_bitwise () =
+  let m = Circuit.Mna.assemble_rc (Circuit.Generators.rc_line ~sections:15 ()) in
+  let small = Model.truncate (Reduce.mna ~order:10 m) 4 and fresh = Reduce.mna ~order:4 m in
+  Alcotest.(check bool) "T, Δ, ρ" true
+    (mat_bits_equal small.Model.t_mat fresh.Model.t_mat
+    && mat_bits_equal small.Model.delta fresh.Model.delta
+    && mat_bits_equal small.Model.rho fresh.Model.rho);
+  (match (small.Model.real.Realisation.modal, fresh.Model.real.Realisation.modal) with
+  | Some a, Some b ->
+    Alcotest.(check bool) "modal form" true
+      (bits_equal a.Realisation.lambda b.Realisation.lambda
+      && mat_bits_equal a.Realisation.w b.Realisation.w)
+  | _ -> Alcotest.fail "both realisations carry a modal form");
+  Array.iter
+    (fun f ->
+      let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
+      Alcotest.(check bool)
+        (Printf.sprintf "eval at %g Hz" f)
+        true
+        (cmat_bits_equal (Realisation.eval small.Model.real s) (Realisation.eval fresh.Model.real s)))
+    modal_freqs
+
+(* Z(σ) = Σ WₖᵀWₖ/(1 + σλₖ) with λ = (1/4, 1): σ = −1 zeroes term 1 *)
+let test_modal_singular_term () =
+  let g = Linalg.Mat.diag [| 4.0; 1.0 |] and id = Linalg.Mat.identity 2 in
+  let r =
+    Realisation.congruence ~definite:true ~shift:0.0 ~variable:Circuit.Mna.S
+      ~gain:Circuit.Mna.Unit g id id
+  in
+  (match r.Realisation.modal with
+  | Some md -> Alcotest.(check (array (float 0.0))) "λ" [| 0.25; 1.0 |] md.Realisation.lambda
+  | None -> Alcotest.fail "no modal form");
+  Alcotest.check_raises "1 + σλ = 0" (Linalg.Cmat.Singular 1) (fun () ->
+      ignore (Realisation.eval r (Linalg.Cx.re (-1.0))))
+
+(* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
 
 let prop_rc_stable_passive =
@@ -462,7 +601,8 @@ let prop_moment_matching =
 
 let () =
   let qsuite =
-    List.map (fun t -> Qtest.to_alcotest t) [ prop_rc_stable_passive; prop_moment_matching ]
+    List.map (fun t -> Qtest.to_alcotest t)
+      [ prop_rc_stable_passive; prop_moment_matching; prop_modal_matches_lu ]
   in
   Alcotest.run "sympvl-core"
     [
@@ -510,6 +650,13 @@ let () =
           Alcotest.test_case "truncate" `Quick test_model_truncate;
           Alcotest.test_case "state space" `Quick test_model_state_space;
           Alcotest.test_case "dc gain" `Quick test_model_dc_gain;
+        ] );
+      ( "modal",
+        [
+          Alcotest.test_case "lc_tank against the LU arm" `Quick test_modal_lc_tank;
+          Alcotest.test_case "truncation = fresh run bit for bit" `Quick
+            test_modal_truncate_bitwise;
+          Alcotest.test_case "a zero 1 + σλ is Singular" `Quick test_modal_singular_term;
         ] );
       ("properties", qsuite);
     ]
