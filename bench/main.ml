@@ -1269,7 +1269,7 @@ let pencil_bench () =
 (* certify — certification cost vs the reduction it audits             *)
 
 let certify_bench () =
-  section "Certify: full MOD001-MOD009 pass vs the reduction it audits";
+  section "Certify: full MOD001-MOD010 pass vs the reduction it audits";
   let rows = ref [] in
   let run_one name (mna : Circuit.Mna.t) ~order ~end_to_end =
     let n = mna.Circuit.Mna.n in

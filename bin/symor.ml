@@ -8,9 +8,9 @@
      analyze symbolic structure analysis of the assembled pencil:
              structural rank / Dulmage–Mendelsohn solvability, exact
              fill prediction and ordering recommendation (STR codes)
-     reduce  run SyMPVL, report accuracy/stability, optionally
-             synthesize an equivalent reduced netlist; --check also
-             audits the numerical contracts (see Sympvl.Contract)
+     reduce  run SyMPVL (or another engine), report stability and
+             passivity, optionally certify (MOD001-MOD010) or
+             synthesize an equivalent reduced netlist
      ac      exact AC sweep as CSV
      tran    transient simulation as CSV
      serve   persistent reduction/evaluation daemon (newline-delimited
@@ -326,11 +326,12 @@ let certify_cmd =
     exit code
   in
   let doc =
-    "Certify a reduced model (MOD001-MOD009): pole stability, the structural \
+    "Certify a reduced model (MOD001-MOD010): pole stability, the structural \
      passivity certificate, the Hamiltonian imaginary-axis passivity test \
      (locates violation bands a sampling grid misses), reciprocity, moment \
      matching against the exact pencil, DC exactness, shift-regime and drift \
-     checks. Every engine goes through the same state-space adapter, so \
+     checks, and the backward residual of the factor the model was built \
+     from. Every engine goes through the same state-space adapter, so \
      $(b,--engine all) compares them uniformly. Exit code: 0 clean, 1 \
      warnings only, 2 errors (or warnings under $(b,--strict))."
   in
@@ -339,8 +340,8 @@ let certify_cmd =
       const run $ netlist_arg $ engine_arg $ order_arg $ shift_arg $ band_arg
       $ json_arg $ strict_arg $ quiet_arg $ jobs_arg $ trace_arg $ stats_arg)
 
-(* the band the SyMPVL-only checks sweep: --band, else the default AC
-   sweep band *)
+(* the band the adaptive order search sweeps: --band, else the default
+   AC sweep band *)
 let sweep_band band =
   let d = Ops.default Ops.Ac in
   Option.value band ~default:(d.Ops.flo, d.Ops.fhi)
@@ -357,10 +358,9 @@ let reduce_cmd =
     let doc =
       "Reduction engine: $(b,sympvl) (default), $(b,mpvl), $(b,prima), $(b,sprim), \
        $(b,awe) or $(b,bt). Pass $(b,help) to list the engines with their \
-       guarantees. Every engine reports size/shift, the MOD002/MOD001 \
-       stability and passivity findings and the $(b,--check) accuracy figure; \
-       --adaptive stays SyMPVL-only, --synth works for sympvl (RC, RLC) and \
-       sprim (RLCk)."
+       guarantees. Every engine reports size/shift and the MOD002/MOD001 \
+       stability and passivity findings; --adaptive stays SyMPVL-only, \
+       --synth works for sympvl (RC, RLC) and sprim (RLCk)."
     in
     Arg.(value & opt string default_engine & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
@@ -371,62 +371,6 @@ let reduce_cmd =
   let poles_arg =
     let doc = "Print the reduced-model poles." in
     Arg.(value & flag & info [ "poles" ] ~doc)
-  in
-  let check_arg =
-    let doc =
-      "Audit the run: numerical contracts (G/C symmetry, Lanczos \
-       J-orthogonality, tolerance sanity, factor-solve residual; also enabled \
-       by $(b,SYMOR_CHECK=1)), joined by the MOD002/MOD001 stability and \
-       passivity findings, plus accuracy against exact AC analysis on the \
-       band. Errors among them exit 2."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  (* the SyMPVL arm: the only one with contract findings (NUM001-NUM004,
-     NUM007) and the adaptive order search *)
-  let reduce_sympvl ~ctx ~opts ~order ~adaptive ~contracts mna =
-    match adaptive with
-    | None ->
-      if contracts then Sympvl.Reduce.checked ~ctx ~opts ~order mna
-      else (Sympvl.Reduce.mna ~ctx ~opts ~order mna, [])
-    | Some tol ->
-      let band = sweep_band opts.Sympvl.Reduce.band in
-      let model, dev =
-        Sympvl.Reduce.to_accuracy ~ctx ~opts ~max_order:order ~tol ~band mna
-      in
-      Format.printf "adaptive: converged at order %d (estimate %.2e)@."
-        model.Sympvl.Model.order dev;
-      if contracts then
-        (* replay the converged configuration through the contract
-           checker: same order, shift pinned to the one the adaptive
-           loop settled on. *)
-        let opts = { opts with Sympvl.Reduce.shift = Some model.Sympvl.Model.shift } in
-        Sympvl.Reduce.checked ~ctx ~opts ~order:model.Sympvl.Model.order mna
-      else (model, [])
-  in
-  let print_accuracy ~ctx ~band mna model =
-    let f_lo, f_hi = sweep_band band in
-    let freqs = Simulate.Ac.log_freqs ~points:40 f_lo f_hi in
-    let sw = Simulate.Ac.sweep_ws mna ctx freqs in
-    let zm = Simulate.Ac.model_sweep (Sympvl.Rom.eval model) freqs in
-    (* scalar engines (AWE) model only Z at port 0 of the exact p×p *)
-    let sw =
-      if Sympvl.Rom.ports model = Array.length sw.Simulate.Ac.port_names then sw
-      else
-        {
-          sw with
-          Simulate.Ac.z =
-            Array.map
-              (fun z ->
-                let w = Linalg.Cmat.create 1 1 in
-                Linalg.Cmat.set w 0 0 (Linalg.Cmat.get z 0 0);
-                w)
-              sw.Simulate.Ac.z;
-          port_names = [| sw.Simulate.Ac.port_names.(0) |];
-        }
-    in
-    Format.printf "max relative error on [%g, %g] Hz: %.3e@." f_lo f_hi
-      (Simulate.Ac.max_rel_error sw zm)
   in
   let synthesize ~port_names out model =
     let syn, summary =
@@ -456,8 +400,8 @@ let reduce_cmd =
     close_out oc;
     Format.printf "synthesized: %s -> %s@." summary out
   in
-  let run verbose path order band shift engine synth_out poles check certify strict
-      adaptive jobs trace stats =
+  let run verbose path order band shift engine synth_out poles certify strict adaptive
+      jobs trace stats =
     (if engine = "help" then begin
        List.iter
          (fun e -> Printf.printf "%-8s %s\n" (Sympvl.Rom.name e) (Sympvl.Rom.describe e))
@@ -465,7 +409,7 @@ let reduce_cmd =
        Printf.printf
          "\nEvery claim above is checkable on the model an engine actually \
           produced:\n`symor certify <netlist> --engine <name>` (or `reduce \
-          --certify`) runs the\nMOD001-MOD009 certification pass.\n";
+          --certify`) runs the\nMOD001-MOD010 certification pass.\n";
        exit 0
      end);
    safely ~op:Ops.Reduce @@ fun seen ->
@@ -496,49 +440,39 @@ let reduce_cmd =
          stays a one-liner *)
       Format.printf "%s: skipping %s (unsupported: %s)@." (Sympvl.Rom.name eng) path why
     | Ok () ->
-      (* one context per run: the reduction, the --check sweep and the
-         --certify pass share its symbolic phase and factor cache *)
+      (* one context per run: the reduction and the --certify pass share
+         its symbolic phase and factor cache *)
       let ctx = Sympvl.Pencil.create mna in
-      let contracts = check || Sympvl.Contract.enabled () in
-      let model, contract_diags =
-        if eng = `Sympvl then begin
+      let model =
+        match adaptive with
+        | None -> Ops.model ~ctx r mna
+        | Some tol ->
           let opts = { (Sympvl.Reduce.default ~order) with Sympvl.Reduce.band; shift } in
-          let m, ds = reduce_sympvl ~ctx ~opts ~order ~adaptive ~contracts mna in
-          Format.printf "SyMPVL: N = %d -> n = %d (p = %d)@." mna.Circuit.Mna.n
-            m.Sympvl.Model.order m.Sympvl.Model.p;
-          Format.printf "definite (J = I): %b; shift s0 = %g; deflations = %d@."
-            m.Sympvl.Model.definite m.Sympvl.Model.shift m.Sympvl.Model.deflations;
-          (Sympvl.Rom.Sympvl_model m, ds)
-        end
-        else begin
-          let model = Ops.model ~ctx r mna in
-          Format.printf "%s: N = %d -> n = %d (p = %d); shift s0 = %g@."
-            (Sympvl.Rom.name eng) mna.Circuit.Mna.n (Sympvl.Rom.order model)
-            (Sympvl.Rom.ports model) (Sympvl.Rom.shift model);
-          (model, [])
-        end
+          let m, dev =
+            Sympvl.Reduce.to_accuracy ~ctx ~opts ~max_order:order ~tol ~band:(sweep_band band)
+              mna
+          in
+          Format.printf "adaptive: converged at order %d (estimate %.2e)@." m.Sympvl.Model.order
+            dev;
+          Sympvl.Rom.Sympvl_model m
       in
-      let structural = Sympvl.Certify.structural model mna in
-      print_diagnostics structural;
+      (match model with
+      | Sympvl.Rom.Sympvl_model m ->
+        Format.printf "SyMPVL: N = %d -> n = %d (p = %d)@." mna.Circuit.Mna.n
+          m.Sympvl.Model.order m.Sympvl.Model.p;
+        Format.printf "definite (J = I): %b; shift s0 = %g; deflations = %d@."
+          m.Sympvl.Model.definite m.Sympvl.Model.shift m.Sympvl.Model.deflations
+      | _ ->
+        Format.printf "%s: N = %d -> n = %d (p = %d); shift s0 = %g@." (Sympvl.Rom.name eng)
+          mna.Circuit.Mna.n (Sympvl.Rom.order model) (Sympvl.Rom.ports model)
+          (Sympvl.Rom.shift model));
+      print_diagnostics (Sympvl.Certify.structural model mna);
       if poles then begin
         Format.printf "poles:@.";
         Array.iter
           (fun p -> Format.printf "  %+.6e %+.6ei@." p.Complex.re p.Complex.im)
           (Sympvl.Realisation.poles (Sympvl.Rom.realisation model))
       end;
-      if contracts && eng = `Sympvl then begin
-        Format.printf "contracts:@.";
-        print_diagnostics contract_diags
-      end;
-      if check then print_accuracy ~ctx ~band mna model;
-      (if
-         contracts
-         && Circuit.Diagnostic.count Circuit.Diagnostic.Error (contract_diags @ structural)
-            > 0
-       then begin
-         Format.printf "contract violation(s) detected@.";
-         exit 2
-       end);
       let cert_exit =
         if not certify then 0
         else begin
@@ -555,7 +489,7 @@ let reduce_cmd =
   in
   let certify_arg =
     let doc =
-      "Run the full MOD001-MOD009 certification pass on the reduced model \
+      "Run the full MOD001-MOD010 certification pass on the reduced model \
        (see $(b,symor certify)); findings print under \"certification:\" and \
        escalate the exit code like a standalone certify run."
     in
@@ -576,7 +510,7 @@ let reduce_cmd =
   Cmd.v (Cmd.info "reduce" ~doc)
     Term.(
       const run $ verbose_arg $ netlist_arg $ order_arg $ band_arg $ shift_arg
-      $ engine_arg $ synth_arg $ poles_arg $ check_arg $ certify_arg $ strict_arg
+      $ engine_arg $ synth_arg $ poles_arg $ certify_arg $ strict_arg
       $ adaptive_arg $ jobs_arg $ trace_arg $ stats_arg)
 
 (* `ac` and `sparams`: one exact sweep behind both; [print r sw]

@@ -31,6 +31,10 @@ let rules =
       "reduced model drifts from the exact transfer function beyond the \
        golden gate, or a zero pivot in the exact jω factor of a non-LC \
        pencil skipped drift samples" );
+    ( "MOD010",
+      D.Warning,
+      "backward residual of the real factor the model was built from above \
+       tolerance" );
   ]
 
 let find code = List.find_opt (fun (c, _, _) -> c = code) rules

@@ -34,7 +34,9 @@
       warning when the user forced a shift although the SPD certified
       path was available
     - [MOD009] warning — model drifts from the exact transfer function
-      beyond the golden gate on the sampled band *)
+      beyond the golden gate on the sampled band
+    - [MOD010] warning — backward residual [‖K(s₀)x − b‖] of the real
+      factor the model was built from above [1e-7] relative *)
 
 val rules : (string * Circuit.Diagnostic.severity * string) list
 (** Rule table: code, default severity when the rule fires, one-line

@@ -1,9 +1,9 @@
 (** Symbolic structure analysis of the assembled MNA pencil
     ([symor analyze]).
 
-    Where {!Lint} inspects the netlist graph and [Sympvl.Contract]
-    audits numbers after the fact, this pass sits in the middle: it
-    analyses the {e sparsity pattern} of the stamped pencil
+    Where {!Lint} inspects the netlist graph and [Sympvl.Certify]
+    audits the reduced model after the fact, this pass sits in the
+    middle: it analyses the {e sparsity pattern} of the stamped pencil
     [G + sC] — no floating-point values — and certifies solvability
     and factorisation cost before any numerical work:
 

@@ -1,8 +1,9 @@
 (** Severity-graded, machine-readable findings.
 
     One diagnostic type is shared by the whole findings pipeline: the
-    static netlist linter ([Analysis.Lint]), the numerical contract
-    checker ([Sympvl.Contract]) and the [symor] CLI. A diagnostic
+    static netlist linter ([Analysis.Lint]), the structure analysis
+    ([Analysis.Struct_rules]), the reduced-model certification
+    ([Sympvl.Certify]) and the [symor] CLI. A diagnostic
     carries a stable rule [code] (documented in README "Diagnostics &
     linting"), a severity, a human-readable message and, when the
     finding traces back to a netlist card, the 1-based source [line]

@@ -461,4 +461,45 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
               "%s: every drift sample landed on a singular pencil (lossless \
                resonances) — check skipped"
               engine)));
+  (* -------- MOD010: backward residual of the model's real factor ---- *)
+  (match ctx with
+  | None -> ()
+  | Some ctx -> (
+    (* solve K(s₀)x = b through the factor the reduction used (memoised
+       at the model's shift, as MOD005 read it) and measure
+       ‖K x − b‖∞ against ‖K‖·‖x‖ + ‖b‖ — an end-to-end check of the
+       ordering, the scatter and the numeric factor *)
+    let s0 = r.Realisation.shift and rtol = 1e-7 in
+    match Pencil.factor ctx ~shift:s0 with
+    | fac ->
+      let g = Pencil.g ctx and c = Pencil.c ctx in
+      let b = Array.init (Pencil.n ctx) (fun i -> 1.0 +. float_of_int (i mod 3)) in
+      let x = fac.Factor.solve b in
+      let gx = Sparse.Csr.mul_vec g x and cx = Sparse.Csr.mul_vec c x in
+      let resid =
+        Linalg.Vec.norm_inf (Array.mapi (fun i bi -> gx.(i) +. (s0 *. cx.(i)) -. bi) b)
+      in
+      let entry a = Linalg.Vec.norm_inf a.Sparse.Csr.values in
+      let kscale = entry g +. (Float.abs s0 *. entry c) in
+      let rel =
+        resid /. Float.max ((kscale *. Linalg.Vec.norm_inf x) +. Linalg.Vec.norm_inf b) 1e-300
+      in
+      if rel <= rtol then
+        emit
+          (D.info "MOD010"
+             (Printf.sprintf "%s: factor-solve residual %.3e at s0 = %.3g (tol %.0e)" engine
+                rel s0 rtol))
+      else
+        emit
+          (D.warning "MOD010"
+             (Printf.sprintf
+                "%s: factor-solve residual |K(s0)x - b|/(|K||x| + |b|) = %.3e at s0 = %.3g \
+                 exceeds %.0e — the factor the model was built from is inaccurate \
+                 (ill-conditioned pencil; try another shift)"
+                engine rel s0 rtol))
+    | exception Factor.Singular _ ->
+      emit
+        (D.info "MOD010"
+           (Printf.sprintf
+              "%s: pencil singular at the expansion point — residual probe skipped" engine))));
   { findings = D.sort (List.rev !findings); bands; safe_order }

@@ -40,6 +40,10 @@
       meets a zero pivot is dropped: on the LC form ([σ = s²]) that is
       a resonance (info when every sample is one); on any other pencil
       it is a warning naming the unknown the pivot met.
+    - {b MOD010} factor-solve residual: the backward residual
+      [‖K(s₀)x − b‖∞ / (‖K‖‖x‖ + ‖b‖)] of the real factor the model was
+      built from, read from the shared pencil context at the model's
+      shift (warning above [1e-7]; info when that factor is singular).
 
     Emitted through [symor certify] / [symor reduce --certify] / the
     serve [certify] op (all through [Ops.certify]) with the same
@@ -71,7 +75,7 @@ val structural : Rom.model -> Circuit.Mna.t -> Circuit.Diagnostic.t list
     source pencil). {!run} opens with exactly these two findings. *)
 
 type report = {
-  findings : Circuit.Diagnostic.t list;  (** Sorted, codes MOD001–MOD009. *)
+  findings : Circuit.Diagnostic.t list;  (** Sorted, codes MOD001–MOD010. *)
   bands : Linalg.Hamiltonian.band list;  (** MOD003 violation bands. *)
   safe_order : int option;
       (** Largest passive truncation order found (SyMPVL only), when
@@ -87,10 +91,11 @@ val run :
   report
 (** Full certification of one reduced model against its source pencil.
     [ctx] shares the factor cache with the reduction that produced the
-    model (moment and drift checks then cost only triangular solves;
-    MOD009 is skipped without it). The stability/passivity thresholds
-    are relative [1e-9]; MOD009 samples 4 points of [drift_band] in Hz
-    (default: two decades around the realisation's own scale);
+    model (moment, drift and residual checks then cost only triangular
+    solves; MOD009 and MOD010 are skipped without it). The
+    stability/passivity thresholds are relative [1e-9]; MOD009 samples
+    4 points of [drift_band] in Hz (default: two decades around the
+    realisation's own scale);
     [shift_requested] marks an explicitly user-chosen shift (MOD008
     severity). Obs: [certify.run]/[certify.hamiltonian] spans,
     [certify.violation_band] counter. *)

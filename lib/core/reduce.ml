@@ -52,42 +52,21 @@ let run_with_factor (m : Circuit.Mna.t) opts shift fac =
         m.Circuit.Mna.n p res.Band_lanczos.order
         (List.length res.Band_lanczos.deflations)
         res.Band_lanczos.look_ahead_steps fac.Factor.definite);
-  let model =
-    Model.make ~t_mat:res.Band_lanczos.t_mat ~delta:res.Band_lanczos.delta
-      ~rho:res.Band_lanczos.rho ~shift ~variable:m.Circuit.Mna.variable
-      ~gain:m.Circuit.Mna.gain ~definite:fac.Factor.definite
-      ~deflations:(List.length res.Band_lanczos.deflations)
-      ~look_ahead_steps:res.Band_lanczos.look_ahead_steps
-      ~exhausted:res.Band_lanczos.exhausted
-  in
-  (model, fac, res)
+  Model.make ~t_mat:res.Band_lanczos.t_mat ~delta:res.Band_lanczos.delta
+    ~rho:res.Band_lanczos.rho ~shift ~variable:m.Circuit.Mna.variable
+    ~gain:m.Circuit.Mna.gain ~definite:fac.Factor.definite
+    ~deflations:(List.length res.Band_lanczos.deflations)
+    ~look_ahead_steps:res.Band_lanczos.look_ahead_steps
+    ~exhausted:res.Band_lanczos.exhausted
 
-(* the full pipeline, also exposing the factorisation and the raw
-   Lanczos result so the contract checker can audit them; all pencil
-   work — pre-flight, ordering, factorisation, shift policy — goes
-   through the shared [ctx] (built here unless the caller reuses one) *)
-let mna_internal ?opts ?ctx ~order (m : Circuit.Mna.t) =
+(* all pencil work — pre-flight, ordering, factorisation, shift policy —
+   goes through the shared [ctx] (built here unless the caller reuses
+   one) *)
+let mna ?opts ?ctx ~order (m : Circuit.Mna.t) =
   let opts = match opts with Some o -> o | None -> default ~order in
   Obs.with_span "reduce.mna" @@ fun () ->
   let ctx = match ctx with Some c -> c | None -> Pencil.create m in
-  Pencil.with_auto_shift ?shift:opts.shift ?band:opts.band ctx (fun s0 fac ->
-      let model, fac, res = run_with_factor m opts s0 fac in
-      (model, fac, res, ctx))
-
-let mna ?opts ?ctx ~order (m : Circuit.Mna.t) =
-  let model, _, _, _ = mna_internal ?opts ?ctx ~order m in
-  model
-
-let checked ?opts ?ctx ~order (m : Circuit.Mna.t) =
-  let opts = match opts with Some o -> o | None -> default ~order in
-  let model, fac, res, ctx = mna_internal ~opts ?ctx ~order m in
-  let diags =
-    Circuit.Diagnostic.sort
-      (Contract.check_mna m
-      @ Contract.check_lanczos ~j:fac.Factor.j ~dtol:opts.dtol ~ctol:opts.ctol res)
-    @ Contract.check_pencil ctx ~shift:model.Model.shift
-  in
-  (model, diags)
+  Pencil.with_auto_shift ?shift:opts.shift ?band:opts.band ctx (run_with_factor m opts)
 
 let netlist ?opts ~order nl = mna ?opts ~order (Circuit.Mna.auto nl)
 
@@ -128,7 +107,7 @@ let to_accuracy ?opts ?ctx ?max_order ?(points = 25) ~tol ~band (m : Circuit.Mna
     mna ~opts:o ~ctx ~order m
   in
   Obs.with_span "reduce.adaptive" @@ fun () ->
-  let rec grow order _prev prev_grid =
+  let rec grow order prev_grid =
     let order = min order max_order in
     let model = build order in
     let grid = eval_grid model in
@@ -143,11 +122,10 @@ let to_accuracy ?opts ?ctx ?max_order ?(points = 25) ~tol ~band (m : Circuit.Mna
       if Obs.tracing () then Obs.gauge "reduce.final_order" (float_of_int model.Model.order);
       (model, dev)
     end
-    else grow (order + max (2 * p) (order / 2)) model grid
+    else grow (order + max (2 * p) (order / 2)) grid
   in
   let order0 = max (2 * p) 4 in
-  let model0 = build order0 in
-  grow (order0 + max (2 * p) (order0 / 2)) model0 (eval_grid model0)
+  grow (order0 + max (2 * p) (order0 / 2)) (eval_grid (build order0))
 
 let scalar ?opts ~order ~port (m : Circuit.Mna.t) =
   let b = Linalg.Mat.create m.Circuit.Mna.n 1 in

@@ -52,20 +52,6 @@ val mna : ?opts:options -> ?ctx:Pencil.t -> order:int -> Circuit.Mna.t -> Model.
     the structurally sound pencil is {e numerically} singular even
     after the automatic shift. *)
 
-val checked :
-  ?opts:options ->
-  ?ctx:Pencil.t ->
-  order:int ->
-  Circuit.Mna.t ->
-  Model.t * Circuit.Diagnostic.t list
-(** Like {!mna}, but additionally audits the numerical contracts the
-    algorithm rests on — symmetry of [G]/[C], J-orthogonality of the
-    Lanczos basis, tolerance consistency, and a factor-solve residual
-    probe of the shared pencil context ({!Contract.check_pencil}) — and returns
-    the {!Contract} findings alongside the model (used by
-    [symor reduce --check] and the [SYMOR_CHECK=1] environment
-    contract). *)
-
 val netlist : ?opts:options -> order:int -> Circuit.Netlist.t -> Model.t
 (** [Circuit.Mna.auto] followed by {!mna} — the paper's specialised
     PSD forms are picked automatically for RC/RL/LC circuits. *)

@@ -1,4 +1,4 @@
-(* Static-analysis (lint) and numerical-contract tests.
+(* Static-analysis (lint) tests.
 
    One positive and one negative case per lint rule: the positive is a
    minimal netlist that must trigger the code, the negative a near-miss
@@ -156,51 +156,6 @@ let test_rule_table () =
         (codes pos))
     cases
 
-(* ---- numerical contracts ------------------------------------------ *)
-
-let test_contract_clean_reduction () =
-  let nl = Circuit.Parser.parse_string clean in
-  let mna = Circuit.Mna.auto nl in
-  let model, ds = Sympvl.Reduce.checked ~order:4 mna in
-  (* stability and passivity are Certify's findings, for every engine *)
-  let structural =
-    Sympvl.Certify.structural (Sympvl.Rom.Sympvl_model model) mna
-  in
-  Alcotest.(check bool) "model is stable and certified" true
-    (List.for_all (fun d -> d.D.severity = D.Info) structural);
-  Alcotest.(check int) "no contract errors" 0 (D.count D.Error ds);
-  let have c = List.exists (fun d -> d.D.code = c) ds in
-  List.iter
-    (fun c -> Alcotest.(check bool) (c ^ " reported") true (have c))
-    [ "NUM001"; "NUM002"; "NUM003"; "NUM004"; "NUM007" ];
-  List.iter
-    (fun c -> Alcotest.(check bool) (c ^ " retired") false (have c))
-    [ "NUM005"; "NUM006" ]
-
-let test_contract_symmetry_violation () =
-  let g =
-    let t = Sparse.Triplet.create 2 2 in
-    Sparse.Triplet.add t 0 0 1.0;
-    Sparse.Triplet.add t 0 1 0.5;
-    Sparse.Triplet.add t 1 1 1.0;
-    Sparse.Csr.of_triplet t
-  in
-  let nl = Circuit.Parser.parse_string clean in
-  let mna = { (Circuit.Mna.auto nl) with Circuit.Mna.g; n = 2; n_nodes = 2 } in
-  let ds = Sympvl.Contract.check_mna mna in
-  Alcotest.(check bool) "NUM001 error" true
-    (List.exists (fun d -> d.D.code = "NUM001" && d.D.severity = D.Error) ds)
-
-let test_contract_tolerance_order () =
-  let nl = Circuit.Parser.parse_string clean in
-  let mna = Circuit.Mna.auto nl in
-  let opts =
-    { (Sympvl.Reduce.default ~order:3) with Sympvl.Reduce.dtol = 1e-12; ctol = 1e-6 }
-  in
-  let _, ds = Sympvl.Reduce.checked ~opts ~order:3 mna in
-  Alcotest.(check bool) "NUM004 warns on dtol < ctol" true
-    (List.exists (fun d -> d.D.code = "NUM004" && d.D.severity = D.Warning) ds)
-
 (* ---- property: lint-clean netlists reduce without Singular -------- *)
 
 let prop_lint_clean_reduces =
@@ -231,12 +186,6 @@ let () =
           Alcotest.test_case "rule table" `Quick test_rule_table;
         ]
         @ rule_tests );
-      ( "contract",
-        [
-          Alcotest.test_case "clean reduction" `Quick test_contract_clean_reduction;
-          Alcotest.test_case "symmetry violation" `Quick test_contract_symmetry_violation;
-          Alcotest.test_case "tolerance order" `Quick test_contract_tolerance_order;
-        ] );
       ( "property",
         List.map (fun t -> Qtest.to_alcotest t) [ prop_lint_clean_reduces ] );
     ]

@@ -1,4 +1,4 @@
-(* Certification-pass tests (MOD001–MOD009).
+(* Certification-pass tests (MOD001–MOD010).
 
    1. Narrow-band acceptance: a hand-built near-passive model whose
       only passivity violation is a band ~ω₀/500 wide, placed between
@@ -21,7 +21,10 @@
    5. Registry: the codes Certify emits are exactly the documented
       Analysis.Mod_rules table.
    6. Spans: a traced run puts MOD003, MOD004, MOD005/MOD006 and
-      MOD009 each in its own Obs span. *)
+      MOD009 each in its own Obs span.
+   7. Factor residual (MOD010): info on a clean reduction and on every
+      example × engine, skipped without a shared context, info when the
+      pencil is singular at the model's shift. *)
 
 module Rom = Sympvl.Rom
 module Certify = Sympvl.Certify
@@ -398,8 +401,8 @@ let prop_clean_rc_certifies =
 let test_registry () =
   let codes = List.map (fun (c, _, _) -> c) Analysis.Mod_rules.rules in
   Alcotest.(check (list string))
-    "registry is MOD001..MOD009 in order"
-    (List.init 9 (fun i -> Printf.sprintf "MOD%03d" (i + 1)))
+    "registry is MOD001..MOD010 in order"
+    (List.init 10 (fun i -> Printf.sprintf "MOD%03d" (i + 1)))
     codes;
   (* every code the pass emits is documented *)
   let mna = mna_of "coupled_lines" in
@@ -444,6 +447,62 @@ let test_rule_spans () =
         [ "certify.run"; "certify.hamiltonian"; "certify.reciprocity"; "certify.moments";
           "certify.drift" ])
 
+(* ------------------------------------------------------------------ *)
+(* 7. MOD010: backward residual of the model's factor                  *)
+
+let mod010 rep = List.filter (fun d -> d.D.code = "MOD010") rep.Certify.findings
+
+let test_residual_clean () =
+  let mna =
+    Circuit.Mna.auto
+      (Circuit.Parser.parse_string "R1 1 2 10\nC1 1 0 1p\nR2 2 0 10\nC2 2 0 1p\n.port in 1\n")
+  in
+  let ctx = Sympvl.Pencil.create mna in
+  let model = Rom.reduce ~ctx ~order:4 `Sympvl mna in
+  let rep = Certify.run ~ctx model mna in
+  List.iter
+    (fun d -> if d.D.severity <> D.Info then Alcotest.failf "not clean: %a" D.pp d)
+    rep.Certify.findings;
+  Alcotest.(check int) "one MOD010 finding" 1 (List.length (mod010 rep));
+  Alcotest.(check int) "skipped without a context" 0
+    (List.length (mod010 (Certify.run model mna)))
+
+let test_residual_examples () =
+  List.iter
+    (fun base ->
+      let mna = mna_of base in
+      List.iter
+        (fun eng ->
+          match Rom.supports eng mna with
+          | Error _ -> ()
+          | Ok () -> (
+            let order, band = adapter_opts eng mna in
+            let ctx = Sympvl.Pencil.create mna in
+            let model = Rom.reduce ~ctx ?band ~order eng mna in
+            match mod010 (Certify.run ~ctx ?drift_band:band model mna) with
+            | [ d ] when d.D.severity = D.Info -> ()
+            | ds ->
+              Alcotest.failf "%s/%s: %s" base (Rom.name eng)
+                (String.concat "; " (List.map (Format.asprintf "%a" D.pp) ds))))
+        Rom.all)
+    [ "coupled_lines"; "lc_tank"; "peec_coupled"; "rc_line"; "rl_ladder" ]
+
+(* node 3 hangs on capacitors only, so G is singular at DC: a model
+   expanded at s0 = 0 has no real factor to probe *)
+let test_residual_singular () =
+  let mna =
+    Circuit.Mna.auto
+      (Circuit.Parser.parse_string
+         "R1 1 0 10\nR2 1 2 5\nC1 1 0 1p\nC2 2 0 1p\nC3 3 0 1p\nC4 2 3 1p\n.port in 1\n")
+  in
+  let ctx = Sympvl.Pencil.create mna in
+  match mod010 (Certify.run ~ctx (Rom.Sympvl_model (narrow_band_model ())) mna) with
+  | [ d ] ->
+    Alcotest.(check bool) "info" true (d.D.severity = D.Info);
+    Alcotest.(check string) "skipped"
+      "sympvl: pencil singular at the expansion point — residual probe skipped" d.D.message
+  | ds -> Alcotest.failf "%d MOD010 findings" (List.length ds)
+
 let () =
   Alcotest.run "certify"
     [
@@ -462,4 +521,10 @@ let () =
       ("properties", [ Qtest.to_alcotest prop_clean_rc_certifies ]);
       ("registry", [ Alcotest.test_case "codes documented" `Quick test_registry ]);
       ("spans", [ Alcotest.test_case "one span per rule group" `Quick test_rule_spans ]);
+      ( "residual",
+        [
+          Alcotest.test_case "clean reduction" `Quick test_residual_clean;
+          Alcotest.test_case "every example and engine" `Quick test_residual_examples;
+          Alcotest.test_case "singular at the shift" `Quick test_residual_singular;
+        ] );
     ]

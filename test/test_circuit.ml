@@ -199,12 +199,34 @@ let test_mna_rl_series_general () =
   checkf "Im Z = ωL" ~tol:1e-6 (w *. 1e-6) z.Complex.im
 
 (* Symmetry and PSD structure of the assembled matrices. *)
+(* the symmetric Lanczos recurrence needs G = Gᵀ and C = Cᵀ exactly:
+   Mna stamps both symmetrically, on every shipped example, on K cards
+   (peec_partial) and on the package workload *)
 let test_mna_symmetry () =
   let nl = Circuit.Generators.rlc_line ~sections:6 () in
   let m = Circuit.Mna.assemble nl in
   Alcotest.(check bool) "G symmetric" true (Sparse.Csr.is_symmetric m.Circuit.Mna.g);
   Alcotest.(check bool) "C symmetric" true (Sparse.Csr.is_symmetric m.Circuit.Mna.c);
-  Alcotest.(check bool) "not flagged spd" false m.Circuit.Mna.spd
+  Alcotest.(check bool) "not flagged spd" false m.Circuit.Mna.spd;
+  let dir = List.find Sys.file_exists [ "../examples/netlists"; "examples/netlists" ] in
+  let examples =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f ".cir")
+    |> List.map (fun f -> (f, Circuit.Parser.parse_file (Filename.concat dir f)))
+  in
+  Alcotest.(check bool) "examples found" true (examples <> []);
+  List.iter
+    (fun (what, nl) ->
+      let m = Circuit.Mna.auto nl in
+      Alcotest.(check bool) (what ^ ": G exactly symmetric") true
+        (Sparse.Csr.is_symmetric ~tol:0.0 m.Circuit.Mna.g);
+      Alcotest.(check bool) (what ^ ": C exactly symmetric") true
+        (Sparse.Csr.is_symmetric ~tol:0.0 m.Circuit.Mna.c))
+    (examples
+    @ [
+        ("peec_partial", Circuit.Generators.peec_partial ~conductors:3 ~segments:8 ());
+        ("package_model", Circuit.Generators.package_model ());
+      ])
 
 let test_mna_rc_psd () =
   let nl = Circuit.Generators.coupled_rc_bus ~wires:3 ~sections:4 () in

@@ -36,7 +36,7 @@
        whose point meets a zero pivot does not fail its neighbour;
      - cli: one certify request gives the same findings through
        `symor certify --json`, `symor reduce --certify` and the serve
-       certify op; an unknown `tran` observe name is a one-line user
+       certify op, MOD010 included; an unknown `tran` observe name is a one-line user
        error on the CLI and leaves the daemon's cached netlist intact;
        a zero pivot in an exact jω factor is a one-line user error
        naming the unknown on the CLI and an SRV007 finding in serve;
@@ -843,6 +843,8 @@ let test_certify_parity () =
           let resp = J.parse (request_exn c (certify_request text ~engine:name 8)) in
           let served = List.map render_finding (jlist_exn (J.member "findings" resp)) in
           Alcotest.(check bool) (what ^ ": certify found something") true (cli <> []);
+          Alcotest.(check int) (what ^ ": one MOD010 finding") 1
+            (List.length (List.filter (fun l -> contains l " MOD010: ") cli));
           Alcotest.(check (list string)) (what ^ ": reduce --certify = certify") cli
             (certification_block (lines out));
           Alcotest.(check (list string)) (what ^ ": serve certify = certify") cli served)

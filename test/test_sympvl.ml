@@ -12,6 +12,14 @@ module Rom = Sympvl.Rom
 
 let checkf msg ~tol expected actual = Alcotest.(check (float tol)) msg expected actual
 
+let example_mna base =
+  let path =
+    List.find_opt Sys.file_exists
+      [ "../examples/netlists/" ^ base ^ ".cir"; "examples/netlists/" ^ base ^ ".cir" ]
+    |> Option.value ~default:("../examples/netlists/" ^ base ^ ".cir")
+  in
+  Circuit.Mna.auto (Circuit.Parser.parse_file path)
+
 (* dense reference evaluation of Z(s) = gain · Bᵀ(G + var·C)⁻¹B *)
 let z_exact (m : Circuit.Mna.t) s =
   let var =
@@ -165,7 +173,33 @@ let test_lanczos_indefinite_j () =
   let jm = Linalg.Mat.init n n (fun i k -> if i = k then j.(i) else 0.0) in
   let vjv = Linalg.Mat.congruence v jm in
   (* off-block entries of VᵀJV must vanish; block entries equal Δ *)
-  checkf "VᵀJV = Δ" ~tol:1e-7 0.0 (Linalg.Mat.dist_max vjv res.Band_lanczos.delta)
+  checkf "VᵀJV = Δ" ~tol:1e-7 0.0 (Linalg.Mat.dist_max vjv res.Band_lanczos.delta);
+  (* the SyMPVL operator J⁻¹M⁻¹CM⁻ᵀ of coupled_lines (general form,
+     indefinite J), built on the pencil's factor as Reduce does: the
+     largest drift among the shipped examples at order 8 *)
+  let m = example_mna "coupled_lines" in
+  let o = Reduce.default ~order:8 in
+  Pencil.with_auto_shift (Pencil.create m) (fun _ fac ->
+      let j = fac.Factor.j and n = m.Circuit.Mna.n in
+      Alcotest.(check bool) "coupled_lines: J indefinite" true (Array.exists (fun x -> x < 0.0) j);
+      let jmul v = Array.mapi (fun i x -> j.(i) *. x) v in
+      let op v =
+        jmul (fac.Factor.apply_m_inv (Sparse.Csr.mul_vec m.Circuit.Mna.c (fac.Factor.apply_mt_inv v)))
+      in
+      let b = m.Circuit.Mna.b in
+      let start = Linalg.Mat.create n b.Linalg.Mat.cols in
+      for k = 0 to b.Linalg.Mat.cols - 1 do
+        Linalg.Mat.set_col start k (jmul (fac.Factor.apply_m_inv (Linalg.Mat.col b k)))
+      done;
+      let res =
+        Band_lanczos.run ~dtol:o.Reduce.dtol ~ctol:o.Reduce.ctol ~full_ortho:o.Reduce.full_ortho
+          ~n_max:o.Reduce.order ~op ~j ~start ()
+      in
+      let jm = Linalg.Mat.diag (Linalg.Vec.init n (fun i -> j.(i))) in
+      let vjv = Linalg.Mat.congruence res.Band_lanczos.vectors jm in
+      let delta = res.Band_lanczos.delta in
+      let drift = Linalg.Mat.dist_max vjv delta /. Linalg.Mat.max_abs delta in
+      if drift > 1e-6 then Alcotest.failf "coupled_lines: ‖VᵀJV − Δ‖/‖Δ‖ = %.3e > 1e-6" drift)
 
 (* the look-ahead (cluster) machinery: engineer an exact J-breakdown
    (v₁ᵀJv₁ = 0) and verify the process recovers with a 2×2 cluster
@@ -520,14 +554,6 @@ let prop_modal_matches_lu =
           | None -> true
           | Some why -> QCheck.Test.fail_reportf "%s: %s" label why)
         cases)
-
-let example_mna base =
-  let path =
-    List.find_opt Sys.file_exists
-      [ "../examples/netlists/" ^ base ^ ".cir"; "examples/netlists/" ^ base ^ ".cir" ]
-    |> Option.value ~default:("../examples/netlists/" ^ base ^ ".cir")
-  in
-  Circuit.Mna.auto (Circuit.Parser.parse_file path)
 
 let test_modal_lc_tank () =
   let model = Reduce.mna ~order:8 (example_mna "lc_tank") in
