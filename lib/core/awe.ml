@@ -50,9 +50,8 @@ let modal ~shift ~gain poles residues =
     variable = Circuit.Mna.S;
     gain;
     sym = None;
-    foster = Some (poles, residues);
     definite = false;
-    modal = None;
+    form = Realisation.Foster (poles, residues);
   }
 
 let build ?ctx ?(shift = 0.0) ~order ~port (m : Circuit.Mna.t) =

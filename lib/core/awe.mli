@@ -12,7 +12,7 @@
 type t = {
   real : Realisation.t;
       (** The pole/residue form [Σ rₖ/(σ − pₖ)], [σ = s − s₀]: poles
-          and residues in [foster] (what {!Realisation.eval} sums), with
+          and residues in its {!Realisation.Foster} form (what {!Realisation.eval} sums), with
           its modal realisation — a 1×1 block per real pole, a 2×2
           rotation block per conjugate pair — for the certification
           pass. *)

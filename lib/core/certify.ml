@@ -46,8 +46,8 @@ let foster_certificate ~tol poles residues =
 
 let structural_certificate ?(tol = 1e-9) ?definite (r : Realisation.t) =
   let definite = match definite with Some d -> d | None -> r.Realisation.definite in
-  match (r.Realisation.foster, r.Realisation.sym) with
-  | Some (poles, residues), _ -> (
+  match (r.Realisation.form, r.Realisation.sym) with
+  | Realisation.Foster (poles, residues), _ -> (
     let poles = Array.map (fun p -> Cx.(p +: re r.Realisation.origin)) poles in
     match foster_certificate ~tol:(Float.max tol 1e-6) poles residues with
     | Violated (why, _) when not definite ->
@@ -56,11 +56,11 @@ let structural_certificate ?(tol = 1e-9) ?definite (r : Realisation.t) =
          promised passivity — MOD003 is the authority then *)
       No_certificate (why ^ " — no structural argument applies")
     | c -> c)
-  | None, None ->
+  | _, None ->
     No_certificate
       "no symmetric-form recovery for this realisation (two-sided recurrence \
        lost the congruence structure)"
-  | None, Some (h0, h1, _) ->
+  | _, Some (h0, h1, _) ->
     if r.Realisation.variable = Circuit.Mna.S_squared && r.Realisation.gain = Circuit.Mna.Unit
     then
       No_certificate
@@ -229,16 +229,25 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
       bs);
   (* suggested safe order: walk the SyMPVL truncation down until the
      band test comes back clean (every order is a cluster boundary on
-     the J = I path). The band test reads only the pencil, so the
-     realisation is truncated without rebuilding its modal form *)
+     the J = I path). The band test reads only the pencil, so it takes
+     the leading k×k blocks of the core (fold is entrywise, so they are
+     the core of the truncated model) with no evaluation form built *)
   let safe_order =
     match (model, bands) with
     | Rom.Sympvl_model m, _ :: _ ->
+      let core = Realisation.core m.Model.real in
       let rec search k attempts =
         if k < 1 || attempts <= 0 then None
         else begin
-          let rt = Realisation.truncate m.Model.real k in
-          match H.violation_bands ~tol (Realisation.phys_pencil rt) with
+          let lead =
+            {
+              H.a0 = Mat.submatrix core.H.a0 0 0 k k;
+              a1 = Mat.submatrix core.H.a1 0 0 k k;
+              b = Mat.submatrix core.H.b 0 0 k core.H.b.Mat.cols;
+              c = Mat.submatrix core.H.c 0 0 core.H.c.Mat.rows k;
+            }
+          in
+          match H.violation_bands ~tol (Realisation.augment r lead) with
           | [] -> Some k
           | _ -> search (k - 1) (attempts - 1)
         end
@@ -262,14 +271,15 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
      let worst = ref 0.0 in
      List.iter
        (fun mult ->
-         match H.herm_min_eig phys (mult *. wsc) with
-         | None -> ()
-         | Some _ ->
-           let z = H.eval phys (Cx.im (mult *. wsc)) in
-           let res =
-             Cmat.dist_max z (Cmat.transpose z) /. Float.max (Cmat.max_abs z) 1e-300
-           in
-           worst := Float.max !worst res)
+         (* a sample on a pole, or one whose Z is not finite, is skipped *)
+         match Realisation.eval r (Cx.im (mult *. wsc)) with
+         | exception Cmat.Singular _ -> ()
+         | z ->
+           let scale = Cmat.max_abs z in
+           if Float.is_finite scale then
+             worst :=
+               Float.max !worst
+                 (Cmat.dist_max z (Cmat.transpose z) /. Float.max scale 1e-300))
        [ 0.01; 0.1; 1.0; 10.0; 100.0 ];
      if !worst > 1e-6 then
        emit
@@ -418,7 +428,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
         | Error _ -> ()
         | Ok exact ->
           incr used;
-          let got = H.eval phys (Cx.im (w_of i)) in
+          let got = Realisation.eval r (Cx.im (w_of i)) in
           let want =
             if scalar then Cmat.init 1 1 (fun _ _ -> Cmat.get exact 0 0) else exact
           in

@@ -28,6 +28,9 @@ let make ~t_mat ~delta ~rho ~shift ~variable ~gain ~definite ~deflations ~look_a
       Some (Realisation.fold ~origin:shift delta dt, dt, drho)
     else None
   in
+  (* J = I: Δ is the identity up to roundoff, so (Δ, ΔT, Δρ) is a
+     definite triple about s₀ *)
+  let a0 = Mat.identity n and c = Mat.mul (Mat.transpose rho) delta in
   {
     t_mat;
     delta;
@@ -43,21 +46,20 @@ let make ~t_mat ~delta ~rho ~shift ~variable ~gain ~definite ~deflations ~look_a
     exhausted;
     real =
       {
-        Realisation.a0 = Mat.identity n;
+        Realisation.a0;
         a1 = t_mat;
         b = rho;
-        c = Mat.mul (Mat.transpose rho) delta;
+        c;
         origin = shift;
         shift;
         variable;
         gain;
         sym;
-        foster = None;
         definite = definite && shift = 0.0;
-        (* J = I: Δ is the identity up to roundoff, so (Δ, ΔT, Δρ) is a
-           definite triple about s₀ *)
-        modal =
-          (if definite then Realisation.modal_form ~k0:delta ~k1:dt ~w:drho else None);
+        form =
+          (match if definite then Realisation.modal_form ~k0:delta ~k1:dt ~w:drho else None with
+          | Some md -> Realisation.Modal md
+          | None -> Realisation.general_form ~a0 ~a1:t_mat ~b:rho ~c);
       };
   }
 

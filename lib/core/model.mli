@@ -26,8 +26,8 @@ type t = {
       (** The model as a descriptor form: [a0 = I], [a1 = Tₙ], [b = ρₙ],
           [c = ρₙᵀΔₙ] about [origin = s₀], with the symmetric form
           [(Δₙ − s₀ΔₙTₙ, ΔₙTₙ, Δₙρₙ)] when [Δₙ] and [ΔₙTₙ] are
-          symmetric, and its {!Realisation.modal} form when
-          [definite]. Evaluate, certify and stamp through it. *)
+          symmetric, and its {!Realisation.Modal} form when
+          [definite] (else the {!Realisation.general_form}). Evaluate, certify and stamp through it. *)
 }
 
 val make :

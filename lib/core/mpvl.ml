@@ -132,20 +132,22 @@ let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
   in
   let mu = Linalg.Mat.mul (Linalg.Mat.transpose w) r_start in
   let eta = Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b in
+  let a0 = Linalg.Mat.identity n in
+  let b = Linalg.Mat.init n p (fun i j -> Linalg.Mat.get mu i j /. ds.(i)) in
+  let c = Linalg.Mat.transpose eta in
   let real =
     {
-      Realisation.a0 = Linalg.Mat.identity n;
+      Realisation.a0;
       a1 = t_mat;
-      b = Linalg.Mat.init n p (fun i j -> Linalg.Mat.get mu i j /. ds.(i));
-      c = Linalg.Mat.transpose eta;
+      b;
+      c;
       origin = s0;
       shift = s0;
       variable = m.Circuit.Mna.variable;
       gain = m.Circuit.Mna.gain;
       sym = lambda_form ~shift:s0 ~t_mat ~ds ~mu ~eta;
-      foster = None;
       definite = false;
-      modal = None;
+      form = Realisation.general_form ~a0 ~a1:t_mat ~b ~c;
     }
   in
   { real; deflations }

@@ -146,9 +146,9 @@ let of_indefinite (m : Model.t) =
 
 let of_model (m : Model.t) =
   let terms, direct =
-    match m.Model.real.Realisation.modal with
-    | Some md -> of_modal m md
-    | None -> of_indefinite m
+    match m.Model.real.Realisation.form with
+    | Realisation.Modal md -> of_modal m md
+    | Realisation.Foster _ | Realisation.Band _ | Realisation.Hess _ -> of_indefinite m
   in
   {
     terms;

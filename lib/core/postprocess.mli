@@ -35,7 +35,7 @@ exception Defective
 
 val of_model : Model.t -> t
 (** Diagonalise. The definite case reads the terms off the model's
-    {!Realisation.modal} form (no second decomposition); the
+    {!Realisation.Modal} form (no second decomposition); the
     indefinite case takes complex eigenvalues + inverse iteration. *)
 
 val eval : t -> Complex.t -> Linalg.Cmat.t

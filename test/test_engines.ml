@@ -21,7 +21,24 @@
       the engines moved to one realisation — bit for bit. The rows of
       the modal realisations (SyMPVL J = I, BT) were re-pinned when
       their eval moved to the pole–residue sum (largest relative move
-      1.7e-13, rl_ladder's shifted expansion at 1 MHz; 2.3e-15 elsewhere). *)
+      1.7e-13, rl_ladder's shifted expansion at 1 MHz; 2.3e-15 elsewhere),
+      and the PRIMA, SPRIM and MPVL rows when theirs moved to the
+      Hessenberg–triangular forms (361 of 736 lines; largest relative
+      move 9.3e-14, rl_ladder PRIMA 4 at 1 kHz). The
+      J ≠ I SyMPVL rows did not move: their band-Lanczos T is
+      eliminated as it is, with a dense LU's pivots and rounding.
+   6. The band and Hessenberg arms of Realisation.eval: a qcheck
+      property over lint-clean random RC and RLCk nets (K cards
+      included) for PRIMA, SPRIM, MPVL and indefinite SyMPVL, against
+      a dense complex LU refined in double-double at 17 points from
+      1 kHz to 100 GHz (within 1e-10, or within 4× the plain LU's own
+      error or the componentwise bound where a point is too
+      ill-conditioned for that); a graded MPVL model that the
+      reduction alone gets 6.5e-10 wrong; an exact pole raises
+      Cmat.Singular; a zero leading pivot of a nonsingular pencil is
+      crossed by the row swap; and a pencil scaled by powers of two
+      over 400 binades evaluates like the unscaled one (the
+      balancing). *)
 
 module Rom = Sympvl.Rom
 module Pencil = Sympvl.Pencil
@@ -299,6 +316,185 @@ let test_eval_fixture () =
         Alcotest.failf "Rom.eval moved:\n  fixture %s\n  now     %s" w g)
     want got
 
+(* ------------------------------------------------------------------ *)
+(* Hessenberg–triangular eval                                          *)
+
+module R = Sympvl.Realisation
+module Cmat = Linalg.Cmat
+
+let is_band (r : R.t) = match r.R.form with R.Band _ -> true | _ -> false
+
+let is_hess (r : R.t) = match r.R.form with R.Hess _ -> true | _ -> false
+
+let lint_clean nl =
+  List.for_all
+    (fun d -> d.Circuit.Diagnostic.severity = Circuit.Diagnostic.Info)
+    (Analysis.Lint.run nl)
+
+(* [None] when [r]'s eval stays within [rtol] of [want] at every point
+   of the 17-point grid; else where it does not *)
+let hess_mismatch ~rtol (r : R.t) want =
+  Array.to_list Dense_ref.freqs
+  |> List.find_map (fun f ->
+         let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
+         let e = Dense_ref.rel_dist (R.eval r s) (want s) in
+         if e > rtol then Some (Printf.sprintf "%.2e relative at %g Hz" e f) else None)
+
+(* The eval against the refined dense LU at the 17 points, relative to
+   |Z| floored at 1e-3 of the sweep's largest |Z| (the golden fixtures'
+   metric). It must stay within 1e-10, or, at a point too
+   ill-conditioned for that, within 4× the plain dense LU's own error
+   or within the componentwise bound [Dense_ref.skeel_bound]. A
+   normwise-accurate eval of a graded pencil fails this (the MPVL case
+   below). Points where the refinement itself does not converge are
+   skipped; a zero pivot of the dense LU must stop the eval too *)
+let hess_accuracy (r : R.t) =
+  let sw = Array.map (fun f -> Linalg.Cx.im (2.0 *. Float.pi *. f)) Dense_ref.freqs in
+  let dense =
+    Array.map (fun s -> try Some (Dense_ref.eval r s) with Cmat.Singular _ -> None) sw
+  in
+  let floor =
+    1e-3
+    *. Array.fold_left
+         (fun a z -> match z with Some z -> Float.max a (Cmat.max_abs z) | None -> a)
+         1e-300 dense
+  in
+  Array.to_list (Array.mapi (fun k s -> (k, s)) sw)
+  |> List.find_map (fun (k, s) ->
+         let f = Dense_ref.freqs.(k) in
+         match (dense.(k), try Ok (R.eval r s) with Cmat.Singular i -> Error i) with
+         | None, Error _ -> None
+         | None, Ok _ ->
+           Some (Printf.sprintf "the dense LU meets a zero pivot at %g Hz, the eval does not" f)
+         | Some _, Error i -> Some (Printf.sprintf "Singular %d at %g Hz" i f)
+         | Some lu, Ok z -> (
+           match Dense_ref.refined r s with
+           | None -> None
+           | Some want ->
+             let scale = Float.max (Cmat.max_abs want) floor in
+             let e = Cmat.dist_max z want /. scale in
+             let e_lu = Cmat.dist_max lu want /. scale in
+             let tol =
+               Float.max 1e-10 (Float.max (4.0 *. e_lu) (Dense_ref.skeel_bound r s /. scale))
+             in
+             if e > tol then
+               Some
+                 (Printf.sprintf
+                    "%.2e from the refined LU at %g Hz (the dense LU: %.2e; tolerance %.2e)" e f
+                    e_lu tol)
+             else None))
+
+let prop_hess_matches_dense =
+  QCheck.Test.make ~count:40 ~if_assumptions_fail:(`Fatal, 0.5)
+    ~name:"general eval = refined dense LU on random RC/RLCk (prima, sprim, mpvl, sympvl J <> I)"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let nl =
+        if seed mod 2 = 0 then
+          Circuit.Generators.random_rc ~ports:(1 + (seed mod 3)) ~nodes:(8 + (seed mod 13))
+            ~extra_edges:6 ~seed ()
+        else Random_nets.rlck seed
+      in
+      QCheck.assume (lint_clean nl);
+      let m = Circuit.Mna.auto nl in
+      List.for_all
+        (fun eng ->
+          match Rom.supports eng m with
+          | Error _ -> true
+          | Ok () -> (
+            match Rom.reduce ~order:(min m.Circuit.Mna.n 8) eng m with
+            | exception Sympvl.Mpvl.Breakdown _ -> true (* a serious MPVL breakdown: no model *)
+            | model -> (
+              let r = Rom.realisation model in
+              match r.R.form with
+              | R.Modal _ when eng = `Sympvl -> true
+              | R.Modal _ | R.Foster _ -> QCheck.Test.fail_reportf "%s: no general form" (Rom.name eng)
+              | R.Band _ | R.Hess _ -> (
+                match hess_accuracy r with
+                | None -> true
+                | Some why -> QCheck.Test.fail_reportf "%s: %s" (Rom.name eng) why))))
+        [ `Prima; `Sprim; `Mpvl; `Sympvl ])
+
+(* An MPVL model whose T spans 18 decades: a reduction alone is
+   normwise accurate only, 6.5e-10 off at 31.6 GHz where the dense LU
+   is 6.4e-15 off and the componentwise bound is 1.2e-12. The
+   refinement step brings it to 1e-14 *)
+let test_hess_graded () =
+  let m = Circuit.Mna.auto (Random_nets.rlck 18235) in
+  let r = Rom.realisation (Rom.reduce ~order:(min m.Circuit.Mna.n 8) `Mpvl m) in
+  Alcotest.(check bool) "reduced form" true (is_hess r);
+  match hess_accuracy r with None -> () | Some why -> Alcotest.failf "mpvl: %s" why
+
+let raises_singular r s =
+  match R.eval r (Linalg.Cx.re s) with exception Cmat.Singular _ -> true | _ -> false
+
+(* Exact poles, on both kinds of form. a0 = [[2, 1], [1, 2]] with two
+   ports is eliminated as it is: a0 + σI meets an exactly zero last
+   pivot at σ = −1 and σ = −3. g = [[2, 0, 1], [0, 2, 0], [1, 0, 2]]
+   with one port is reduced, and every rotation of its reduction is an
+   exact signed swap, so the reduced pencil is singular where g + σI
+   is: g·x + s·x has poles at s = −1, −2, −3 and x + s·g·x at
+   s = −1/2. Both s = −3 (above ‖g‖/‖I‖ = 2) and s = −1/2 (at
+   ‖I‖/‖g‖) fall on the reduction that makes I triangular *)
+let test_hess_exact_pole () =
+  let band =
+    R.congruence ~shift:0.0 ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Unit
+      (Linalg.Mat.of_arrays [| [| 2.0; 1.0 |]; [| 1.0; 2.0 |] |])
+      (Linalg.Mat.identity 2) (Linalg.Mat.identity 2)
+  in
+  Alcotest.(check bool) "banded form" true (is_band band);
+  List.iter
+    (fun s ->
+      Alcotest.check_raises (Printf.sprintf "pole at s = %g" s) (Cmat.Singular 1) (fun () ->
+          ignore (R.eval band (Linalg.Cx.re s))))
+    [ -1.0; -3.0 ];
+  let s = Linalg.Cx.re (-2.0) in
+  Alcotest.(check bool) "s = -2" true (Dense_ref.rel_dist (R.eval band s) (Dense_ref.eval band s) = 0.0);
+  let g = Linalg.Mat.of_arrays [| [| 2.0; 0.0; 1.0 |]; [| 0.0; 2.0; 0.0 |]; [| 1.0; 0.0; 2.0 |] |] in
+  let id = Linalg.Mat.identity 3 and e1 = Linalg.Mat.init 3 1 (fun i _ -> if i = 0 then 1.0 else 0.0) in
+  let gx = R.congruence ~shift:0.0 ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Unit g id e1 in
+  let xg = R.congruence ~shift:0.0 ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Unit id g e1 in
+  Alcotest.(check bool) "reduced forms" true (is_hess gx && is_hess xg);
+  Alcotest.(check bool) "g·x + s·x: s = -3 is a pole" true (raises_singular gx (-3.0));
+  Alcotest.(check bool) "x + s·g·x: s = -1/2 is a pole" true (raises_singular xg (-0.5))
+
+(* a0 = [[0, 1], [1, 0]]: at s = 0 the first pivot is exactly zero
+   and the elimination must take row 1 first *)
+let test_hess_row_swap () =
+  let g = Linalg.Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
+  let id = Linalg.Mat.identity 2 in
+  let r = R.congruence ~shift:0.0 ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Unit g id id in
+  List.iter
+    (fun s ->
+      let s = Linalg.Cx.make s (2.0 *. s) in
+      let e = Dense_ref.rel_dist (R.eval r s) (Dense_ref.eval r s) in
+      if e > 1e-15 then Alcotest.failf "s = %g%+gi: %.2e from the dense LU" s.re s.im e)
+    [ 0.0; 0.5; 3.0 ]
+
+(* D·a0·D, D·a1·D, D·b, c·D with D = diag(2^eᵢ), eᵢ over ±200: the
+   same transfer function, with states 400 binades apart. Balanced,
+   the form evaluates like the unscaled model's dense LU; unbalanced,
+   the reduction loses the small states for good and the refinement
+   step cannot bring them back *)
+let test_hess_balancing () =
+  let m = mna_of "coupled_lines" in
+  let r = Rom.realisation (Rom.reduce ~order:10 `Prima m) in
+  let n = R.order r in
+  let rng = Random.State.make [| 17 |] in
+  let e = Array.init n (fun _ -> Random.State.int rng 401 - 200) in
+  let sc (x : Linalg.Mat.t) ei ej =
+    Linalg.Mat.init x.Linalg.Mat.rows x.Linalg.Mat.cols (fun i j ->
+        Float.ldexp (Linalg.Mat.get x i j) (ei i + ej j))
+  in
+  let ee i = e.(i) and zero _ = 0 in
+  let a0 = sc r.R.a0 ee ee and a1 = sc r.R.a1 ee ee in
+  (* PRIMA's c is bᵀ, so congruence rebuilds c·D = (D·b)ᵀ itself *)
+  let b = sc r.R.b ee zero in
+  let scaled = R.congruence ~shift:r.R.shift ~variable:r.R.variable ~gain:r.R.gain a0 a1 b in
+  match hess_mismatch ~rtol:1e-10 scaled (Dense_ref.eval r) with
+  | None -> ()
+  | Some why -> Alcotest.failf "scaled prima 10: %s" why
+
 let () =
   Alcotest.run "engines"
     [
@@ -316,4 +512,12 @@ let () =
         ] );
       ( "realisation",
         [ Alcotest.test_case "Rom.eval fixture bit for bit" `Quick test_eval_fixture ] );
+      ( "hessenberg",
+        [
+          Qtest.to_alcotest prop_hess_matches_dense;
+          Alcotest.test_case "a graded MPVL model is refined" `Quick test_hess_graded;
+          Alcotest.test_case "an exact pole is Singular" `Quick test_hess_exact_pole;
+          Alcotest.test_case "a zero leading pivot takes the row swap" `Quick test_hess_row_swap;
+          Alcotest.test_case "balancing undoes a power-of-two scaling" `Quick test_hess_balancing;
+        ] );
     ]

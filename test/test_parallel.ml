@@ -134,16 +134,11 @@ let test_sweep_bitwise_generator () =
         (sweeps_bitwise_equal seq (Simulate.Ac.sweep ~jobs mna freqs)))
     [ 2; 4 ]
 
-(* the grid_rc shape, scaled down (32×32 RC grid, 16 ports, SyMPVL 64):
-   the modal pole–residue eval of one shared model, pooled over
-   frequencies, is bitwise the sequential one at jobs 1 and 2, also
+(* one shared model evaluated over a pool, one frequency per task: the
+   pooled results are bitwise the sequential ones at jobs 1 and 2, also
    with the race and fp sanitizers on (and they find nothing) *)
-let test_modal_eval_bitwise () =
-  let mna = Circuit.Mna.auto (Circuit.Generators.rc_grid ~pitch_pads:4 ~rows:32 ~cols:32 ()) in
-  let model = Sympvl.Rom.reduce ~order:64 `Sympvl mna in
-  let r = Sympvl.Rom.realisation model in
-  let p = Sympvl.Realisation.ports r in
-  Alcotest.(check bool) "16 ports, modal form" true (p = 16 && r.Sympvl.Realisation.modal <> None);
+let check_pooled_eval_bitwise label model =
+  let p = Sympvl.Rom.ports model in
   let freqs = Simulate.Ac.log_freqs ~points:32 1e6 1e10 in
   let point k = Sympvl.Rom.eval model (Linalg.Cx.im (2.0 *. Float.pi *. freqs.(k))) in
   let seq = Array.init (Array.length freqs) point in
@@ -154,7 +149,7 @@ let test_modal_eval_bitwise () =
   List.iter
     (fun jobs ->
       Alcotest.(check bool)
-        (Printf.sprintf "modal eval bitwise at jobs=%d" jobs)
+        (Printf.sprintf "%s eval bitwise at jobs=%d" label jobs)
         true
         (Array.for_all2 (bits_equal_cmat p) seq (pooled jobs)))
     [ 1; 2 ];
@@ -165,6 +160,26 @@ let test_modal_eval_bitwise () =
   Alcotest.(check bool) "SYMOR_SAN=race,fp = plain" true
     (Array.for_all2 (bits_equal_cmat p) seq checked);
   Alcotest.(check int) "no fp findings" 0 (List.length (San.findings ()))
+
+(* the grid_rc shape, scaled down (32×32 RC grid, 16 ports, SyMPVL 64):
+   the modal pole–residue eval *)
+let test_modal_eval_bitwise () =
+  let mna = Circuit.Mna.auto (Circuit.Generators.rc_grid ~pitch_pads:4 ~rows:32 ~cols:32 ()) in
+  let model = Sympvl.Rom.reduce ~order:64 `Sympvl mna in
+  let r = Sympvl.Rom.realisation model in
+  Alcotest.(check bool) "16 ports, modal form" true
+    (Sympvl.Realisation.ports r = 16 && match r.Sympvl.Realisation.form with Sympvl.Realisation.Modal _ -> true | _ -> false);
+  check_pooled_eval_bitwise "modal" model
+
+(* the peec_rlck shape, scaled down (4×12 PEEC partial-element net,
+   SPRIM 24): the Hessenberg–triangular eval *)
+let test_hess_eval_bitwise () =
+  let mna = Circuit.Mna.auto (Circuit.Generators.peec_partial ~conductors:4 ~segments:12 ()) in
+  let model = Sympvl.Rom.reduce ~order:24 `Sprim mna in
+  let r = Sympvl.Rom.realisation model in
+  Alcotest.(check bool) "reduced Hessenberg form" true
+    (match r.Sympvl.Realisation.form with Sympvl.Realisation.Hess _ -> true | _ -> false);
+  check_pooled_eval_bitwise "sprim" model
 
 (* ------------------------------------------------------------------ *)
 (* symbolic-reuse regression: a reused workspace gives the same Z      *)
@@ -302,6 +317,7 @@ let () =
           Alcotest.test_case "shipped examples bitwise" `Quick test_sweep_bitwise_examples;
           Alcotest.test_case "rc bus bitwise" `Quick test_sweep_bitwise_generator;
           Alcotest.test_case "modal eval bitwise" `Quick test_modal_eval_bitwise;
+          Alcotest.test_case "hessenberg eval bitwise" `Quick test_hess_eval_bitwise;
         ] );
       ( "workspace",
         [

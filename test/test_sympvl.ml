@@ -471,11 +471,22 @@ let test_model_dc_gain () =
     (Linalg.Cmat.get (Sympvl.Realisation.eval model.Model.real Linalg.Cx.zero) 0 0).Complex.re
 
 (* ------------------------------------------------------------------ *)
-(* Modal form: the pole–residue sum against the dense LU arm          *)
+(* Modal form: the pole–residue sum against a dense complex LU        *)
 
-let lu_arm (r : Realisation.t) = { r with Realisation.modal = None }
+(* with the general form in place of its modal one, [Realisation.poles]
+   takes the generalized eigensolver *)
+let eig_arm (r : Realisation.t) =
+  {
+    r with
+    Realisation.form =
+      Realisation.general_form ~a0:r.Realisation.a0 ~a1:r.Realisation.a1 ~b:r.Realisation.b
+        ~c:r.Realisation.c;
+  }
 
-let rel_dist a b = Linalg.Cmat.dist_max a b /. Float.max (Linalg.Cmat.max_abs b) 1e-300
+let modal_of (r : Realisation.t) =
+  match r.Realisation.form with Realisation.Modal md -> Some md | _ -> None
+
+let rel_dist = Dense_ref.rel_dist
 
 let bits f = Int64.bits_of_float f
 
@@ -497,19 +508,19 @@ let bit_symmetric (z : Linalg.Cmat.t) =
   done;
   !ok
 
-let modal_freqs = Array.init 17 (fun k -> 10.0 ** (3.0 +. (0.5 *. float_of_int k)))
+let modal_freqs = Dense_ref.freqs
 
-(* [None] when the realisation agrees with its LU arm (within [rtol],
+(* [None] when the realisation agrees with a dense LU (within [rtol],
    bit-symmetric, same pole count); else what went wrong *)
 let modal_mismatch ~rtol (r : Realisation.t) =
-  if r.Realisation.modal = None then Some "no modal form"
+  if modal_of r = None then Some "no modal form"
   else
     let bad =
       Array.to_list modal_freqs
       |> List.find_map (fun f ->
              let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
              let z = Realisation.eval r s in
-             let e = rel_dist z (Realisation.eval (lu_arm r) s) in
+             let e = rel_dist z (Dense_ref.eval r s) in
              if e > rtol then Some (Printf.sprintf "%.2e relative at %g Hz" e f)
              else if not (bit_symmetric z) then Some (Printf.sprintf "asymmetric at %g Hz" f)
              else None)
@@ -518,8 +529,8 @@ let modal_mismatch ~rtol (r : Realisation.t) =
     | Some _ -> bad
     | None ->
       let np = Array.length (Realisation.poles r)
-      and nl = Array.length (Realisation.poles (lu_arm r)) in
-      if np <> nl then Some (Printf.sprintf "%d poles, LU path %d" np nl) else None
+      and nl = Array.length (Realisation.poles (eig_arm r)) in
+      if np <> nl then Some (Printf.sprintf "%d poles, eigensolver %d" np nl) else None
 
 let lint_clean nl =
   List.for_all (fun d -> d.Circuit.Diagnostic.severity = Circuit.Diagnostic.Info) (Analysis.Lint.run nl)
@@ -571,7 +582,7 @@ let test_modal_truncate_bitwise () =
     (mat_bits_equal small.Model.t_mat fresh.Model.t_mat
     && mat_bits_equal small.Model.delta fresh.Model.delta
     && mat_bits_equal small.Model.rho fresh.Model.rho);
-  (match (small.Model.real.Realisation.modal, fresh.Model.real.Realisation.modal) with
+  (match (modal_of small.Model.real, modal_of fresh.Model.real) with
   | Some a, Some b ->
     Alcotest.(check bool) "modal form" true
       (bits_equal a.Realisation.lambda b.Realisation.lambda
@@ -593,7 +604,7 @@ let test_modal_singular_term () =
     Realisation.congruence ~definite:true ~shift:0.0 ~variable:Circuit.Mna.S
       ~gain:Circuit.Mna.Unit g id id
   in
-  (match r.Realisation.modal with
+  (match modal_of r with
   | Some md -> Alcotest.(check (array (float 0.0))) "λ" [| 0.25; 1.0 |] md.Realisation.lambda
   | None -> Alcotest.fail "no modal form");
   Alcotest.check_raises "1 + σλ = 0" (Linalg.Cmat.Singular 1) (fun () ->
