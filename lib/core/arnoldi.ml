@@ -1,70 +1,68 @@
 type t = Realisation.t
 
 (* the congruence projection (VᵀGV, VᵀCV, VᵀB) lives in the physical
-   pencil variable — the shift only chose the Krylov space *)
+   pencil variable — the shift only chose the Krylov space. G and C
+   stay sparse: Vᵀ(A·V) with the sparse product is the dense
+   congruence bit for bit *)
 let project ~shift (m : Circuit.Mna.t) v =
+  let vt = Linalg.Mat.transpose v in
+  let cong a = Linalg.Mat.mul vt (Sparse.Csr.mul_dense a v) in
   Realisation.congruence ~shift ~variable:m.Circuit.Mna.variable ~gain:m.Circuit.Mna.gain
-    (Linalg.Mat.congruence v (Sparse.Csr.to_dense m.Circuit.Mna.g))
-    (Linalg.Mat.congruence v (Sparse.Csr.to_dense m.Circuit.Mna.c))
-    (Linalg.Mat.mul (Linalg.Mat.transpose v) m.Circuit.Mna.b)
+    (cong m.Circuit.Mna.g) (cong m.Circuit.Mna.c) (Linalg.Mat.mul vt m.Circuit.Mna.b)
+
+(* An orthonormal basis grown one candidate at a time by two passes of
+   modified Gram–Schmidt through the shared sweep; a candidate that
+   shrinks below 1e-10 of its norm is numerically dependent and dropped.
+   [add] returns the accepted unit vector. *)
+type basis = { mutable qs : Ortho.block array }
+
+let add basis v =
+  let w = Linalg.Vec.copy v in
+  let n0 = Linalg.Vec.norm2 w in
+  Ortho.sweep (Array.append basis.qs basis.qs) w;
+  let n1 = Linalg.Vec.norm2 w in
+  if n1 > 1e-10 *. Float.max n0 1e-300 then begin
+    Linalg.Vec.scale_ip (1.0 /. n1) w;
+    basis.qs <- Array.append basis.qs [| Ortho.singleton w |];
+    Some w
+  end
+  else None
+
+let to_mat n basis =
+  let v = Linalg.Mat.create n (Array.length basis.qs) in
+  Array.iteri (fun k q -> Linalg.Mat.set_col v k q.Ortho.vecs.(0)) basis.qs;
+  v
+
+(* one application of K⁻¹C *)
+let apply solve c v =
+  if Obs.tracing () then Obs.count "krylov.op_applies" 1;
+  solve (Sparse.Csr.mul_vec c v)
+
+let krylov_basis ~order ~solve (m : Circuit.Mna.t) =
+  let c = m.Circuit.Mna.c in
+  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
+  let basis = { qs = [||] } in
+  let size () = Array.length basis.qs in
+  let accept v = if size () < order then add basis v else None in
+  (* start block K⁻¹B *)
+  let current =
+    ref (List.filter_map (fun k -> accept (solve (Linalg.Mat.col m.Circuit.Mna.b k))) (List.init p Fun.id))
+  in
+  (* Arnoldi sweeps: apply K⁻¹C to the newest accepted block *)
+  while size () < order && !current <> [] do
+    current :=
+      List.filter_map
+        (fun v -> if size () < order then accept (apply solve c v) else None)
+        !current
+  done;
+  to_mat m.Circuit.Mna.n basis
 
 let reduce ?ctx ?shift ?band ~order (m : Circuit.Mna.t) =
-  let c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
   (* shift resolution and factorisation via the shared policy: PRIMA
      expands about the exact same point SyMPVL/MPVL would pick *)
   Pencil.with_auto_shift ?shift ?band ctx @@ fun s0 fac ->
-  let solve_k v = fac.Factor.solve v in
-  let nn = m.Circuit.Mna.n in
-  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
-  (* orthonormal basis accumulated column by column with two-pass MGS *)
-  let basis = ref [] in
-  let nb = ref 0 in
-  let push v =
-    if !nb < order then begin
-      let w = Linalg.Vec.copy v in
-      let n0 = Linalg.Vec.norm2 w in
-      for _pass = 1 to 2 do
-        List.iter
-          (fun q ->
-            let h = Linalg.Vec.dot q w in
-            Linalg.Vec.axpy (-.h) q w)
-          !basis
-      done;
-      let n1 = Linalg.Vec.norm2 w in
-      if n1 > 1e-10 *. Float.max n0 1e-300 then begin
-        Linalg.Vec.scale_ip (1.0 /. n1) w;
-        basis := !basis @ [ w ];
-        incr nb;
-        true
-      end
-      else false
-    end
-    else false
-  in
-  (* start block K⁻¹B *)
-  let current = ref [] in
-  for k = 0 to p - 1 do
-    let v = solve_k (Linalg.Mat.col m.Circuit.Mna.b k) in
-    if push v then current := !current @ [ List.nth !basis (!nb - 1) ]
-  done;
-  (* Arnoldi sweeps: apply K⁻¹C to the newest accepted block *)
-  let continue_ = ref (!current <> []) in
-  while !nb < order && !continue_ do
-    let next = ref [] in
-    List.iter
-      (fun v ->
-        if !nb < order then begin
-          let w = solve_k (Sparse.Csr.mul_vec c v) in
-          if push w then next := !next @ [ List.nth !basis (!nb - 1) ]
-        end)
-      !current;
-    current := !next;
-    if !current = [] then continue_ := false
-  done;
-  let v = Linalg.Mat.create nn !nb in
-  List.iteri (fun k q -> Linalg.Mat.set_col v k q) !basis;
-  project ~shift:s0 m v
+  project ~shift:s0 m (krylov_basis ~order ~solve:fac.Factor.solve m)
 
 let shift_of_hz (m : Circuit.Mna.t) f =
   let w = 2.0 *. Float.pi *. f in
@@ -76,48 +74,20 @@ let reduce_multipoint ?ctx ~points (m : Circuit.Mna.t) =
   assert (points <> []);
   let c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
-  let nn = m.Circuit.Mna.n in
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
-  let basis = ref [] in
-  let nb = ref 0 in
-  let push v =
-    let w = Linalg.Vec.copy v in
-    let n0 = Linalg.Vec.norm2 w in
-    for _pass = 1 to 2 do
-      List.iter
-        (fun q ->
-          let h = Linalg.Vec.dot q w in
-          Linalg.Vec.axpy (-.h) q w)
-        !basis
-    done;
-    let n1 = Linalg.Vec.norm2 w in
-    if n1 > 1e-10 *. Float.max n0 1e-300 then begin
-      Linalg.Vec.scale_ip (1.0 /. n1) w;
-      basis := !basis @ [ w ];
-      incr nb;
-      true
-    end
-    else false
-  in
+  let basis = { qs = [||] } in
   List.iter
     (fun (s0, steps) ->
       (* repeated expansion points are cache hits on the context *)
-      let fac = Pencil.factor ctx ~shift:s0 in
-      let current = ref [] in
-      for col = 0 to p - 1 do
-        let v = fac.Factor.solve (Linalg.Mat.col m.Circuit.Mna.b col) in
-        if push v then current := !current @ [ List.nth !basis (!nb - 1) ]
-      done;
+      let solve = (Pencil.factor ctx ~shift:s0).Factor.solve in
+      let current =
+        ref
+          (List.filter_map
+             (fun col -> add basis (solve (Linalg.Mat.col m.Circuit.Mna.b col)))
+             (List.init p Fun.id))
+      in
       for _step = 2 to steps do
-        let next = ref [] in
-        List.iter
-          (fun v ->
-            let w = fac.Factor.solve (Sparse.Csr.mul_vec c v) in
-            if push w then next := !next @ [ List.nth !basis (!nb - 1) ])
-          !current;
-        current := !next
+        current := List.filter_map (fun v -> add basis (apply solve c v)) !current
       done)
     points;
-  let v = Linalg.Mat.create nn !nb in
-  List.iteri (fun k q -> Linalg.Mat.set_col v k q) !basis;
-  project ~shift:(fst (List.hd points)) m v
+  project ~shift:(fst (List.hd points)) m (to_mat m.Circuit.Mna.n basis)

@@ -23,6 +23,15 @@ val reduce :
     otherwise 0 with the band-guided/heuristic retry when [G] is
     singular. Pass [ctx] to share one context across engines. *)
 
+val krylov_basis :
+  order:int -> solve:(Linalg.Vec.t -> Linalg.Vec.t) -> Circuit.Mna.t -> Linalg.Mat.t
+(** [krylov_basis ~order ~solve m] — the block-Arnoldi basis [V]
+    ([N × k], [k ≤ order] orthonormal columns) of the Krylov space of
+    [(K⁻¹C, K⁻¹B)] with [solve x = K⁻¹x]: two passes of modified
+    Gram–Schmidt per candidate through {!Ortho.sweep}, candidates that
+    shrink below [1e-10] of their norm dropped. PRIMA's and SPRIM's
+    first phase. *)
+
 val reduce_multipoint : ?ctx:Pencil.t -> points:(float * int) list -> Circuit.Mna.t -> t
 (** Rational (multi-point) Krylov reduction — the natural extension of
     the single-expansion method (complex-frequency-hopping style,

@@ -1,5 +1,5 @@
 type result = {
-  vectors : Linalg.Mat.t;
+  basis : Linalg.Vec.t array;
   t_mat : Linalg.Mat.t;
   delta : Linalg.Mat.t;
   rho : Linalg.Mat.t;
@@ -13,7 +13,9 @@ type result = {
 
 type cluster = {
   mutable members : int list; (* paper indices (1-based), ascending *)
-  mutable gram_lu : Linalg.Lu.t option; (* LU of Δ^(γ) once closed *)
+  mutable closed : (int array * Ortho.block) option;
+      (* once Δ^(γ) is nonsingular: the members and the block that
+         J-projects onto them through the LU of Δ^(γ) *)
 }
 
 type candidate = { vec : Linalg.Vec.t; norm0 : float }
@@ -61,7 +63,7 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
   let n_gamma = ref 0 in
   let new_cluster () =
     incr n_gamma;
-    let c = { members = []; gram_lu = None } in
+    let c = { members = []; closed = None } in
     clusters := Array.append !clusters [| c |]
   in
   new_cluster ();
@@ -73,28 +75,19 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
   let look_ahead_steps = ref 0 in
   let exhausted = ref false in
   let p1 = ref 0 in
-  (* J-orthogonalise [v] against closed cluster [g], recording the
-     coefficients in column [col] (paper indexing) *)
-  let ortho_against_cluster v g col =
-    let c = cluster g in
-    match (c.gram_lu, c.members) with
-    | Some lu, members ->
-      let members_arr = Array.of_list members in
-      let rhs =
-        Linalg.Vec.init (Array.length members_arr) (fun k ->
-            j_dot vs.(members_arr.(k) - 1) v)
-      in
-      let coeff = Linalg.Lu.solve_vec lu rhs in
-      Array.iteri
-        (fun k m ->
-          Linalg.Vec.axpy (-.coeff.(k)) vs.(m - 1) v;
-          add_t m col coeff.(k))
-        members_arr
-    | None, _ -> () (* open cluster: look-ahead, skip *)
+  (* J-orthogonalise [v] against the closed ones among clusters [gs],
+     in order, recording the coefficients in column [col] (paper
+     indexing); an open cluster (look-ahead) is skipped *)
+  let ortho_against_clusters v gs col =
+    let closed = Array.of_list (List.filter_map (fun g -> (cluster g).closed) gs) in
+    Ortho.sweep ~weight:j
+      ~record:(fun k coeff ->
+        Array.iteri (fun i m -> add_t m col coeff.(i)) (fst closed.(k)))
+      (Array.map snd closed) v
   in
   let n = ref 0 in
   (try
-     while !nv < n_max do
+     while !nv < cap do
        incr n;
        let n_cur = !n in
        if Obs.tracing () then begin
@@ -114,13 +107,11 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
            let phi = n_cur - pc () in
            (* 1b: orthogonalise against the current (open) cluster in
               the Euclidean inner product *)
-           let cg = cluster !n_gamma in
-           List.iter
-             (fun i ->
-               let tau = Linalg.Vec.dot vs.(i - 1) head.vec in
-               Linalg.Vec.axpy (-.tau) vs.(i - 1) head.vec;
-               add_t i phi tau)
-             cg.members;
+           let ids = Array.of_list (cluster !n_gamma).members in
+           Ortho.sweep
+             ~record:(fun k tau -> add_t ids.(k) phi tau.(0))
+             (Array.map (fun i -> Ortho.singleton vs.(i - 1)) ids)
+             head.vec;
            let nrm = Linalg.Vec.norm2 head.vec in
            if nrm > dtol *. head.norm0 then begin
              (* 1h: accept and normalise *)
@@ -137,8 +128,8 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
                  "lanczos.near_deflation"
              end;
              add_t n_cur phi nrm;
-             let v = Linalg.Vec.scale (1.0 /. nrm) head.vec in
-             vs.(n_cur - 1) <- v;
+             Linalg.Vec.scale_ip (1.0 /. nrm) head.vec;
+             vs.(n_cur - 1) <- head.vec;
              incr nv;
              cands := rest;
              if phi <= 0 then incr p1;
@@ -191,7 +182,13 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
        in
        (match closeable with
        | Some lu ->
-         cg.gram_lu <- Some lu;
+         cg.closed <-
+           Some
+             ( members_arr,
+               {
+                 Ortho.vecs = Array.map (fun m -> vs.(m - 1)) members_arr;
+                 coeffs = Linalg.Lu.solve_vec lu;
+               } );
          if Obs.tracing () then begin
            Obs.count "lanczos.clusters_closed" 1;
            if msize > 1 then
@@ -206,7 +203,7 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
          let pc_after = pc () in
          List.iteri
            (fun q cand ->
-             ortho_against_cluster cand.vec !n_gamma (n_cur + q - pc_after))
+             ortho_against_clusters cand.vec [ !n_gamma ] (n_cur + q - pc_after))
            !cands;
          (* 2d: open a fresh cluster *)
          new_cluster ()
@@ -226,21 +223,15 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
          let norm0 = Float.max (Linalg.Vec.norm2 v) 1e-300 in
          if full_ortho then
            (* robust mode: all closed clusters *)
-           for g = 1 to !n_gamma do
-             ortho_against_cluster v g n_cur
-           done
+           ortho_against_clusters v (List.init !n_gamma (fun g -> g + 1)) n_cur
          else begin
-           (* paper window: γ_v … γ−1 plus inexact-deflation clusters *)
+           (* paper window: inexact-deflation clusters below γ_v, then
+              γ_v … γ−1 (the current cluster, when closed, is γ−1 after
+              the increment in 2d) *)
            let lo = !gamma_v in
-           List.iter
-             (fun g -> if g < lo then ortho_against_cluster v g n_cur)
-             (List.sort_uniq Int.compare !iv);
-           for g = lo to !n_gamma - 1 do
-             ortho_against_cluster v g n_cur
-           done;
-           (* the current cluster, when closed, was handled above as
-              part of γ_v … γ−1 after the increment in 2d *)
-           ()
+           let below = List.filter (fun g -> g < lo) (List.sort_uniq Int.compare !iv) in
+           let window = List.init (max 0 (!n_gamma - lo)) (fun k -> lo + k) in
+           ortho_against_clusters v (below @ window) n_cur
          end;
          cands := !cands @ [ { vec = v; norm0 } ]
        end;
@@ -252,11 +243,11 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
    with Exit -> ());
   if !step_open then Obs.span_end ();
   let order = !nv in
+  (* an order-N basis spans the whole space, whether or not a deflation
+     said so: the windowed process, having lost J-orthogonality, may
+     never deflate *)
+  if order = nn then exhausted := true;
   (* assemble outputs at the achieved order *)
-  let vectors = Linalg.Mat.create nn order in
-  for k = 0 to order - 1 do
-    Linalg.Mat.set_col vectors k vs.(k)
-  done;
   let t_mat = Linalg.Mat.submatrix tm 0 0 order order in
   let rho_out = Linalg.Mat.submatrix rho 0 0 order p in
   let delta = Linalg.Mat.create order order in
@@ -285,7 +276,7 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
     Obs.span_end ()
   end;
   {
-    vectors;
+    basis = Array.sub vs 0 order;
     t_mat;
     delta;
     rho = rho_out;

@@ -18,7 +18,10 @@
     symmetric banded. *)
 
 type result = {
-  vectors : Linalg.Mat.t;  (** [N × n]: the Lanczos vectors. *)
+  basis : Linalg.Vec.t array;
+      (** The [n] Lanczos vectors [v₁ … vₙ] as the process stored them
+          (no [N × n] copy is made; [Linalg.Mat] callers set them as
+          columns). *)
   t_mat : Linalg.Mat.t;  (** [n × n] projected operator [Tₙ]. *)
   delta : Linalg.Mat.t;  (** [n × n] block-diagonal [Δₙ]. *)
   rho : Linalg.Mat.t;  (** [n × p]: [ρₙ] already zero-padded. *)
@@ -28,8 +31,8 @@ type result = {
   n_clusters : int;
   look_ahead_steps : int;  (** Iterations spent inside open clusters. *)
   exhausted : bool;
-      (** The block size collapsed to zero: the Krylov space is
-          exhausted and [Zₙ = Z] exactly. *)
+      (** The block size collapsed to zero, or the order reached [N]:
+          the Krylov space is exhausted and [Zₙ = Z] exactly. *)
 }
 
 val run :

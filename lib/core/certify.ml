@@ -198,17 +198,27 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
   List.iter emit (structural model mna);
   (* -------- MOD003/MOD007: Hamiltonian violation bands -------- *)
   let bands =
-    Obs.with_span "certify.hamiltonian" @@ fun () -> H.violation_bands ~tol phys
+    Obs.with_span "certify.hamiltonian" @@ fun () ->
+    match H.violation_bands ~tol phys with
+    | bs -> Some bs
+    | exception Linalg.Eig_sym.No_convergence -> None
   in
   (match bands with
-  | [] ->
+  | None ->
+    emit
+      (D.warning "MOD003"
+         (Printf.sprintf
+            "%s: Hamiltonian test did not complete — the Hermitian eigensolver \
+             did not converge on a sample of Re Z(jw); passivity is not certified"
+            engine))
+  | Some [] ->
     emit
       (D.info "MOD003"
          (Printf.sprintf
             "%s: Hamiltonian test found no passivity violation on the whole \
              imaginary axis (tol %.1e)"
             engine tol))
-  | bs ->
+  | Some bs ->
     Obs.count "certify.violation_band" (List.length bs);
     emit
       (D.warning "MOD003"
@@ -234,7 +244,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
      the core of the truncated model) with no evaluation form built *)
   let safe_order =
     match (model, bands) with
-    | Rom.Sympvl_model m, _ :: _ ->
+    | Rom.Sympvl_model m, Some (_ :: _) ->
       let core = Realisation.core m.Model.real in
       let rec search k attempts =
         if k < 1 || attempts <= 0 then None
@@ -250,6 +260,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
           match H.violation_bands ~tol (Realisation.augment r lead) with
           | [] -> Some k
           | _ -> search (k - 1) (attempts - 1)
+          | exception Linalg.Eig_sym.No_convergence -> None
         end
       in
       search (m.Model.order - 1) 12
@@ -512,4 +523,4 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
         (D.info "MOD010"
            (Printf.sprintf
               "%s: pencil singular at the expansion point — residual probe skipped" engine))));
-  { findings = D.sort (List.rev !findings); bands; safe_order }
+  { findings = D.sort (List.rev !findings); bands = Option.value bands ~default:[]; safe_order }

@@ -2,8 +2,8 @@ type t = {
   n : int;
   j : float array;
   definite : bool;
-  apply_m_inv : Linalg.Vec.t -> Linalg.Vec.t;
-  apply_mt_inv : Linalg.Vec.t -> Linalg.Vec.t;
+  m_inv : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+  mt_inv : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   solve : Linalg.Vec.t -> Linalg.Vec.t;
   kind : [ `Skyline | `Supernodal | `Dense ];
 }
@@ -39,34 +39,52 @@ let of_ldlt ~(kind : [ `Skyline | `Supernodal ]) ~perm ~d ~solve_lower ~solve_lo
   let j = Array.map (fun x -> if x >= 0.0 then 1.0 else -1.0) d in
   let s = Array.map (fun x -> sqrt (Float.abs x)) d in
   let definite = Array.for_all (fun x -> x > 0.0) j in
-  let permute x = Array.init n (fun i -> x.(perm.(i))) in
-  let unpermute y =
-    let out = Array.make n 0.0 in
+  let check x y =
+    if Array.length x <> n || Array.length y <> n || x == y then
+      invalid_arg "Factor: operands must be two distinct vectors of the factor's size"
+  in
+  (* y ← P x and y ← Pᵀ x *)
+  let permute_into x y =
     for i = 0 to n - 1 do
-      out.(perm.(i)) <- y.(i)
-    done;
-    out
+      y.(i) <- x.(perm.(i))
+    done
   in
-  let apply_m_inv x =
-    (* S⁻¹ L⁻¹ P x *)
-    let z = solve_lower (permute x) in
+  let unpermute_into x y =
     for i = 0 to n - 1 do
-      z.(i) <- z.(i) /. s.(i)
+      y.(perm.(i)) <- x.(i)
+    done
+  in
+  let m_inv x y =
+    (* y ← S⁻¹ L⁻¹ P x *)
+    check x y;
+    permute_into x y;
+    solve_lower y;
+    for i = 0 to n - 1 do
+      y.(i) <- y.(i) /. s.(i)
+    done
+  in
+  let mt_inv x y =
+    (* y ← Pᵀ L⁻ᵀ S⁻¹ x, with x as the workspace *)
+    check x y;
+    for i = 0 to n - 1 do
+      x.(i) <- x.(i) /. s.(i)
     done;
-    z
+    solve_lower_t x;
+    unpermute_into x y
   in
-  let apply_mt_inv y =
-    (* Pᵀ L⁻ᵀ S⁻¹ y *)
-    let z = Array.init n (fun i -> y.(i) /. s.(i)) in
-    unpermute (solve_lower_t z)
+  let solve b =
+    let x = Array.make n 0.0 and y = Array.make n 0.0 in
+    permute_into b x;
+    let z = solve x in
+    unpermute_into z y;
+    y
   in
-  let solve b = unpermute (solve (permute b)) in
   {
     n;
     j;
     definite;
-    apply_m_inv;
-    apply_mt_inv;
+    m_inv;
+    mt_inv;
     solve;
     kind = (kind :> [ `Skyline | `Supernodal | `Dense ]);
   }
@@ -76,9 +94,21 @@ let of_ldlt ~(kind : [ `Skyline | `Supernodal ]) ~perm ~d ~solve_lower ~solve_lo
 let congruent ~t ~tt f =
   {
     f with
-    apply_m_inv = (fun x -> f.apply_m_inv (tt x));
-    apply_mt_inv = (fun y -> t (f.apply_mt_inv y));
-    solve = (fun b -> t (f.solve (tt b)));
+    m_inv =
+      (fun x y ->
+        tt x;
+        f.m_inv x y);
+    mt_inv =
+      (fun x y ->
+        f.mt_inv x y;
+        t y);
+    solve =
+      (fun b ->
+        let x = Array.copy b in
+        tt x;
+        let y = f.solve x in
+        t y;
+        y);
   }
 
 let of_dense a =
@@ -97,8 +127,8 @@ let of_dense a =
       n;
       j = Linalg.Ldlt.j_diag fac;
       definite = Linalg.Ldlt.is_definite fac;
-      apply_m_inv = Linalg.Ldlt.apply_m_inv fac;
-      apply_mt_inv = Linalg.Ldlt.apply_mt_inv fac;
+      m_inv = Linalg.Ldlt.m_inv fac;
+      mt_inv = Linalg.Ldlt.mt_inv fac;
       solve;
       kind = `Dense;
     }

@@ -14,8 +14,13 @@ type t = {
   n : int;
   j : float array;  (** Diagonal of [J], entries ±1. *)
   definite : bool;  (** [J = I]. *)
-  apply_m_inv : Linalg.Vec.t -> Linalg.Vec.t;  (** [M⁻¹ x]. *)
-  apply_mt_inv : Linalg.Vec.t -> Linalg.Vec.t;  (** [M⁻ᵀ x]. *)
+  m_inv : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+      (** [m_inv x y] writes [M⁻¹ x] into [y] and allocates nothing;
+          [x] and [y] are distinct vectors of length [n], and [x] may
+          be overwritten. *)
+  mt_inv : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+      (** [mt_inv x y] writes [M⁻ᵀ x] into [y] under the same
+          contract: [x] serves as the workspace and is overwritten. *)
   solve : Linalg.Vec.t -> Linalg.Vec.t;
       (** [G⁻¹ b = M⁻ᵀ J⁻¹ M⁻¹ b] (used by the moment checker). *)
   kind : [ `Skyline | `Supernodal | `Dense ];
@@ -66,22 +71,24 @@ val of_ldlt :
   kind:[ `Skyline | `Supernodal ] ->
   perm:int array ->
   d:float array ->
-  solve_lower:(Linalg.Vec.t -> Linalg.Vec.t) ->
-  solve_lower_t:(Linalg.Vec.t -> Linalg.Vec.t) ->
+  solve_lower:(Linalg.Vec.t -> unit) ->
+  solve_lower_t:(Linalg.Vec.t -> unit) ->
   solve:(Linalg.Vec.t -> Linalg.Vec.t) ->
   t
 (** [of_ldlt ~kind ~perm ~d ~solve_lower ~solve_lower_t ~solve] wraps
     a sparse factorisation [P A Pᵀ = L D Lᵀ] (rows of [perm] list old
-    indices in new order; [d] the pivots; [solve_lower x = L⁻¹x],
-    [solve_lower_t x = L⁻ᵀx] and [solve x = (L D Lᵀ)⁻¹x], all in
-    permuted coordinates) into operators acting in the original
-    coordinates: [M = Pᵀ L √|D|], [J = sign D]. *)
+    indices in new order; [d] the pivots; [solve_lower x] and
+    [solve_lower_t x] overwrite [x] with [L⁻¹x] and [L⁻ᵀx], [solve x]
+    returns [(L D Lᵀ)⁻¹x], all in permuted coordinates) into operators
+    acting in the original coordinates: [M = Pᵀ L √|D|],
+    [J = sign D]. *)
 
-val congruent : t:(Linalg.Vec.t -> Linalg.Vec.t) -> tt:(Linalg.Vec.t -> Linalg.Vec.t) -> t -> t
+val congruent : t:(Linalg.Vec.t -> unit) -> tt:(Linalg.Vec.t -> unit) -> t -> t
 (** [congruent ~t ~tt f] turns a factorisation [f] of the congruent
-    matrix [K' = TᵀKT] into one of [K], given [t x = T x] and
-    [tt x = Tᵀ x]: [M = T⁻ᵀM'] with the same [J] and [kind], so
-    [M⁻¹ = M'⁻¹Tᵀ], [M⁻ᵀ = T M'⁻ᵀ] and [K⁻¹ = T K'⁻¹ Tᵀ]. *)
+    matrix [K' = TᵀKT] into one of [K], given [t x] and [tt x] that
+    overwrite [x] with [T x] and [Tᵀ x]: [M = T⁻ᵀM'] with the same [J]
+    and [kind], so [M⁻¹ = M'⁻¹Tᵀ], [M⁻ᵀ = T M'⁻ᵀ] and
+    [K⁻¹ = T K'⁻¹ Tᵀ]. *)
 
 val of_dense : Linalg.Mat.t -> t
 (** Dense Bunch–Kaufman path (any symmetric nonsingular input);

@@ -268,23 +268,21 @@ let kkt_factor t nn =
     Obs.count "factor.count" 1;
     Obs.count "factor.nnz" (Sparse.Supernodal.Real.fill fac)
   end;
-  (* the O(nnz A) maps: Tᵀb = [bₙ + AᵀW bᵢ; bᵢ] and T y = [yₙ; W A yₙ + yᵢ] *)
-  let tt b =
-    let x = Array.copy b in
+  (* the O(nnz A) maps, in place: Tᵀb = [bₙ + AᵀW bᵢ; bᵢ] and
+     T y = [yₙ; W A yₙ + yᵢ] (each reads only the block it leaves
+     alone) *)
+  let tt x =
     for k = 0 to ni - 1 do
-      let wb = w.(k) *. b.(nn + k) in
+      let wb = w.(k) *. x.(nn + k) in
       Sparse.Csr.iter_row g (nn + k) (fun j a -> if j < nn then x.(j) <- x.(j) +. (a *. wb))
-    done;
-    x
+    done
   in
   let tm y =
-    let x = Array.copy y in
     for k = 0 to ni - 1 do
       let s = ref 0.0 in
       Sparse.Csr.iter_row g (nn + k) (fun j a -> if j < nn then s := !s +. (a *. y.(j)));
-      x.(nn + k) <- x.(nn + k) +. (w.(k) *. !s)
-    done;
-    x
+      y.(nn + k) <- y.(nn + k) +. (w.(k) *. !s)
+    done
   in
   Factor.congruent ~t:tm ~tt (of_super perm fac)
 

@@ -28,20 +28,30 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 let run_with_factor (m : Circuit.Mna.t) opts shift fac =
   let j = fac.Factor.j in
   let c = m.Circuit.Mna.c in
-  let apply_jinv v =
-    (* J⁻¹ = J for J = diag(±1) *)
-    Linalg.Vec.init (Linalg.Vec.dim v) (fun i -> j.(i) *. v.(i))
+  let n = m.Circuit.Mna.n in
+  (* F = J⁻¹M⁻¹CM⁻ᵀ works in two N-vectors allocated once per
+     reduction; only its result, the next candidate, is fresh *)
+  let x = Linalg.Vec.create n and y = Linalg.Vec.create n in
+  (* J⁻¹M⁻¹u (J⁻¹ = J for J = diag(±1)); u is overwritten *)
+  let jm_inv u =
+    fac.Factor.m_inv u y;
+    let out = Linalg.Vec.create n in
+    for i = 0 to n - 1 do
+      out.(i) <- j.(i) *. y.(i)
+    done;
+    out
   in
   let op v =
-    let w = fac.Factor.apply_mt_inv v in
-    let u = Sparse.Csr.mul_vec c w in
-    apply_jinv (fac.Factor.apply_m_inv u)
+    if Obs.tracing () then Obs.count "krylov.op_applies" 1;
+    Array.blit v 0 x 0 n;
+    fac.Factor.mt_inv x y;
+    Sparse.Csr.mul_vec_into c y x;
+    jm_inv x
   in
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
-  let start = Linalg.Mat.create m.Circuit.Mna.n p in
+  let start = Linalg.Mat.create n p in
   for k = 0 to p - 1 do
-    Linalg.Mat.set_col start k
-      (apply_jinv (fac.Factor.apply_m_inv (Linalg.Mat.col m.Circuit.Mna.b k)))
+    Linalg.Mat.set_col start k (jm_inv (Linalg.Mat.col m.Circuit.Mna.b k))
   done;
   let res =
     Band_lanczos.run ~dtol:opts.dtol ~ctol:opts.ctol ~full_ortho:opts.full_ortho

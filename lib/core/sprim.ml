@@ -38,56 +38,12 @@ let reduce ?ctx ?shift ?band ~order (m : Circuit.Mna.t) =
     invalid_arg "Sprim.reduce: no inductor-current block to preserve";
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
   Pencil.with_auto_shift ?shift ?band ctx @@ fun s0 fac ->
-  let solve_k v = fac.Factor.solve v in
-  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
   (* Phase 1 — plain block-Arnoldi basis on the linearised pencil,
-     exactly as PRIMA would build it (same expansion point, same MGS),
+     exactly as PRIMA builds it (same expansion point, same sweep),
      capped at [order] columns. *)
-  let basis = ref [] in
-  let nb = ref 0 in
-  let push v =
-    if !nb < order then begin
-      let w = Linalg.Vec.copy v in
-      let n0 = Linalg.Vec.norm2 w in
-      for _pass = 1 to 2 do
-        List.iter
-          (fun q ->
-            let h = Linalg.Vec.dot q w in
-            Linalg.Vec.axpy (-.h) q w)
-          !basis
-      done;
-      let n1 = Linalg.Vec.norm2 w in
-      if n1 > 1e-10 *. Float.max n0 1e-300 then begin
-        Linalg.Vec.scale_ip (1.0 /. n1) w;
-        basis := !basis @ [ w ];
-        incr nb;
-        true
-      end
-      else false
-    end
-    else false
-  in
-  let current = ref [] in
-  for k = 0 to p - 1 do
-    let v = solve_k (Linalg.Mat.col m.Circuit.Mna.b k) in
-    if push v then current := !current @ [ List.nth !basis (!nb - 1) ]
-  done;
-  let continue_ = ref (!current <> []) in
-  while !nb < order && !continue_ do
-    let next = ref [] in
-    List.iter
-      (fun v ->
-        if !nb < order then begin
-          let w = solve_k (Sparse.Csr.mul_vec c v) in
-          if push w then next := !next @ [ List.nth !basis (!nb - 1) ]
-        end)
-      !current;
-    current := !next;
-    if !current = [] then continue_ := false
-  done;
-  let krylov_cols = !nb in
-  let v = Linalg.Mat.create n krylov_cols in
-  List.iteri (fun k q -> Linalg.Mat.set_col v k q) !basis;
+  let v = Arnoldi.krylov_basis ~order ~solve:fac.Factor.solve m in
+  let krylov_cols = v.Linalg.Mat.cols in
+  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
   (* Phase 2 — SPRIM split-and-re-block: partition the Krylov basis
      rows at the node/current boundary and orthonormalise each part.
      span(blkdiag(V₁, V₂)) ⊇ span(V), so the projection matches at

@@ -1,3 +1,5 @@
+exception No_convergence
+
 (* [Mat] with its accessors restated here: a dev-profile build compiles
    with -opaque, where [Mat.get] cannot inline across the module
    boundary and every call boxes its float *)
@@ -117,7 +119,7 @@ let tqli d e z =
         if !m = l then continue_ := false
         else begin
           incr iter;
-          if !iter > 50 then failwith "Eig_sym: QL failed to converge";
+          if !iter > 50 then raise No_convergence;
           let g = (d.(l + 1) -. d.(l)) /. (2.0 *. e.(l)) in
           let r = hypot2 g 1.0 in
           let g =

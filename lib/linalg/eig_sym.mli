@@ -10,10 +10,13 @@ type result = {
   vectors : Mat.t; (* column j is the eigenvector for values.(j) *)
 }
 
+exception No_convergence
+(** QL needed more than 50 sweeps for one eigenvalue — in practice
+    only on non-finite input. *)
+
 val decompose : Mat.t -> result
 (** Full eigendecomposition of a symmetric matrix (the lower triangle
-    is trusted). Raises [Failure] if QL fails to converge (more than
-    50 sweeps per eigenvalue — does not happen for symmetric input). *)
+    is trusted). Raises {!No_convergence} if QL fails to converge. *)
 
 val values : Mat.t -> Vec.t
 (** Eigenvalues only (still accumulates internally; convenience). *)

@@ -55,9 +55,12 @@ let eval pen s =
 let herm_min_eig pen w =
   match eval pen (Cx.im w) with
   | z ->
-    let lam = Cmat.min_eig_hermitian (Cmat.hermitian_part z) in
+    (* a non-finite Z never reaches the eigensolver *)
     let scale = Cmat.max_abs z in
-    if Float.is_finite lam && Float.is_finite scale then Some (lam, scale) else None
+    if not (Float.is_finite scale) then None
+    else
+      let lam = Cmat.min_eig_hermitian (Cmat.hermitian_part z) in
+      if Float.is_finite lam then Some (lam, scale) else None
   | exception Cmat.Singular _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -251,9 +254,15 @@ let violation_bands ?(tol = 1e-9) pen =
     in
     List.map
       (fun (lo, hi, w0, lam0) ->
-        (* refine the deepest point with a log-spaced interior sweep *)
-        let slo = if lo > 0.0 then lo else Float.max (hi *. 1e-6) 1e-300 in
-        let shi = if Float.is_finite hi then hi else slo *. 1e6 in
+        (* refine the deepest point with a log-spaced interior sweep;
+           the whole axis (0, ∞) is sampled around the frequency scale *)
+        let slo, shi =
+          match (lo > 0.0, Float.is_finite hi) with
+          | true, true -> (lo, hi)
+          | true, false -> (lo, lo *. 1e6)
+          | false, true -> (Float.max (hi *. 1e-6) 1e-300, hi)
+          | false, false -> (ws *. 1e-3, ws *. 1e3)
+        in
         let k = 33 in
         let samples =
           List.init k (fun i ->

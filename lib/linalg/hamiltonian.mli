@@ -87,5 +87,8 @@ val violation_bands : ?tol:float -> pencil -> band list
     exact candidate interval boundaries, each interval is classified
     by [λmin] at interior points, adjacent violating intervals are
     merged, and each band's worst point is refined by a log-spaced
-    interior sweep. Returns [[]] when the model is passive to
-    tolerance on the whole axis. *)
+    interior sweep (a band covering the whole axis around the pencil's
+    frequency scale). Returns [[]] when the model is passive to
+    tolerance on the whole axis. Sample points whose [Z] is not finite
+    are skipped; raises {!Eig_sym.No_convergence} if the Hermitian
+    eigensolver fails on a finite [Z]. *)

@@ -293,23 +293,25 @@ let apply_m t x =
   done;
   out
 
-let apply_m_inv t x =
-  assert (Vec.dim x = t.n);
-  let z = Vec.init t.n (fun i -> x.(t.perm.(i))) in
-  solve_unit_lower t z;
-  apply_s_inv t z;
-  z
+let check_pair t x y =
+  if Vec.dim x <> t.n || Vec.dim y <> t.n || x == y then
+    invalid_arg "Ldlt: operands must be two distinct vectors of the factor's size"
 
-let apply_mt_inv t x =
-  assert (Vec.dim x = t.n);
-  let z = Vec.copy x in
-  apply_s_inv_t t z;
-  solve_unit_lower_t t z;
-  let out = Vec.create t.n in
+let m_inv t x y =
+  check_pair t x y;
   for i = 0 to t.n - 1 do
-    out.(t.perm.(i)) <- z.(i)
+    y.(i) <- x.(t.perm.(i))
   done;
-  out
+  solve_unit_lower t y;
+  apply_s_inv t y
+
+let mt_inv t x y =
+  check_pair t x y;
+  apply_s_inv_t t x;
+  solve_unit_lower_t t x;
+  for i = 0 to t.n - 1 do
+    y.(t.perm.(i)) <- x.(i)
+  done
 
 let m_dense t =
   let m = Mat.create t.n t.n in

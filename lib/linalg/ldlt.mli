@@ -37,11 +37,13 @@ val is_definite : t -> bool
 val apply_m : t -> Vec.t -> Vec.t
 (** [M x]. *)
 
-val apply_m_inv : t -> Vec.t -> Vec.t
-(** [M⁻¹ x]. *)
+val m_inv : t -> Vec.t -> Vec.t -> unit
+(** [m_inv t x y] writes [M⁻¹ x] into [y] ([x], [y] distinct, of
+    length [dim]; [x] may be overwritten). *)
 
-val apply_mt_inv : t -> Vec.t -> Vec.t
-(** [M⁻ᵀ x]. *)
+val mt_inv : t -> Vec.t -> Vec.t -> unit
+(** [mt_inv t x y] writes [M⁻ᵀ x] into [y], overwriting [x] (its
+    workspace). *)
 
 val m_dense : t -> Mat.t
 (** Materialise [M] (testing / small problems). *)

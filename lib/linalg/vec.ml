@@ -27,30 +27,31 @@ let sub x y =
 
 let scale a x = Array.map (fun xi -> a *. xi) x
 
+(* the kernels below check the lengths once, then index unchecked *)
 let axpy a x y =
-  assert (dim x = dim y);
+  if dim x <> dim y then invalid_arg "Vec.axpy: length mismatch";
   for i = 0 to dim x - 1 do
-    y.(i) <- y.(i) +. (a *. x.(i))
+    Array.unsafe_set y i (Array.unsafe_get y i +. (a *. Array.unsafe_get x i))
   done
 
 let scale_ip a x =
   for i = 0 to dim x - 1 do
-    x.(i) <- a *. x.(i)
+    Array.unsafe_set x i (a *. Array.unsafe_get x i)
   done
 
 let dot x y =
-  assert (dim x = dim y);
+  if dim x <> dim y then invalid_arg "Vec.dot: length mismatch";
   let s = ref 0.0 in
   for i = 0 to dim x - 1 do
-    s := !s +. (x.(i) *. y.(i))
+    s := !s +. (Array.unsafe_get x i *. Array.unsafe_get y i)
   done;
   !s
 
 let dot3 x d y =
-  assert (dim x = dim d && dim d = dim y);
+  if dim x <> dim d || dim d <> dim y then invalid_arg "Vec.dot3: length mismatch";
   let s = ref 0.0 in
   for i = 0 to dim x - 1 do
-    s := !s +. (x.(i) *. d.(i) *. y.(i))
+    s := !s +. (Array.unsafe_get x i *. Array.unsafe_get d i *. Array.unsafe_get y i)
   done;
   !s
 

@@ -99,6 +99,23 @@ let mul_vec t x =
   mul_vec_into t x y;
   y
 
+let mul_dense t (x : Linalg.Mat.t) =
+  if x.Linalg.Mat.rows <> t.cols then invalid_arg "Csr.mul_dense: dimension mismatch";
+  let nc = x.Linalg.Mat.cols in
+  let z = Linalg.Mat.create t.rows nc in
+  for i = 0 to t.rows - 1 do
+    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+      let a = t.values.(k) in
+      if a <> 0.0 then begin
+        let zrow = i * nc and xrow = t.col_idx.(k) * nc in
+        for j = 0 to nc - 1 do
+          z.Linalg.Mat.a.(zrow + j) <- z.Linalg.Mat.a.(zrow + j) +. (a *. x.Linalg.Mat.a.(xrow + j))
+        done
+      end
+    done
+  done;
+  z
+
 let transpose t =
   let tr = Triplet.create t.cols t.rows in
   for i = 0 to t.rows - 1 do

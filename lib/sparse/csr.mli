@@ -28,6 +28,11 @@ val mul_vec : t -> Linalg.Vec.t -> Linalg.Vec.t
 val mul_vec_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
 (** [mul_vec_into a x y] writes [A x] into [y] (no allocation). *)
 
+val mul_dense : t -> Linalg.Mat.t -> Linalg.Mat.t
+(** [mul_dense a x] is [A X] without densifying [A]: the bits of
+    [Linalg.Mat.mul (to_dense a) x] (zero entries skipped, each row's
+    terms summed in ascending column order). *)
+
 val transpose : t -> t
 
 val add : ?alpha:float -> ?beta:float -> t -> t -> t

@@ -21,8 +21,8 @@ module type SOLVER = sig
 
   val dim : t -> int
   val solve : t -> elt array -> elt array
-  val solve_lower : t -> elt array -> elt array
-  val solve_lower_t : t -> elt array -> elt array
+  val solve_lower : t -> elt array -> unit
+  val solve_lower_t : t -> elt array -> unit
   val d : t -> elt array
   val fill : t -> int
 end
@@ -105,9 +105,8 @@ module Make (F : FIELD) = struct
     end;
     { n; first; rows; diag }
 
-  let solve_lower t b =
-    assert (Array.length b = t.n);
-    let y = Array.copy b in
+  let solve_lower t y =
+    if Array.length y <> t.n then invalid_arg "Skyline.solve_lower: length mismatch";
     for i = 0 to t.n - 1 do
       let fi = t.first.(i) in
       let ri = t.rows.(i) in
@@ -116,12 +115,10 @@ module Make (F : FIELD) = struct
         s := F.sub !s (F.mul ri.(k - fi) y.(k))
       done;
       y.(i) <- !s
-    done;
-    y
+    done
 
-  let solve_lower_t t b =
-    assert (Array.length b = t.n);
-    let y = Array.copy b in
+  let solve_lower_t t y =
+    if Array.length y <> t.n then invalid_arg "Skyline.solve_lower_t: length mismatch";
     for i = t.n - 1 downto 0 do
       let yi = y.(i) in
       let fi = t.first.(i) in
@@ -129,15 +126,15 @@ module Make (F : FIELD) = struct
       for k = fi to i - 1 do
         y.(k) <- F.sub y.(k) (F.mul ri.(k - fi) yi)
       done
-    done;
-    y
+    done
 
   let solve t b =
-    let y = solve_lower t b in
+    let y = Array.copy b in
+    solve_lower t y;
     for i = 0 to t.n - 1 do
       y.(i) <- F.div y.(i) t.diag.(i)
     done;
-    let y = solve_lower_t t y in
+    solve_lower_t t y;
     if San.fp () then begin
       let finite = ref true in
       Array.iter (fun x -> if not (Float.is_finite (F.abs x)) then finite := false) y;

@@ -46,11 +46,13 @@ module type SOLVER = sig
   val solve : t -> elt array -> elt array
   (** Solve [A x = b]. *)
 
-  val solve_lower : t -> elt array -> elt array
-  (** Forward substitution with the unit-lower factor [L] only. *)
+  val solve_lower : t -> elt array -> unit
+  (** Forward substitution with the unit-lower factor [L] only, in
+      place: overwrites [x] with [L⁻¹x]. *)
 
-  val solve_lower_t : t -> elt array -> elt array
-  (** Back substitution with [Lᵀ] only. *)
+  val solve_lower_t : t -> elt array -> unit
+  (** Back substitution with [Lᵀ] only, in place: overwrites [x] with
+      [L⁻ᵀx]. *)
 
   val d : t -> elt array
   (** The diagonal of [D]. *)

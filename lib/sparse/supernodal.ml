@@ -499,9 +499,8 @@ module Real = struct
 
   let dim t = t.sym.sy_n
 
-  let solve_lower t b =
-    assert (Array.length b = t.sym.sy_n);
-    let x = Array.copy b in
+  let solve_lower t x =
+    if Array.length x <> t.sym.sy_n then invalid_arg "Supernodal.solve_lower: length mismatch";
     for s = 0 to t.sym.sy_nsuper - 1 do
       let st = t.sym.sy_start.(s) in
       let w = t.sym.sy_start.(s + 1) - st in
@@ -516,12 +515,10 @@ module Real = struct
             (Array.unsafe_get x i -. (Array.unsafe_get p ((kk * w) + cl) *. xj))
         done
       done
-    done;
-    x
+    done
 
-  let solve_lower_t t b =
-    assert (Array.length b = t.sym.sy_n);
-    let x = Array.copy b in
+  let solve_lower_t t x =
+    if Array.length x <> t.sym.sy_n then invalid_arg "Supernodal.solve_lower_t: length mismatch";
     for s = t.sym.sy_nsuper - 1 downto 0 do
       let st = t.sym.sy_start.(s) in
       let w = t.sym.sy_start.(s + 1) - st in
@@ -538,15 +535,15 @@ module Real = struct
         done;
         Array.unsafe_set x (st + cl) !acc
       done
-    done;
-    x
+    done
 
   let solve t b =
-    let y = solve_lower t b in
+    let y = Array.copy b in
+    solve_lower t y;
     for i = 0 to t.sym.sy_n - 1 do
       y.(i) <- y.(i) /. t.d.(i)
     done;
-    let y = solve_lower_t t y in
+    solve_lower_t t y;
     if San.fp () then San.Fp.check_array ~name:"supernodal.solve" y;
     y
 

@@ -117,11 +117,13 @@ module Real : sig
   val solve : t -> float array -> float array
   (** Solve [A x = b] (permuted coordinates). *)
 
-  val solve_lower : t -> float array -> float array
-  (** Forward substitution with the unit-lower factor [L] only. *)
+  val solve_lower : t -> float array -> unit
+  (** Forward substitution with the unit-lower factor [L] only, in
+      place: overwrites [x] with [L⁻¹x]. *)
 
-  val solve_lower_t : t -> float array -> float array
-  (** Back substitution with [Lᵀ] only. *)
+  val solve_lower_t : t -> float array -> unit
+  (** Back substitution with [Lᵀ] only, in place: overwrites [x] with
+      [L⁻ᵀx]. *)
 
   val d : t -> float array
   (** The diagonal of [D] (a copy). *)

@@ -24,7 +24,13 @@
       MOD009 each in its own Obs span.
    7. Factor residual (MOD010): info on a clean reduction and on every
       example × engine, skipped without a shared context, info when the
-      pencil is singular at the model's shift. *)
+      pencil is singular at the model's shift.
+   8. A violation band covering the whole axis (golden/certify_rlck5.cir,
+      PRIMA order 8) is refined at finite sample points around the
+      frequency scale and reported (MOD003/MOD007) — its samples were
+      all NaN and the eigensolver's failure escaped as an uncaught
+      exception; that failure is now the typed Eig_sym.No_convergence,
+      raised on a non-finite matrix. *)
 
 module Rom = Sympvl.Rom
 module Certify = Sympvl.Certify
@@ -503,6 +509,39 @@ let test_residual_singular () =
       "sympvl: pencil singular at the expansion point — residual probe skipped" d.D.message
   | ds -> Alcotest.failf "%d MOD010 findings" (List.length ds)
 
+(* ------------------------------------------------------------------ *)
+(* 8. a whole-axis violation band                                      *)
+
+let test_whole_axis_band () =
+  let mna =
+    Circuit.Mna.auto
+      (Circuit.Parser.parse_file
+         (find_path [ "golden/certify_rlck5.cir"; "test/golden/certify_rlck5.cir" ]))
+  in
+  let ctx = Sympvl.Pencil.create mna in
+  let model = Rom.reduce ~ctx ~order:8 `Prima mna in
+  let rep = Certify.run ~ctx model mna in
+  (match rep.Certify.bands with
+  | [ b ] ->
+    Alcotest.(check (float 0.0)) "from DC" 0.0 b.H.w_lo;
+    Alcotest.(check bool) "to infinity" true (b.H.w_hi = infinity);
+    Alcotest.(check bool) "finite worst point" true
+      (Float.is_finite b.H.w_worst && b.H.w_worst > 0.0 && Float.is_finite b.H.lambda_min);
+    Alcotest.(check bool) "a violation" true (b.H.lambda_min < 0.0)
+  | bs -> Alcotest.failf "%d bands" (List.length bs));
+  let codes sev =
+    List.filter_map
+      (fun d -> if d.D.severity = sev then Some d.D.code else None)
+      rep.Certify.findings
+  in
+  Alcotest.(check bool) "MOD003 and MOD007 warnings" true
+    (List.mem "MOD003" (codes D.Warning) && List.mem "MOD007" (codes D.Warning));
+  let nan = Mat.init 3 3 (fun _ _ -> Float.nan) in
+  Alcotest.(check bool) "non-finite input raises No_convergence" true
+    (match Linalg.Eig_sym.values nan with
+    | _ -> false
+    | exception Linalg.Eig_sym.No_convergence -> true)
+
 let () =
   Alcotest.run "certify"
     [
@@ -527,4 +566,5 @@ let () =
           Alcotest.test_case "every example and engine" `Quick test_residual_examples;
           Alcotest.test_case "singular at the shift" `Quick test_residual_singular;
         ] );
+      ("hamiltonian", [ Alcotest.test_case "whole-axis band" `Quick test_whole_axis_band ]);
     ]

@@ -192,11 +192,13 @@ let test_ldlt_apply_m_consistency () =
   let f = Linalg.Ldlt.factor a in
   let x = Linalg.Vec.init 7 (fun i -> cos (float_of_int i)) in
   (* M⁻¹ (M x) = x *)
-  let y = Linalg.Ldlt.apply_m_inv f (Linalg.Ldlt.apply_m f x) in
+  let y = Linalg.Vec.create 7 in
+  Linalg.Ldlt.m_inv f (Linalg.Ldlt.apply_m f x) y;
   checkf "M⁻¹ M = I" ~tol:1e-9 0.0 (Linalg.Vec.dist_inf x y);
   (* Mᵀ M⁻ᵀ x = x : check M⁻ᵀ against dense transpose solve *)
   let md = Linalg.Ldlt.m_dense f in
-  let z = Linalg.Ldlt.apply_mt_inv f x in
+  let z = Linalg.Vec.create 7 in
+  Linalg.Ldlt.mt_inv f (Linalg.Vec.copy x) z;
   let back = Linalg.Mat.mul_trans_vec md z in
   checkf "M⁻ᵀ consistent" ~tol:1e-8 0.0 (Linalg.Vec.dist_inf x back)
 

@@ -115,7 +115,9 @@ let test_shared_context () =
   let rng = Random.State.make [| 17 |] in
   for _ = 1 to 8 do
     let v = random_vec rng mna.M.n in
-    let z = fac.F.apply_m_inv (Sparse.Csr.mul_vec mna.M.g (fac.F.apply_mt_inv v)) in
+    let w = Array.make mna.M.n 0.0 and z = Array.make mna.M.n 0.0 in
+    fac.F.mt_inv (Array.copy v) w;
+    fac.F.m_inv (Sparse.Csr.mul_vec mna.M.g w) z;
     let jv = Array.mapi (fun i x -> fac.F.j.(i) *. x) v in
     let err = rel_diff z jv in
     if err > 1e-10 then Alcotest.failf "M⁻¹ K M⁻ᵀ differs from J by %.3e" err
