@@ -43,13 +43,14 @@ let of_ldlt ~(kind : [ `Skyline | `Supernodal ]) ~perm ~d ~solve_lower ~solve_lo
     if Array.length x <> n || Array.length y <> n || x == y then
       invalid_arg "Factor: operands must be two distinct vectors of the factor's size"
   in
-  (* y ← P x and y ← Pᵀ x *)
-  let permute_into x y =
+  (* y ← P x and y ← Pᵀ x (annotated: a polymorphic array copy would
+     box every entry) *)
+  let permute_into (x : Linalg.Vec.t) (y : Linalg.Vec.t) =
     for i = 0 to n - 1 do
       y.(i) <- x.(perm.(i))
     done
   in
-  let unpermute_into x y =
+  let unpermute_into (x : Linalg.Vec.t) (y : Linalg.Vec.t) =
     for i = 0 to n - 1 do
       y.(perm.(i)) <- x.(i)
     done

@@ -6,8 +6,9 @@ let singleton q = { vecs = [| q |]; coeffs = Fun.id }
    (member by member, as a run of axpys would), then every dot of [rs]
    takes the updated entry — as a run of dots after the axpys would,
    each summed in ascending i. [Some w] weights the dots:
-   Σ (r.(i)·w.(i))·v.(i), the association of [Vec.dot3]. The common
-   one-member-each-side case gets its own loop. *)
+   Σ (r.(i)·w.(i))·v.(i), the association of [Vec.dot3]. A pass with
+   one member on each side gets its own loop, one with a single member
+   on one side only is [Vec.dot3]/[Vec.dot] or [Vec.axpy] itself. *)
 let pass weight qs a rs v =
   let n = Array.length v in
   let nq = Array.length qs and nr = Array.length rs in
@@ -33,6 +34,12 @@ let pass weight qs a rs v =
         s := !s +. (Array.unsafe_get r i *. x)
       done);
     [| !s |]
+  end
+  else if nq = 0 && nr = 1 then
+    [| (match weight with Some w -> Linalg.Vec.dot3 rs.(0) w v | None -> Linalg.Vec.dot rs.(0) v) |]
+  else if nq = 1 && nr = 0 then begin
+    Linalg.Vec.axpy a.(0) qs.(0) v;
+    [||]
   end
   else begin
     let acc = Array.make nr 0.0 in
