@@ -14,23 +14,21 @@ let project ~shift (m : Circuit.Mna.t) v =
    modified Gram–Schmidt through the shared sweep; a candidate that
    shrinks below 1e-10 of its norm is numerically dependent and dropped.
    [add] returns the accepted unit vector. *)
-type basis = { mutable qs : Ortho.block array }
-
 let add basis v =
   let w = Linalg.Vec.copy v in
   let n0 = Linalg.Vec.norm2 w in
-  Ortho.sweep (Array.append basis.qs basis.qs) w;
+  Ortho.sweep (Array.append !basis !basis) w;
   let n1 = Linalg.Vec.norm2 w in
   if n1 > 1e-10 *. Float.max n0 1e-300 then begin
     Linalg.Vec.scale_ip (1.0 /. n1) w;
-    basis.qs <- Array.append basis.qs [| Ortho.singleton w |];
+    basis := Array.append !basis [| Ortho.singleton w |];
     Some w
   end
   else None
 
 let to_mat n basis =
-  let v = Linalg.Mat.create n (Array.length basis.qs) in
-  Array.iteri (fun k q -> Linalg.Mat.set_col v k q.Ortho.vecs.(0)) basis.qs;
+  let v = Linalg.Mat.create n (Array.length !basis) in
+  Array.iteri (fun k q -> Linalg.Mat.set_col v k q.Ortho.vecs.(0)) !basis;
   v
 
 (* one application of K⁻¹C *)
@@ -41,12 +39,15 @@ let apply solve c v =
 let krylov_basis ~order ~solve (m : Circuit.Mna.t) =
   let c = m.Circuit.Mna.c in
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
-  let basis = { qs = [||] } in
-  let size () = Array.length basis.qs in
+  let basis = ref [||] in
+  let size () = Array.length !basis in
   let accept v = if size () < order then add basis v else None in
   (* start block K⁻¹B *)
   let current =
-    ref (List.filter_map (fun k -> accept (solve (Linalg.Mat.col m.Circuit.Mna.b k))) (List.init p Fun.id))
+    ref
+      (List.filter_map
+         (fun k -> accept (solve (Linalg.Mat.col m.Circuit.Mna.b k)))
+         (List.init p Fun.id))
   in
   (* Arnoldi sweeps: apply K⁻¹C to the newest accepted block *)
   while size () < order && !current <> [] do
@@ -75,7 +76,7 @@ let reduce_multipoint ?ctx ~points (m : Circuit.Mna.t) =
   let c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
-  let basis = { qs = [||] } in
+  let basis = ref [||] in
   List.iter
     (fun (s0, steps) ->
       (* repeated expansion points are cache hits on the context *)

@@ -85,9 +85,15 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
         Array.iteri (fun i m -> add_t m col coeff.(i)) (fst closed.(k)))
       (Array.map snd closed) v
   in
+  (* the block size collapsed, or the order reached N: end the run *)
+  let exhaust step =
+    exhausted := true;
+    if Obs.tracing () then Obs.instant ~args:[ ("step", Obs.Int step) ] "lanczos.exhausted";
+    raise Exit
+  in
   let n = ref 0 in
   (try
-     while !nv < cap do
+     while !nv < n_max do
        incr n;
        let n_cur = !n in
        if Obs.tracing () then begin
@@ -98,11 +104,7 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
        let accepted = ref None in
        while !accepted = None do
          match !cands with
-         | [] ->
-           exhausted := true;
-           if Obs.tracing () then
-             Obs.instant ~args:[ ("step", Obs.Int n_cur) ] "lanczos.exhausted";
-           raise Exit
+         | [] -> exhaust n_cur
          | head :: rest ->
            let phi = n_cur - pc () in
            (* 1b: orthogonalise against the current (open) cluster in
@@ -113,6 +115,10 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
              (Array.map (fun i -> Ortho.singleton vs.(i - 1)) ids)
              head.vec;
            let nrm = Linalg.Vec.norm2 head.vec in
+           (* N vectors span the whole space: a candidate that still
+              survives (the windowed process, once J-orthogonality is
+              lost, need not deflate) ends the run *)
+           if nrm > dtol *. head.norm0 && n_cur > cap then exhaust n_cur;
            if nrm > dtol *. head.norm0 then begin
              (* 1h: accept and normalise *)
              if Obs.tracing () && nrm <= 10.0 *. dtol *. head.norm0 then begin
@@ -148,12 +154,7 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
                    ]
                  "lanczos.deflation"
              end;
-             if pc () = 1 then begin
-               exhausted := true;
-               if Obs.tracing () then
-                 Obs.instant ~args:[ ("step", Obs.Int n_cur) ] "lanczos.exhausted";
-               raise Exit
-             end;
+             if pc () = 1 then exhaust n_cur;
              if phi > 0 && nrm > 0.0 then begin
                let g = gamma_of.(phi) in
                if not (List.mem g !iv) then iv := g :: !iv
@@ -244,8 +245,7 @@ let run ?(dtol = 1e-8) ?(ctol = 1e-10) ?(full_ortho = true) ~n_max ~op ~j ~start
   if !step_open then Obs.span_end ();
   let order = !nv in
   (* an order-N basis spans the whole space, whether or not a deflation
-     said so: the windowed process, having lost J-orthogonality, may
-     never deflate *)
+     said so *)
   if order = nn then exhausted := true;
   (* assemble outputs at the achieved order *)
   let t_mat = Linalg.Mat.submatrix tm 0 0 order order in

@@ -45,7 +45,10 @@ val run :
   start:Linalg.Mat.t ->
   unit ->
   result
-(** [run ~n_max ~op ~j ~start ()] performs at most [n_max] iterations.
+(** [run ~n_max ~op ~j ~start ()] performs at most [min n_max N]
+    iterations ([N] the vector length: the Krylov dimension). Every
+    (J-)orthogonalisation goes through {!Ortho.sweep}; [op] is
+    applied once per iteration.
 
     - [dtol] (default [1e-8]): relative deflation tolerance — a
       candidate is deflated when orthogonalisation shrinks it below
@@ -56,4 +59,9 @@ val run :
       against {e all} closed clusters (numerically robust full
       reorthogonalisation). With [false], only the paper's sliding
       window [γ_v … γ−1] plus inexact-deflation clusters is used —
-      the cost model of Algorithm 1. *)
+      the cost model of Algorithm 1. The window costs accuracy once
+      J-orthogonality is lost: on a coupled RC bus (8 wires × 50
+      sections, 1 kΩ terminations, p = 8) at order 128 its model is
+      1.8e-9 off the exact sweep over 10 MHz–10 GHz, against 2.8e-13
+      with full reorthogonalisation (bench [tabF] F1); on the 64-pin
+      package at orders 32 and 64 the two modes agree. *)

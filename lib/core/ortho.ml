@@ -12,11 +12,10 @@ let singleton q = { vecs = [| q |]; coeffs = Fun.id }
 let pass weight qs a rs v =
   let n = Array.length v in
   let nq = Array.length qs and nr = Array.length rs in
-  Array.iter (fun q -> if Array.length q <> n then invalid_arg "Ortho.sweep: length mismatch") qs;
-  Array.iter (fun r -> if Array.length r <> n then invalid_arg "Ortho.sweep: length mismatch") rs;
-  (match weight with
-  | Some w when Array.length w <> n -> invalid_arg "Ortho.sweep: weight length mismatch"
-  | _ -> ());
+  let check x = if Array.length x <> n then invalid_arg "Ortho.sweep: length mismatch" in
+  Array.iter check qs;
+  Array.iter check rs;
+  Option.iter check weight;
   if nq = 1 && nr = 1 then begin
     let q = qs.(0) and r = rs.(0) and a0 = a.(0) in
     let s = ref 0.0 in
@@ -36,7 +35,11 @@ let pass weight qs a rs v =
     [| !s |]
   end
   else if nq = 0 && nr = 1 then
-    [| (match weight with Some w -> Linalg.Vec.dot3 rs.(0) w v | None -> Linalg.Vec.dot rs.(0) v) |]
+    [|
+      (match weight with
+      | Some w -> Linalg.Vec.dot3 rs.(0) w v
+      | None -> Linalg.Vec.dot rs.(0) v);
+    |]
   else if nq = 1 && nr = 0 then begin
     Linalg.Vec.axpy a.(0) qs.(0) v;
     [||]
@@ -50,11 +53,11 @@ let pass weight qs a rs v =
       done;
       let x = !x in
       Array.unsafe_set v i x;
+      (* ri·1.0 is ri exactly, so the unweighted dot takes weight 1 *)
       let wi = match weight with Some w -> Array.unsafe_get w i | None -> 1.0 in
       for l = 0 to nr - 1 do
         let ri = Array.unsafe_get (Array.unsafe_get rs l) i in
-        let t = match weight with Some _ -> ri *. wi *. x | None -> ri *. x in
-        Array.unsafe_set acc l (Array.unsafe_get acc l +. t)
+        Array.unsafe_set acc l (Array.unsafe_get acc l +. (ri *. wi *. x))
       done
     done;
     acc

@@ -103,13 +103,14 @@ let mul_dense t (x : Linalg.Mat.t) =
   if x.Linalg.Mat.rows <> t.cols then invalid_arg "Csr.mul_dense: dimension mismatch";
   let nc = x.Linalg.Mat.cols in
   let z = Linalg.Mat.create t.rows nc in
+  let za = z.Linalg.Mat.a and xa = x.Linalg.Mat.a in
   for i = 0 to t.rows - 1 do
     for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
       let a = t.values.(k) in
       if a <> 0.0 then begin
         let zrow = i * nc and xrow = t.col_idx.(k) * nc in
         for j = 0 to nc - 1 do
-          z.Linalg.Mat.a.(zrow + j) <- z.Linalg.Mat.a.(zrow + j) +. (a *. x.Linalg.Mat.a.(xrow + j))
+          za.(zrow + j) <- za.(zrow + j) +. (a *. xa.(xrow + j))
         done
       end
     done

@@ -1,6 +1,7 @@
 (* The Krylov layer's outputs as "%h" hex floats, one matrix row per
    line: SyMPVL's T, Δ and ρ (definite 32×32 and 64×64 RC grids with 16
-   and 8 ports — the skyline and the supernodal backend — two indefinite RLC nets, a synthetic J-breakdown that needs a 2×2
+   and 8 ports — the skyline and the supernodal backend — two
+   indefinite RLC nets, and a synthetic J-breakdown that needs a 2×2
    look-ahead cluster, full and windowed), and the reduced matrices of
    PRIMA (single and multi-point) and SPRIM on a small partial-
    inductance bus. golden/krylov.bits holds these lines as the Krylov

@@ -102,14 +102,18 @@ let prop_sweep =
 (* ------------------------------------------------------------------ *)
 (* 3. windowed process at the Krylov dimension                         *)
 
+(* test_simulate's "sweep grid and model" case: the windowed run raised
+   Invalid_argument "index out of bounds" here *)
 let test_window_stops_at_n () =
-  let m = Circuit.Mna.auto (Circuit.Generators.rc_line ~sections:5 ()) in
+  let m = Circuit.Mna.assemble_rc (Circuit.Generators.rc_line ~sections:5 ()) in
   let n = m.Circuit.Mna.n in
   let order = 8 in
   Alcotest.(check bool) "order exceeds N" true (order > n);
   List.iter
     (fun full_ortho ->
-      let opts = { (Sympvl.Reduce.default ~order) with Sympvl.Reduce.full_ortho } in
+      let opts =
+        { (Sympvl.Reduce.default ~order) with Sympvl.Reduce.full_ortho; band = Some (1e6, 1e9) }
+      in
       let md = Sympvl.Reduce.mna ~opts ~order m in
       let tag = if full_ortho then "full" else "windowed" in
       Alcotest.(check bool) (tag ^ ": order <= N") true (md.Sympvl.Model.order <= n);

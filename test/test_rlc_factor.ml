@@ -14,7 +14,7 @@
    2. The shipped general-form examples reduce with no dense fallback
       ([factor.fallback_dense] = 0).
    3. SyMPVL and SPRIM share one general-form context, and its factor
-      satisfies M J Mᵀ = K through apply_m_inv / apply_mt_inv.
+      satisfies M J Mᵀ = K through m_inv / mt_inv.
    4. Supernodal.order ~late eliminates every late index after its
       neighbours, and ~early every early index before them.
    5. A pencil that is singular at s₀ = 0 (an inductor loop) still
