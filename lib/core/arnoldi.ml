@@ -13,9 +13,9 @@ let project ~shift (m : Circuit.Mna.t) v =
 (* An orthonormal basis grown one candidate at a time by two passes of
    modified Gram–Schmidt through the shared sweep; a candidate that
    shrinks below 1e-10 of its norm is numerically dependent and dropped.
-   [add] returns the accepted unit vector. *)
-let add basis v =
-  let w = Linalg.Vec.copy v in
+   [add] takes ownership of [w] (it becomes the basis vector) and
+   returns it when accepted. *)
+let add basis w =
   let n0 = Linalg.Vec.norm2 w in
   Ortho.sweep (Array.append !basis !basis) w;
   let n1 = Linalg.Vec.norm2 w in
@@ -31,14 +31,22 @@ let to_mat n basis =
   Array.iteri (fun k q -> Linalg.Mat.set_col v k q.Ortho.vecs.(0)) !basis;
   v
 
-(* one application of K⁻¹C *)
-let apply solve c v =
+(* K⁻¹b into a fresh vector; [b] is consumed *)
+let solved (solve : Linalg.Vec.t -> Linalg.Vec.t -> unit) b =
+  let x = Linalg.Vec.create (Array.length b) in
+  solve b x;
+  x
+
+(* one application of K⁻¹C, with [work] holding C·v *)
+let apply solve c work v =
   if Obs.tracing () then Obs.count "krylov.op_applies" 1;
-  solve (Sparse.Csr.mul_vec c v)
+  Sparse.Csr.mul_vec_into c v work;
+  solved solve work
 
 let krylov_basis ~order ~solve (m : Circuit.Mna.t) =
   let c = m.Circuit.Mna.c in
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
+  let work = Linalg.Vec.create m.Circuit.Mna.n in
   let basis = ref [||] in
   let size () = Array.length !basis in
   let accept v = if size () < order then add basis v else None in
@@ -46,14 +54,14 @@ let krylov_basis ~order ~solve (m : Circuit.Mna.t) =
   let current =
     ref
       (List.filter_map
-         (fun k -> accept (solve (Linalg.Mat.col m.Circuit.Mna.b k)))
+         (fun k -> accept (solved solve (Linalg.Mat.col m.Circuit.Mna.b k)))
          (List.init p Fun.id))
   in
   (* Arnoldi sweeps: apply K⁻¹C to the newest accepted block *)
   while size () < order && !current <> [] do
     current :=
       List.filter_map
-        (fun v -> if size () < order then accept (apply solve c v) else None)
+        (fun v -> if size () < order then accept (apply solve c work v) else None)
         !current
   done;
   to_mat m.Circuit.Mna.n basis
@@ -76,6 +84,7 @@ let reduce_multipoint ?ctx ~points (m : Circuit.Mna.t) =
   let c = m.Circuit.Mna.c in
   let ctx = match ctx with Some p -> p | None -> Pencil.create m in
   let p = m.Circuit.Mna.b.Linalg.Mat.cols in
+  let work = Linalg.Vec.create m.Circuit.Mna.n in
   let basis = ref [||] in
   List.iter
     (fun (s0, steps) ->
@@ -84,11 +93,11 @@ let reduce_multipoint ?ctx ~points (m : Circuit.Mna.t) =
       let current =
         ref
           (List.filter_map
-             (fun col -> add basis (solve (Linalg.Mat.col m.Circuit.Mna.b col)))
+             (fun col -> add basis (solved solve (Linalg.Mat.col m.Circuit.Mna.b col)))
              (List.init p Fun.id))
       in
       for _step = 2 to steps do
-        current := List.filter_map (fun v -> add basis (apply solve c v)) !current
+        current := List.filter_map (fun v -> add basis (apply solve c work v)) !current
       done)
     points;
   project ~shift:(fst (List.hd points)) m (to_mat m.Circuit.Mna.n basis)

@@ -24,10 +24,11 @@ val reduce :
     singular. Pass [ctx] to share one context across engines. *)
 
 val krylov_basis :
-  order:int -> solve:(Linalg.Vec.t -> Linalg.Vec.t) -> Circuit.Mna.t -> Linalg.Mat.t
+  order:int -> solve:(Linalg.Vec.t -> Linalg.Vec.t -> unit) -> Circuit.Mna.t -> Linalg.Mat.t
 (** [krylov_basis ~order ~solve m] — the block-Arnoldi basis [V]
     ([N × k], [k ≤ order] orthonormal columns) of the Krylov space of
-    [(K⁻¹C, K⁻¹B)] with [solve x = K⁻¹x]: two passes of modified
+    [(K⁻¹C, K⁻¹B)] with [solve b x] writing [K⁻¹b] into [x] and
+    consuming [b] ({!Factor.t}'s [solve]): two passes of modified
     Gram–Schmidt per candidate through {!Ortho.sweep}, candidates that
     shrink below [1e-10] of their norm dropped. PRIMA's and SPRIM's
     first phase. *)

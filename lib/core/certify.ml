@@ -114,11 +114,27 @@ let core_freq_scale (r : Realisation.t) =
 (* compare a (possibly scalar) model matrix against the exact p×p one:
    a single-port realisation of a multi-port pencil reads entry (0,0)
    — the same convention as the cross-engine golden test *)
-let rel_dist_mat ~scalar got want =
+let rel_dist_mat ?(floor = 1e-300) ~scalar got want =
   let want =
     if scalar then Mat.init 1 1 (fun _ _ -> Mat.get want 0 0) else want
   in
-  Mat.dist_max got want /. Float.max (Mat.max_abs want) 1e-300
+  Mat.dist_max got want /. Float.max (Mat.max_abs want) floor
+
+(* the decade samples around the realisation's scale MOD004 reads *)
+let scale_samples = [ 0.01; 0.1; 1.0; 10.0; 100.0 ]
+
+(* the largest finite |Z_core| over those samples, gain not applied; 0
+   when none is finite *)
+let gain_free_scale (r : Realisation.t) =
+  let core = { r with Realisation.gain = Circuit.Mna.Unit } and wsc = core_freq_scale r in
+  List.fold_left
+    (fun acc mult ->
+      match Realisation.eval core (Cx.im (mult *. wsc)) with
+      | exception Cmat.Singular _ -> acc
+      | z ->
+        let scale = Cmat.max_abs z in
+        if Float.is_finite scale then Float.max acc scale else acc)
+    0.0 scale_samples
 
 (* MOD002 first: MOD001's severity depends on whether the structural
    certificate promised stability *)
@@ -184,41 +200,82 @@ let structural model (mna : Circuit.Mna.t) =
 
 let fmt_hz w = Printf.sprintf "%.4g Hz" (w /. (2.0 *. Float.pi))
 
+(* On the jω axis a modal realisation Z = gain·Σₖ WₖᵀWₖ/(1 + σλₖ),
+   σ = var − origin, has Herm Z = Σₖ WₖᵀWₖ·ρₖ(ω): PSD residues times
+   scalar real parts, so Z is positive real once every ρₖ ≥ 0 for all
+   ω. With o = origin:
+   - var s, unit gain: ρ = (1 − oλ)/((1 − oλ)² + ω²λ²), so oλ ≤ 1;
+   - var s, ×s gain:   ρ = ω²λ/((1 − oλ)² + ω²λ²), so λ ≥ 0;
+   - var s², ×s gain:  Z(jω) is imaginary off the poles (lossless);
+   - var s², unit gain: Z(jω) is real, of either sign — no rule.
+   A term whose pole sits where {!Realisation.poles} puts infinity
+   counts as λ = 0: a constant or s·R term, positive real. Roundoff
+   leaves such terms with λ a hair below zero on every shipped
+   example, and on an RL ladder it is the inductive s·R term *)
+let modal_passive (r : Realisation.t) =
+  match r.Realisation.form with
+  | Realisation.Modal { lambda; _ } -> (
+    let at_infinity = Realisation.pole_at_infinity r in
+    let every ok = Array.for_all (fun l -> (not (Float.is_nan l)) && (at_infinity l || ok l)) lambda in
+    match (r.Realisation.variable, r.Realisation.gain) with
+    | Circuit.Mna.S, Circuit.Mna.Unit -> every (fun l -> r.Realisation.origin *. l <= 1.0)
+    | Circuit.Mna.S, Circuit.Mna.Times_s -> every (fun l -> l >= 0.0)
+    | Circuit.Mna.S_squared, Circuit.Mna.Times_s -> every (fun _ -> true)
+    | Circuit.Mna.S_squared, Circuit.Mna.Unit -> false)
+  | Realisation.Foster _ | Realisation.Band _ | Realisation.Hess _ -> false
+
 let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) =
   Obs.with_span "certify.run" @@ fun () ->
   let tol = 1e-9 in
   let eng = Rom.engine_of_model model and r = Rom.realisation model in
   let engine = Rom.name eng in
-  let phys = Realisation.phys_pencil r in
   let np = Realisation.ports r in
   let scalar = np = 1 && mna.Circuit.Mna.b.Mat.cols > 1 in
   let findings = ref [] in
   let emit d = findings := d :: !findings in
   (* -------- MOD002 then MOD001: the structural findings -------- *)
   List.iter emit (structural model mna);
-  (* -------- MOD003/MOD007: Hamiltonian violation bands -------- *)
-  let bands =
+  (* -------- MOD003/MOD007: the modal rule, else Hamiltonian bands -------- *)
+  let verdict =
     Obs.with_span "certify.hamiltonian" @@ fun () ->
-    match H.violation_bands ~tol phys with
-    | bs -> Some bs
-    | exception Linalg.Eig_sym.No_convergence -> None
+    if modal_passive r then `Modal
+    else
+      (* the pencil gives the crossings; the samples in between are
+         read off the model's own evaluation form — except AWE's
+         scalar pole–residue sum, which cancels far above its poles *)
+      let eval =
+        match r.Realisation.form with
+        | Realisation.Foster _ -> None
+        | Realisation.Modal _ | Realisation.Band _ | Realisation.Hess _ -> Some (Realisation.eval r)
+      in
+      match H.violation_bands ~tol ?eval (Realisation.phys_pencil r) with
+      | bs -> `Bands bs
+      | exception Linalg.Eig_sym.No_convergence -> `Incomplete
   in
-  (match bands with
-  | None ->
+  (match verdict with
+  | `Modal ->
+    emit
+      (D.info "MOD003"
+         (Printf.sprintf
+            "%s: modal form is nonnegative term by term on the whole imaginary \
+             axis (PSD residues, every term's real part >= 0) — no Hamiltonian \
+             test needed"
+            engine))
+  | `Incomplete ->
     emit
       (D.warning "MOD003"
          (Printf.sprintf
             "%s: Hamiltonian test did not complete — the Hermitian eigensolver \
              did not converge on a sample of Re Z(jw); passivity is not certified"
             engine))
-  | Some [] ->
+  | `Bands [] ->
     emit
       (D.info "MOD003"
          (Printf.sprintf
             "%s: Hamiltonian test found no passivity violation on the whole \
              imaginary axis (tol %.1e)"
             engine tol))
-  | Some bs ->
+  | `Bands bs ->
     Obs.count "certify.violation_band" (List.length bs);
     emit
       (D.warning "MOD003"
@@ -243,8 +300,8 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
      the leading k×k blocks of the core (fold is entrywise, so they are
      the core of the truncated model) with no evaluation form built *)
   let safe_order =
-    match (model, bands) with
-    | Rom.Sympvl_model m, Some (_ :: _) ->
+    match (model, verdict) with
+    | Rom.Sympvl_model m, `Bands (_ :: _) ->
       let core = Realisation.core m.Model.real in
       let rec search k attempts =
         if k < 1 || attempts <= 0 then None
@@ -291,7 +348,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
              worst :=
                Float.max !worst
                  (Cmat.dist_max z (Cmat.transpose z) /. Float.max scale 1e-300))
-       [ 0.01; 0.1; 1.0; 10.0; 100.0 ];
+       scale_samples;
      if !worst > 1e-6 then
        emit
          (D.warning "MOD004"
@@ -307,6 +364,8 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
    else
      emit (D.info "MOD004" (Printf.sprintf "%s: single-port model — reciprocity is trivial" engine)));
   (Obs.with_span "certify.moments" @@ fun () ->
+   (* the exact zeroth moment at s = 0, when MOD005 computed it *)
+   let dc_moment = ref None in
    (* -------- MOD005: moment matching -------- *)
    let mom_rtol = match eng with `Awe -> 1e-3 | _ -> 1e-6 in
    let expected = Rom.expected_moments model in
@@ -320,6 +379,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
    else begin
      match
        let exact = Moments.exact ?ctx ~shift:r.Realisation.shift mna q in
+       if r.Realisation.shift = 0.0 then dc_moment := Some exact.(0);
        let got = Realisation.moments r q in
        (exact, got)
      with
@@ -354,13 +414,23 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
    end;
    (* -------- MOD006: DC exactness (gain-free cores on both sides) ---- *)
    (match
-      let exact0 = (Moments.exact ?ctx ~shift:0.0 mna 1).(0) in
+      let exact0 =
+        match !dc_moment with
+        | Some m0 -> m0
+        | None -> (Moments.exact ?ctx ~shift:0.0 mna 1).(0)
+      in
       let core = Realisation.core r in
       let z0 = Linalg.Lu.solve_mat (Linalg.Lu.factor core.H.a0) core.H.b in
       (exact0, Mat.mul core.H.c z0)
     with
    | exact0, got0 ->
-     let rel = rel_dist_mat ~scalar got0 exact0 in
+     (* the golden/MOD009 metric: the denominator is floored at 1e-3
+        of the model's own |Z| scale, so a port whose DC value is
+        zero (shorted by an inductor) is judged by its absolute
+        error, not by roundoff over roundoff *)
+     let rel =
+       rel_dist_mat ~scalar ~floor:(Float.max (1e-3 *. gain_free_scale r) 1e-300) got0 exact0
+     in
      let dc_rtol = match eng with `Awe -> 1e-3 | _ -> 1e-6 in
      if rel <= dc_rtol then
        emit
@@ -495,7 +565,8 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
     | fac ->
       let g = Pencil.g ctx and c = Pencil.c ctx in
       let b = Array.init (Pencil.n ctx) (fun i -> 1.0 +. float_of_int (i mod 3)) in
-      let x = fac.Factor.solve b in
+      let x = Linalg.Vec.create (Pencil.n ctx) in
+      fac.Factor.solve (Linalg.Vec.copy b) x;
       let gx = Sparse.Csr.mul_vec g x and cx = Sparse.Csr.mul_vec c x in
       let resid =
         Linalg.Vec.norm_inf (Array.mapi (fun i bi -> gx.(i) +. (s0 *. cx.(i)) -. bi) b)
@@ -523,4 +594,5 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
         (D.info "MOD010"
            (Printf.sprintf
               "%s: pencil singular at the expansion point — residual probe skipped" engine))));
-  { findings = D.sort (List.rev !findings); bands = Option.value bands ~default:[]; safe_order }
+  let bands = match verdict with `Bands bs -> bs | `Modal | `Incomplete -> [] in
+  { findings = D.sort (List.rev !findings); bands; safe_order }

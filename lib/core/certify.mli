@@ -19,15 +19,25 @@
       recovery + positive semidefiniteness (for SyMPVL on the [J = I]
       unshifted path this is the paper's [Tₙ ⪰ 0] certificate; AWE gets
       a Foster positive-real check on its pole/residue form instead).
-    - {b MOD003} Hamiltonian imaginary-axis eigenvalue test
-      ({!Linalg.Hamiltonian.violation_bands}): locates passivity
-      violation {e bands} exactly instead of grid sampling.
+    - {b MOD003} passivity on the whole imaginary axis. A {!modal}
+      realisation that passes {!modal_passive} is positive real term
+      by term, and no pencil is built; any other model goes through
+      the Hamiltonian imaginary-axis eigenvalue test
+      ({!Linalg.Hamiltonian.violation_bands}), which locates
+      passivity violation {e bands} exactly instead of grid sampling.
+      Its samples are read off the model's own evaluation form
+      ({!Realisation.eval}), except AWE's pole–residue sum, whose
+      terms cancel far above its poles (the pencil's dense LU then).
     - {b MOD004} reciprocity: sampled [‖Z − Zᵀ‖/‖Z‖] residual.
     - {b MOD005} moment matching: leading moments of the realisation
       vs {!Moments.exact} on the shared pencil context, against the
       count {!Rom.expected_moments} promises.
     - {b MOD006} DC exactness: [Z_core(0)] vs the exact zeroth moment
-      at shift 0 (skipped when [G] is singular at DC).
+      at shift 0 (MOD005's own, when the model is unshifted; skipped
+      when [G] is singular at DC), relative to [|Z(0)|] floored at
+      [1e-3] of the gain-free model's [|Z|] at MOD004's five samples
+      — so a port shorted by an inductor, whose exact [Z(0)] is
+      roundoff, is judged by its absolute error.
     - {b MOD007} violation-band report: one finding per MOD003 band,
       plus a suggested safe (passive) truncation order when the
       engine supports truncation.
@@ -65,6 +75,20 @@ val structural_certificate : ?tol:float -> ?definite:bool -> Realisation.t -> ce
     PRIMA, whose congruence inherits semidefiniteness from the source
     pencil. *)
 
+val modal_passive : Realisation.t -> bool
+(** MOD003's term-by-term rule. On a {!Realisation.modal} form
+    [Z = gain·Σₖ WₖᵀWₖ/(1 + σλₖ)], [σ = var − origin], the Hermitian
+    part on the [jω] axis is [Σₖ WₖᵀWₖ·ρₖ(ω)] with PSD residues, so
+    the model is passive once every [ρₖ ≥ 0] for all [ω]:
+    - variable [s], unit gain: [origin·λₖ ≤ 1];
+    - variable [s], [×s] gain: [λₖ ≥ 0];
+    - variable [s²], [×s] gain: always (lossless: [Re Z = 0] off the
+      poles);
+    - variable [s²], unit gain: never ([Z(jω)] is real, of any sign).
+    A term whose pole [origin − 1/λₖ] is at infinity by
+    {!Realisation.pole_at_infinity} counts as [λₖ = 0] (a constant
+    or [s·R] term). [false] on any other form, and on a NaN [λₖ]. *)
+
 val structural : Rom.model -> Circuit.Mna.t -> Circuit.Diagnostic.t list
 (** The stability/passivity findings, MOD002 then MOD001: the
     structural certificate, then every finite pole
@@ -97,5 +121,6 @@ val run :
     4 points of [drift_band] in Hz (default: two decades around the
     realisation's own scale);
     [shift_requested] marks an explicitly user-chosen shift (MOD008
-    severity). Obs: [certify.run]/[certify.hamiltonian] spans,
-    [certify.violation_band] counter. *)
+    severity). Obs: [certify.run]/[certify.hamiltonian] spans (the
+    latter also around the modal decision), [certify.violation_band]
+    counter. *)

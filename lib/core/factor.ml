@@ -4,7 +4,7 @@ type t = {
   definite : bool;
   m_inv : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   mt_inv : Linalg.Vec.t -> Linalg.Vec.t -> unit;
-  solve : Linalg.Vec.t -> Linalg.Vec.t;
+  solve : Linalg.Vec.t -> Linalg.Vec.t -> unit;
   kind : [ `Skyline | `Supernodal | `Dense ];
 }
 
@@ -33,8 +33,7 @@ let plan ~nodes pattern : plan =
 
 (* P A Pᵀ = L D Lᵀ from either sparse backend: M = Pᵀ L S with
    S = diag(√|D|), J = sign(D). Operators in original coordinates. *)
-let of_ldlt ~(kind : [ `Skyline | `Supernodal ]) ~perm ~d ~solve_lower ~solve_lower_t
-    ~solve =
+let of_ldlt ~(kind : [ `Skyline | `Supernodal ]) ~perm ~d ~solve_lower ~solve_lower_t =
   let n = Array.length perm in
   let j = Array.map (fun x -> if x >= 0.0 then 1.0 else -1.0) d in
   let s = Array.map (fun x -> sqrt (Float.abs x)) d in
@@ -73,12 +72,18 @@ let of_ldlt ~(kind : [ `Skyline | `Supernodal ]) ~perm ~d ~solve_lower ~solve_lo
     solve_lower_t x;
     unpermute_into x y
   in
-  let solve b =
-    let x = Array.make n 0.0 and y = Array.make n 0.0 in
+  let solve b x =
+    (* x ← Pᵀ L⁻ᵀ D⁻¹ L⁻¹ P b, with b as the workspace *)
+    check b x;
     permute_into b x;
-    let z = solve x in
-    unpermute_into z y;
-    y
+    solve_lower x;
+    for i = 0 to n - 1 do
+      x.(i) <- x.(i) /. d.(i)
+    done;
+    solve_lower_t x;
+    if San.fp () then San.Fp.check_array ~name:"factor.solve" x;
+    Array.blit x 0 b 0 n;
+    unpermute_into b x
   in
   {
     n;
@@ -104,12 +109,10 @@ let congruent ~t ~tt f =
         f.mt_inv x y;
         t y);
     solve =
-      (fun b ->
-        let x = Array.copy b in
-        tt x;
-        let y = f.solve x in
-        t y;
-        y);
+      (fun b x ->
+        tt b;
+        f.solve b x;
+        t x);
   }
 
 let of_dense a =
@@ -118,11 +121,10 @@ let of_dense a =
   match Linalg.Ldlt.factor a with
   | fac ->
     let solve =
-      if San.fp () then (fun b ->
-        let x = Linalg.Ldlt.solve fac b in
-        San.Fp.check_array ~name:"factor.dense_solve" x;
-        x)
-      else Linalg.Ldlt.solve fac
+      if San.fp () then (fun b x ->
+        Linalg.Ldlt.solve_into fac b x;
+        San.Fp.check_array ~name:"factor.dense_solve" x)
+      else Linalg.Ldlt.solve_into fac
     in
     {
       n;

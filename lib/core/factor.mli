@@ -21,8 +21,10 @@ type t = {
   mt_inv : Linalg.Vec.t -> Linalg.Vec.t -> unit;
       (** [mt_inv x y] writes [M⁻ᵀ x] into [y] under the same
           contract: [x] serves as the workspace and is overwritten. *)
-  solve : Linalg.Vec.t -> Linalg.Vec.t;
-      (** [G⁻¹ b = M⁻ᵀ J⁻¹ M⁻¹ b] (used by the moment checker). *)
+  solve : Linalg.Vec.t -> Linalg.Vec.t -> unit;
+      (** [solve b x] writes [K⁻¹ b = M⁻ᵀ J⁻¹ M⁻¹ b] into [x] and
+          allocates nothing; [b] and [x] are distinct vectors of length
+          [n], and [b] is overwritten (it serves as the workspace). *)
   kind : [ `Skyline | `Supernodal | `Dense ];
       (** Which backend factored [G]. *)
 }
@@ -73,13 +75,12 @@ val of_ldlt :
   d:float array ->
   solve_lower:(Linalg.Vec.t -> unit) ->
   solve_lower_t:(Linalg.Vec.t -> unit) ->
-  solve:(Linalg.Vec.t -> Linalg.Vec.t) ->
   t
-(** [of_ldlt ~kind ~perm ~d ~solve_lower ~solve_lower_t ~solve] wraps
-    a sparse factorisation [P A Pᵀ = L D Lᵀ] (rows of [perm] list old
+(** [of_ldlt ~kind ~perm ~d ~solve_lower ~solve_lower_t] wraps a
+    sparse factorisation [P A Pᵀ = L D Lᵀ] (rows of [perm] list old
     indices in new order; [d] the pivots; [solve_lower x] and
-    [solve_lower_t x] overwrite [x] with [L⁻¹x] and [L⁻ᵀx], [solve x]
-    returns [(L D Lᵀ)⁻¹x], all in permuted coordinates) into operators
+    [solve_lower_t x] overwrite [x] with [L⁻¹x] and [L⁻ᵀx], both in
+    permuted coordinates) into operators
     acting in the original coordinates: [M = Pᵀ L √|D|],
     [J = sign D]. *)
 

@@ -109,13 +109,26 @@ let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
   (* shift resolution and factorisation via the shared policy — the
      exact same eq. (26) retry as SyMPVL/PRIMA *)
   Pencil.with_auto_shift ?shift ?band ctx @@ fun s0 fac ->
-  let op v = fac.Factor.solve (Sparse.Csr.mul_vec c v) in
-  let op_t v = Sparse.Csr.mul_vec c (fac.Factor.solve v) in
-  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
   let n_full = m.Circuit.Mna.n in
+  let work = Linalg.Vec.create n_full in
+  (* K⁻¹b into a fresh vector; [b] is consumed *)
+  let solved b =
+    let x = Linalg.Vec.create n_full in
+    fac.Factor.solve b x;
+    x
+  in
+  let op v =
+    Sparse.Csr.mul_vec_into c v work;
+    solved work
+  in
+  let op_t v =
+    Array.blit v 0 work 0 n_full;
+    Sparse.Csr.mul_vec c (solved work)
+  in
+  let p = m.Circuit.Mna.b.Linalg.Mat.cols in
   let r_start = Linalg.Mat.create n_full p in
   for k = 0 to p - 1 do
-    Linalg.Mat.set_col r_start k (fac.Factor.solve (Linalg.Mat.col m.Circuit.Mna.b k))
+    Linalg.Mat.set_col r_start k (solved (Linalg.Mat.col m.Circuit.Mna.b k))
   done;
   let vs, ws, ds, deflations =
     run_lanczos ~dtol ~order ~op ~op_t ~r_start ~l_start:m.Circuit.Mna.b

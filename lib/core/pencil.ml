@@ -160,13 +160,11 @@ let of_sky perm fac =
   Factor.of_ldlt ~kind:`Skyline ~perm ~d:(Sparse.Skyline.Real.d fac)
     ~solve_lower:(Sparse.Skyline.Real.solve_lower fac)
     ~solve_lower_t:(Sparse.Skyline.Real.solve_lower_t fac)
-    ~solve:(Sparse.Skyline.Real.solve fac)
 
 let of_super perm fac =
   Factor.of_ldlt ~kind:`Supernodal ~perm ~d:(Sparse.Supernodal.Real.d fac)
     ~solve_lower:(Sparse.Supernodal.Real.solve_lower fac)
     ~solve_lower_t:(Sparse.Supernodal.Real.solve_lower_t fac)
-    ~solve:(Sparse.Supernodal.Real.solve fac)
 
 let dense_shifted t s0 =
   let shifted =

@@ -645,17 +645,21 @@ let phys_pencil r = augment r (core r)
    then discard every ordinary pole, unstable ones included. *)
 let pole_seeds = [| 1.0; -1.0; 0.7320508; -2.2360679; 3.7 |]
 
+(* I + σΛ is singular at σ = −1/λₖ: the same cutoff, in var *)
+let pole_at_infinity r =
+  let ws = freq_scale r in
+  fun l -> not (Float.abs (r.origin -. (1.0 /. l)) <= 1e8 *. ws)
+
 let poles r =
   let pen = core r in
   let ws = scale_of pen in
   let var_poles =
     match r.form with
     | Modal { lambda; _ } ->
-      (* I + σΛ is singular at σ = −1/λₖ: the same cutoff, in var *)
+      let at_infinity = pole_at_infinity r in
       Array.to_list lambda
-      |> List.map (fun l -> r.origin -. (1.0 /. l))
-      |> List.filter (fun v -> Float.abs v <= 1e8 *. ws)
-      |> List.map Cx.re
+      |> List.filter (fun l -> not (at_infinity l))
+      |> List.map (fun l -> Cx.re (r.origin -. (1.0 /. l)))
     | Foster _ | Band _ | Hess _ ->
       H.gen_eigenvalues ~seeds:pole_seeds pen.H.a0 (Mat.scale ws pen.H.a1)
       |> Array.to_list

@@ -163,6 +163,14 @@ val augment : t -> Linalg.Hamiltonian.pencil -> Linalg.Hamiltonian.pencil
 val phys_pencil : t -> Linalg.Hamiltonian.pencil
 (** [augment r (core r)]. *)
 
+val pole_at_infinity : t -> float -> bool
+(** [pole_at_infinity r] is the cutoff {!poles} applies to a {!modal}
+    term: [pole_at_infinity r λ] when the term's pole [origin − 1/λ]
+    in [var] is not within [1e8·freq_scale r] (so also for [λ = 0],
+    and for a NaN [λ]) —
+    the infinity a singular [a1] produces, seen through roundoff.
+    Partial application computes the scale once. *)
+
 val poles : t -> Complex.t array
 (** Finite physical poles: [origin − 1/λₖ] of the {!modal} form
     (ascending [λₖ]), else the finite generalized eigenvalues of

@@ -52,8 +52,8 @@ let eval pen s =
   let x = Cmat.lu_solve_mat (Cmat.lu_factor k) (Cmat.of_real pen.b) in
   Cmat.mul (Cmat.of_real pen.c) x
 
-let herm_min_eig pen w =
-  match eval pen (Cx.im w) with
+let herm_min_eig_of eval w =
+  match eval (Cx.im w) with
   | z ->
     (* a non-finite Z never reaches the eigensolver *)
     let scale = Cmat.max_abs z in
@@ -62,6 +62,8 @@ let herm_min_eig pen w =
       let lam = Cmat.min_eig_hermitian (Cmat.hermitian_part z) in
       if Float.is_finite lam then Some (lam, scale) else None
   | exception Cmat.Singular _ -> None
+
+let herm_min_eig pen w = herm_min_eig_of (eval pen) w
 
 (* ------------------------------------------------------------------ *)
 (* generalized eigenvalues by real shift-and-invert                    *)
@@ -180,15 +182,16 @@ type band = {
 
 let probe_multipliers = [| 1e-3; 1e-2; 0.1; 0.3; 1.0; 3.0; 10.0; 100.0; 1e3 |]
 
-let violation_bands ?(tol = 1e-9) pen =
+let violation_bands ?(tol = 1e-9) ?eval:z_of pen =
   if nx pen = 0 || np pen = 0 then []
   else begin
+    let herm_min_eig = herm_min_eig_of (Option.value z_of ~default:(eval pen)) in
     let ws = freq_scale pen in
     let probes =
       Array.to_list probe_multipliers
       |> List.filter_map (fun m ->
              let w = m *. ws in
-             match herm_min_eig pen w with
+             match herm_min_eig w with
              | Some (lam, scale) -> Some (w, lam, scale)
              | None -> None)
     in
@@ -221,7 +224,7 @@ let violation_bands ?(tol = 1e-9) pen =
     let min_at wlist =
       List.fold_left
         (fun acc w ->
-          match herm_min_eig pen w with
+          match herm_min_eig w with
           | Some (lam, _) -> (
             match acc with
             | Some (_, best) when best <= lam -> acc

@@ -80,7 +80,8 @@ type band = {
   scale : float;  (** the [max |Z_ij|] scale [lambda_min] is relative to *)
 }
 
-val violation_bands : ?tol:float -> pencil -> band list
+val violation_bands :
+  ?tol:float -> ?eval:(Complex.t -> Cmat.t) -> pencil -> band list
 (** Locate every frequency band where [Herm Z(jω)] has an eigenvalue
     below [−tol·scale] (default [tol = 1e-9], [scale] = the largest
     [|Z|] seen over a decade probe sweep): {!crossings} gives the
@@ -89,6 +90,11 @@ val violation_bands : ?tol:float -> pencil -> band list
     merged, and each band's worst point is refined by a log-spaced
     interior sweep (a band covering the whole axis around the pencil's
     frequency scale). Returns [[]] when the model is passive to
-    tolerance on the whole axis. Sample points whose [Z] is not finite
+    tolerance on the whole axis. [eval] evaluates [Z(s)] at the probe,
+    classification and refinement samples (default {!eval} on [pen],
+    a dense complex LU of the pencil per sample): pass a cheaper form
+    of the same transfer function, e.g. a reduced model's own
+    evaluation form; the crossings still come from [pen]. An [eval]
+    signals a pole on the axis by raising [Cmat.Singular]. Sample points whose [Z] is not finite
     are skipped; raises {!Eig_sym.No_convergence} if the Hermitian
     eigensolver fails on a finite [Z]. *)

@@ -200,9 +200,13 @@ let solve_unit_lower_t t z =
     done
   done
 
-let solve t b =
-  assert (Vec.dim b = t.n);
-  let z = Vec.init t.n (fun i -> b.(t.perm.(i))) in
+(* x ← A⁻¹b with b as the workspace (overwritten) *)
+let solve_into t b x =
+  assert (Vec.dim b = t.n && Vec.dim x = t.n && b != x);
+  let z = x in
+  for i = 0 to t.n - 1 do
+    z.(i) <- b.(t.perm.(i))
+  done;
   solve_unit_lower t z;
   (* block-diagonal solve *)
   List.iter
@@ -216,10 +220,14 @@ let solve t b =
         z.(k + 1) <- ((a *. z2) -. (b *. z1)) /. det)
     t.blocks;
   solve_unit_lower_t t z;
-  let x = Vec.create t.n in
+  Array.blit z 0 b 0 t.n;
   for i = 0 to t.n - 1 do
-    x.(t.perm.(i)) <- z.(i)
-  done;
+    x.(t.perm.(i)) <- b.(i)
+  done
+
+let solve t b =
+  let x = Vec.create t.n in
+  solve_into t (Vec.copy b) x;
   x
 
 (* S x, S⁻¹ x, S⁻ᵀ x as in-place transforms on a work vector *)

@@ -25,6 +25,11 @@ val dim : t -> int
 val solve : t -> Vec.t -> Vec.t
 (** Solve [A x = b]. *)
 
+val solve_into : t -> Vec.t -> Vec.t -> unit
+(** [solve_into t b x] writes [A⁻¹b] into [x] and allocates nothing;
+    [b] and [x] are distinct vectors of length {!dim}, and [b] is
+    overwritten (it serves as the workspace). *)
+
 val inertia : t -> int * int
 (** [(n_pos, n_neg)] numbers of positive / negative eigenvalues. *)
 

@@ -316,7 +316,12 @@ let run ?opts ?(reduced = []) ~observe nl =
         if extra = [] then Sympvl.Pencil.factor ctx ~shift:gamma
         else Sympvl.Pencil.factor_with ctx ~shift:gamma ~extra:(Array.of_list extra)
       in
-      fac.Sympvl.Factor.solve
+      (* the right-hand side is the solve's workspace: every caller
+         below builds a fresh one per solve *)
+      fun b ->
+        let x = Linalg.Vec.create n in
+        fac.Sympvl.Factor.solve b x;
+        x
   in
   let linear = sys.nonlinear = [] in
   let solve_linear = if linear then Some (factor_with_jacobian (Linalg.Vec.create n)) else None in

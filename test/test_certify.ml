@@ -30,7 +30,25 @@
       frequency scale and reported (MOD003/MOD007) — its samples were
       all NaN and the eigensolver's failure escaped as an uncaught
       exception; that failure is now the typed Eig_sym.No_convergence,
-      raised on a non-finite matrix. *)
+      raised on a non-finite matrix.
+   9. Exact moments: Moments.exact and Moments.relative_errors_scaled
+      equal the column-copy oracle (Moments_reference) bit for bit on
+      every shipped example (skyline), a 4 096-unknown RC grid
+      (supernodal), peec_partial at s0 = 0 (the KKT congruence), a
+      pencil that takes the dense fallback and a dense B whose columns
+      sum many terms.
+  10. MOD003 from the modal form: whenever the term-by-term rule
+      passes on a generated RC (SyMPVL at s0 = 0 and at a mid-band
+      shift, BT), RL or LC model, the Hamiltonian test finds no band;
+      the shipped examples take the modal path under SyMPVL and the
+      Hamiltonian one under PRIMA.
+  11. Hand-built modal models on which the rule must decline (origin·λ
+      > 1 at unit gain, a finite negative λ under the ×s gain, the s²
+      variable at unit gain) while the Hamiltonian test locates the
+      band, and the pole-at-infinity cutoff on both sides.
+  12. MOD006 on ports shorted to ground by an inductor: the exact DC
+      value is roundoff, and the check is relative to the model's own
+      |Z| scale. *)
 
 module Rom = Sympvl.Rom
 module Certify = Sympvl.Certify
@@ -542,6 +560,259 @@ let test_whole_axis_band () =
     | _ -> false
     | exception Linalg.Eig_sym.No_convergence -> true)
 
+(* ------------------------------------------------------------------ *)
+(* 9. exact moments against the column-copy oracle                     *)
+
+let bits_equal (a : Mat.t array) (b : Mat.t array) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun (x : Mat.t) (y : Mat.t) ->
+         x.Mat.rows = y.Mat.rows && x.Mat.cols = y.Mat.cols
+         && Array.for_all2
+              (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+              x.Mat.a y.Mat.a)
+       a b
+
+(* [Ok] moments or the [Singular] row, from either implementation *)
+let moments_or_row f = match f () with m -> Ok m | exception Sympvl.Factor.Singular i -> Error i
+
+let check_moments name ?ctx ~shift mna =
+  let got = moments_or_row (fun () -> Sympvl.Moments.exact ?ctx ~shift mna 6) in
+  let want = moments_or_row (fun () -> Moments_reference.exact ?ctx ~shift mna 6) in
+  match (got, want) with
+  | Ok g, Ok w ->
+    if not (bits_equal g w) then Alcotest.failf "%s at s0 = %g: moments differ from the oracle" name shift
+  | Error i, Error j -> Alcotest.(check int) (name ^ ": same singular row") j i
+  | _ -> Alcotest.failf "%s at s0 = %g: one side raised Singular" name shift
+
+let factor_kind ctx ~shift = (Sympvl.Pencil.factor ctx ~shift).Sympvl.Factor.kind
+
+let test_moments_oracle () =
+  List.iter
+    (fun base ->
+      let mna = mna_of base in
+      let ctx = Sympvl.Pencil.create mna in
+      let model = Rom.reduce ~ctx ~order:6 `Sympvl mna in
+      check_moments base ~ctx ~shift:0.0 mna;
+      check_moments base ~ctx ~shift:(Rom.shift model) mna;
+      (* the general form at s0 = 0 takes the supernodal KKT congruence *)
+      if mna.Circuit.Mna.n_nodes = mna.Circuit.Mna.n then
+        Alcotest.(check bool) (base ^ ": skyline") true
+          (factor_kind ctx ~shift:(Rom.shift model) = `Skyline);
+      match model with
+      | Rom.Sympvl_model m ->
+        let got = Sympvl.Moments.relative_errors_scaled ~ctx m mna 8 in
+        let want = Moments_reference.relative_errors_scaled ~ctx m mna 8 in
+        if not (Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) got want)
+        then Alcotest.failf "%s: scaled moment errors differ from the oracle" base
+      | _ -> ())
+    [ "coupled_lines"; "lc_tank"; "peec_coupled"; "rc_line"; "rl_ladder" ];
+  (* supernodal: 64 × 64 = 4 096 unknowns *)
+  let grid = Circuit.Mna.assemble_rc (Circuit.Generators.rc_grid ~pitch_pads:16 ~rows:64 ~cols:64 ()) in
+  let ctx = Sympvl.Pencil.create grid in
+  check_moments "rc_grid" ~ctx ~shift:0.0 grid;
+  Alcotest.(check bool) "rc_grid: supernodal" true (factor_kind ctx ~shift:0.0 = `Supernodal);
+  (* the general form at s0 = 0: the augmented-KKT congruence *)
+  let peec = Circuit.Mna.auto (Circuit.Generators.peec_partial ~conductors:2 ~segments:4 ()) in
+  Alcotest.(check bool) "peec_partial: general form" true
+    (peec.Circuit.Mna.n_nodes < peec.Circuit.Mna.n);
+  check_moments "peec_partial" ~shift:0.0 peec;
+  (* a zero leading pivot under every ordering: the dense fallback *)
+  let g = Sparse.Csr.of_dense (Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]) in
+  let c = Sparse.Csr.of_dense (Mat.of_arrays [| [| 2.0; 0.5 |]; [| 0.5; 1.0 |] |]) in
+  let dense =
+    {
+      Circuit.Mna.n = 2;
+      n_nodes = 2;
+      g;
+      c;
+      b = Mat.of_arrays [| [| 1.0; 0.3 |]; [| 0.7; -1.1 |] |];
+      port_names = [| "a"; "b" |];
+      gain = Circuit.Mna.Unit;
+      variable = Circuit.Mna.S;
+      spd = false;
+    }
+  in
+  let ctx = Sympvl.Pencil.of_matrices g c in
+  Alcotest.(check bool) "dense fallback" true (factor_kind ctx ~shift:0.0 = `Dense);
+  check_moments "dense fallback" ~ctx ~shift:0.0 dense;
+  (* a dense B: BᵀX sums every row of a column, so the order counts *)
+  let rc = mna_of "rc_line" in
+  let rng = Random.State.make [| 3 |] in
+  let b = Mat.init rc.Circuit.Mna.n 2 (fun _ _ -> Random.State.float rng 2.0 -. 1.0) in
+  check_moments "dense B" ~ctx:(Sympvl.Pencil.create rc) ~shift:0.0 { rc with Circuit.Mna.b }
+
+(* ------------------------------------------------------------------ *)
+(* 10. the modal rule never passes a model with a violation band       *)
+
+let mod003 rep = List.find (fun d -> d.D.code = "MOD003") rep.Certify.findings
+
+(* a random ladder of [sections] series elements [series] with a shunt
+   [shunt] at every node, port at its head *)
+let ladder rng ~sections ~series ~shunt =
+  let nl = Circuit.Netlist.create () in
+  let f lo hi = lo *. ((hi /. lo) ** Random.State.float rng 1.0) in
+  let node k = Circuit.Netlist.node nl (Printf.sprintf "n%d" k) in
+  for k = 0 to sections - 1 do
+    series nl (node k) (node (k + 1)) f;
+    shunt nl (node (k + 1)) 0 f
+  done;
+  Circuit.Netlist.add_port nl "in" (node 0);
+  nl
+
+let rl_net rng =
+  ladder rng ~sections:(2 + Random.State.int rng 5)
+    ~series:(fun nl a b f -> Circuit.Netlist.add_resistor nl a b (f 1.0 1e3))
+    ~shunt:(fun nl a b f -> Circuit.Netlist.add_inductor nl a b (f 1e-10 1e-7))
+
+let lc_net rng =
+  ladder rng ~sections:(2 + Random.State.int rng 5)
+    ~series:(fun nl a b f -> Circuit.Netlist.add_inductor nl a b (f 1e-10 1e-7))
+    ~shunt:(fun nl a b f ->
+      Circuit.Netlist.add_capacitor nl a b (f 1e-13 1e-10);
+      Circuit.Netlist.add_inductor nl a b (f 1e-8 1e-6))
+
+let prop_modal_rule_sound =
+  QCheck.Test.make ~count:15
+    ~name:"modal MOD003 rule passes => Hamiltonian finds no band; most draws modal"
+    QCheck.(int_bound 10_000)
+    (fun seed ->
+      let nl = Circuit.Generators.random_rc ~nodes:10 ~extra_edges:5 ~seed () in
+      QCheck.assume (List.for_all (fun d -> d.D.severity <> D.Error) (Analysis.Lint.run nl));
+      let rc = Circuit.Mna.assemble_rc nl in
+      let ctx = Sympvl.Pencil.create rc in
+      let base = Rom.reduce ~ctx ~shift:0.0 ~order:6 `Sympvl rc in
+      let mid = Sympvl.Realisation.freq_scale (Rom.realisation base) in
+      let rng = Random.State.make [| seed |] in
+      let rl = Circuit.Mna.auto (rl_net rng) and lc = Circuit.Mna.auto (lc_net rng) in
+      let models =
+        [
+          ("sympvl s0 = 0", base);
+          ("sympvl mid-band", Rom.reduce ~ctx ~shift:mid ~order:6 `Sympvl rc);
+          ("bt", Rom.reduce ~order:6 `Bt rc);
+          ("sympvl rl", Rom.reduce ~order:4 `Sympvl rl);
+          ("sympvl lc", Rom.reduce ~order:4 `Sympvl lc);
+        ]
+      in
+      let modal =
+        List.filter
+          (fun (name, model) ->
+            let r = Rom.realisation model in
+            Certify.modal_passive r
+            &&
+            match H.violation_bands (Sympvl.Realisation.phys_pencil r) with
+            | [] -> true
+            | bs -> QCheck.Test.fail_reportf "%s: modal rule passed, %d band(s)" name (List.length bs))
+          models
+      in
+      2 * List.length modal >= List.length models
+      || QCheck.Test.fail_reportf "only %d of %d models modal" (List.length modal) (List.length models))
+
+let test_examples_take_both_paths () =
+  let rc = mna_of "rc_line" in
+  let ctx = Sympvl.Pencil.create rc in
+  let message eng = (mod003 (Certify.run ~ctx (Rom.reduce ~ctx ~order:8 eng rc) rc)).D.message in
+  Alcotest.(check string) "sympvl: modal"
+    "sympvl: modal form is nonnegative term by term on the whole imaginary axis (PSD \
+     residues, every term's real part >= 0) — no Hamiltonian test needed"
+    (message `Sympvl);
+  Alcotest.(check string) "prima: Hamiltonian"
+    "prima: Hamiltonian test found no passivity violation on the whole imaginary axis (tol \
+     1.0e-09)"
+    (message `Prima);
+  (* the RL and LC examples pass only through the pole-at-infinity
+     rule: each carries a term with λ a hair below zero *)
+  List.iter
+    (fun base ->
+      let mna = mna_of base in
+      let r = Rom.realisation (Rom.reduce ~order:mna.Circuit.Mna.n `Sympvl mna) in
+      (match r.Sympvl.Realisation.form with
+      | Sympvl.Realisation.Modal { lambda; _ } ->
+        Alcotest.(check bool) (base ^ ": a negative λ") true (Array.exists (fun l -> l < 0.0) lambda)
+      | _ -> Alcotest.failf "%s: not modal" base);
+      Alcotest.(check bool) (base ^ ": modal rule passes") true (Certify.modal_passive r))
+    [ "rc_line"; "rl_ladder"; "lc_tank" ]
+
+(* ------------------------------------------------------------------ *)
+(* 11. where the rule must decline                                     *)
+
+(* Z = wᵀ(I + σ·diag λ)⁻¹w about [shift]: a definite model whose modal
+   form is exactly (λ, w) *)
+let diag_model ?(shift = 0.0) ~variable ~gain lambdas ws =
+  let n = Array.length lambdas in
+  Model.make ~t_mat:(Mat.diag lambdas) ~delta:(Mat.identity n)
+    ~rho:(Mat.of_arrays (Array.map (fun w -> [| w |]) ws))
+    ~shift ~variable ~gain ~definite:true ~deflations:0 ~look_ahead_steps:0 ~exhausted:false
+
+let bands_of (m : Model.t) =
+  let r = m.Model.real in
+  H.violation_bands ~eval:(Sympvl.Realisation.eval r) (Sympvl.Realisation.phys_pencil r)
+
+let test_rule_declines () =
+  let modal (m : Model.t) = Certify.modal_passive m.Model.real in
+  (* unit gain, origin·λ = 1.5: Re Z = 1 − 0.5/(0.25 + (ωλ)²) < 0 below
+     ω = 0.5/λ = 5e8 rad/s *)
+  let m = diag_model ~shift:1.5e9 ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Unit [| 0.0; 1e-9 |] [| 1.0; 1.0 |] in
+  Alcotest.(check bool) "origin·λ > 1 declines" false (modal m);
+  (match bands_of m with
+  | [ b ] ->
+    Alcotest.(check (float 0.0)) "from DC" 0.0 b.H.w_lo;
+    Alcotest.(check bool) "to 5e8 rad/s" true (Float.abs (b.H.w_hi -. 5e8) < 1e-3 *. 5e8)
+  | bs -> Alcotest.failf "origin·λ > 1: %d bands" (List.length bs));
+  (* the run reports it through the Hamiltonian path *)
+  let one_port =
+    Circuit.Mna.auto (Circuit.Parser.parse_string "R1 1 0 10\nC1 1 0 1p\n.port in 1\n")
+  in
+  let rep = Certify.run (Rom.Sympvl_model m) one_port in
+  Alcotest.(check bool) "MOD003 warning" true ((mod003 rep).D.severity = D.Warning);
+  Alcotest.(check int) "one band reported" 1 (List.length rep.Certify.bands);
+  (* ×s gain, one finite negative λ, its pole at 1e5 = 1e5·ws: Re Z =
+     ω²/(1 + ω²) − 1e-5·ω²/(1 + 1e-10·ω²) < 0 above ω = √1e5 *)
+  let m = diag_model ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Times_s [| 1.0; -1e-5 |] [| 1.0; 1.0 |] in
+  Alcotest.(check bool) "finite negative λ declines" false (modal m);
+  (match bands_of m with
+  | [ b ] ->
+    let edge = sqrt 1e5 in
+    Alcotest.(check bool) "from its crossing" true (Float.abs (b.H.w_lo -. edge) < 1e-4 *. edge);
+    Alcotest.(check bool) "to infinity" true (b.H.w_hi = infinity)
+  | bs -> Alcotest.failf "finite negative λ: %d bands" (List.length bs));
+  (* its pole at 1e11·ws is the infinity Realisation.poles drops *)
+  let m = diag_model ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Times_s [| 1.0; -1e-11 |] [| 1.0; 1e-6 |] in
+  Alcotest.(check bool) "negative λ with its pole at 1e11·ws passes" true (modal m);
+  Alcotest.(check int) "no pole there" 1 (Array.length (Sympvl.Realisation.poles m.Model.real));
+  (* the s² variable at unit gain never passes *)
+  let m = diag_model ~variable:Circuit.Mna.S_squared ~gain:Circuit.Mna.Unit [| 1e-18; 4e-18 |] [| 1.0; 1.0 |] in
+  Alcotest.(check bool) "s², unit gain declines" false (modal m);
+  let m = diag_model ~variable:Circuit.Mna.S_squared ~gain:Circuit.Mna.Times_s [| 1e-18; 4e-18 |] [| 1.0; 1.0 |] in
+  Alcotest.(check bool) "s², ×s gain passes" true (modal m)
+
+(* ------------------------------------------------------------------ *)
+(* 12. MOD006 on a port shorted by an inductor                         *)
+
+let test_dc_shorted_port () =
+  let mod006 file eng order =
+    let mna = Circuit.Mna.auto file in
+    let ctx = Sympvl.Pencil.create mna in
+    let rep = Certify.run ~ctx (Rom.reduce ~ctx ~order eng mna) mna in
+    List.find (fun d -> d.D.code = "MOD006") rep.Certify.findings
+  in
+  let rlck5 =
+    Circuit.Parser.parse_file (find_path [ "golden/certify_rlck5.cir"; "test/golden/certify_rlck5.cir" ])
+  in
+  let one_port =
+    Circuit.Parser.parse_string
+      "L1 a 0 1n\nR1 a b 10\nC1 b 0 1p\nL2 b c 2n\nC2 c 0 2p\nR2 c 0 50\n.port a a\n"
+  in
+  List.iter
+    (fun (name, file, eng, order) ->
+      let d = mod006 file eng order in
+      if d.D.severity <> D.Info then Alcotest.failf "%s: %s" name d.D.message)
+    [
+      ("certify_rlck5 sprim 8", rlck5, `Sprim, 8);
+      ("certify_rlck5 sympvl 8", rlck5, `Sympvl, 8);
+      ("one shorted port, prima 4", one_port, `Prima, 4);
+    ]
+
 let () =
   Alcotest.run "certify"
     [
@@ -567,4 +838,14 @@ let () =
           Alcotest.test_case "singular at the shift" `Quick test_residual_singular;
         ] );
       ("hamiltonian", [ Alcotest.test_case "whole-axis band" `Quick test_whole_axis_band ]);
+      ("moments", [ Alcotest.test_case "exact = column-copy oracle bit for bit" `Quick test_moments_oracle ]);
+      ( "modal",
+        [
+          Qtest.to_alcotest prop_modal_rule_sound;
+          Alcotest.test_case "examples take the modal and Hamiltonian paths" `Quick
+            test_examples_take_both_paths;
+          Alcotest.test_case "the rule declines, the Hamiltonian test finds the band" `Quick
+            test_rule_declines;
+        ] );
+      ("dc", [ Alcotest.test_case "DC point of a port shorted by an inductor" `Quick test_dc_shorted_port ]);
     ]

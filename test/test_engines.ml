@@ -186,9 +186,14 @@ let prop_cache_hit_bitwise =
       let shift = shifts.(si) in
       let rhs = Array.init m.Circuit.Mna.n (fun i -> 1.0 +. float_of_int (i mod 5)) in
       let ctx = Pencil.create m in
-      let x_cold = (Pencil.factor ctx ~shift).Sympvl.Factor.solve rhs in
-      let x_hit = (Pencil.factor ctx ~shift).Sympvl.Factor.solve rhs in
-      let x_fresh = (Pencil.factor (Pencil.create m) ~shift).Sympvl.Factor.solve rhs in
+      let solve (f : Sympvl.Factor.t) =
+        let x = Linalg.Vec.create m.Circuit.Mna.n in
+        f.Sympvl.Factor.solve (Array.copy rhs) x;
+        x
+      in
+      let x_cold = solve (Pencil.factor ctx ~shift) in
+      let x_hit = solve (Pencil.factor ctx ~shift) in
+      let x_fresh = solve (Pencil.factor (Pencil.create m) ~shift) in
       bits_eq x_cold x_hit && bits_eq x_cold x_fresh)
 
 let prop_moments_shared_ctx =

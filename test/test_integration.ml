@@ -122,7 +122,8 @@ let test_failure_skyline_fallback () =
      with Sympvl.Factor.Singular _ -> true);
   let f = Sympvl.Pencil.factor ctx ~shift:0.0 in
   Alcotest.(check bool) "fallback is dense" true (f.Sympvl.Factor.kind = `Dense);
-  let x = f.Sympvl.Factor.solve [| 1.0; 2.0 |] in
+  let x = Linalg.Vec.create 2 in
+  f.Sympvl.Factor.solve [| 1.0; 2.0 |] x;
   checkf "solve via fallback x0" ~tol:1e-12 2.0 x.(0);
   checkf "solve via fallback x1" ~tol:1e-12 1.0 x.(1)
 

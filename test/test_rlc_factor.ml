@@ -46,6 +46,12 @@ let rel_diff x y =
   let d = Array.mapi (fun i xi -> xi -. y.(i)) x in
   max_abs d /. Float.max (max_abs y) 1e-300
 
+(* K⁻¹b into a fresh vector, leaving b alone *)
+let solve (f : F.t) b =
+  let x = Linalg.Vec.create f.F.n in
+  f.F.solve (Array.copy b) x;
+  x
+
 let random_vec rng n = Array.init n (fun _ -> Random.State.float rng 2.0 -. 1.0)
 
 let negatives (f : F.t) = Array.fold_left (fun k j -> if j < 0.0 then k + 1 else k) 0 f.F.j
@@ -68,7 +74,7 @@ let prop_sparse_kkt =
       let fac = Sympvl.Pencil.factor ctx ~shift:0.0 in
       let dense = F.of_dense (Sparse.Csr.to_dense mna.M.g) in
       let b = random_vec (Random.State.make [| seed; 1 |]) mna.M.n in
-      let err = rel_diff (fac.F.solve b) (dense.F.solve b) in
+      let err = rel_diff (solve fac b) (solve dense b) in
       if fac.F.kind = `Dense then QCheck.Test.fail_report "fell back to dense";
       if negatives fac <> mna.M.n - mna.M.n_nodes then
         QCheck.Test.fail_reportf "%d negative pivots for %d currents" (negatives fac)
@@ -327,7 +333,7 @@ let test_reserve_factor_with () =
   Array.iter (fun (i, j, v) -> if i = j then Sparse.Triplet.add tr i i v else Sparse.Triplet.add_sym tr i j v) extra;
   let a = Sparse.Csr.add (Sparse.Csr.add ~alpha:1.0 ~beta:shift g c) (Sparse.Csr.of_triplet tr) in
   let b = random_vec (Random.State.make [| 5 |]) n in
-  let x = fac.F.solve b in
+  let x = solve fac b in
   let err = rel_diff (Sparse.Csr.mul_vec a x) b in
   if err > 1e-10 then Alcotest.failf "residual %.3e" err
 

@@ -60,7 +60,8 @@ let test_factor_spd_definite () =
   Alcotest.(check bool) "definite" true f.Factor.definite;
   (* M J Mᵀ x = G x for random x, via solve: G(G⁻¹b) = b *)
   let b = Linalg.Vec.init f.Factor.n (fun i -> sin (float_of_int i)) in
-  let x = f.Factor.solve b in
+  let x = Linalg.Vec.create f.Factor.n in
+  f.Factor.solve (Linalg.Vec.copy b) x;
   let gx = Sparse.Csr.mul_vec m.Circuit.Mna.g x in
   checkf "solve consistent" ~tol:1e-9 0.0 (Linalg.Vec.dist_inf gx b)
 
@@ -70,7 +71,8 @@ let test_factor_indefinite_rlc () =
   let f = factor_g m in
   Alcotest.(check bool) "indefinite" false f.Factor.definite;
   let b = Linalg.Vec.init f.Factor.n (fun i -> cos (float_of_int i)) in
-  let x = f.Factor.solve b in
+  let x = Linalg.Vec.create f.Factor.n in
+  f.Factor.solve (Linalg.Vec.copy b) x;
   let gx = Sparse.Csr.mul_vec m.Circuit.Mna.g x in
   checkf "indefinite solve" ~tol:1e-8 0.0 (Linalg.Vec.dist_inf gx b)
 
