@@ -464,14 +464,12 @@ let tab_d () =
       let e_sypvl =
         err_of (fun s -> Linalg.Cmat.get (Sympvl.Realisation.eval sypvl.Sympvl.Model.real s) 0 0)
       in
-      match Sympvl.Awe.build ~order ~port:0 mna with
+      match Baselines.Awe.build ~order ~port:0 mna with
       | awe ->
-        let e_awe =
-          err_of (fun s -> Linalg.Cmat.get (Sympvl.Realisation.eval awe.Sympvl.Awe.real s) 0 0)
-        in
+        let e_awe = err_of (Baselines.Awe.eval awe) in
         Printf.printf "%6d %16.3e %16.3e %16.3e\n" order e_awe e_sypvl
-          awe.Sympvl.Awe.hankel_rcond
-      | exception Sympvl.Awe.Breakdown msg ->
+          awe.Baselines.Awe.hankel_rcond
+      | exception Baselines.Awe.Breakdown msg ->
         Printf.printf "%6d %16s %16.3e %16s\n" order ("break: " ^ msg) e_sypvl "-")
     [ 2; 4; 6; 8; 10; 12; 14; 16 ]
 
@@ -639,14 +637,14 @@ let tab_g () =
       let t0 = Obs.now () in
       let sympvl = Sympvl.Reduce.mna ~order mna in
       let t1 = Obs.now () in
-      let mpvl = Sympvl.Mpvl.reduce ~order mna in
+      let mpvl = Baselines.Mpvl.reduce ~order mna in
       let t2 = Obs.now () in
       let e1 =
         Simulate.Ac.max_rel_error sw
           (Simulate.Ac.model_sweep (Sympvl.Realisation.eval sympvl.Sympvl.Model.real) freqs)
       in
       let e2 =
-        Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Sympvl.Realisation.eval mpvl.Sympvl.Mpvl.real) freqs)
+        Simulate.Ac.max_rel_error sw (Simulate.Ac.model_sweep (Sympvl.Realisation.eval mpvl.Baselines.Mpvl.real) freqs)
       in
       Printf.printf "%6d %14.2f %14.2f %16.3e %16.3e %9.2fx\n" order
         ((t1 -. t0) *. 1e3)

@@ -269,16 +269,15 @@ let print_report ?quiet (rep : Sympvl.Certify.report) =
 let certify_cmd =
   let engine_arg =
     let doc =
-      "Engine to certify: $(b,sympvl) (default), $(b,mpvl), $(b,prima), \
-       $(b,awe), $(b,bt), or $(b,all) to sweep every engine that supports the \
-       netlist."
+      "Engine to certify: $(b,sympvl) (default), $(b,prima), $(b,sprim), \
+       $(b,bt), or $(b,all) to sweep every engine that supports the netlist."
     in
     Arg.(value & opt string default_engine & info [ "engine" ] ~docv:"ENGINE" ~doc)
   in
   let order_arg =
     let doc =
-      "Reduced order to certify (0 = auto: the full pencil size for the \
-       Krylov/BT engines, so the checks become theorem tests; 3 for AWE)."
+      "Reduced order to certify (0 = auto: the full pencil size, so the \
+       checks become theorem tests)."
     in
     Arg.(value & opt int (Ops.default Ops.Certify).Ops.order & info [ "n"; "order" ] ~doc)
   in
@@ -356,8 +355,7 @@ let reduce_cmd =
   in
   let engine_arg =
     let doc =
-      "Reduction engine: $(b,sympvl) (default), $(b,mpvl), $(b,prima), $(b,sprim), \
-       $(b,awe) or $(b,bt). Pass $(b,help) to list the engines with their \
+      "Reduction engine: $(b,sympvl) (default), $(b,prima), $(b,sprim) or $(b,bt). Pass $(b,help) to list the engines with their \
        guarantees. Every engine reports size/shift and the MOD002/MOD001 \
        stability and passivity findings; --adaptive stays SyMPVL-only, \
        --synth works for sympvl (RC, RLC) and sprim (RLCk)."

@@ -23,26 +23,26 @@ let () =
   List.iter
     (fun order ->
       let sympvl = Sympvl.Reduce.mna ~order mna in
-      let mpvl = Sympvl.Mpvl.reduce ~order mna in
+      let mpvl = Baselines.Mpvl.reduce ~order mna in
       let arnoldi = Sympvl.Arnoldi.reduce ~order mna in
       let e1 = err_of (Sympvl.Realisation.eval sympvl.Sympvl.Model.real) in
-      let e2 = err_of (Sympvl.Realisation.eval mpvl.Sympvl.Mpvl.real) in
+      let e2 = err_of (Sympvl.Realisation.eval mpvl.Baselines.Mpvl.real) in
       let e3 = err_of (Sympvl.Realisation.eval arnoldi) in
       (* AWE is scalar: compare its entry (0,0) only *)
       let e4 =
-        match Sympvl.Awe.build ~order:(order / 4) ~port:0 mna with
+        match Baselines.Awe.build ~order:(order / 4) ~port:0 mna with
         | awe ->
           let worst = ref 0.0 in
           Array.iteri
             (fun k f ->
               let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
               let ze = Linalg.Cmat.get sw.Simulate.Ac.z.(k) 0 0 in
-              let za = Linalg.Cmat.get (Sympvl.Realisation.eval awe.Sympvl.Awe.real s) 0 0 in
+              let za = Baselines.Awe.eval awe s in
               worst :=
                 Float.max !worst (Linalg.Cx.abs Linalg.Cx.(ze -: za) /. Linalg.Cx.abs ze))
             freqs;
           Printf.sprintf "%.1e (q=%d)" !worst (order / 4)
-        | exception Sympvl.Awe.Breakdown msg -> "breakdown: " ^ msg
+        | exception Baselines.Awe.Breakdown msg -> "breakdown: " ^ msg
       in
       Printf.printf "%5d | %.3e    %.3e    %.3e    %s\n" order e1 e2 e3 e4)
     [ 8; 16; 24; 32 ];

@@ -1,4 +1,4 @@
-type t = { real : Realisation.t; deflations : int }
+type t = { real : Sympvl.Realisation.t; deflations : int }
 
 exception Breakdown of int
 
@@ -63,58 +63,18 @@ let run_lanczos ~dtol ~order ~op ~op_t ~r_start ~l_start =
    with Exit -> ());
   (Array.of_list !vs, Array.of_list !ws, Array.of_list !ds, !deflations)
 
-(* Λ-recovery: unit-norm two-sided Lanczos vectors of a symmetric
-   operator satisfy w_j = ±v_j, i.e. η = Λμ with Λ = diag(λ_j);
-   per-row least squares estimates λ_j, and when the fit is tight with
-   every λ_j > 0, Z = ηᵀ(ΛD(I − s₀T) + var·ΛDT)⁻¹η is a symmetric
-   sandwich *)
-let lambda_form ~shift ~t_mat ~ds ~mu ~eta =
-  let n = Array.length ds and p = mu.Linalg.Mat.cols in
-  let lam = Array.make n 0.0 in
-  let ok = ref (n > 0) in
-  for i = 0 to n - 1 do
-    let num = ref 0.0 and den = ref 0.0 in
-    for j = 0 to p - 1 do
-      let mu = Linalg.Mat.get mu i j and eta = Linalg.Mat.get eta i j in
-      num := !num +. (eta *. mu);
-      den := !den +. (mu *. mu)
-    done;
-    if !den <= 0.0 then ok := false
-    else begin
-      lam.(i) <- !num /. !den;
-      if lam.(i) <= 0.0 then ok := false
-    end
-  done;
-  let resid = ref 0.0 in
-  if !ok then
-    for i = 0 to n - 1 do
-      for j = 0 to p - 1 do
-        let r = Linalg.Mat.get eta i j -. (lam.(i) *. Linalg.Mat.get mu i j) in
-        resid := Float.max !resid (Float.abs r)
-      done
-    done;
-  if (not !ok) || !resid > 1e-8 *. Float.max (Linalg.Mat.max_abs eta) 1e-300 then None
-  else begin
-    let d = Linalg.Mat.diag (Linalg.Vec.init n (fun i -> ds.(i))) in
-    let s_mat = Linalg.Mat.mul d t_mat in
-    let st = Linalg.Mat.init n n (fun i j -> lam.(i) *. Linalg.Mat.get s_mat i j) in
-    let dt = Linalg.Mat.init n n (fun i j -> lam.(i) *. Linalg.Mat.get d i j) in
-    if Realisation.near_symmetric st then Some (Realisation.fold ~origin:shift dt st, st, eta)
-    else None
-  end
-
 let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
   let c = m.Circuit.Mna.c in
-  let ctx = match ctx with Some p -> p | None -> Pencil.create m in
+  let ctx = match ctx with Some p -> p | None -> Sympvl.Pencil.create m in
   (* shift resolution and factorisation via the shared policy — the
      exact same eq. (26) retry as SyMPVL/PRIMA *)
-  Pencil.with_auto_shift ?shift ?band ctx @@ fun s0 fac ->
+  Sympvl.Pencil.with_auto_shift ?shift ?band ctx @@ fun s0 fac ->
   let n_full = m.Circuit.Mna.n in
   let work = Linalg.Vec.create n_full in
   (* K⁻¹b into a fresh vector; [b] is consumed *)
   let solved b =
     let x = Linalg.Vec.create n_full in
-    fac.Factor.solve b x;
+    fac.Sympvl.Factor.solve b x;
     x
   in
   let op v =
@@ -150,7 +110,7 @@ let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
   let c = Linalg.Mat.transpose eta in
   let real =
     {
-      Realisation.a0;
+      Sympvl.Realisation.a0;
       a1 = t_mat;
       b;
       c;
@@ -158,9 +118,9 @@ let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
       shift = s0;
       variable = m.Circuit.Mna.variable;
       gain = m.Circuit.Mna.gain;
-      sym = lambda_form ~shift:s0 ~t_mat ~ds ~mu ~eta;
+      sym = None;
       definite = false;
-      form = Realisation.general_form ~a0 ~a1:t_mat ~b ~c;
+      form = Sympvl.Realisation.general_form ~a0 ~a1:t_mat ~b ~c;
     }
   in
   { real; deflations }

@@ -6,7 +6,8 @@
     use of symmetry. SyMPVL is its symmetric specialisation — at
     roughly half the work and memory, which is this module's role in
     the benches: validate that both compute the same approximant on
-    symmetric input, and quantify SyMPVL's advantage.
+    symmetric input, and quantify SyMPVL's advantage ([bench tabG],
+    [examples/compare_methods.ml]). It is not a {!Sympvl.Rom} engine.
 
     This implementation biorthogonalises fully against all previous
     vectors (numerically robust; identical output in exact
@@ -16,13 +17,11 @@
     refinements over this baseline). *)
 
 type t = {
-  real : Realisation.t;
+  real : Sympvl.Realisation.t;
       (** [Zₙ = ηᵀ(I + σT)⁻¹D⁻¹μ] with [T = D⁻¹WᵀAV], [D = WᵀV],
           [μ = Wᵀ(K⁻¹B)], [η = VᵀB]: [a0 = I], [a1 = T], [b = D⁻¹μ],
-          [c = ηᵀ] about [origin = s₀]. The symmetric form is the
-          [Λ]-rescaling [(ΛD(I − s₀T), ΛDT, η)] when [η = Λμ] holds
-          with every [λⱼ > 0] (a symmetric operator's two-sided
-          recurrence). *)
+          [c = ηᵀ] about [origin = s₀], in
+          {!Sympvl.Realisation.general_form}; no symmetric form. *)
   deflations : int;
 }
 
@@ -31,10 +30,10 @@ exception Breakdown of int
     look-ahead). *)
 
 val reduce :
-  ?ctx:Pencil.t -> ?shift:float -> ?band:float * float -> ?dtol:float -> order:int ->
+  ?ctx:Sympvl.Pencil.t -> ?shift:float -> ?band:float * float -> ?dtol:float -> order:int ->
   Circuit.Mna.t -> t
 (** Reduce to (at most) the requested order. Shift resolution is
-    {!Pencil.with_auto_shift} — the same policy as {!Reduce.mna}:
+    {!Sympvl.Pencil.with_auto_shift} — the same policy as {!Sympvl.Reduce.mna}:
     explicit [shift] wins; otherwise 0 with band-guided automatic
     retry when [G] is singular. Pass [ctx] to reuse a context (and
     its cached factorisations) across engines. *)

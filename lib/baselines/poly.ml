@@ -15,9 +15,9 @@ let eval c x =
   !s
 
 let eval_cx c z =
-  let s = ref Cx.zero in
+  let s = ref Linalg.Cx.zero in
   for k = Array.length c - 1 downto 0 do
-    s := Cx.((!s *: z) +: re c.(k))
+    s := Linalg.Cx.((!s *: z) +: re c.(k))
   done;
   !s
 
@@ -41,7 +41,7 @@ let roots ?(iterations = 400) ?(tol = 1e-12) c =
     let z =
       Array.init d (fun k ->
           let theta = ((2.0 *. Float.pi *. float_of_int k) /. float_of_int d) +. 0.4 in
-          Cx.smul (0.5 *. bound) (Cx.make (cos theta) (sin theta)))
+          Linalg.Cx.smul (0.5 *. bound) (Linalg.Cx.make (cos theta) (sin theta)))
     in
     let moved = ref infinity in
     let it = ref 0 in
@@ -49,14 +49,14 @@ let roots ?(iterations = 400) ?(tol = 1e-12) c =
       moved := 0.0;
       for k = 0 to d - 1 do
         let num = eval_cx mc z.(k) in
-        let den = ref Cx.one in
+        let den = ref Linalg.Cx.one in
         for j = 0 to d - 1 do
-          if j <> k then den := Cx.(!den *: (z.(k) -: z.(j)))
+          if j <> k then den := Linalg.Cx.(!den *: (z.(k) -: z.(j)))
         done;
-        if Cx.abs !den > 0.0 then begin
-          let delta = Cx.(num /: !den) in
-          z.(k) <- Cx.(z.(k) -: delta);
-          moved := Float.max !moved (Cx.abs delta)
+        if Linalg.Cx.abs !den > 0.0 then begin
+          let delta = Linalg.Cx.(num /: !den) in
+          z.(k) <- Linalg.Cx.(z.(k) -: delta);
+          moved := Float.max !moved (Linalg.Cx.abs delta)
         end
       done;
       incr it

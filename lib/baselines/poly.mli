@@ -2,8 +2,7 @@
 
     A polynomial is represented by its coefficient array in ascending
     order: [c.(k)] is the coefficient of [x^k]. Used by the AWE
-    baseline (explicit Padé numerator/denominator) and for small
-    characteristic polynomials. *)
+    baseline (explicit Padé numerator/denominator). *)
 
 type t = float array
 
@@ -14,12 +13,12 @@ val degree : t -> int
 val eval : t -> float -> float
 (** Horner evaluation at a real point. *)
 
-val eval_cx : t -> Cx.t -> Cx.t
+val eval_cx : t -> Linalg.Cx.t -> Linalg.Cx.t
 (** Horner evaluation at a complex point. *)
 
 val derivative : t -> t
 
-val roots : ?iterations:int -> ?tol:float -> t -> Cx.t array
+val roots : ?iterations:int -> ?tol:float -> t -> Linalg.Cx.t array
 (** All complex roots by the Durand–Kerner (Weierstrass) iteration.
     Adequate for the small degrees (≤ ~16) used by AWE. Raises
     [Invalid_argument] on the zero polynomial. *)

@@ -16,51 +16,14 @@ let min_eig_rel m =
   let scale = Float.max (Mat.max_abs m) 1e-300 in
   (Linalg.Eig_sym.min_eigenvalue (Mat.sym_part m) /. scale, scale)
 
-let foster_certificate ~tol poles residues =
-  let pscale =
-    Array.fold_left (fun acc p -> Float.max acc (Cx.abs p)) 1e-300 poles
-  in
-  let rscale =
-    Array.fold_left (fun acc r -> Float.max acc (Cx.abs r)) 1e-300 residues
-  in
-  let worst = ref 0.0 in
-  Array.iter
-    (fun p ->
-      worst := Float.max !worst (Float.abs p.Complex.im /. pscale);
-      worst := Float.max !worst (p.Complex.re /. pscale))
-    poles;
-  Array.iter
-    (fun r ->
-      worst := Float.max !worst (Float.abs r.Complex.im /. rscale);
-      worst := Float.max !worst (-.r.Complex.re /. rscale))
-    residues;
-  if !worst <= tol then
-    Certified
-      "Foster form is positive-real: every pole is real negative and every \
-       residue real nonnegative"
-  else
-    Violated
-      ( "pole/residue form is not a nonnegative Foster expansion (complex or \
-         right-half-plane pole, or negative residue)",
-        !worst )
-
 let structural_certificate ?(tol = 1e-9) ?definite (r : Realisation.t) =
   let definite = match definite with Some d -> d | None -> r.Realisation.definite in
-  match (r.Realisation.form, r.Realisation.sym) with
-  | Realisation.Foster (poles, residues), _ -> (
-    let poles = Array.map (fun p -> Cx.(p +: re r.Realisation.origin)) poles in
-    match foster_certificate ~tol:(Float.max tol 1e-6) poles residues with
-    | Violated (why, _) when not definite ->
-      (* a non-Foster pole/residue form (complex poles, mixed-sign
-         residues) proves nothing either way for an engine that never
-         promised passivity — MOD003 is the authority then *)
-      No_certificate (why ^ " — no structural argument applies")
-    | c -> c)
-  | _, None ->
+  match r.Realisation.sym with
+  | None ->
     No_certificate
       "no symmetric-form recovery for this realisation (two-sided recurrence \
        lost the congruence structure)"
-  | _, Some (h0, h1, _) ->
+  | Some (h0, h1, _) ->
     if r.Realisation.variable = Circuit.Mna.S_squared && r.Realisation.gain = Circuit.Mna.Unit
     then
       No_certificate
@@ -111,13 +74,8 @@ type report = {
 let core_freq_scale (r : Realisation.t) =
   Float.max (Realisation.freq_scale r) (Float.abs r.Realisation.shift)
 
-(* compare a (possibly scalar) model matrix against the exact p×p one:
-   a single-port realisation of a multi-port pencil reads entry (0,0)
-   — the same convention as the cross-engine golden test *)
-let rel_dist_mat ?(floor = 1e-300) ~scalar got want =
-  let want =
-    if scalar then Mat.init 1 1 (fun _ _ -> Mat.get want 0 0) else want
-  in
+(* a model matrix against the exact one, relative to |want| *)
+let rel_dist_mat ?(floor = 1e-300) got want =
   Mat.dist_max got want /. Float.max (Mat.max_abs want) floor
 
 (* the decade samples around the realisation's scale MOD004 reads *)
@@ -222,7 +180,7 @@ let modal_passive (r : Realisation.t) =
     | Circuit.Mna.S, Circuit.Mna.Times_s -> every (fun l -> l >= 0.0)
     | Circuit.Mna.S_squared, Circuit.Mna.Times_s -> every (fun _ -> true)
     | Circuit.Mna.S_squared, Circuit.Mna.Unit -> false)
-  | Realisation.Foster _ | Realisation.Band _ | Realisation.Hess _ -> false
+  | Realisation.Band _ | Realisation.Hess _ -> false
 
 let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) =
   Obs.with_span "certify.run" @@ fun () ->
@@ -230,7 +188,6 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
   let eng = Rom.engine_of_model model and r = Rom.realisation model in
   let engine = Rom.name eng in
   let np = Realisation.ports r in
-  let scalar = np = 1 && mna.Circuit.Mna.b.Mat.cols > 1 in
   let findings = ref [] in
   let emit d = findings := d :: !findings in
   (* -------- MOD002 then MOD001: the structural findings -------- *)
@@ -241,14 +198,8 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
     if modal_passive r then `Modal
     else
       (* the pencil gives the crossings; the samples in between are
-         read off the model's own evaluation form — except AWE's
-         scalar pole–residue sum, which cancels far above its poles *)
-      let eval =
-        match r.Realisation.form with
-        | Realisation.Foster _ -> None
-        | Realisation.Modal _ | Realisation.Band _ | Realisation.Hess _ -> Some (Realisation.eval r)
-      in
-      match H.violation_bands ~tol ?eval (Realisation.phys_pencil r) with
+         read off the model's own evaluation form *)
+      match H.violation_bands ~tol ~eval:(Realisation.eval r) (Realisation.phys_pencil r) with
       | bs -> `Bands bs
       | exception Linalg.Eig_sym.No_convergence -> `Incomplete
   in
@@ -367,7 +318,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
    (* the exact zeroth moment at s = 0, when MOD005 computed it *)
    let dc_moment = ref None in
    (* -------- MOD005: moment matching -------- *)
-   let mom_rtol = match eng with `Awe -> 1e-3 | _ -> 1e-6 in
+   let mom_rtol = 1e-6 in
    let expected = Rom.expected_moments model in
    let q = min expected 6 in
    if q = 0 then
@@ -387,7 +338,7 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
        let j = ref 0 in
        (try
           for k = 0 to q - 1 do
-            if rel_dist_mat ~scalar got.(k) exact.(k) <= mom_rtol then incr j
+            if rel_dist_mat got.(k) exact.(k) <= mom_rtol then incr j
             else raise Exit
           done
         with Exit -> ());
@@ -429,10 +380,9 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
         zero (shorted by an inductor) is judged by its absolute
         error, not by roundoff over roundoff *)
      let rel =
-       rel_dist_mat ~scalar ~floor:(Float.max (1e-3 *. gain_free_scale r) 1e-300) got0 exact0
+       rel_dist_mat ~floor:(Float.max (1e-3 *. gain_free_scale r) 1e-300) got0 exact0
      in
-     let dc_rtol = match eng with `Awe -> 1e-3 | _ -> 1e-6 in
-     if rel <= dc_rtol then
+     if rel <= 1e-6 then
        emit
          (D.info "MOD006"
             (Printf.sprintf "%s: DC point exact to %.2e relative" engine rel))
@@ -510,12 +460,9 @@ let run ?ctx ?drift_band ?(shift_requested = false) model (mna : Circuit.Mna.t) 
         | Ok exact ->
           incr used;
           let got = Realisation.eval r (Cx.im (w_of i)) in
-          let want =
-            if scalar then Cmat.init 1 1 (fun _ _ -> Cmat.get exact 0 0) else exact
-          in
           let err =
-            Cmat.dist_max got want
-            /. Float.max (Cmat.max_abs want) (1e-3 *. zsweep)
+            Cmat.dist_max got exact
+            /. Float.max (Cmat.max_abs exact) (1e-3 *. zsweep)
           in
           worst := Float.max !worst err)
       exacts;

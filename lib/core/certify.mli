@@ -7,7 +7,7 @@
     static-analysis report over {e any} {!Rom.model}: every engine
     stores its model as the one descriptor form {!Realisation.t}
     ({!Rom.realisation}, built at reduce time), and every rule below
-    is evaluated on that one form — BT/AWE/PRIMA/MPVL get exactly the
+    is evaluated on that one form — BT, PRIMA and SPRIM get exactly the
     same scrutiny as SyMPVL.
 
     Rules (stable codes, shared {!Circuit.Diagnostic} type):
@@ -17,8 +17,7 @@
       a [Warning] otherwise.
     - {b MOD002} structural passivity certificate: symmetric-form
       recovery + positive semidefiniteness (for SyMPVL on the [J = I]
-      unshifted path this is the paper's [Tₙ ⪰ 0] certificate; AWE gets
-      a Foster positive-real check on its pole/residue form instead).
+      unshifted path this is the paper's [Tₙ ⪰ 0] certificate).
     - {b MOD003} passivity on the whole imaginary axis. A {!modal}
       realisation that passes {!modal_passive} is positive real term
       by term, and no pencil is built; any other model goes through
@@ -26,8 +25,9 @@
       ({!Linalg.Hamiltonian.violation_bands}), which locates
       passivity violation {e bands} exactly instead of grid sampling.
       Its samples are read off the model's own evaluation form
-      ({!Realisation.eval}), except AWE's pole–residue sum, whose
-      terms cancel far above its poles (the pencil's dense LU then).
+      ({!Realisation.eval}); the crossings come from the physical
+      pencil ({!Realisation.phys_pencil}), which keeps the model's own
+      frequency scale also under the RL/LC gain and variable mappings.
     - {b MOD004} reciprocity: sampled [‖Z − Zᵀ‖/‖Z‖] residual.
     - {b MOD005} moment matching: leading moments of the realisation
       vs {!Moments.exact} on the shared pencil context, against the
@@ -62,10 +62,10 @@
     ({!structural}) for every model it builds. *)
 
 type certificate =
-  | Certified of string  (** Proof sketch (which matrices are PSD / Foster). *)
+  | Certified of string  (** Proof sketch (which matrices are PSD). *)
   | Violated of string * float
       (** The structure that should certify is numerically indefinite;
-          carries the scaled minimum eigenvalue (or Foster residual). *)
+          carries the scaled minimum eigenvalue. *)
   | No_certificate of string  (** Why no structural argument applies. *)
 
 val structural_certificate : ?tol:float -> ?definite:bool -> Realisation.t -> certificate

@@ -1,9 +1,9 @@
 (** Shared pencil-solve context: one symbolic phase, one shift policy,
     and the only front door to the sparse factor backends.
 
-    Every engine in the pipeline — SyMPVL/MPVL Lanczos, PRIMA Arnoldi,
-    AWE moments, exact moment checks, AC sweeps, transient integration
-    — is a loop over solves with the shifted pencil [K(s₀) = G + s₀C].
+    Every engine in the pipeline — SyMPVL Lanczos, PRIMA/SPRIM Arnoldi,
+    the AWE and MPVL baselines, exact moment checks, AC sweeps,
+    transient integration — is a loop over solves with the shifted pencil [K(s₀) = G + s₀C].
     A [Pencil.t] is built {e once} from [(G, C, B)] and owns everything
     those loops share:
 

@@ -148,7 +148,7 @@ let of_model (m : Model.t) =
   let terms, direct =
     match m.Model.real.Realisation.form with
     | Realisation.Modal md -> of_modal m md
-    | Realisation.Foster _ | Realisation.Band _ | Realisation.Hess _ -> of_indefinite m
+    | Realisation.Band _ | Realisation.Hess _ -> of_indefinite m
   in
   {
     terms;

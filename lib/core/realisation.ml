@@ -12,7 +12,6 @@ type reduced = { hb : band; qd : Mat.t; dz : Mat.t }
 type hess = { near : reduced; far : reduced; cross : float }
 
 type form =
-  | Foster of Complex.t array * Complex.t array
   | Modal of modal
   | Band of band
   | Hess of hess
@@ -31,7 +30,7 @@ type t = {
   form : form;
 }
 
-let order r = match r.form with Foster (poles, _) -> Array.length poles | _ -> r.a0.Mat.rows
+let order r = r.a0.Mat.rows
 
 let ports r = r.c.Mat.rows
 
@@ -602,13 +601,6 @@ let eval r s =
   let sigma = if r.origin = 0.0 then var else Cx.(var -: re r.origin) in
   let z =
     match r.form with
-    | Foster (poles, residues) ->
-      (* AWE's scalar pole–residue sum: a modal solve would move its bits *)
-      let acc = ref Cx.zero in
-      Array.iteri (fun k p -> acc := Cx.(!acc +: (residues.(k) /: (sigma -: p)))) poles;
-      let z = Cmat.create 1 1 in
-      Cmat.set z 0 0 !acc;
-      z
     | Modal md -> modal_eval md sigma
     | Band band -> band_eval band sigma
     | Hess h -> hess_eval r (if Cx.abs sigma <= h.cross then h.near else h.far) sigma
@@ -623,10 +615,12 @@ let scale_of (pen : H.pencil) =
 
 let freq_scale r = scale_of (core r)
 
+(* the auxiliary states carry the pencil's own scale in physical s *)
 let augment r pen =
-  H.augment
-    ~square_var:(r.variable = Circuit.Mna.S_squared)
-    ~times_s:(r.gain = Circuit.Mna.Times_s)
+  let square_var = r.variable = Circuit.Mna.S_squared in
+  let ws = scale_of pen in
+  H.augment ~square_var ~times_s:(r.gain = Circuit.Mna.Times_s)
+    ~scale:(if square_var then sqrt ws else ws)
     pen
 
 let phys_pencil r = augment r (core r)
@@ -660,7 +654,7 @@ let poles r =
       Array.to_list lambda
       |> List.filter (fun l -> not (at_infinity l))
       |> List.map (fun l -> Cx.re (r.origin -. (1.0 /. l)))
-    | Foster _ | Band _ | Hess _ ->
+    | Band _ | Hess _ ->
       H.gen_eigenvalues ~seeds:pole_seeds pen.H.a0 (Mat.scale ws pen.H.a1)
       |> Array.to_list
       |> List.filter (fun s -> Cx.abs s <= 1e8)

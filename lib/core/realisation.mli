@@ -7,14 +7,13 @@
       [Z(var) = gain · c·(a0 + (var − origin)·a1)⁻¹·b]
 
     with [var = s] or [s²] and [gain = 1] or [s]. The σ-forms (SyMPVL
-    [a0 = I, a1 = T, c = ρᵀΔ], MPVL [c = ηᵀ, b = D⁻¹μ], AWE's modal
-    form) keep [origin = s₀]; the congruence forms (PRIMA, SPRIM, BT:
+    [a0 = I, a1 = T, c = ρᵀΔ]; the MPVL baseline's [c = ηᵀ, b = D⁻¹μ])
+    keep [origin = s₀]; the congruence forms (PRIMA, SPRIM, BT:
     [a0 = Ĝ, a1 = Ĉ, c = B̂ᵀ]) live in the pencil variable itself,
     [origin = 0]. Each engine builds its realisation once, at reduce
-    time, together with exactly one evaluation {!form}: AWE's
-    pole–residue sum, the modal form of a definite model, the band of
-    SyMPVL's indefinite [T], or the Hessenberg–triangular form of every
-    other one. {!eval},
+    time, together with exactly one evaluation {!form}: the modal form
+    of a definite model, the band of SyMPVL's indefinite [T], or the
+    Hessenberg–triangular form of every other one. {!eval},
     {!poles}, {!moments} and the certification pass all read it. *)
 
 type modal = {
@@ -44,9 +43,6 @@ type hess
 (** The one evaluation form of a realisation, built at reduce time.
     Immutable, so models are shared across domains as they are. *)
 type form =
-  | Foster of Complex.t array * Complex.t array
-      (** AWE: poles in [σ = var − origin] and their residues; [a0],
-          [a1], [b], [c] hold its modal realisation. *)
   | Modal of modal
       (** {!modal_form} of a definite symmetric triple: SyMPVL's
           [J = I] path at any shift (from [(Δ, ΔT, Δρ)] about [s₀])
@@ -72,8 +68,8 @@ type t = {
   sym : (Linalg.Mat.t * Linalg.Mat.t * Linalg.Mat.t) option;
       (** A symmetric form [(h0, h1, w)] with [Z = gain·wᵀ(h0 + var·h1)⁻¹w]
           in the physical pencil variable, when the engine's structure
-          admits one (SyMPVL [Δ]-congruence, MPVL [Λ]-rescaling,
-          PRIMA/SPRIM/BT directly). [None] means "no structural
+          admits one (SyMPVL [Δ]-congruence, PRIMA/SPRIM/BT
+          directly). [None] means "no structural
           certificate available", not "non-passive". *)
   definite : bool;
       (** The construction promised a definite symmetric form
@@ -83,7 +79,7 @@ type t = {
 }
 
 val order : t -> int
-(** State dimension ([order] poles for AWE). *)
+(** State dimension. *)
 
 val ports : t -> int
 
@@ -124,9 +120,8 @@ val congruence :
     (unless its Cholesky factor breaks down), else {!general_form}. *)
 
 val eval : t -> Complex.t -> Linalg.Cmat.t
-(** [Ẑ(s)] at a physical complex frequency, a [p×p] matrix ([1×1] for
-    AWE), read off the realisation's one evaluation form:
-    - {!Foster}: its scalar pole–residue sum;
+(** [Ẑ(s)] at a physical complex frequency, a [p×p] matrix, read off
+    the realisation's one evaluation form:
     - {!Modal}: [O(nx·p²)], one complex reciprocal per term and the
       upper triangle of [Σ wᵢwⱼ·cₖ] mirrored, so [Ẑ] is exactly
       symmetric;
@@ -158,7 +153,11 @@ val freq_scale : t -> float
 val augment : t -> Linalg.Hamiltonian.pencil -> Linalg.Hamiltonian.pencil
 (** [augment r pen] folds [r]'s variable and gain into a pencil in
     [var] by {!Linalg.Hamiltonian.augment}, so its [Z(s)] needs no
-    substitution or post-scaling. *)
+    substitution or post-scaling. The auxiliary states are scaled by
+    [pen]'s frequency scale ([|g0|/|a1|], its square root for
+    [var = s²]), so the augmented pencil keeps that scale in physical
+    [s]: its crossing search and probes sit at the model's frequencies,
+    not at 1. *)
 
 val phys_pencil : t -> Linalg.Hamiltonian.pencil
 (** [augment r (core r)]. *)

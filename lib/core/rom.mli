@@ -1,11 +1,12 @@
 (** Engine registry: one front door for every reduction algorithm.
 
-    Every model-order-reduction engine in the library — the paper's
-    SyMPVL band-Lanczos, two-sided MPVL, PRIMA block-Arnoldi,
-    structure-preserving SPRIM, scalar AWE and dense balanced
-    truncation — is reachable here behind a single [reduce] entry
-    point, so the CLI, the tests and the benches can enumerate and
-    compare them uniformly. Each engine's model carries the one
+    Every model-order-reduction engine of the product — the paper's
+    SyMPVL band-Lanczos, PRIMA block-Arnoldi, structure-preserving
+    SPRIM and dense balanced truncation — is reachable here behind a
+    single [reduce] entry point, so the CLI, the daemon, the tests and
+    the benches can enumerate and compare them uniformly. The paper's
+    foils, AWE and two-sided MPVL, live in the [baselines] library
+    and are run only by the benches, the examples and the tests. Each engine's model carries the one
     descriptor form it reduces to ({!Realisation.t}, built once at
     reduce time); {!eval}, {!order}, {!ports}, {!shift} and {!Certify}
     all read that form. All Krylov engines share one {!Pencil} context
@@ -13,7 +14,7 @@
     shift policy); pass [?ctx] to share it with exact AC analysis or
     moment checks too. *)
 
-type engine = [ `Sympvl | `Mpvl | `Prima | `Sprim | `Awe | `Bt ]
+type engine = [ `Sympvl | `Prima | `Sprim | `Bt ]
 
 val all : engine list
 (** Every registered engine, in documentation order. *)
@@ -35,11 +36,11 @@ val golden_rtol : engine -> float
 (** Documented worst-case relative deviation from the exact AC golden
     fixtures on the shipped example netlists' 16-point grid at the
     orders the cross-engine golden test requests (Krylov engines near
-    exhaustion; AWE at its documented low-order validity). *)
+    exhaustion). *)
 
 val supports : engine -> Circuit.Mna.t -> (unit, string) result
 (** Structural applicability of an engine to an assembled pencil:
-    AWE needs the [s] variable (scalar moment matching); SPRIM needs
+    SPRIM needs
     the general RLC form with a non-empty inductor-current block (the
     structure it preserves); balanced truncation needs the symmetric
     positive definite RC impedance form. [Error reason] explains the
@@ -47,10 +48,8 @@ val supports : engine -> Circuit.Mna.t -> (unit, string) result
 
 type model =
   | Sympvl_model of Model.t
-  | Mpvl_model of Mpvl.t
   | Prima_model of Arnoldi.t
   | Sprim_model of Sprim.t
-  | Awe_model of Awe.t
   | Bt_model of Btruncation.t
 
 exception Unsupported of string
@@ -65,12 +64,10 @@ val reduce :
   Circuit.Mna.t ->
   model
 (** Run one engine at the library defaults ({!Reduce.default} for
-    SyMPVL; AWE drives port 0). [shift] is an explicit expansion point
+    SyMPVL). [shift] is an explicit expansion point
     [s₀] (no singular-G retry); [band] (Hz) picks the automatic
     mid-band shift. The shared [ctx] is threaded to every
     pencil-backed engine; balanced truncation is dense and ignores it.
-    AWE resolves [band] to the same mid-band shift as the Krylov
-    engines ({!Pencil.band_shift}).
 
     @raise Unsupported when the engine does not apply to [m].
     @raise Factor.Singular as the underlying engine would. *)
@@ -81,7 +78,7 @@ val realisation : model -> Realisation.t
 
 val eval : model -> Complex.t -> Linalg.Cmat.t
 (** Reduced-order [Ẑ(s)] at a physical complex frequency, uniformly a
-    [p×p] matrix (AWE's scalar becomes [1×1]): {!Realisation.eval} of
+    [p×p] matrix: {!Realisation.eval} of
     {!realisation}. *)
 
 val order : model -> int
@@ -95,11 +92,10 @@ val engine_of_model : model -> engine
 
 val expected_moments : model -> int
 (** The number of matrix moments the algorithm matches by
-    construction at its expansion point: [2⌊n/p⌋] for the two-sided
-    Lanczos engines (SyMPVL/MPVL, paper Section 3.2), [⌊n/p⌋] for
+    construction at its expansion point: [2⌊n/p⌋] for SyMPVL's
+    Lanczos process (paper Section 3.2), [⌊n/p⌋] for
     PRIMA's one-sided congruence, [⌊krylov_cols/p⌋] for SPRIM (its
     split basis spans at least PRIMA's projection subspace at the same
-    Krylov depth), [2·order] scalar moments for AWE,
-    and [0] for balanced truncation (which optimises the H∞ error,
+    Krylov depth), and [0] for balanced truncation (which optimises the H∞ error,
     not moments). [Certify] verifies this count against
     {!Moments.exact} (rule MOD005). *)

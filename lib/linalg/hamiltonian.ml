@@ -11,14 +11,17 @@ let freq_scale pen =
   let n0 = Mat.max_abs pen.a0 and n1 = Mat.max_abs pen.a1 in
   if n0 > 0.0 && n1 > 0.0 then n0 /. n1 else 1.0
 
-let augment ~square_var ~times_s pen =
+let augment ~square_var ~times_s ~scale pen =
   if (not square_var) && not times_s then pen
   else begin
-    (* x₂ = s·x turns both conventions into plain descriptor form:
+    (* x₂ = (s/ω₀)·x with ω₀ = [scale] turns both conventions into
+       plain descriptor form:
          var = s²:  a0·x + a1·var·x = b·u  becomes
-                    [a0 0; 0 −I]·[x;x₂] + s·[0 a1; I 0]·[x;x₂] = [b;0]·u
-         var = s:   same with s·[a1 0; I 0]
-       and the s·Z_core gain is the output picking x₂ instead of x. *)
+                    [a0 0; 0 −I]·[x;x₂] + s·[0 ω₀·a1; I/ω₀ 0]·[x;x₂] = [b;0]·u
+         var = s:   same with s·[a1 0; I/ω₀ 0]
+       and the s·Z_core gain is the output ω₀·c picking x₂ instead of
+       x. With ω₀ the core's own scale, |a0|/|a1| of the result is ω₀
+       again: unit coupling blocks would set it to 1 instead *)
     let n = nx pen and p = np pen in
     let a0 =
       Mat.init (2 * n) (2 * n) (fun i j ->
@@ -29,10 +32,10 @@ let augment ~square_var ~times_s pen =
     let a1 =
       Mat.init (2 * n) (2 * n) (fun i j ->
           if i < n then
-            if square_var then if j >= n then Mat.get pen.a1 i (j - n) else 0.0
+            if square_var then if j >= n then scale *. Mat.get pen.a1 i (j - n) else 0.0
             else if j < n then Mat.get pen.a1 i j
             else 0.0
-          else if j = i - n then 1.0
+          else if j = i - n then 1.0 /. scale
           else 0.0)
     in
     let b =
@@ -40,7 +43,7 @@ let augment ~square_var ~times_s pen =
     in
     let c =
       Mat.init p (2 * n) (fun i j ->
-          if times_s then if j >= n then Mat.get pen.c i (j - n) else 0.0
+          if times_s then if j >= n then scale *. Mat.get pen.c i (j - n) else 0.0
           else if j < n then Mat.get pen.c i j
           else 0.0)
     in

@@ -34,13 +34,17 @@ type pencil = {
 (** [Z(s) = c (a0 + s·a1)⁻¹ b] — physical frequency variable, no
     implicit gain or shift. *)
 
-val augment : square_var:bool -> times_s:bool -> pencil -> pencil
+val augment : square_var:bool -> times_s:bool -> scale:float -> pencil -> pencil
 (** Fold the MNA variable/gain conventions into the pencil so that
     evaluation in the {e physical} [s] needs no post-scaling:
     [square_var] maps a pencil in [var = s²] (LC class), [times_s] a
     [Z = s·Z_core] gain (RL / LC class). With both flags false the
     pencil is returned unchanged; otherwise the state doubles
-    (auxiliary states [x₂ = s·x]), preserving the finite spectrum. *)
+    (auxiliary states [x₂ = s·x/scale]), preserving the finite
+    spectrum. [scale] is the pencil's own frequency scale in physical
+    [s] ([|a0|/|a1|], its square root for [var = s²]); the result then
+    has that scale too, so {!crossings} and {!violation_bands} probe
+    the model where it lives. *)
 
 val eval : pencil -> Complex.t -> Cmat.t
 (** [Z(s)] as a dense p×p complex matrix.

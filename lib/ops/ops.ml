@@ -41,7 +41,10 @@ let engine name =
   match Sympvl.Rom.of_name name with
   | Some e -> e
   | None ->
-    invalidf "engine" "unknown engine %S (have %s)" name
+    invalidf "engine"
+      "unknown engine %S (have %s; the AWE and MPVL baselines run in bench tabD/tabG and \
+       examples/compare_methods.ml)"
+      name
       (String.concat ", " (List.map Sympvl.Rom.name Sympvl.Rom.all))
 
 let max_points = 100_000
@@ -83,24 +86,13 @@ let freqs r =
   | None -> Simulate.Ac.log_freqs ~points:r.points r.flo r.fhi
 
 let order r (mna : Circuit.Mna.t) =
-  match (r.op, r.order, r.engine) with
-  | Certify, 0, `Awe -> 3
-  | Certify, 0, _ -> mna.Circuit.Mna.n
-  | _, k, _ -> k
+  match (r.op, r.order) with Certify, 0 -> mna.Circuit.Mna.n | _, k -> k
 
 let model ~ctx r mna =
   Sympvl.Rom.reduce ~ctx ?shift:r.shift ?band:r.band ~order:(order r mna) r.engine mna
 
 let certify ~ctx r model mna =
-  let drift_band =
-    match (r.band, r.engine) with
-    | Some b, _ -> Some b
-    | None, `Awe ->
-      let d = default Certify in
-      Some (d.flo, d.fhi)
-    | None, _ -> None
-  in
-  Sympvl.Certify.run ~ctx ?drift_band ~shift_requested:(r.shift <> None) model mna
+  Sympvl.Certify.run ~ctx ?drift_band:r.band ~shift_requested:(r.shift <> None) model mna
 
 let tran r nl =
   let nodes = List.map (Circuit.Netlist.find_node nl) r.observe in
@@ -122,14 +114,6 @@ let guard ~spell ?op f =
     fail msg
   | exception Sympvl.Rom.Unsupported why ->
     fail ("engine does not apply to this netlist: " ^ why)
-  | exception Sympvl.Awe.Breakdown msg ->
-    fail
-      (Printf.sprintf "AWE breakdown: %s — lower %s (AWE is limited to ~8)" msg
-         (spell "order"))
-  | exception Sympvl.Mpvl.Breakdown k ->
-    fail
-      (Printf.sprintf "MPVL exact breakdown at step %d — perturb %s or use %s sympvl" k
-         (spell "shift") (spell "engine"))
   | exception Sympvl.Factor.Singular i ->
     (* suggest a shift only to an op that takes one — with the
        automatic eq.-26 shift for this pencil, a value known to

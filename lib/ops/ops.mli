@@ -47,7 +47,9 @@ exception Invalid of string * string
 
 val engine : string -> Sympvl.Rom.engine
 (** Engine lookup by name ({!Sympvl.Rom.of_name}).
-    @raise Invalid [("engine", _)] listing the known engines. *)
+    @raise Invalid [("engine", _)] listing the known engines and
+    where the AWE and MPVL baselines run ([bench tabD]/[tabG],
+    [examples/compare_methods.ml]). *)
 
 val check : request -> request
 (** The request itself when every field is in range:
@@ -67,8 +69,7 @@ val freqs : request -> float array
 val order : request -> Circuit.Mna.t -> int
 (** The order {!model} reduces to: the request's, except that
     [Certify] at order 0 takes the full pencil size (every check then
-    a theorem test), or 3 for AWE (its documented low-order
-    validity). *)
+    a theorem test). *)
 
 val model : ctx:Sympvl.Pencil.t -> request -> Circuit.Mna.t -> Sympvl.Rom.model
 (** {!Sympvl.Rom.reduce} of the request's engine at {!order}, [shift]
@@ -82,8 +83,8 @@ val certify :
   Circuit.Mna.t ->
   Sympvl.Certify.report
 (** {!Sympvl.Certify.run} of a model [ctx] built for this request: the
-    MOD009 drift band is [band], else the default sweep band for AWE;
-    a given [shift] counts as user-chosen (MOD008). *)
+    MOD009 drift band is [band]; a given [shift] counts as user-chosen
+    (MOD008). *)
 
 val tran : request -> Circuit.Netlist.t -> Simulate.Transient.result
 (** Transient run over [dt]/[t_stop] recording the [observe] nodes.
@@ -100,12 +101,11 @@ val guard :
 (** [guard ~spell ?op f] runs [f seen] and turns a user-level
     exception into a one-line {!failure}: a netlist parse error (with
     its line), {!Invalid}, {!Circuit.Diagnostic.User_error},
-    [Sys_error], {!Sympvl.Rom.Unsupported}, {!Sympvl.Awe.Breakdown},
-    {!Sympvl.Mpvl.Breakdown}, {!Sympvl.Factor.Singular} and
+    [Sys_error], {!Sympvl.Rom.Unsupported}, {!Sympvl.Factor.Singular} and
     {!Simulate.Transient.Convergence_failure}. Every other exception
     propagates.
 
     [f] hands the pencil it assembled to [seen], so a zero pivot names
     its unknown; only the ops that take a shift ([Reduce], [Certify])
-    are told to set one. Hints name a field ["shift"], ["band"],
-    ["order"] or ["engine"] as [spell] writes it. *)
+    are told to set one. Hints name a field (["shift"], ["band"]) as
+    [spell] writes it. *)

@@ -1,17 +1,21 @@
 (* Tests for the baselines and post-processing: AWE (explicit-moment
-   Padé), block-Arnoldi congruence projection, pole/residue
-   stabilisation, and the stability/passivity findings Certify
-   (MOD002/MOD001) reports for SyMPVL models. *)
+   Padé) and its polynomial helpers (the baselines library),
+   block-Arnoldi congruence projection, pole/residue stabilisation,
+   and the stability/passivity findings Certify (MOD002/MOD001)
+   reports for SyMPVL models. *)
 
 module Model = Sympvl.Model
 module Reduce = Sympvl.Reduce
-module Awe = Sympvl.Awe
+module Awe = Baselines.Awe
+module Poly = Baselines.Poly
 module Arnoldi = Sympvl.Arnoldi
 module Certify = Sympvl.Certify
 module D = Circuit.Diagnostic
 module Postprocess = Sympvl.Postprocess
 
 let checkf msg ~tol expected actual = Alcotest.(check (float tol)) msg expected actual
+
+let check_float = Alcotest.(check (float 1e-9))
 
 let z_exact_scalar (m : Circuit.Mna.t) s port =
   let var =
@@ -41,7 +45,7 @@ let test_awe_low_order_accurate () =
   let awe = Awe.build ~order:5 ~port:0 m in
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 1e8) in
   let ze = z_exact_scalar m s 0 in
-  let za = Linalg.Cmat.get (Sympvl.Realisation.eval awe.Awe.real s) 0 0 in
+  let za = Awe.eval awe s in
   let err = Linalg.Cx.abs Linalg.Cx.(ze -: za) /. Linalg.Cx.abs ze in
   Alcotest.(check bool) (Printf.sprintf "awe err %.2e" err) true (err < 1e-3)
 
@@ -66,7 +70,7 @@ let test_awe_matches_sypvl_low_order () =
   (* both are [order−1/order] Padé approximants of the same function:
      they must agree wherever AWE is numerically sane *)
   let s = Linalg.Cx.im (2.0 *. Float.pi *. 5e7) in
-  let za = Linalg.Cmat.get (Sympvl.Realisation.eval awe.Awe.real s) 0 0 in
+  let za = Awe.eval awe s in
   let zp = Linalg.Cmat.get (Sympvl.Realisation.eval sypvl.Model.real s) 0 0 in
   let err = Linalg.Cx.abs Linalg.Cx.(za -: zp) /. Linalg.Cx.abs zp in
   Alcotest.(check bool) (Printf.sprintf "padé agreement %.2e" err) true (err < 1e-6)
@@ -79,6 +83,38 @@ let test_awe_rejects_s_squared () =
        ignore (Awe.build ~order:3 ~port:0 m);
        false
      with Invalid_argument _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* Poly                                                               *)
+
+let test_poly_eval () =
+  let p = [| 1.0; -3.0; 2.0 |] in
+  (* 2x² - 3x + 1 = (2x - 1)(x - 1) *)
+  check_float "eval at 2" 3.0 (Poly.eval p 2.0);
+  Alcotest.(check int) "degree" 2 (Poly.degree p)
+
+let test_poly_roots_real () =
+  let p = [| 1.0; -3.0; 2.0 |] in
+  let r = Poly.roots p in
+  Array.sort (fun x y -> Float.compare x.Complex.re y.Complex.re) r;
+  checkf "root 0.5" ~tol:1e-8 0.5 r.(0).Complex.re;
+  checkf "root 1.0" ~tol:1e-8 1.0 r.(1).Complex.re
+
+let test_poly_roots_complex () =
+  (* x² + 1 *)
+  let p = [| 1.0; 0.0; 1.0 |] in
+  let r = Poly.roots p in
+  Array.iter
+    (fun z ->
+      checkf "re" ~tol:1e-8 0.0 z.Complex.re;
+      checkf "|im|" ~tol:1e-8 1.0 (Float.abs z.Complex.im))
+    r
+
+let test_poly_derivative () =
+  let p = [| 1.0; 2.0; 3.0 |] in
+  let d = Poly.derivative p in
+  check_float "d0" 2.0 d.(0);
+  check_float "d1" 6.0 d.(1)
 
 (* ------------------------------------------------------------------ *)
 (* Arnoldi                                                            *)
@@ -253,6 +289,13 @@ let () =
           Alcotest.test_case "hankel rcond degrades" `Quick test_awe_hankel_degrades;
           Alcotest.test_case "matches sypvl" `Quick test_awe_matches_sypvl_low_order;
           Alcotest.test_case "rejects s² pencil" `Quick test_awe_rejects_s_squared;
+        ] );
+      ( "poly",
+        [
+          Alcotest.test_case "eval/degree" `Quick test_poly_eval;
+          Alcotest.test_case "real roots" `Quick test_poly_roots_real;
+          Alcotest.test_case "complex roots" `Quick test_poly_roots_complex;
+          Alcotest.test_case "derivative" `Quick test_poly_derivative;
         ] );
       ( "arnoldi",
         [

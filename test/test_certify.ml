@@ -6,10 +6,11 @@
       test on the Certify pencil must locate the band;
       the deprecated grid sampler must come back empty — that is the
       whole argument for replacing it.
-   2. One realisation per model: every engine's Rom.realisation,
-      augmented to the physical pencil, reproduces Rom.eval on the
-      imaginary axis; Realisation.poles matches the deleted per-engine
-      pole functions (committed fixture) on every example × engine; and
+   2. One realisation per model: every engine's Rom.realisation (and
+      the MPVL baseline's), augmented to the physical pencil,
+      reproduces its eval on the imaginary axis; Realisation.poles (for
+      AWE, Awe.poles) matches the deleted per-engine pole functions
+      (committed fixture) on every example × engine and baseline; and
       MOD001 sees all four poles of the lossless lc_tank.
    3. Structural findings: Certify.structural (MOD002 then MOD001, the
       pair `symor reduce` prints for every engine) is exactly what
@@ -43,9 +44,11 @@
       the shipped examples take the modal path under SyMPVL and the
       Hamiltonian one under PRIMA.
   11. Hand-built modal models on which the rule must decline (origin·λ
-      > 1 at unit gain, a finite negative λ under the ×s gain, the s²
-      variable at unit gain) while the Hamiltonian test locates the
-      band, and the pole-at-infinity cutoff on both sides.
+      > 1 at unit gain, a finite negative λ under the ×s gain — also
+      at λ ~ 1e-6 and 1e-9, where the augmented pencil's crossings sit
+      decades away from 1 — the s² variable at unit gain) while the
+      Hamiltonian test locates the band, and the pole-at-infinity
+      cutoff on both sides.
   12. MOD006 on ports shorted to ground by an inductor: the exact DC
       value is roundoff, and the check is relative to the model's own
       |Z| scale. *)
@@ -148,13 +151,6 @@ let test_narrow_band () =
 let bt_mna () =
   Circuit.Mna.assemble_rc (Circuit.Generators.random_rc ~nodes:8 ~extra_edges:4 ~seed:7 ())
 
-(* (order, band) per engine: AWE at its documented low order on a
-   mid-band shift, every other engine at full order *)
-let adapter_opts eng (m : Circuit.Mna.t) =
-  match eng with
-  | `Awe -> (3, Some (1e6, 1e10))
-  | _ -> (m.Circuit.Mna.n, None)
-
 (* the deleted per-engine [poles] functions, run before the engines
    moved to one realisation: golden/rom_poles.bits holds
    "<example> <engine> <order> <count> <re> <im> ..." as %h hex floats
@@ -201,32 +197,34 @@ let poles_match ~rtol want got =
 
 let test_adapter_all_engines () =
   let exercised = ref [] in
-  let probe (m : Circuit.Mna.t) eng =
-    match Rom.supports eng m with
-    | Error _ -> ()
-    | Ok () ->
-      let order, band = adapter_opts eng m in
-      let model = Rom.reduce ?band ~order eng m in
-      let r = Rom.realisation model in
-      (* the physical descriptor pencil the certify rules work on must
-         reproduce the engine's eval at frequencies spanning the band *)
-      List.iter
-        (fun f ->
-          let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
-          let ze = Rom.eval model s in
-          let zr = H.eval (Sympvl.Realisation.phys_pencil r) s in
-          let scale = Float.max (Linalg.Cmat.max_abs ze) 1e-300 in
-          let err = Linalg.Cmat.dist_max ze zr /. scale in
-          if err > 1e-8 then
-            Alcotest.failf "%s: realisation pencil deviates %.3e at %g Hz" (Rom.name eng)
-              err f)
-        [ 1e6; 3.1e7; 1e9 ];
+  (* the physical descriptor pencil the certify rules work on must
+     reproduce the model's eval at frequencies spanning the band *)
+  let probe name (r : Sympvl.Realisation.t) =
+    List.iter
+      (fun f ->
+        let s = Linalg.Cx.im (2.0 *. Float.pi *. f) in
+        let ze = Sympvl.Realisation.eval r s in
+        let zr = H.eval (Sympvl.Realisation.phys_pencil r) s in
+        let scale = Float.max (Linalg.Cmat.max_abs ze) 1e-300 in
+        let err = Linalg.Cmat.dist_max ze zr /. scale in
+        if err > 1e-8 then
+          Alcotest.failf "%s: realisation pencil deviates %.3e at %g Hz" name err f)
+      [ 1e6; 3.1e7; 1e9 ]
+  in
+  let probe_engine (m : Circuit.Mna.t) eng =
+    if Rom.supports eng m = Ok () then begin
+      probe (Rom.name eng) (Rom.realisation (Rom.reduce ~order:m.Circuit.Mna.n eng m));
       if not (List.mem eng !exercised) then exercised := eng :: !exercised
+    end
   in
   (* peec_coupled carries the general-form inductor-current block the
      sprim leg needs *)
   let mnas = [ mna_of "rc_line"; mna_of "lc_tank"; mna_of "peec_coupled"; bt_mna () ] in
-  List.iter (fun m -> List.iter (probe m) Rom.all) mnas;
+  List.iter
+    (fun (m : Circuit.Mna.t) ->
+      List.iter (probe_engine m) Rom.all;
+      probe "mpvl" (Baselines.Mpvl.reduce ~order:m.Circuit.Mna.n m).Baselines.Mpvl.real)
+    mnas;
   List.iter
     (fun eng ->
       Alcotest.(check bool)
@@ -244,18 +242,30 @@ let test_adapter_all_engines () =
   let fixture = read_pole_fixture () in
   let check_row ((base, eng, order), want) =
     let m = if base = "random_rc" then bt_mna () else mna_of base in
-    let engine = Option.get (Rom.of_name eng) in
-    let band = if engine = `Awe && order = 3 then Some (1e6, 1e10) else None in
-    let r = Rom.realisation (Rom.reduce ?band ~order engine m) in
     let want =
       if eng = "prima" && (base = "lc_tank" || base = "rl_ladder") then
         List.assoc (base, "sympvl", 4) fixture
       else want
     in
-    let ws = Sympvl.Realisation.freq_scale r in
-    let in_var p = if r.Sympvl.Realisation.variable = Circuit.Mna.S then p else Complex.mul p p in
-    let want = List.filter (fun p -> Complex.norm (in_var p) <= 1e8 *. ws) (Array.to_list want) in
-    let got = Sympvl.Realisation.poles r in
+    let want, got =
+      match eng with
+      | "awe" ->
+        (* AWE's rows: its own poles, at the low order on a mid-band shift *)
+        let band = if order = 3 then Some (1e6, 1e10) else None in
+        (Array.to_list want, Baselines.Awe.poles (Baselines.Awe.build ?band ~order ~port:0 m))
+      | _ ->
+        let r =
+          match eng with
+          | "mpvl" -> (Baselines.Mpvl.reduce ~order m).Baselines.Mpvl.real
+          | _ -> Rom.realisation (Rom.reduce ~order (Option.get (Rom.of_name eng)) m)
+        in
+        let ws = Sympvl.Realisation.freq_scale r in
+        let in_var p =
+          if r.Sympvl.Realisation.variable = Circuit.Mna.S then p else Complex.mul p p
+        in
+        ( List.filter (fun p -> Complex.norm (in_var p) <= 1e8 *. ws) (Array.to_list want),
+          Sympvl.Realisation.poles r )
+    in
     if not (poles_match ~rtol:1e-6 (Array.of_list want) got) then
       Alcotest.failf "%s %s %d: %d poles, fixture has %d finite (or a pole moved)" base eng
         order (Array.length got) (List.length want)
@@ -273,7 +283,7 @@ let test_adapter_all_engines () =
         (Rom.name eng ^ ": all 4 finite poles in the closed left half-plane")
         d.D.message;
       Alcotest.(check bool) "info" true (d.D.severity = D.Info))
-    [ `Sympvl; `Mpvl; `Prima ]
+    [ `Sympvl; `Prima ]
 
 (* ------------------------------------------------------------------ *)
 (* 3. the structural pair: MOD002 then MOD001                          *)
@@ -342,8 +352,7 @@ let test_drift_zero_pivot () =
 
 (* the package model reduced about a band shift (its G is singular, so
    the realisation has poles at DC) has right-half-plane poles at
-   ~3e10 that MOD001 must see, and AWE's modal realisation has exactly
-   one finite pole per state *)
+   ~3e10 that MOD001 must see *)
 let test_structural_dc_pole () =
   let mna =
     Circuit.Mna.assemble (Circuit.Generators.package_model ~pins:16 ~signal_pins:8 ~sections:4 ())
@@ -357,11 +366,7 @@ let test_structural_dc_pole () =
   let mod001 rom m =
     List.find (fun d -> d.D.code = "MOD001") (Certify.structural rom m)
   in
-  Alcotest.(check bool) "MOD001 flags them" true ((mod001 model mna).D.severity <> D.Info);
-  let rl = mna_of "rl_ladder" in
-  Alcotest.(check string) "AWE order 4: four finite poles"
-    "awe: all 4 finite poles in the closed left half-plane"
-    (mod001 (Rom.reduce ~order:4 `Awe rl) rl).D.message
+  Alcotest.(check bool) "MOD001 flags them" true ((mod001 model mna).D.severity <> D.Info)
 
 (* ------------------------------------------------------------------ *)
 (* 4. property: clean RC at shift 0 certifies passive on every engine  *)
@@ -385,38 +390,35 @@ let prop_clean_rc_certifies =
           match Rom.supports eng mna with
           | Error _ -> true
           | Ok () -> (
-            let order, band = adapter_opts eng mna in
-            match Rom.reduce ~ctx ?band ~order eng mna with
-            | exception (Sympvl.Awe.Breakdown _ | Sympvl.Mpvl.Breakdown _) -> true
-            | model ->
-              if Rom.shift model <> 0.0 then true
-              else begin
-                let rep = Certify.run ~ctx model mna in
-                let bad =
-                  List.filter
-                    (fun d ->
-                      d.D.severity <> D.Info
-                      && (d.D.code = "MOD001" || d.D.code = "MOD002"
-                        || d.D.code = "MOD003"))
-                    rep.Certify.findings
-                in
-                let certified =
-                  List.exists
-                    (fun d ->
-                      d.D.code = "MOD002" && d.D.severity = D.Info
-                      && d.D.line = None)
-                    rep.Certify.findings
-                in
-                if bad <> [] || not certified then begin
-                  List.iter
-                    (fun d ->
-                      Printf.printf "[certify] %s %s: %s\n" (Rom.name eng) d.D.code
-                        d.D.message)
-                    bad;
-                  false
-                end
-                else true
-              end))
+            let model = Rom.reduce ~ctx ~order:mna.Circuit.Mna.n eng mna in
+            if Rom.shift model <> 0.0 then true
+            else begin
+              let rep = Certify.run ~ctx model mna in
+              let bad =
+                List.filter
+                  (fun d ->
+                    d.D.severity <> D.Info
+                    && (d.D.code = "MOD001" || d.D.code = "MOD002"
+                      || d.D.code = "MOD003"))
+                  rep.Certify.findings
+              in
+              let certified =
+                List.exists
+                  (fun d ->
+                    d.D.code = "MOD002" && d.D.severity = D.Info
+                    && d.D.line = None)
+                  rep.Certify.findings
+              in
+              if bad <> [] || not certified then begin
+                List.iter
+                  (fun d ->
+                    Printf.printf "[certify] %s %s: %s\n" (Rom.name eng) d.D.code
+                      d.D.message)
+                  bad;
+                false
+              end
+              else true
+            end))
         Rom.all)
 
 (* ------------------------------------------------------------------ *)
@@ -437,8 +439,7 @@ let test_registry () =
       match Rom.supports eng mna with
       | Error _ -> ()
       | Ok () ->
-        let order, band = adapter_opts eng mna in
-        let model = Rom.reduce ~ctx ?band ~order eng mna in
+        let model = Rom.reduce ~ctx ~order:mna.Circuit.Mna.n eng mna in
         let rep = Certify.run ~ctx model mna in
         List.iter (fun d -> emitted := d.D.code :: !emitted) rep.Certify.findings)
     Rom.all;
@@ -500,10 +501,9 @@ let test_residual_examples () =
           match Rom.supports eng mna with
           | Error _ -> ()
           | Ok () -> (
-            let order, band = adapter_opts eng mna in
             let ctx = Sympvl.Pencil.create mna in
-            let model = Rom.reduce ~ctx ?band ~order eng mna in
-            match mod010 (Certify.run ~ctx ?drift_band:band model mna) with
+            let model = Rom.reduce ~ctx ~order:mna.Circuit.Mna.n eng mna in
+            match mod010 (Certify.run ~ctx model mna) with
             | [ d ] when d.D.severity = D.Info -> ()
             | ds ->
               Alcotest.failf "%s/%s: %s" base (Rom.name eng)
@@ -776,6 +776,26 @@ let test_rule_declines () =
     Alcotest.(check bool) "from its crossing" true (Float.abs (b.H.w_lo -. edge) < 1e-4 *. edge);
     Alcotest.(check bool) "to infinity" true (b.H.w_hi = infinity)
   | bs -> Alcotest.failf "finite negative λ: %d bands" (List.length bs));
+  (* the same shape at the scale of a real RL model, λ = (a, −a/10):
+     Re Z < 0 above ω = 1/√(a·a/10), 3.2e9 rad/s at a = 1e-9. The
+     augmented pencil's unit coupling blocks must not pull the
+     crossing search to ω ~ 1 *)
+  List.iter
+    (fun a ->
+      let m =
+        diag_model ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Times_s [| a; -.a /. 10.0 |] [| 1.0; 1.0 |]
+      in
+      let what = Printf.sprintf "λ = (%g, %g)" a (-.a /. 10.0) in
+      Alcotest.(check bool) (what ^ " declines") false (modal m);
+      match bands_of m with
+      | [ b ] ->
+        let edge = 1.0 /. sqrt (a *. a /. 10.0) in
+        if Float.abs (b.H.w_lo -. edge) > 1e-4 *. edge then
+          Alcotest.failf "%s: band from %g, crossing at %g" what b.H.w_lo edge;
+        Alcotest.(check bool) (what ^ ": to infinity") true (b.H.w_hi = infinity);
+        Alcotest.(check bool) (what ^ ": Re Z < 0 at the worst point") true (b.H.lambda_min < 0.0)
+      | bs -> Alcotest.failf "%s: %d bands" what (List.length bs))
+    [ 1e-6; 1e-9 ];
   (* its pole at 1e11·ws is the infinity Realisation.poles drops *)
   let m = diag_model ~variable:Circuit.Mna.S ~gain:Circuit.Mna.Times_s [| 1.0; -1e-11 |] [| 1.0; 1e-6 |] in
   Alcotest.(check bool) "negative λ with its pole at 1e11·ws passes" true (modal m);

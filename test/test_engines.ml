@@ -15,10 +15,11 @@
       identical to the from-scratch path.
    4. Failure contract: a breakdown leaves Pencil as Factor.Singular at
       the original (unpermuted) row, also from factor_with.
-   5. Bitwise eval fixture: Rom.eval on every example × engine (plus a
-      generated all-caps RC net for BT) at 16 log-spaced frequencies
-      reproduces golden/rom_eval.bits — "%h" hex floats written before
-      the engines moved to one realisation — bit for bit. The rows of
+   5. Bitwise eval fixture: Rom.eval on every example × engine, and
+      the AWE and MPVL baselines' own evals (plus a generated all-caps
+      RC net for BT) at 16 log-spaced frequencies reproduce
+      golden/rom_eval.bits — "%h" hex floats written before the engines
+      moved to one realisation — bit for bit. The rows of
       the modal realisations (SyMPVL J = I, BT) were re-pinned when
       their eval moved to the pole–residue sum (largest relative move
       1.7e-13, rl_ladder's shifted expansion at 1 MHz; 2.3e-15 elsewhere),
@@ -87,23 +88,21 @@ let test_shift_agreement () =
   Alcotest.(check bool) "retry shift is nonzero" true (expected > 0.0);
   let model = Sympvl.Reduce.mna ~order:4 m in
   let arn = Sympvl.Arnoldi.reduce ~order:4 m in
-  let mp = Sympvl.Mpvl.reduce ~order:4 m in
+  let mp = Baselines.Mpvl.reduce ~order:4 m in
   Alcotest.(check (float 0.0)) "reduce shift" expected model.Sympvl.Model.shift;
   Alcotest.(check (float 0.0)) "arnoldi shift" expected arn.Sympvl.Realisation.shift;
-  Alcotest.(check (float 0.0)) "mpvl shift" expected mp.Sympvl.Mpvl.real.Sympvl.Realisation.shift
+  Alcotest.(check (float 0.0)) "mpvl shift" expected mp.Baselines.Mpvl.real.Sympvl.Realisation.shift
 
 (* ------------------------------------------------------------------ *)
 (* cross-engine golden                                                 *)
 
-(* the documented support matrix over the shipped examples: AWE cannot
-   expand σ = s² pencils; balanced truncation needs the definite RC
-   impedance form (and a capacitor on every node — rc_line's input
-   node has none); SPRIM needs the general RLC form's inductor-current
+(* the documented support matrix over the shipped examples: balanced
+   truncation needs the definite RC impedance form (and a capacitor on
+   every node — rc_line's input node has none); SPRIM needs the general RLC form's inductor-current
    block (rc_line is pure RC, lc_tank reduces in σ = s², rl_ladder in
    the RL susceptance form) *)
 let expected_skips =
   [
-    ("lc_tank", `Awe);
     ("rc_line", `Bt);
     ("lc_tank", `Bt);
     ("rl_ladder", `Bt);
@@ -113,16 +112,6 @@ let expected_skips =
     ("lc_tank", `Sprim);
     ("rl_ladder", `Sprim);
   ]
-
-let engine_opts eng (m : Circuit.Mna.t) =
-  match eng with
-  | `Awe ->
-    (* AWE's documented validity is low order at a mid-band expansion *)
-    (3, Some (1e6, 1e10))
-  | _ ->
-    (* Krylov/BT engines at full order: the model is the exact transfer
-       function up to roundoff, so the golden comparison is tight *)
-    (m.Circuit.Mna.n, None)
 
 let test_engine_golden base () =
   let m = mna_of base in
@@ -143,28 +132,24 @@ let test_engine_golden base () =
           (Printf.sprintf "%s/%s: support is documented" base (Rom.name eng))
           false
           (List.mem (base, eng) expected_skips);
-        let order, band = engine_opts eng m in
-        let model = Rom.reduce ?band ~order eng m in
-        let scalar = Rom.ports model = 1 && Array.length m.Circuit.Mna.port_names > 1 in
+        (* at full order the model is the exact transfer function up
+           to roundoff, so the golden comparison is tight *)
+        let model = Rom.reduce ~order:m.Circuit.Mna.n eng m in
         let rtol = Rom.golden_rtol eng in
         List.iter
           (fun e ->
-            if not (scalar && (e.row > 0 || e.col > 0)) then begin
-              let s = Linalg.Cx.im (2.0 *. Float.pi *. e.freq) in
-              let z = Rom.eval model s in
-              let got = Linalg.Cmat.get z e.row e.col in
-              let want =
-                { Complex.re = e.mag *. cos e.phase; im = e.mag *. sin e.phase }
-              in
-              let err = Complex.norm (Complex.sub got want) in
-              let tol = rtol *. Float.max e.mag (1e-3 *. scale) in
-              if err > tol then
-                Alcotest.failf
-                  "%s/%s: Z[%d,%d] at %.6e Hz deviates: got %.10e%+.10ei, fixture \
-                   mag=%.10e phase=%.10e (|err| = %.3e > tol %.3e)"
-                  base (Rom.name eng) e.row e.col e.freq got.Complex.re got.Complex.im
-                  e.mag e.phase err tol
-            end)
+            let s = Linalg.Cx.im (2.0 *. Float.pi *. e.freq) in
+            let z = Rom.eval model s in
+            let got = Linalg.Cmat.get z e.row e.col in
+            let want = { Complex.re = e.mag *. cos e.phase; im = e.mag *. sin e.phase } in
+            let err = Complex.norm (Complex.sub got want) in
+            let tol = rtol *. Float.max e.mag (1e-3 *. scale) in
+            if err > tol then
+              Alcotest.failf
+                "%s/%s: Z[%d,%d] at %.6e Hz deviates: got %.10e%+.10ei, fixture \
+                 mag=%.10e phase=%.10e (|err| = %.3e > tol %.3e)"
+                base (Rom.name eng) e.row e.col e.freq got.Complex.re got.Complex.im e.mag
+                e.phase err tol)
           entries)
     Rom.all
 
@@ -262,11 +247,35 @@ let fixture_cases () =
           (Circuit.Generators.random_rc ~nodes:8 ~extra_edges:4 ~seed:7 ()) );
     ]
 
-(* (order, band) per engine: AWE at 3 on a mid-band shift and at 4 on
-   the default one, every other engine at 4 and at full order *)
-let fixture_settings eng (m : Circuit.Mna.t) =
-  match eng with
-  | `Awe -> [ (3, Some (1e6, 1e10)); (4, None) ]
+(* the fixture's rows: the four Rom engines and the two baselines, in
+   the order they were written *)
+type row = Engine of Rom.engine | Mpvl | Awe
+
+let rows = [ Engine `Sympvl; Mpvl; Engine `Prima; Engine `Sprim; Awe; Engine `Bt ]
+
+let row_name = function Engine e -> Rom.name e | Mpvl -> "mpvl" | Awe -> "awe"
+
+(* AWE expands scalar moments in the s variable; MPVL takes any pencil *)
+let row_supports row (m : Circuit.Mna.t) =
+  match row with
+  | Engine e -> Rom.supports e m = Ok ()
+  | Mpvl -> true
+  | Awe -> m.Circuit.Mna.variable = Circuit.Mna.S
+
+(* a row's Ẑ(s) as a matrix: AWE's scalar (port 0) as 1×1 *)
+let row_eval ?band ~order row m =
+  match row with
+  | Engine e -> Rom.eval (Rom.reduce ?band ~order e m)
+  | Mpvl -> Sympvl.Realisation.eval (Baselines.Mpvl.reduce ?band ~order m).Baselines.Mpvl.real
+  | Awe ->
+    let a = Baselines.Awe.build ?band ~order ~port:0 m in
+    fun s -> Linalg.Cmat.init 1 1 (fun _ _ -> Baselines.Awe.eval a s)
+
+(* (order, band) per row: AWE at 3 on a mid-band shift and at 4 on
+   the default one, every other row at 4 and at full order *)
+let fixture_settings row (m : Circuit.Mna.t) =
+  match row with
+  | Awe -> [ (3, Some (1e6, 1e10)); (4, None) ]
   | _ -> if m.Circuit.Mna.n <= 4 then [ (4, None) ] else [ (4, None); (m.Circuit.Mna.n, None) ]
 
 (* one line per model and frequency: "<example> <engine> <order> <k>"
@@ -278,17 +287,17 @@ let eval_fixture_lines () =
   List.iter
     (fun (base, m) ->
       List.iter
-        (fun eng ->
-          if Rom.supports eng m = Ok () then
+        (fun row ->
+          if row_supports row m then
             List.iter
               (fun (order, band) ->
-                let tag = Printf.sprintf "%s %s %d" base (Rom.name eng) order in
-                match Rom.reduce ?band ~order eng m with
+                let tag = Printf.sprintf "%s %s %d" base (row_name row) order in
+                match row_eval ?band ~order row m with
                 | exception e -> emit (Printf.sprintf "%s raises %s" tag (Printexc.to_string e))
-                | model ->
+                | eval ->
                   Array.iteri
                     (fun k f ->
-                      let z = Rom.eval model (Linalg.Cx.im (2.0 *. Float.pi *. f)) in
+                      let z = eval (Linalg.Cx.im (2.0 *. Float.pi *. f)) in
                       let b = Buffer.create 128 in
                       Buffer.add_string b (Printf.sprintf "%s %d" tag k);
                       for i = 0 to z.Linalg.Cmat.rows - 1 do
@@ -299,8 +308,8 @@ let eval_fixture_lines () =
                       done;
                       emit (Buffer.contents b))
                     freqs)
-              (fixture_settings eng m))
-        Rom.all)
+              (fixture_settings row m))
+        rows)
     (fixture_cases ());
   List.rev !lines
 
@@ -402,23 +411,30 @@ let prop_hess_matches_dense =
       in
       QCheck.assume (lint_clean nl);
       let m = Circuit.Mna.auto nl in
+      let order = min m.Circuit.Mna.n 8 in
       List.for_all
-        (fun eng ->
-          match Rom.supports eng m with
-          | Error _ -> true
-          | Ok () -> (
-            match Rom.reduce ~order:(min m.Circuit.Mna.n 8) eng m with
-            | exception Sympvl.Mpvl.Breakdown _ -> true (* a serious MPVL breakdown: no model *)
-            | model -> (
-              let r = Rom.realisation model in
-              match r.R.form with
-              | R.Modal _ when eng = `Sympvl -> true
-              | R.Modal _ | R.Foster _ -> QCheck.Test.fail_reportf "%s: no general form" (Rom.name eng)
-              | R.Band _ | R.Hess _ -> (
-                match hess_accuracy r with
-                | None -> true
-                | Some why -> QCheck.Test.fail_reportf "%s: %s" (Rom.name eng) why))))
-        [ `Prima; `Sprim; `Mpvl; `Sympvl ])
+        (fun row ->
+          let realisation =
+            match row with
+            | Engine e when Rom.supports e m = Ok () ->
+              Some (Rom.realisation (Rom.reduce ~order e m))
+            | Engine _ | Awe -> None
+            | Mpvl -> (
+              match Baselines.Mpvl.reduce ~order m with
+              | mp -> Some mp.Baselines.Mpvl.real
+              | exception Baselines.Mpvl.Breakdown _ -> None (* a serious breakdown: no model *))
+          in
+          match realisation with
+          | None -> true
+          | Some r -> (
+            match r.R.form with
+            | R.Modal _ when row = Engine `Sympvl -> true
+            | R.Modal _ -> QCheck.Test.fail_reportf "%s: no general form" (row_name row)
+            | R.Band _ | R.Hess _ -> (
+              match hess_accuracy r with
+              | None -> true
+              | Some why -> QCheck.Test.fail_reportf "%s: %s" (row_name row) why)))
+        [ Engine `Prima; Engine `Sprim; Mpvl; Engine `Sympvl ])
 
 (* An MPVL model whose T spans 18 decades: a reduction alone is
    normwise accurate only, 6.5e-10 off at 31.6 GHz where the dense LU
@@ -426,7 +442,7 @@ let prop_hess_matches_dense =
    refinement step brings it to 1e-14 *)
 let test_hess_graded () =
   let m = Circuit.Mna.auto (Random_nets.rlck 18235) in
-  let r = Rom.realisation (Rom.reduce ~order:(min m.Circuit.Mna.n 8) `Mpvl m) in
+  let r = (Baselines.Mpvl.reduce ~order:(min m.Circuit.Mna.n 8) m).Baselines.Mpvl.real in
   Alcotest.(check bool) "reduced form" true (is_hess r);
   match hess_accuracy r with None -> () | Some why -> Alcotest.failf "mpvl: %s" why
 

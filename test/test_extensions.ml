@@ -3,7 +3,7 @@
 
 module Model = Sympvl.Model
 module Reduce = Sympvl.Reduce
-module Mpvl = Sympvl.Mpvl
+module Mpvl = Baselines.Mpvl
 
 let checkf msg ~tol expected actual = Alcotest.(check (float tol)) msg expected actual
 

@@ -409,37 +409,6 @@ let test_cmat_min_eig_hermitian () =
   checkf "min eig" ~tol:1e-9 1.0 (Linalg.Cmat.min_eig_hermitian m)
 
 (* ------------------------------------------------------------------ *)
-(* Poly                                                               *)
-
-let test_poly_eval () =
-  let p = [| 1.0; -3.0; 2.0 |] in
-  (* 2x² - 3x + 1 = (2x - 1)(x - 1) *)
-  check_float "eval at 2" 3.0 (Linalg.Poly.eval p 2.0);
-  Alcotest.(check int) "degree" 2 (Linalg.Poly.degree p)
-
-let test_poly_roots_real () =
-  let p = [| 1.0; -3.0; 2.0 |] in
-  let r = sort_cx (Linalg.Poly.roots p) in
-  checkf "root 0.5" ~tol:1e-8 0.5 r.(0).Complex.re;
-  checkf "root 1.0" ~tol:1e-8 1.0 r.(1).Complex.re
-
-let test_poly_roots_complex () =
-  (* x² + 1 *)
-  let p = [| 1.0; 0.0; 1.0 |] in
-  let r = Linalg.Poly.roots p in
-  Array.iter
-    (fun z ->
-      checkf "re" ~tol:1e-8 0.0 z.Complex.re;
-      checkf "|im|" ~tol:1e-8 1.0 (Float.abs z.Complex.im))
-    r
-
-let test_poly_derivative () =
-  let p = [| 1.0; 2.0; 3.0 |] in
-  let d = Linalg.Poly.derivative p in
-  check_float "d0" 2.0 d.(0);
-  check_float "d1" 6.0 d.(1)
-
-(* ------------------------------------------------------------------ *)
 (* Rng determinism                                                    *)
 
 let test_rng_deterministic () =
@@ -637,13 +606,6 @@ let () =
           Alcotest.test_case "real kernels allocate no boxed entries" `Quick
             test_mat_kernels_no_boxing;
           Alcotest.test_case "hermitian min eig" `Quick test_cmat_min_eig_hermitian;
-        ] );
-      ( "poly",
-        [
-          Alcotest.test_case "eval/degree" `Quick test_poly_eval;
-          Alcotest.test_case "real roots" `Quick test_poly_roots_real;
-          Alcotest.test_case "complex roots" `Quick test_poly_roots_complex;
-          Alcotest.test_case "derivative" `Quick test_poly_derivative;
         ] );
       ( "rng",
         [

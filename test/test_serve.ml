@@ -905,6 +905,33 @@ let test_invalid_requests () =
     cases;
   check_ping c
 
+(* AWE and MPVL are baselines, not engines: the CLI and the daemon
+   answer them with the unknown-engine user error, which says where
+   they run *)
+let test_baseline_engines () =
+  let message name =
+    Printf.sprintf
+      "unknown engine %S (have sympvl, prima, sprim, bt; the AWE and MPVL baselines run in \
+       bench tabD/tabG and examples/compare_methods.ml)"
+      name
+  in
+  let rc = netlist_path "rc_line" in
+  let ((_, _, err) as run) = run_symor [ "reduce"; rc; "--engine"; "awe" ] in
+  check_user_error "CLI reduce --engine awe" run;
+  Alcotest.(check string) "CLI reduce --engine awe: message" ("symor: " ^ message "awe" ^ "\n") err;
+  with_server @@ fun (addr, _) ->
+  with_client addr @@ fun c ->
+  let text = J.to_string (J.Str (read_file rc)) in
+  let resp =
+    J.parse
+      (request_exn c (Printf.sprintf {|{"op":"reduce","engine":"mpvl","netlist":%s}|} text))
+  in
+  Alcotest.(check (option bool)) "serve mpvl: not ok" (Some false) (jbool "ok" resp);
+  Alcotest.(check (list string)) "serve mpvl: one SRV006"
+    [ "error SRV006: " ^ message "mpvl" ]
+    (List.map render_finding (jlist_exn (J.member "findings" resp)));
+  check_ping c
+
 (* single-port SyMPVL models outside Foster form (an indefinite RLC
    model, an RC model at a nonzero shift) synthesize through the
    multiport congruence: at full order the netlist reproduces the
@@ -1063,6 +1090,8 @@ let () =
             test_jw_pivot_breakdown;
           Alcotest.test_case "invalid requests: one message, both front ends" `Quick
             test_invalid_requests;
+          Alcotest.test_case "engine: the AWE and MPVL baselines point to the benches" `Quick
+            test_baseline_engines;
           Alcotest.test_case "reduce --synth: single-port models outside Foster form" `Quick
             test_synth_single_port;
           Alcotest.test_case "request: a dead socket is a user error" `Quick
