@@ -9,7 +9,7 @@ type t = {
 
 exception Breakdown of string
 
-let build ?ctx ?shift ?band ~order ~port (m : Circuit.Mna.t) =
+let build ?band ~order ~port (m : Circuit.Mna.t) =
   if m.Circuit.Mna.variable <> Circuit.Mna.S then
     invalid_arg "Awe.build: only pencils in the s variable are supported";
   let q = order in
@@ -25,15 +25,14 @@ let build ?ctx ?shift ?band ~order ~port (m : Circuit.Mna.t) =
   (* the engines' shift policy (with its singular-G retry); the
      factorisation it computes stays in the context's cache, where the
      moment recurrence finds it *)
-  let ctx = match ctx with Some c -> c | None -> Sympvl.Pencil.create m in
-  Sympvl.Pencil.with_auto_shift ?shift ?band ctx @@ fun shift _ ->
+  let ctx = Sympvl.Pencil.create m in
+  Sympvl.Pencil.with_auto_shift ?band ctx @@ fun shift _ ->
   (* scalar moments c_0 .. c_{2q-1} of the chosen port *)
   let b = Linalg.Mat.create m.Circuit.Mna.n 1 in
   Linalg.Mat.set_col b 0 (Linalg.Mat.col m.Circuit.Mna.b port);
   let scalar_mna = { m with Circuit.Mna.b; port_names = [| "awe" |] } in
-  (* the moments come from the shared pencil context (G and C are the
-     full pencil's; only B differs), so AWE after another engine's
-     reduction at the same shift reuses the cached factorisation *)
+  (* G and C are the full pencil's, only B differs, so the moments
+     come from the context factored above *)
   let mats = Sympvl.Moments.exact ~ctx ~shift scalar_mna (2 * q) in
   let c_raw = Array.map (fun mk -> Linalg.Mat.get mk 0 0) mats in
   (* moment scaling (standard AWE practice): work in σ′ = ασ with

@@ -26,15 +26,12 @@ exception Breakdown of string
     twice the pencil size (at most [2N] of the [2·order] moments are
     independent). *)
 
-val build :
-  ?ctx:Sympvl.Pencil.t -> ?shift:float -> ?band:float * float -> order:int -> port:int ->
-  Circuit.Mna.t -> t
+val build : ?band:float * float -> order:int -> port:int -> Circuit.Mna.t -> t
 (** [build ~order ~port m] computes the [order]-pole AWE model of
-    [Z_port,port] from [2·order] explicit moments, solved through the
-    pencil context (pass [ctx] to reuse a factorisation cached by
-    another engine at the same shift). [shift] and [band] resolve the
-    expansion point by {!Sympvl.Pencil.with_auto_shift}, the engines'
-    policy. *)
+    [Z_port,port] from [2·order] explicit moments, solved through a
+    pencil context of its own. The expansion point is 0, or [band]
+    guides {!Sympvl.Pencil.with_auto_shift}'s retry when [G] is
+    singular — the engines' policy. *)
 
 val eval : t -> Complex.t -> Complex.t
 (** [Ẑ(s) = gain·Σₖ rₖ/(σ − pₖ)], [σ = s − s₀], summed in pole

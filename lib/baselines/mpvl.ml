@@ -63,12 +63,11 @@ let run_lanczos ~dtol ~order ~op ~op_t ~r_start ~l_start =
    with Exit -> ());
   (Array.of_list !vs, Array.of_list !ws, Array.of_list !ds, !deflations)
 
-let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
+let reduce ?band ~order (m : Circuit.Mna.t) =
   let c = m.Circuit.Mna.c in
-  let ctx = match ctx with Some p -> p | None -> Sympvl.Pencil.create m in
   (* shift resolution and factorisation via the shared policy — the
      exact same eq. (26) retry as SyMPVL/PRIMA *)
-  Sympvl.Pencil.with_auto_shift ?shift ?band ctx @@ fun s0 fac ->
+  Sympvl.Pencil.with_auto_shift ?band (Sympvl.Pencil.create m) @@ fun s0 fac ->
   let n_full = m.Circuit.Mna.n in
   let work = Linalg.Vec.create n_full in
   (* K⁻¹b into a fresh vector; [b] is consumed *)
@@ -91,7 +90,7 @@ let reduce ?ctx ?shift ?band ?(dtol = 1e-8) ~order (m : Circuit.Mna.t) =
     Linalg.Mat.set_col r_start k (solved (Linalg.Mat.col m.Circuit.Mna.b k))
   done;
   let vs, ws, ds, deflations =
-    run_lanczos ~dtol ~order ~op ~op_t ~r_start ~l_start:m.Circuit.Mna.b
+    run_lanczos ~dtol:1e-8 ~order ~op ~op_t ~r_start ~l_start:m.Circuit.Mna.b
   in
   let n = Array.length vs in
   if n = 0 then raise (Breakdown 0);

@@ -29,11 +29,9 @@ exception Breakdown of int
 (** Exact biorthogonality breakdown at the reported step (would need
     look-ahead). *)
 
-val reduce :
-  ?ctx:Sympvl.Pencil.t -> ?shift:float -> ?band:float * float -> ?dtol:float -> order:int ->
-  Circuit.Mna.t -> t
+val reduce : ?band:float * float -> order:int -> Circuit.Mna.t -> t
 (** Reduce to (at most) the requested order. Shift resolution is
-    {!Sympvl.Pencil.with_auto_shift} — the same policy as {!Sympvl.Reduce.mna}:
-    explicit [shift] wins; otherwise 0 with band-guided automatic
-    retry when [G] is singular. Pass [ctx] to reuse a context (and
-    its cached factorisations) across engines. *)
+    {!Sympvl.Pencil.with_auto_shift} — the same policy as
+    {!Sympvl.Reduce.mna}: 0, with band-guided automatic retry when
+    [G] is singular. A candidate pair is deflated when biorthogonalisation
+    leaves either vector below 1e-8 of its norm. *)

@@ -67,10 +67,9 @@ type report = {
   safe_order : int option;
 }
 
-(* the realisation's natural frequency scale, from the *core* pencil —
-   the augmentation's unit coupling blocks hide it in the physical
-   pencil (max|a1| saturates at 1), so |g0|/|g1| and the expansion
-   point are the meaningful magnitudes *)
+(* the realisation's natural frequency scale: the core pencil's
+   |g0|/|g1| in the realisation's variable (read without building the
+   augmented pencil), or the expansion point when that is larger *)
 let core_freq_scale (r : Realisation.t) =
   Float.max (Realisation.freq_scale r) (Float.abs r.Realisation.shift)
 

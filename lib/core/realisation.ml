@@ -626,11 +626,11 @@ let augment r pen =
 let phys_pencil r = augment r (core r)
 
 (* a modal realisation's poles are read off its λₖ. Otherwise: finite
-   poles of the core pencil, through the same shift-and-invert
-   eigensolver the crossing test uses, pre-scaled by the core's own
-   frequency scale so the O(1) seeds are meaningful (the augmented
-   physical pencil would hide that scale behind its unit coupling
-   blocks). A singular a1 pushes part of the spectrum to infinity;
+   poles of the core pencil in the realisation's variable (the ×s gain
+   and the s² lifting add states but no poles), through the same
+   shift-and-invert eigensolver the crossing test uses, pre-scaled by
+   the core's own frequency scale so the O(1) seeds are meaningful.
+   A singular a1 pushes part of the spectrum to infinity;
    eigenvalues that come back merely ~huge (> 1e8 in scaled units) are
    that infinity seen through roundoff, not model poles — drop them.
    The seeds skip 0: a model with a pole at DC (singular G, hence a
